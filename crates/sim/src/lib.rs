@@ -37,6 +37,7 @@ pub mod engine;
 pub mod event;
 pub mod job_table;
 pub mod observer;
+pub mod parked;
 pub mod result;
 pub mod shard;
 pub mod snapshot;
@@ -50,6 +51,7 @@ pub use engine::Simulation;
 pub use event::{Event, EventKind, EventQueue, QueueKind};
 pub use job_table::{JobPhase, JobRuntime, JobTable};
 pub use observer::{AssignmentLog, CompletionLog, EventTrace, RoundRecorder, SimObserver};
+pub use parked::ParkedPolls;
 pub use result::{RoundLog, SimResult};
 pub use shard::ShardPlane;
 pub use snapshot::{fork_world, resume_world, run_fingerprint, snapshot_world};

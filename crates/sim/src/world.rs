@@ -16,8 +16,6 @@
 //! `(config, workload, scheduler)` inputs produce byte-identical
 //! [`SimResult`]s, with or without observers attached.
 
-use std::collections::VecDeque;
-
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -33,30 +31,9 @@ use crate::device_pool::DevicePool;
 use crate::event::{Event, EventKind, EventQueue};
 use crate::job_table::{JobPhase, JobRuntime, JobTable};
 use crate::observer::SimObserver;
+use crate::parked::ParkedPolls;
 use crate::result::{RoundLog, SimResult};
 use crate::shard::ShardPlane;
-
-/// A check-in suppressed by demand gating: the poll this device *would*
-/// have performed had it stayed in the event queue.
-///
-/// While no job has an open request, every poll provably assigns nothing,
-/// so the device parks here instead of re-enqueueing a `CheckIn` event.
-/// The entry keeps the would-be poll's exact `(time, seq)` identity — the
-/// seq is reserved from the queue's counter at the same instant the
-/// un-gated run would have consumed it — so a later wake-up re-enters the
-/// event stream at precisely its original position, and same-millisecond
-/// tie-breaks are unchanged. Parked polls that elapse before demand opens
-/// are *advanced* instead: their supply observation (`on_check_in`) is
-/// replayed in exact stream order, and the next grid poll is parked.
-#[derive(Debug, Clone, Copy)]
-struct ParkedPoll {
-    /// When the suppressed check-in would have fired.
-    time: SimTime,
-    /// The insertion seq it would have carried (reserved, never reused).
-    seq: u64,
-    /// The polling device.
-    device: usize,
-}
 
 /// One future `SessionStart`, streamed into the queue one at a time.
 #[derive(Debug, Clone, Copy)]
@@ -132,15 +109,11 @@ pub struct World {
     pub jobs: JobTable,
     /// Pending events.
     pub queue: EventQueue,
-    /// Check-ins suppressed by demand gating, ascending by `(time, seq)`.
-    ///
-    /// The ordering is maintained with plain `push_back`s: every entry is
-    /// created `repoll_ms` after a stream position that is itself
-    /// non-decreasing, so a new entry's key always trails the back's.
+    /// Check-ins suppressed by demand gating (see [`crate::parked`]).
     ///
     /// Unused (always empty) under [`ExecMode::Sharded`], where the
     /// sharded poll plane below holds the parked set instead.
-    parked: VecDeque<ParkedPoll>,
+    parked: ParkedPolls,
     /// The device-sharded poll plane (`None` on the sequential arm): the
     /// parked set split into per-device-range shards that elapse in
     /// lock-step between dispatched events and merge their effects by
@@ -310,7 +283,7 @@ impl World {
             devices,
             jobs: JobTable::new(workload, config.thresholds),
             queue,
-            parked: VecDeque::new(),
+            parked: ParkedPolls::new(config.repoll_ms, horizon),
             shard_plane,
             env,
             cohorts,
@@ -611,62 +584,6 @@ impl World {
         }
     }
 
-    /// Elapses every parked poll that precedes the event about to be
-    /// dispatched, in exact `(time, seq)` stream order.
-    ///
-    /// Each elapsed poll is what the un-gated run would have dispatched as
-    /// a `CheckIn` returning `None`: its only scheduler-visible effect is
-    /// the `on_check_in` supply observation, which is replayed here (for
-    /// schedulers that observe check-ins) at the original timestamp; the
-    /// `assign` call is skipped because with no open demand it provably
-    /// returns `None` without touching scheduler state the next request
-    /// trigger would not rebuild anyway. The continuation poll reserves
-    /// the seq the un-gated run would have allocated at this very stream
-    /// position, keeping all later tie-breaks aligned.
-    fn advance_parked(&mut self, time: SimTime, seq: u64, scheduler: &mut dyn Scheduler) {
-        let observes = scheduler.observes_check_ins();
-        while let Some(front) = self.parked.front() {
-            if (front.time, front.seq) >= (time, seq) || front.time > self.horizon {
-                break;
-            }
-            let p = *front;
-            self.parked.pop_front();
-            if p.time >= self.devices.session_end(p.device) {
-                // An environment fault forced the device offline after it
-                // parked (the one way a session can shrink): the un-gated
-                // arm's check-in at `p.time` would fail `can_check_in`
-                // and observe nothing, so the poll chain dies here too.
-                self.devices.note_possible_retire(p.device, p.time);
-                continue;
-            }
-            if observes {
-                scheduler.on_check_in(self.devices.info(p.device), p.time);
-            }
-            let next = p.time + self.config.repoll_ms;
-            if next < self.devices.session_end(p.device) {
-                let seq = self.queue.reserve_seq();
-                self.parked.push_back(ParkedPoll {
-                    time: next,
-                    seq,
-                    device: p.device,
-                });
-            } else {
-                // Last grid poll of the session: the chain dies here.
-                self.devices.note_possible_retire(p.device, p.time);
-            }
-        }
-    }
-
-    /// Demand just opened: every parked poll re-enters the event queue at
-    /// its reserved `(time, seq)` position — the next instant of the
-    /// device's own `repoll_ms` grid, with its original tie-break rank.
-    fn wake_parked(&mut self) {
-        while let Some(p) = self.parked.pop_front() {
-            self.queue
-                .push_reserved(p.time, p.seq, EventKind::CheckIn { device: p.device });
-        }
-    }
-
     /// Whether any poll is parked, on whichever plane this run uses.
     fn has_parked(&self) -> bool {
         match &self.shard_plane {
@@ -696,7 +613,8 @@ impl World {
                 plane.clear_observations();
             }
         } else {
-            self.advance_parked(time, seq, scheduler);
+            self.parked
+                .advance(time, seq, &mut self.devices, &mut self.queue, scheduler);
         }
     }
 
@@ -704,7 +622,7 @@ impl World {
     fn wake_polls(&mut self) {
         match &mut self.shard_plane {
             Some(plane) => plane.wake(&mut self.queue),
-            None => self.wake_parked(),
+            None => self.parked.wake(&mut self.queue),
         }
     }
 
@@ -904,11 +822,7 @@ impl World {
                         let seq = self.queue.reserve_seq();
                         match &mut self.shard_plane {
                             Some(plane) => plane.park(device, next, seq, end, *info.capacity()),
-                            None => self.parked.push_back(ParkedPoll {
-                                time: next,
-                                seq,
-                                device,
-                            }),
+                            None => self.parked.park(device, next, seq, end, *info.capacity()),
                         }
                     } else {
                         self.queue.push(next, EventKind::CheckIn { device });
@@ -1336,6 +1250,7 @@ impl World {
         self.devices.force_offline(device, now);
         // The one transition that can shrink a session: invalidate the
         // sharded plane's cached session ends.
+        self.parked.bump_gen();
         if let Some(plane) = &mut self.shard_plane {
             plane.bump_gen();
         }
@@ -1449,11 +1364,7 @@ impl World {
         // re-derived at re-park time.
         let polls: Vec<(SimTime, u64, u32)> = match &self.shard_plane {
             Some(plane) => plane.snapshot_polls(),
-            None => self
-                .parked
-                .iter()
-                .map(|p| (p.time, p.seq, p.device as u32))
-                .collect(),
+            None => self.parked.polls().collect(),
         };
         w.seq(&polls, |w, &(time, seq, device)| {
             w.u64(time);
@@ -1577,29 +1488,25 @@ impl World {
         // cached ends authoritative — behaviorally identical to the
         // checkpointed plane's cache state, which only ever
         // *under*-estimates session ends between generation bumps.
-        self.parked.clear();
-        if let ExecMode::Sharded { shards } = self.config.exec {
-            let mut plane = Box::new(ShardPlane::new(self.config.population, shards));
-            for &(time, seq, device) in &polls {
-                let device = device as usize;
-                let end = self.devices.session_end(device);
-                let cap = self.devices.snapshot_capacity(device).unwrap_or_else(|| {
-                    self.config
-                        .capacity
-                        .sample_device(self.config.seed, device)
-                        .capacity
-                });
-                plane.park(device, time, seq, end, cap);
+        self.parked = ParkedPolls::new(self.config.repoll_ms, self.horizon);
+        self.shard_plane = match self.config.exec {
+            ExecMode::Sequential => None,
+            ExecMode::Sharded { shards } => {
+                Some(Box::new(ShardPlane::new(self.config.population, shards)))
             }
-            self.shard_plane = Some(plane);
-        } else {
-            self.shard_plane = None;
-            for &(time, seq, device) in &polls {
-                self.parked.push_back(ParkedPoll {
-                    time,
-                    seq,
-                    device: device as usize,
-                });
+        };
+        for &(time, seq, device) in &polls {
+            let device = device as usize;
+            let end = self.devices.session_end(device);
+            let cap = self.devices.snapshot_capacity(device).unwrap_or_else(|| {
+                self.config
+                    .capacity
+                    .sample_device(self.config.seed, device)
+                    .capacity
+            });
+            match &mut self.shard_plane {
+                Some(plane) => plane.park(device, time, seq, end, cap),
+                None => self.parked.park(device, time, seq, end, cap),
             }
         }
 
