@@ -15,7 +15,7 @@
 
 use venn_core::VennConfig;
 use venn_env::EnvPreset;
-use venn_sim::{ExecMode, QueueKind};
+use venn_sim::QueueKind;
 use venn_traces::WorkloadKind;
 
 use crate::{run_matrix_sequential, Experiment, Matrix, MatrixCell, MatrixRun, SchedKind};
@@ -37,25 +37,10 @@ pub fn run_baseline(
     demand_gating: bool,
     env: EnvPreset,
 ) -> (Experiment, Vec<MatrixRun>) {
-    run_baseline_exec(seed, queue, demand_gating, env, ExecMode::Sequential)
-}
-
-/// [`run_baseline`] on an explicit execution mode. Sharded execution is
-/// pinned bit-identical to sequential, so `check_regression --shards N`
-/// replays the *committed* sequential baseline through this entry point
-/// and demands zero drift — no separate sharded baseline file exists.
-pub fn run_baseline_exec(
-    seed: u64,
-    queue: QueueKind,
-    demand_gating: bool,
-    env: EnvPreset,
-    exec: ExecMode,
-) -> (Experiment, Vec<MatrixRun>) {
     let mut exp = Experiment::paper_default(WorkloadKind::Even, None, seed);
     exp.sim.queue = queue;
     exp.sim.demand_gating = demand_gating;
     exp.sim.env = env.config();
-    exp.sim.exec = exec;
     let matrix = Matrix::new()
         .fixed("paper_default/even", exp.clone())
         .kinds(&baseline_kinds())
@@ -63,7 +48,7 @@ pub fn run_baseline_exec(
     (exp, run_matrix_sequential(&matrix))
 }
 
-/// [`run_baseline_exec`] with a crash injected into every cell: each run
+/// [`run_baseline`] with a crash injected into every cell: each run
 /// is snapshotted at its halfway point, the live world and scheduler are
 /// torn down, and the run finishes from the snapshot bytes in fresh
 /// state (see [`crate::run_crashed`]). `check_regression --crashed`
@@ -75,13 +60,11 @@ pub fn run_baseline_crashed(
     queue: QueueKind,
     demand_gating: bool,
     env: EnvPreset,
-    exec: ExecMode,
 ) -> (Experiment, Vec<MatrixRun>) {
     let mut exp = Experiment::paper_default(WorkloadKind::Even, None, seed);
     exp.sim.queue = queue;
     exp.sim.demand_gating = demand_gating;
     exp.sim.env = env.config();
-    exp.sim.exec = exec;
     let runs = baseline_kinds()
         .into_iter()
         .map(|kind| {

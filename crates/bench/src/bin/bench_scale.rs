@@ -1,12 +1,8 @@
 //! Million-device scale sweep: runs the lazy-storage arm at
-//! 10k / 100k / 1M devices (Random and Venn), on every execution arm
-//! (sequential plus each shard count), and writes the results to
+//! 10k / 100k / 1M devices (Random and Venn) and writes the results to
 //! `BENCH_SCALE.json` — wall time, events/sec, queue pressure, the
 //! materialized-device high-water mark, and the allocator high-water mark
-//! (this binary installs the tracking allocator). Sharded rows must
-//! carry identical deterministic fields to the sequential rows — only
-//! the wall-clock telemetry may differ, which is exactly the speed-up
-//! the sweep records.
+//! (this binary installs the tracking allocator).
 //!
 //! `--check` re-runs the committed file's rows and diffs the
 //! deterministic fields (everything except `wall_ms` / `events_per_sec` /
@@ -16,9 +12,7 @@
 //! Run: `cargo run --release -p venn-bench --bin bench_scale [seed]
 //!       [--json PATH] [--check] [--max-pop N]`
 
-use venn_bench::{
-    check_scale, run_scale_row, scale_json, SCALE_KINDS, SCALE_POPULATIONS, SCALE_SHARD_COUNTS,
-};
+use venn_bench::{check_scale, run_scale_row, scale_json, SCALE_KINDS, SCALE_POPULATIONS};
 use venn_metrics::Table;
 
 // The sweep's memory axis: without this opt-in every `peak_bytes` would
@@ -91,21 +85,17 @@ fn main() {
     let mut rows = Vec::new();
     for population in SCALE_POPULATIONS {
         for kind in SCALE_KINDS {
-            for shards in SCALE_SHARD_COUNTS {
-                let row = run_scale_row(population, seed, kind, shards);
-                eprintln!(
-                    "{:>9} devices  {:<8} x{:<2} {:>7} ms  {:>9} ev/s  peak live {:>7}  \
-                     peak {:>5} MiB",
-                    row.population,
-                    row.scheduler,
-                    row.shards,
-                    row.wall_ms,
-                    row.events_per_sec,
-                    row.peak_live_devices,
-                    row.peak_bytes >> 20,
-                );
-                rows.push(row);
-            }
+            let row = run_scale_row(population, seed, kind);
+            eprintln!(
+                "{:>9} devices  {:<8} {:>7} ms  {:>9} ev/s  peak live {:>7}  peak {:>5} MiB",
+                row.population,
+                row.scheduler,
+                row.wall_ms,
+                row.events_per_sec,
+                row.peak_live_devices,
+                row.peak_bytes >> 20,
+            );
+            rows.push(row);
         }
     }
 
@@ -113,7 +103,6 @@ fn main() {
         "Scale sweep (lazy arm)",
         &[
             "scheduler",
-            "shards",
             "wall_ms",
             "events/s",
             "peak_queue",
@@ -126,11 +115,6 @@ fn main() {
             &r.population.to_string(),
             &[
                 r.scheduler.clone(),
-                if r.shards == 0 {
-                    "seq".to_string()
-                } else {
-                    r.shards.to_string()
-                },
                 r.wall_ms.to_string(),
                 r.events_per_sec.to_string(),
                 r.peak_queue_len.to_string(),

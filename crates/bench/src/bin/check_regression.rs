@@ -16,31 +16,23 @@
 //! against that same arm. Headerless (pre-arm-metadata) files fall back
 //! to the default arm.
 //!
-//! With `--shards N` the gate replays the *same committed sequential
-//! baseline* on the sharded execution engine and still demands zero
-//! drift — sharded execution is pinned bit-identical, so no re-baselined
-//! fields and no separate sharded baseline file exist.
-//!
 //! With `--crashed` every replayed cell is snapshotted at its halfway
 //! point, torn down, and resumed from the snapshot bytes before
-//! finishing — checkpoint recovery is pinned bit-identical the same way,
-//! so the committed baseline must reproduce with zero drift through a
+//! finishing — checkpoint recovery is pinned bit-identical, so the
+//! committed baseline must reproduce with zero drift through a
 //! crash as well.
 //!
 //! Run: `cargo run --release -p venn-bench --bin check_regression
-//!       [--baseline PATH] [--shards N] [--crashed]`
+//!       [--baseline PATH] [--crashed]`
 
 use std::process::ExitCode;
 
 use venn_bench::{
-    baseline_rows, diff_rows, parse_arm_header, parse_baseline, run_baseline_crashed,
-    run_baseline_exec,
+    baseline_rows, diff_rows, parse_arm_header, parse_baseline, run_baseline, run_baseline_crashed,
 };
-use venn_sim::ExecMode;
 
 fn main() -> ExitCode {
     let mut path = "BENCH_BASELINE.json".to_string();
-    let mut exec = ExecMode::Sequential;
     let mut crashed_replay = false;
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -52,17 +44,10 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            "--shards" => match it.next().map(|s| s.parse::<u32>()) {
-                Some(Ok(n)) if n >= 1 => exec = ExecMode::Sharded { shards: n },
-                other => {
-                    eprintln!("error: --shards needs a count >= 1, got {other:?}");
-                    return ExitCode::FAILURE;
-                }
-            },
             "--crashed" => crashed_replay = true,
             other => {
                 eprintln!("error: unknown flag {other:?}");
-                eprintln!("usage: check_regression [--baseline PATH] [--shards N] [--crashed]");
+                eprintln!("usage: check_regression [--baseline PATH] [--crashed]");
                 return ExitCode::FAILURE;
             }
         }
@@ -84,13 +69,9 @@ fn main() -> ExitCode {
     };
 
     let (queue, demand_gating, env) = parse_arm_header(&text);
-    let exec_label = match exec {
-        ExecMode::Sequential => "sequential".to_string(),
-        ExecMode::Sharded { shards } => format!("sharded x{shards}"),
-    };
     eprintln!(
         "replaying baseline matrix (seed {seed}, {} schedulers, queue {queue:?}, \
-         gating {demand_gating}, env {}, exec {exec_label}{})…",
+         gating {demand_gating}, env {}{})…",
         committed.len(),
         env.label(),
         if crashed_replay {
@@ -100,9 +81,9 @@ fn main() -> ExitCode {
         }
     );
     let (_, runs) = if crashed_replay {
-        run_baseline_crashed(seed, queue, demand_gating, env, exec)
+        run_baseline_crashed(seed, queue, demand_gating, env)
     } else {
-        run_baseline_exec(seed, queue, demand_gating, env, exec)
+        run_baseline(seed, queue, demand_gating, env)
     };
     let fresh = baseline_rows(&runs);
 

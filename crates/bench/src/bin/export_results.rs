@@ -24,20 +24,14 @@
 //! byte-identical documents — the CI env-preset determinism gate diffs
 //! exactly that.
 //!
-//! `--shards N` runs the matrix on the sharded execution engine. Sharded
-//! execution is bit-identical to sequential, so the emitted documents
-//! carry no execution-arm marker: a `--deterministic` export at any
-//! shard count must byte-match the sequential export (the CI shard
-//! smoke diffs exactly that).
-//!
 //! Run: `cargo run --release -p venn-bench --bin export_results [seed]
-//!       [--json PATH] [--queue wheel|heap] [--no-gating] [--shards N]
+//!       [--json PATH] [--queue wheel|heap] [--no-gating]
 //!       [--env PRESET] [--deterministic]`
 
-use venn_bench::{baseline_json, run_baseline_exec};
+use venn_bench::{baseline_json, run_baseline};
 use venn_env::EnvPreset;
 use venn_metrics::csv::Csv;
-use venn_sim::{ExecMode, QueueKind};
+use venn_sim::QueueKind;
 
 // Opt into allocation tracking so the emitted `peak_bytes` telemetry is a
 // real per-run high-water mark (the runs are sequential, see below).
@@ -52,7 +46,6 @@ fn main() {
     let mut demand_gating = true;
     let mut env = EnvPreset::Off;
     let mut timing = true;
-    let mut exec = ExecMode::Sequential;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         if arg == "--json" {
@@ -87,14 +80,6 @@ fn main() {
             };
         } else if arg == "--deterministic" {
             timing = false;
-        } else if arg == "--shards" {
-            exec = match it.next().map(|s| s.parse::<u32>()) {
-                Some(Ok(n)) if n >= 1 => ExecMode::Sharded { shards: n },
-                other => {
-                    eprintln!("error: --shards needs a count >= 1, got {other:?}");
-                    std::process::exit(1);
-                }
-            };
         } else {
             match arg.parse() {
                 Ok(s) => seed = s,
@@ -109,7 +94,7 @@ fn main() {
     // Sequential on purpose: wall_ms feeds the events/sec baseline, and
     // timing runs while sibling simulations contend for cores would make
     // the recorded numbers machine-load-dependent.
-    let (exp, runs) = run_baseline_exec(seed, queue, demand_gating, env, exec);
+    let (exp, runs) = run_baseline(seed, queue, demand_gating, env);
 
     for r in &runs {
         let mut csv = Csv::new(&[

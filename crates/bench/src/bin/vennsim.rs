@@ -11,7 +11,7 @@
 //!           [--workload {even|small|large|low|high}]
 //!           [--bias {general|compute|memory|resource}]
 //!           [--epsilon F] [--tiers N] [--async] [--overcommit F]
-//!           [--queue wheel|heap] [--no-gating] [--shards N]
+//!           [--queue wheel|heap] [--no-gating]
 //!           [--pop eager|split-eager|lazy]
 //!           [--env off|flash-crowd|straggler-heavy|mass-dropout|chaos]
 //!           [--load FILE.tsv] [--save FILE.tsv] [--csv]
@@ -23,9 +23,6 @@
 //!           [--fault-inject SEED[:PROB]]
 //! ```
 //!
-//! `--shards N` runs the sharded execution engine with `N` lock-step
-//! shards; results are bit-identical to the default sequential engine.
-//!
 //! `--checkpoint-every SIM_MS` writes a durable snapshot of the full run
 //! state to `--checkpoint-dir` every `SIM_MS` of simulated time (the
 //! `--checkpoint-keep` newest are retained, default 2). `--resume` picks
@@ -34,8 +31,7 @@
 //! tried — and the resumed run's output is byte-identical to an
 //! uninterrupted run with the same parameters. Checkpoints only restore
 //! under the same `(seed, population, days, workload, scheduler, env,
-//! pop)` run identity; `--queue`, `--shards`, and the exec mode may
-//! differ.
+//! pop)` run identity; `--queue` may differ.
 //!
 //! `--fork-from FILE.vsnp` is the what-if entry point: restore the
 //! world from a snapshot but hand it to a **fresh** `--scheduler` arm
@@ -73,9 +69,7 @@ use venn_core::{FaultFs, RealFs, Scheduler, SimFs, VennConfig, VennScheduler, MI
 use venn_env::EnvPreset;
 use venn_metrics::csv::Csv;
 use venn_serve::{SyncPolicy, WalWriter};
-use venn_sim::{
-    CheckpointStore, ExecMode, PopMode, QueueKind, SimConfig, SimResult, Simulation, World,
-};
+use venn_sim::{CheckpointStore, PopMode, QueueKind, SimConfig, SimResult, Simulation, World};
 use venn_traces::{io as wio, BiasKind, JobDemandModel, Workload, WorkloadKind};
 
 #[derive(Debug)]
@@ -94,7 +88,6 @@ struct Args {
     queue: QueueKind,
     demand_gating: bool,
     pop_mode: PopMode,
-    exec: ExecMode,
     env: EnvPreset,
     load: Option<String>,
     save: Option<String>,
@@ -132,7 +125,6 @@ impl Default for Args {
             queue: QueueKind::Wheel,
             demand_gating: true,
             pop_mode: PopMode::Eager,
-            exec: ExecMode::Sequential,
             env: EnvPreset::Off,
             load: None,
             save: None,
@@ -236,15 +228,6 @@ fn parse_args() -> Result<Args, String> {
                 }
             }
             "--no-gating" => args.demand_gating = false,
-            "--shards" => {
-                let shards: u32 = value("--shards")?
-                    .parse()
-                    .map_err(|e| format!("--shards: {e}"))?;
-                if shards == 0 {
-                    return Err("--shards must be at least 1".into());
-                }
-                args.exec = ExecMode::Sharded { shards };
-            }
             "--pop" => {
                 args.pop_mode = match value("--pop")?.as_str() {
                     "eager" => PopMode::Eager,
@@ -592,7 +575,6 @@ fn run(args: &Args) -> Result<(), String> {
         queue: args.queue,
         demand_gating: args.demand_gating,
         pop_mode: args.pop_mode,
-        exec: args.exec,
         env: args.env.config(),
         ..SimConfig::default()
     };
@@ -678,7 +660,7 @@ fn main() -> ExitCode {
                  [--jobs N] \
                  [--population N] [--days N] [--seed N] [--workload even|small|large|low|high] \
                  [--bias general|compute|memory|resource] [--epsilon F] [--tiers N] \
-                 [--async] [--overcommit F] [--queue wheel|heap] [--no-gating] [--shards N] \
+                 [--async] [--overcommit F] [--queue wheel|heap] [--no-gating] \
                  [--pop eager|split-eager|lazy] \
                  [--env off|flash-crowd|straggler-heavy|mass-dropout|chaos] \
                  [--load FILE.tsv] [--save FILE.tsv] [--csv] \

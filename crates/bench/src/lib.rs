@@ -18,7 +18,7 @@ pub mod scale;
 
 pub use baseline::{
     baseline_json, baseline_kinds, baseline_rows, diff_rows, parse_arm_header, parse_baseline,
-    run_baseline, run_baseline_crashed, run_baseline_exec, BaselineRow,
+    run_baseline, run_baseline_crashed, BaselineRow,
 };
 pub use matrix::{
     run_matrix, run_matrix_sequential, speedup_summary, with_baseline, Matrix, MatrixCell,
@@ -26,7 +26,7 @@ pub use matrix::{
 };
 pub use scale::{
     check_scale, parse_scale, run_scale_row, scale_experiment, scale_json, ScaleRow, SCALE_KINDS,
-    SCALE_POPULATIONS, SCALE_SHARD_COUNTS,
+    SCALE_POPULATIONS,
 };
 
 use rand::rngs::StdRng;

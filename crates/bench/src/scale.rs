@@ -22,7 +22,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use venn_core::MINUTE_MS;
-use venn_sim::{ExecMode, PopMode, SimConfig, Simulation};
+use venn_sim::{PopMode, SimConfig, Simulation};
 use venn_traces::{JobDemandModel, Workload, WorkloadKind};
 
 use crate::baseline::json_num;
@@ -43,22 +43,13 @@ pub const SCALE_DAYS: u32 = 2;
 /// population-independent across tiers.
 pub const SCALE_JOBS: usize = 15;
 
-/// Shard counts of the sweep's execution arms: `0` is the sequential
-/// engine, `N >= 1` the sharded engine with `N` shards. Sharded rows
-/// must reproduce the sequential rows' deterministic fields exactly —
-/// only the wall-clock telemetry may differ.
-pub const SCALE_SHARD_COUNTS: [u32; 3] = [0, 2, 4];
-
-/// One (population, scheduler, execution arm) cell of the sweep.
+/// One (population, scheduler) cell of the sweep.
 #[derive(Debug, Clone)]
 pub struct ScaleRow {
     /// Device population of the run.
     pub population: usize,
     /// Scheduler name (`SimResult::scheduler_name`).
     pub scheduler: String,
-    /// Execution arm: `0` = sequential engine, `N >= 1` = sharded engine
-    /// with `N` shards.
-    pub shards: u32,
     /// Events dispatched.
     pub events: u64,
     /// Device assignments handed out.
@@ -87,7 +78,6 @@ impl ScaleRow {
         vec![
             ("population", self.population.to_string()),
             ("scheduler", format!("\"{}\"", self.scheduler)),
-            ("shards", self.shards.to_string()),
             ("events", self.events.to_string()),
             ("assignments", self.assignments.to_string()),
             ("aborted_rounds", self.aborted_rounds.to_string()),
@@ -134,16 +124,9 @@ pub fn scale_experiment(population: usize, seed: u64) -> Experiment {
 
 /// Runs one sweep cell. Drives the world step by step (instead of
 /// [`crate::run`]) so the lazy pool's materialized high-water mark can be
-/// read before the world is consumed. `shards` picks the execution arm
-/// (`0` = sequential, `N >= 1` = sharded with `N` shards); every arm
-/// must produce identical deterministic fields.
-pub fn run_scale_row(population: usize, seed: u64, kind: SchedKind, shards: u32) -> ScaleRow {
-    let mut exp = scale_experiment(population, seed);
-    exp.sim.exec = if shards == 0 {
-        ExecMode::Sequential
-    } else {
-        ExecMode::Sharded { shards }
-    };
+/// read before the world is consumed.
+pub fn run_scale_row(population: usize, seed: u64, kind: SchedKind) -> ScaleRow {
+    let exp = scale_experiment(population, seed);
     let mut scheduler = kind.build(seed ^ 0xA5A5);
     let name = scheduler.name().to_string();
     venn_metrics::alloc::reset_peak();
@@ -158,7 +141,6 @@ pub fn run_scale_row(population: usize, seed: u64, kind: SchedKind, shards: u32)
     ScaleRow {
         population,
         scheduler: name,
-        shards,
         events: result.events,
         assignments: result.assignments,
         aborted_rounds: result.aborted_rounds,
@@ -274,17 +256,13 @@ pub fn check_scale(json: &str, max_pop: usize) -> Result<Vec<String>, String> {
             "venn" => SchedKind::Venn,
             other => return Err(format!("unknown scheduler arm {other:?} in baseline")),
         };
-        // Rows from before the execution-arm axis carry no `shards` key
-        // and replay on the sequential engine.
-        let shards: u32 = match row.get("shards") {
-            Some(s) => s.parse().map_err(|e| format!("bad shards {s:?}: {e}"))?,
-            None => 0,
-        };
-        let fresh = run_scale_row(population, seed, kind, shards);
+        // The committed document still carries the rows of the deleted
+        // sharded engine (`"shards": N`); only `0` or no key replays.
+        if row.get("shards").is_some_and(|s| s != "0") {
+            continue;
+        }
+        let fresh = run_scale_row(population, seed, kind);
         for (key, value) in fresh.deterministic_fields() {
-            if key == "shards" && !row.contains_key("shards") {
-                continue; // pre-axis row: nothing to diff against
-            }
             match row.get(key) {
                 Some(old) if *old == value => {}
                 Some(old) => drifts.push(format!(
@@ -308,7 +286,7 @@ mod tests {
     fn tiny_row() -> ScaleRow {
         // A sub-tier population keeps the round-trip test fast; the row
         // machinery is population-agnostic.
-        run_scale_row(2_000, 7, SchedKind::Random, 0)
+        run_scale_row(2_000, 7, SchedKind::Random)
     }
 
     #[test]
@@ -359,35 +337,30 @@ mod tests {
         assert_eq!(a.workload, b.workload);
     }
 
-    #[test]
-    fn sharded_rows_reproduce_the_sequential_deterministic_fields() {
-        let sequential = run_scale_row(2_000, 7, SchedKind::Venn, 0);
-        for shards in [1_u32, 4] {
-            let sharded = run_scale_row(2_000, 7, SchedKind::Venn, shards);
-            for ((key, a), (_, b)) in sequential
-                .deterministic_fields()
-                .iter()
-                .zip(&sharded.deterministic_fields())
-            {
-                if *key == "shards" {
-                    continue; // the arm label itself
-                }
-                assert_eq!(a, b, "shards={shards}: {key} must not drift");
-            }
-        }
+    /// `json` with a `"shards": n` line added to every row, as the
+    /// committed document labels them.
+    fn with_shards(json: &str, n: u32) -> String {
+        json.replace(
+            "      \"events\":",
+            &format!("      \"shards\": {n},\n      \"events\":"),
+        )
     }
 
     #[test]
     fn checker_tolerates_rows_without_the_shards_key() {
-        // A pre-axis document: strip the shards field entirely.
-        let row = tiny_row();
-        let json = scale_json(7, std::slice::from_ref(&row));
-        let stripped: String = json
-            .lines()
-            .filter(|l| !l.trim_start().starts_with("\"shards\""))
-            .map(|l| format!("{l}\n"))
-            .collect();
-        let drifts = check_scale(&stripped, usize::MAX).unwrap();
-        assert!(drifts.is_empty(), "{drifts:?}");
+        let json = scale_json(7, &[tiny_row()]);
+        assert!(!json.contains("\"shards\""), "rows carry no such key now");
+        assert_eq!(check_scale(&json, usize::MAX), Ok(vec![]));
+        assert_eq!(check_scale(&with_shards(&json, 0), usize::MAX), Ok(vec![]));
+    }
+
+    #[test]
+    fn checker_skips_rows_of_the_deleted_sharded_arm() {
+        let mut doctored = tiny_row();
+        doctored.events += 1;
+        let sharded = with_shards(&scale_json(7, &[doctored]), 2);
+        assert!(sharded.contains("\"shards\": 2"));
+        // Never replayed, so never diffed — and never a vacuous pass.
+        assert!(check_scale(&sharded, usize::MAX).is_err());
     }
 }

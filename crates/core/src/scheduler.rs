@@ -7,9 +7,9 @@ use crate::{DeviceInfo, JobId, Request, SimTime};
 /// scheduler would have observed, at the simulated time it would have
 /// observed it.
 ///
-/// Produced by the simulator's demand-gating machinery (and its sharded
-/// execution mode) when parked poll chains elapse between dispatched
-/// events — see [`Scheduler::replay_check_ins`].
+/// Produced by the simulator's demand-gating machinery when parked poll
+/// chains elapse between dispatched events — see
+/// [`Scheduler::replay_check_ins`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CheckInRecord {
     /// When the suppressed check-in would have fired.

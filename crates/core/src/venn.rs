@@ -1164,6 +1164,47 @@ mod tests {
         ));
     }
 
+    /// The batched replay the simulator's demand gating depends on must be
+    /// the per-record calls, bit for bit — across a window long enough to
+    /// expire old supply records, with jobs queued so the state the
+    /// estimator feeds is live.
+    #[test]
+    fn replay_check_ins_leaves_the_state_per_record_calls_leave() {
+        let saved = |batched: bool| {
+            let mut s = VennScheduler::new(VennConfig {
+                supply_window_ms: 600_000,
+                ..VennConfig::default()
+            });
+            s.submit(Request::new(JobId::new(1), ResourceSpec::any(), 5, 5), 0);
+            s.submit(
+                Request::new(JobId::new(2), ResourceSpec::new(0.5, 0.5), 5, 5),
+                0,
+            );
+            s.withdraw(JobId::new(1), 1);
+            s.withdraw(JobId::new(2), 1);
+            let batch: Vec<CheckInRecord> = (0..500u64)
+                .map(|i| CheckInRecord {
+                    time: 2 + i * 3_000,
+                    device: dev(i % 37, ((i * 7) % 10) as f64 / 10.0, (i % 10) as f64 / 10.0),
+                })
+                .collect();
+            if batched {
+                // As the simulator flushes: several batches, uneven sizes.
+                for chunk in batch.chunks(193) {
+                    s.replay_check_ins(chunk);
+                }
+            } else {
+                for r in &batch {
+                    s.on_check_in(&r.device, r.time);
+                }
+            }
+            let mut w = SnapWriter::new();
+            s.save_state(&mut w).unwrap();
+            w.into_bytes()
+        };
+        assert_eq!(saved(true), saved(false));
+    }
+
     #[test]
     fn group_count_tracks_distinct_specs() {
         let mut s = VennScheduler::new(VennConfig::default());

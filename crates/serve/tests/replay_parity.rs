@@ -1,22 +1,21 @@
 //! The tentpole guarantee: a recorded live session, replayed from its
 //! journal through the same code path, is byte-identical — responses
-//! and regenerated journal both — across every execution arm.
+//! and regenerated journal both — on every population arm.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use venn_serve::{SchedSpec, ServeSession};
-use venn_sim::{ExecMode, PopMode, SimConfig};
+use venn_sim::{PopMode, SimConfig};
 use venn_traces::Workload;
 
 const SEED: u64 = 17;
 
-fn config(exec: ExecMode, pop_mode: PopMode) -> SimConfig {
+fn config(pop_mode: PopMode) -> SimConfig {
     SimConfig {
         population: 800,
         days: 2,
         seed: SEED,
-        exec,
         pop_mode,
         ..SimConfig::default()
     }
@@ -71,48 +70,22 @@ fn script() -> Vec<String> {
 }
 
 #[test]
-fn replay_is_byte_identical_across_exec_and_pop_arms() {
-    let arms = [
-        (ExecMode::Sequential, PopMode::Eager),
-        (ExecMode::Sequential, PopMode::Lazy),
-        (ExecMode::Sharded { shards: 4 }, PopMode::Eager),
-        (ExecMode::Sharded { shards: 4 }, PopMode::Lazy),
-    ];
-    let mut by_pop: std::collections::HashMap<&str, Vec<String>> = Default::default();
-    for (exec, pop) in arms {
-        let cfg = config(exec, pop);
+fn replay_is_byte_identical_on_every_pop_arm() {
+    for pop in [PopMode::Eager, PopMode::Lazy] {
+        let cfg = config(pop);
         let (live_resp, live_journal) = run_script(cfg, &script());
-        assert!(
-            !live_journal.is_empty(),
-            "{exec:?}/{pop:?}: nothing journaled"
-        );
+        assert!(!live_journal.is_empty(), "{pop:?}: nothing journaled");
 
         // Replay the journal through an identical fresh session.
         let (replay_resp, replay_journal) = run_script(cfg, &live_journal);
         assert_eq!(
             live_resp, replay_resp,
-            "{exec:?}/{pop:?}: replay responses diverge from live"
+            "{pop:?}: replay responses diverge from live"
         );
         assert_eq!(
             live_journal, replay_journal,
-            "{exec:?}/{pop:?}: journal is not a serialization fixed point"
+            "{pop:?}: journal is not a serialization fixed point"
         );
-        // Sharded execution is bit-identical to sequential by
-        // construction; the serve layer must preserve that. (Pop modes
-        // are distinct dynamics arms — only exec is compared.)
-        let key = match pop {
-            PopMode::Eager => "eager",
-            PopMode::SplitEager => "split-eager",
-            PopMode::Lazy => "lazy",
-        };
-        match by_pop.entry(key) {
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(live_resp);
-            }
-            std::collections::hash_map::Entry::Occupied(e) => {
-                assert_eq!(e.get(), &live_resp, "{pop:?}: exec arms diverge");
-            }
-        }
     }
 }
 
@@ -120,7 +93,7 @@ fn replay_is_byte_identical_across_exec_and_pop_arms() {
 fn withdraw_then_replay_keeps_accounting_consistent() {
     // Withdrawing an Allocating job releases its held devices; the
     // session after replay must agree exactly with the live one.
-    let cfg = config(ExecMode::Sequential, PopMode::Eager);
+    let cfg = config(PopMode::Eager);
     let script: Vec<String> = [
         r#"{"cmd":"advance","ms":600000}"#,
         r#"{"cmd":"withdraw","job":0}"#,

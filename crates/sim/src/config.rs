@@ -39,44 +39,18 @@ pub enum PopMode {
     Lazy,
 }
 
-/// How a single run is executed: the legacy sequential loop, or the
-/// device-sharded lock-step loop.
-///
-/// Sharding partitions devices into `shards` contiguous id ranges. Each
-/// shard owns its devices' parked poll chains (the demand-gating wheel
-/// segment); between dispatched events the shards elapse their gated
-/// windows and the per-shard effect streams are merged deterministically
-/// by `(time, seq)` before the shared scheduler/JobTable runs. Because
-/// parked wake times are quantized to the `now + k·repoll_ms` grid, the
-/// next dispatched event is a free conservative lookahead bound — no
-/// shard can produce an effect that lands before the barrier.
-///
-/// Every field of the result is bit-identical across execution modes and
-/// shard counts (pinned by `tests/shard_parity.rs` and the merge
-/// determinism property test); only wall-clock telemetry differs.
+/// Declared for source compatibility with `benchmark/`; selects nothing:
+/// every value runs the same code and produces the same bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
-    /// The single-deque sequential loop — the reference arm with the
-    /// historical byte lineage.
+    /// The default.
     #[default]
     Sequential,
-    /// Device-sharded lock-step execution. `shards == 1` exercises the
-    /// sharded machinery on a single partition (the parity anchor);
-    /// higher counts split the poll plane `shards` ways.
+    /// Runs exactly as [`ExecMode::Sequential`].
     Sharded {
-        /// Number of device shards (must be ≥ 1).
+        /// Ignored.
         shards: u32,
     },
-}
-
-impl ExecMode {
-    /// Number of shards this mode runs with (`1` for sequential).
-    pub fn shard_count(&self) -> u32 {
-        match self {
-            ExecMode::Sequential => 1,
-            ExecMode::Sharded { shards } => *shards,
-        }
-    }
 }
 
 /// All knobs of one simulation run.
@@ -155,9 +129,8 @@ pub struct SimConfig {
     /// split arms trade that lineage for per-device streams that scale to
     /// millions of devices.
     pub pop_mode: PopMode,
-    /// Execution mode (see [`ExecMode`]): sequential reference loop or
-    /// device-sharded lock-step execution. Results are bit-identical
-    /// across modes; only wall-clock telemetry changes.
+    /// Declared for source compatibility with `benchmark/`; nothing
+    /// reads it (see [`ExecMode`]).
     pub exec: ExecMode,
 }
 
@@ -241,10 +214,6 @@ impl SimConfig {
             (0.0..1.0).contains(&self.overcommit),
             "overcommit must be in [0, 1)"
         );
-        assert!(
-            self.exec.shard_count() >= 1,
-            "shard count must be at least 1"
-        );
         self.env.validate();
     }
 
@@ -315,23 +284,11 @@ mod tests {
     }
 
     #[test]
-    fn exec_mode_defaults_sequential_and_counts_shards() {
+    fn exec_mode_defaults_sequential_and_selects_nothing() {
         assert_eq!(SimConfig::default().exec, ExecMode::Sequential);
-        assert_eq!(ExecMode::Sequential.shard_count(), 1);
-        assert_eq!(ExecMode::Sharded { shards: 4 }.shard_count(), 4);
-        SimConfig {
-            exec: ExecMode::Sharded { shards: 7 },
-            ..SimConfig::small()
-        }
-        .validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "shard count")]
-    fn zero_shards_panics() {
         SimConfig {
             exec: ExecMode::Sharded { shards: 0 },
-            ..SimConfig::default()
+            ..SimConfig::small()
         }
         .validate();
     }

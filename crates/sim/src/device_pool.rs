@@ -399,8 +399,8 @@ impl DevicePool {
     }
 
     /// The capacity the scheduler would see for `device`, if the device
-    /// is materialized. Used when snapshotting parked polls (the poll
-    /// carries no capacity of its own); absent lazy devices fall back to
+    /// is materialized. Used when re-parking restored polls (a snapshot
+    /// carries no capacities); absent lazy devices fall back to
     /// re-deriving the profile from the capacity model at the caller.
     pub fn snapshot_capacity(&self, device: usize) -> Option<Capacity> {
         self.state(device).map(|d| *d.info.capacity())

@@ -39,7 +39,6 @@ pub mod job_table;
 pub mod observer;
 pub mod parked;
 pub mod result;
-pub mod shard;
 pub mod snapshot;
 pub mod world;
 
@@ -53,7 +52,6 @@ pub use job_table::{JobPhase, JobRuntime, JobTable};
 pub use observer::{AssignmentLog, CompletionLog, EventTrace, RoundRecorder, SimObserver};
 pub use parked::ParkedPolls;
 pub use result::{RoundLog, SimResult};
-pub use shard::ShardPlane;
 pub use snapshot::{fork_world, resume_world, run_fingerprint, snapshot_world};
 pub use world::World;
 

@@ -158,11 +158,8 @@ impl ParkedPolls {
         queue: &mut EventQueue,
         scheduler: &mut dyn Scheduler,
     ) {
-        let Some(mut e) = self.pop_due(time, seq) else {
-            return;
-        };
-        let observes = scheduler.observes_check_ins();
-        loop {
+        let observes = !self.q.is_empty() && scheduler.observes_check_ins();
+        while let Some(e) = self.pop_due(time, seq) {
             let device = e.device as usize;
             let next = e.time + self.repoll_ms;
             // The cache may only say "alive, and so is the next poll".
@@ -188,10 +185,6 @@ impl ParkedPolls {
                 // nothing), or this was its last grid poll: the chain
                 // dies here.
                 devices.note_possible_retire(device, e.time);
-            }
-            match self.pop_due(time, seq) {
-                Some(n) => e = n,
-                None => break,
             }
         }
         self.flush(scheduler);

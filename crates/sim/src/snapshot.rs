@@ -24,12 +24,12 @@
 //! uninterrupted run's: the checkpoint captures the full `(time, seq)`
 //! total order, every split RNG stream position, and all reserved seqs.
 //!
-//! The fingerprint deliberately *excludes* the queue kind, exec mode, and
-//! shard count: results are identical across those arms by construction,
-//! so a snapshot taken under `--shards 4` may resume sequentially (or
-//! vice versa). Everything else about the run — population, seed,
-//! environment preset, population mode, workload — must match, because
-//! the snapshot stores only state those inputs cannot re-derive.
+//! The fingerprint deliberately *excludes* the queue kind: results are
+//! identical across queue kinds by construction, so a snapshot taken
+//! under `--queue heap` may resume on the wheel (or vice versa).
+//! Everything else about the run — population, seed, environment preset,
+//! population mode, workload — must match, because the snapshot stores
+//! only state those inputs cannot re-derive.
 
 use venn_core::snapshot::{checksum, seal, unseal};
 use venn_core::{Scheduler, SnapError, SnapReader, SnapWriter};
@@ -41,7 +41,8 @@ use crate::world::World;
 
 /// A collision-resistant-enough identity for "the same run": the FNV-1a
 /// checksum of the config and workload debug renderings, with the
-/// result-invariant arms (queue kind, exec mode) normalized away.
+/// result-invariant queue kind and the inert [`ExecMode`] normalized
+/// away.
 ///
 /// Debug renderings make every field — including ones future PRs add —
 /// part of the identity by default; a field must be *explicitly*
@@ -73,8 +74,8 @@ pub fn snapshot_world(world: &World, scheduler: &dyn Scheduler) -> Result<Vec<u8
 /// run left off.
 ///
 /// `config` and `workload` must be the pair the snapshot was taken under
-/// (queue kind, exec mode, and shard count excepted — see the module
-/// docs); `scheduler` must be a fresh instance of the same scheduler
+/// (queue kind excepted — see the module docs); `scheduler` must be a
+/// fresh instance of the same scheduler
 /// build. Every failure mode — truncation, bit flips, wrong format
 /// version, mismatched run or scheduler — returns a [`SnapError`];
 /// nothing in this path panics.
@@ -161,10 +162,10 @@ mod tests {
     fn fingerprint_ignores_result_invariant_arms() {
         let (config, workload) = setup();
         let base = run_fingerprint(&config, &workload);
-        let mut sharded = config;
-        sharded.exec = ExecMode::Sharded { shards: 4 };
-        sharded.queue = QueueKind::Heap;
-        assert_eq!(run_fingerprint(&sharded, &workload), base);
+        let mut other = config;
+        other.exec = ExecMode::Sharded { shards: 4 };
+        other.queue = QueueKind::Heap;
+        assert_eq!(run_fingerprint(&other, &workload), base);
     }
 
     #[test]

@@ -26,14 +26,13 @@ use venn_traces::dist::LogNormal;
 use venn_traces::{JobPlan, Workload};
 
 use crate::cohort::CohortSet;
-use crate::config::{ExecMode, PopMode, SimConfig};
+use crate::config::{PopMode, SimConfig};
 use crate::device_pool::DevicePool;
 use crate::event::{Event, EventKind, EventQueue};
 use crate::job_table::{JobPhase, JobRuntime, JobTable};
 use crate::observer::SimObserver;
 use crate::parked::ParkedPolls;
 use crate::result::{RoundLog, SimResult};
-use crate::shard::ShardPlane;
 
 /// One future `SessionStart`, streamed into the queue one at a time.
 #[derive(Debug, Clone, Copy)]
@@ -109,16 +108,8 @@ pub struct World {
     pub jobs: JobTable,
     /// Pending events.
     pub queue: EventQueue,
-    /// Check-ins suppressed by demand gating (see [`crate::parked`]).
-    ///
-    /// Unused (always empty) under [`ExecMode::Sharded`], where the
-    /// sharded poll plane below holds the parked set instead.
+    /// Check-ins suppressed by demand gating.
     parked: ParkedPolls,
-    /// The device-sharded poll plane (`None` on the sequential arm): the
-    /// parked set split into per-device-range shards that elapse in
-    /// lock-step between dispatched events and merge their effects by
-    /// `(time, seq)` — bit-identical results, parallel-friendly windows.
-    shard_plane: Option<Box<ShardPlane>>,
     /// Compiled environment dynamics (`None` on the env-off arm — the
     /// kernel then takes its pre-environment paths untouched). All
     /// environment randomness lives in the runtime's own split streams,
@@ -273,18 +264,11 @@ impl World {
             Some(e) => EnvStats::with_tiers(e.tier_count()),
             None => EnvStats::default(),
         };
-        let shard_plane = match config.exec {
-            ExecMode::Sequential => None,
-            ExecMode::Sharded { shards } => {
-                Some(Box::new(ShardPlane::new(config.population, shards)))
-            }
-        };
         World {
             devices,
             jobs: JobTable::new(workload, config.thresholds),
             queue,
             parked: ParkedPolls::new(config.repoll_ms, horizon),
-            shard_plane,
             env,
             cohorts,
             session_stream,
@@ -330,14 +314,10 @@ impl World {
         &self.devices
     }
 
-    /// Number of demand-gated polls currently parked, on whichever plane
-    /// this run uses — telemetry for checkpoint tests picking crash
-    /// points with parked state.
+    /// Number of demand-gated polls currently parked — telemetry for
+    /// checkpoint tests picking crash points with parked state.
     pub fn parked_poll_count(&self) -> usize {
-        match &self.shard_plane {
-            Some(plane) => plane.len(),
-            None => self.parked.len(),
-        }
+        self.parked.len()
     }
 
     /// Pops and dispatches the next event. Returns `false` when the queue
@@ -351,9 +331,13 @@ impl World {
             return false;
         };
         self.now = event.time;
-        if self.has_parked() {
-            self.advance_polls(event.time, event.seq, scheduler);
-        }
+        self.parked.advance(
+            event.time,
+            event.seq,
+            &mut self.devices,
+            &mut self.queue,
+            scheduler,
+        );
         // After parked polls up to this instant have been settled, retire
         // lazily-stored devices whose noted session ends have passed (any
         // earlier parked poll for such a device was just drained above;
@@ -579,50 +563,8 @@ impl World {
         // Any open demand means the parked set is empty already (demand
         // gating wakes it on submit), but a fork taken at an instant with
         // no open requests must still leave the parked plane consistent.
-        if self.has_parked() && scheduler.has_open_demand() {
-            self.wake_polls();
-        }
-    }
-
-    /// Whether any poll is parked, on whichever plane this run uses.
-    fn has_parked(&self) -> bool {
-        match &self.shard_plane {
-            Some(plane) => !plane.is_empty(),
-            None => !self.parked.is_empty(),
-        }
-    }
-
-    /// Elapses parked polls up to the `(time, seq)` barrier on the active
-    /// plane. On the sharded plane the per-shard streams merge first and
-    /// the batched supply observations are replayed into the scheduler in
-    /// one call — same observations, same order, same timestamps as the
-    /// sequential arm's per-poll `on_check_in` calls.
-    fn advance_polls(&mut self, time: SimTime, seq: u64, scheduler: &mut dyn Scheduler) {
-        if let Some(plane) = &mut self.shard_plane {
-            plane.advance(
-                time,
-                seq,
-                self.horizon,
-                self.config.repoll_ms,
-                &mut self.devices,
-                &mut self.queue,
-                scheduler.observes_check_ins(),
-            );
-            if !plane.observations().is_empty() {
-                scheduler.replay_check_ins(plane.observations());
-                plane.clear_observations();
-            }
-        } else {
-            self.parked
-                .advance(time, seq, &mut self.devices, &mut self.queue, scheduler);
-        }
-    }
-
-    /// Wakes every parked poll on the active plane.
-    fn wake_polls(&mut self) {
-        match &mut self.shard_plane {
-            Some(plane) => plane.wake(&mut self.queue),
-            None => self.parked.wake(&mut self.queue),
+        if scheduler.has_open_demand() {
+            self.parked.wake(&mut self.queue);
         }
     }
 
@@ -719,9 +661,7 @@ impl World {
             now,
         );
         // Demand just opened: parked devices resume polling.
-        if self.has_parked() {
-            self.wake_polls();
-        }
+        self.parked.wake(&mut self.queue);
         // Async rounds carry no deadline: like buffered-asynchronous FL,
         // the aggregation fires whenever the quorum of updates arrives, so
         // participants computed for a round are never wasted. (Sync rounds
@@ -820,10 +760,7 @@ impl World {
                 if next < end {
                     if self.config.demand_gating && !scheduler.has_open_demand() {
                         let seq = self.queue.reserve_seq();
-                        match &mut self.shard_plane {
-                            Some(plane) => plane.park(device, next, seq, end, *info.capacity()),
-                            None => self.parked.park(device, next, seq, end, *info.capacity()),
-                        }
+                        self.parked.park(device, next, seq, end, *info.capacity());
                     } else {
                         self.queue.push(next, EventKind::CheckIn { device });
                     }
@@ -1249,18 +1186,13 @@ impl World {
         };
         self.devices.force_offline(device, now);
         // The one transition that can shrink a session: invalidate the
-        // sharded plane's cached session ends.
+        // parked polls' cached session ends.
         self.parked.bump_gen();
-        if let Some(plane) = &mut self.shard_plane {
-            plane.bump_gen();
-        }
         if was_held {
             self.release_hold(held_job, device, now, scheduler);
             // Demand reopened without a `submit`: wake parked pollers so
             // the gated arm keeps matching the un-gated reference.
-            if self.has_parked() {
-                self.wake_polls();
-            }
+            self.parked.wake(&mut self.queue);
         } else if was_computing {
             self.devices.mark_failed_task(device);
         }
@@ -1335,10 +1267,9 @@ impl World {
     /// *not* written: [`World::new`] re-derives it deterministically from
     /// `(config, workload)`, and the container fingerprint pins that the
     /// resuming process passes the same pair. Internal-layout-dependent
-    /// structures (timing wheel, shard assignment) are written in
-    /// canonical form — the sorted `(time, seq)` event/poll lists — so a
-    /// snapshot restores bit-identically across queue kinds, exec modes,
-    /// and shard counts.
+    /// structures (the timing wheel) are written in canonical form — the
+    /// sorted `(time, seq)` event list — so a snapshot restores
+    /// bit-identically across queue kinds.
     pub fn encode_state(&self, w: &mut SnapWriter) {
         w.u64(self.now);
         self.devices.encode_state(w);
@@ -1358,19 +1289,15 @@ impl World {
         let events = self.queue.snapshot_events();
         w.seq(&events, |w, e| e.encode(w));
 
-        // Parked polls, merged across whichever plane holds them. Only
-        // the `(time, seq, device)` identity is written: cached session
-        // ends and capacities are pure caches of device-pool facts,
-        // re-derived at re-park time.
-        let polls: Vec<(SimTime, u64, u32)> = match &self.shard_plane {
-            Some(plane) => plane.snapshot_polls(),
-            None => self.parked.polls().collect(),
-        };
-        w.seq(&polls, |w, &(time, seq, device)| {
+        // Parked polls. Only the `(time, seq, device)` identity is
+        // written: cached session ends and capacities are pure caches of
+        // device-pool facts, re-derived at re-park time.
+        w.len_prefix(self.parked.len());
+        for (time, seq, device) in self.parked.polls() {
             w.u64(time);
             w.u64(seq);
             w.u32(device);
-        });
+        }
 
         // Environment runtime: only the three disturbance RNG streams
         // advance at runtime; everything else recompiles from the config.
@@ -1418,11 +1345,10 @@ impl World {
     ///
     /// Call on a world freshly built by [`World::new`] with the *same*
     /// `(config, workload, scheduler_name)` as the checkpointed run
-    /// (cross-arm resumes — different queue kind, exec mode, or shard
-    /// count — are fine: results are identical across those arms by
-    /// construction). The constructor's initial queue contents are
-    /// discarded wholesale; the snapshot's pending-event set is
-    /// authoritative. Returns [`SnapError::Corrupt`] — never panics — on
+    /// (a different queue kind is fine: results are identical across
+    /// queue kinds by construction). The constructor's initial queue
+    /// contents are discarded wholesale; the snapshot's pending-event set
+    /// is authoritative. Returns [`SnapError::Corrupt`] — never panics — on
     /// any internally inconsistent input that slips past the container
     /// checksum.
     pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
@@ -1482,19 +1408,13 @@ impl World {
         }
         self.queue = EventQueue::restore(self.config.queue, &events, next_seq, peak_len);
 
-        // Re-park under whichever plane *this* run uses, re-reading the
-        // authoritative session end (and capacity) from the just-restored
-        // device pool. A fresh plane starts at generation 0 with all
-        // cached ends authoritative — behaviorally identical to the
-        // checkpointed plane's cache state, which only ever
-        // *under*-estimates session ends between generation bumps.
+        // Re-park, re-reading the authoritative session end (and
+        // capacity) from the just-restored device pool. A fresh plane
+        // starts at generation 0 with all cached ends authoritative —
+        // behaviorally identical to the checkpointed plane's cache state,
+        // which only ever *under*-estimates session ends between
+        // generation bumps.
         self.parked = ParkedPolls::new(self.config.repoll_ms, self.horizon);
-        self.shard_plane = match self.config.exec {
-            ExecMode::Sequential => None,
-            ExecMode::Sharded { shards } => {
-                Some(Box::new(ShardPlane::new(self.config.population, shards)))
-            }
-        };
         for &(time, seq, device) in &polls {
             let device = device as usize;
             let end = self.devices.session_end(device);
@@ -1504,10 +1424,7 @@ impl World {
                     .sample_device(self.config.seed, device)
                     .capacity
             });
-            match &mut self.shard_plane {
-                Some(plane) => plane.park(device, time, seq, end, cap),
-                None => self.parked.park(device, time, seq, end, cap),
-            }
+            self.parked.park(device, time, seq, end, cap);
         }
 
         let env_states = r.option(|r| {

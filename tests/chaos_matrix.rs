@@ -15,7 +15,7 @@ use common::parity::{contended_workload, observe_kind, SCHED_SEED_SALT};
 use venn::bench::SchedKind;
 use venn::core::faultio::{Fault, FaultFs, FaultRule, FioOp, MemFs, SimFs};
 use venn::env::EnvPreset;
-use venn::sim::{CheckpointStore, ExecMode, PopMode, SimConfig, SimResult, World};
+use venn::sim::{CheckpointStore, PopMode, SimConfig, SimResult, World};
 use venn::traces::Workload;
 
 fn experiment(seed: u64) -> SimConfig {
@@ -25,7 +25,6 @@ fn experiment(seed: u64) -> SimConfig {
         seed,
         env: EnvPreset::Chaos.config(),
         pop_mode: PopMode::Eager,
-        exec: ExecMode::Sequential,
         ..SimConfig::default()
     }
 }

@@ -13,7 +13,9 @@
 //! - [`assert_run_parity`] is the strict comparison — every
 //!   deterministic field byte for byte, including the event stream and
 //!   `peak_queue_len`. Two arms that claim bit-identity (storage modes,
-//!   sharded execution, incremental scheduling) must pass this.
+//!   incremental scheduling) must pass this.
+//! - [`CheckInTap`] records the supply observations a scheduler is fed,
+//!   the one thing demand gating promises to replay exactly.
 //! - [`assert_outcome_parity`] is the weaker comparison for arms that
 //!   legitimately dispatch a *different event stream* (demand gating
 //!   off re-polls idle devices) but must still produce identical
@@ -31,7 +33,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use venn::bench::SchedKind;
-use venn::core::{Scheduler, VennConfig, MINUTE_MS};
+use venn::core::{
+    CheckInRecord, DeviceInfo, JobId, Request, Scheduler, SimTime, VennConfig, MINUTE_MS,
+};
 use venn::sim::{AssignmentLog, EventTrace, SimConfig, SimResult, Simulation};
 use venn::traces::{JobDemandModel, Workload, WorkloadKind};
 
@@ -87,6 +91,55 @@ pub fn contended_workload(seed: u64) -> Workload {
         10.0 * MINUTE_MS as f64,
         &mut rng,
     )
+}
+
+/// Forwards every call to `inner`, recording each supply observation
+/// `(time, device)` it is fed — per check-in or replayed in a batch.
+pub struct CheckInTap<'a> {
+    pub inner: &'a mut dyn Scheduler,
+    pub seen: Vec<(SimTime, u64)>,
+}
+
+impl Scheduler for CheckInTap<'_> {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn submit(&mut self, request: Request, now: SimTime) {
+        self.inner.submit(request, now)
+    }
+    fn withdraw(&mut self, job: JobId, now: SimTime) {
+        self.inner.withdraw(job, now)
+    }
+    fn add_demand(&mut self, job: JobId, count: u32, now: SimTime) {
+        self.inner.add_demand(job, count, now)
+    }
+    fn on_check_in(&mut self, device: &DeviceInfo, now: SimTime) {
+        self.seen.push((now, device.id().as_u64()));
+        self.inner.on_check_in(device, now)
+    }
+    fn assign(&mut self, device: &DeviceInfo, now: SimTime) -> Option<JobId> {
+        self.inner.assign(device, now)
+    }
+    fn on_response(&mut self, job: JobId, device: &DeviceInfo, response_ms: u64, now: SimTime) {
+        self.inner.on_response(job, device, response_ms, now)
+    }
+    fn on_alloc_complete(&mut self, job: JobId, delay_ms: u64, now: SimTime) {
+        self.inner.on_alloc_complete(job, delay_ms, now)
+    }
+    fn pending_demand(&self, job: JobId) -> Option<u32> {
+        self.inner.pending_demand(job)
+    }
+    fn has_open_demand(&self) -> bool {
+        self.inner.has_open_demand()
+    }
+    fn observes_check_ins(&self) -> bool {
+        self.inner.observes_check_ins()
+    }
+    fn replay_check_ins(&mut self, batch: &[CheckInRecord]) {
+        self.seen
+            .extend(batch.iter().map(|r| (r.time, r.device.id().as_u64())));
+        self.inner.replay_check_ins(batch)
+    }
 }
 
 /// Runs one cell under `scheduler`, capturing the full observable

@@ -7,8 +7,7 @@
 //! Four layers:
 //!
 //! 1. The full differential matrix: every `SchedKind` × {env off, chaos}
-//!    × {sequential, 4 shards} × all three population modes, crashed at
-//!    the run's halfway point.
+//!    × all three population modes, crashed at the run's halfway point.
 //! 2. Property-based random crash points over random run parameters.
 //! 3. Targeted edge states: crashing *inside* an allocating/running
 //!    round, and crashing with parked (demand-gated) polls pending.
@@ -31,44 +30,39 @@ use venn::bench::SchedKind;
 use venn::core::faultio::{Fault, FaultFs, FaultRule, FioError, FioOp, MemFs, SimFs};
 use venn::env::EnvPreset;
 use venn::sim::{
-    resume_world, snapshot_world, CheckpointStore, CkptError, ExecMode, JobPhase, PopMode,
-    SimConfig, SimResult, World,
+    resume_world, snapshot_world, CheckpointStore, CkptError, JobPhase, PopMode, SimConfig,
+    SimResult, World,
 };
 use venn::traces::Workload;
 
 const POP_MODES: [PopMode; 3] = [PopMode::Eager, PopMode::SplitEager, PopMode::Lazy];
 
-fn experiment(seed: u64, env: EnvPreset, pop_mode: PopMode, exec: ExecMode) -> SimConfig {
+fn experiment(seed: u64, env: EnvPreset, pop_mode: PopMode) -> SimConfig {
     SimConfig {
         population: 400,
         days: 2,
         seed,
         env: env.config(),
         pop_mode,
-        exec,
         ..SimConfig::default()
     }
 }
 
 /// The full matrix the tentpole promises: all eight scheduler arms,
-/// with and without environment dynamics, sequential and sharded, on
-/// every population mode — each crashed at its halfway event and
+/// with and without environment dynamics, on every population mode — each crashed at its halfway event and
 /// required to finish byte-identically to the uninterrupted run.
 #[test]
 fn crash_at_halfway_is_invisible_across_the_full_matrix() {
     for env in [EnvPreset::Off, EnvPreset::Chaos] {
         for pop_mode in POP_MODES {
-            for exec in [ExecMode::Sequential, ExecMode::Sharded { shards: 4 }] {
-                let sim = experiment(2_024, env, pop_mode, exec);
-                let workload = contended_workload(sim.seed);
-                for kind in every_sched_kind() {
-                    let ctx = format!("{env:?} {pop_mode:?} {exec:?} {kind:?}");
-                    let whole = observe_kind(sim, &workload, kind);
-                    assert!(whole.result.events > 10, "{ctx}: trivial run");
-                    let crashed =
-                        observe_kind_crashed(sim, &workload, kind, whole.result.events / 2);
-                    assert_run_parity(&whole, &crashed, &ctx);
-                }
+            let sim = experiment(2_024, env, pop_mode);
+            let workload = contended_workload(sim.seed);
+            for kind in every_sched_kind() {
+                let ctx = format!("{env:?} {pop_mode:?} {kind:?}");
+                let whole = observe_kind(sim, &workload, kind);
+                assert!(whole.result.events > 10, "{ctx}: trivial run");
+                let crashed = observe_kind_crashed(sim, &workload, kind, whole.result.events / 2);
+                assert_run_parity(&whole, &crashed, &ctx);
             }
         }
     }
@@ -78,7 +72,7 @@ fn crash_at_halfway_is_invisible_across_the_full_matrix() {
 /// the *last* one — the boundary positions a halfway sweep misses.
 #[test]
 fn crash_at_the_first_and_last_event_boundaries() {
-    let sim = experiment(77, EnvPreset::Chaos, PopMode::Lazy, ExecMode::Sequential);
+    let sim = experiment(77, EnvPreset::Chaos, PopMode::Lazy);
     let workload = contended_workload(sim.seed);
     for kind in [SchedKind::Venn, SchedKind::Srsf] {
         let whole = observe_kind(sim, &workload, kind);
@@ -108,12 +102,6 @@ fn random_crash_points_resume_byte_identically() {
             EnvPreset::Chaos
         };
         let kind = every_sched_kind()[(0usize..8).generate(&mut rng)];
-        let exec = match (0u32..3).generate(&mut rng) {
-            0 => ExecMode::Sequential,
-            _ => ExecMode::Sharded {
-                shards: (2u32..6).generate(&mut rng),
-            },
-        };
         let crash_frac = (0.05f64..0.95).generate(&mut rng);
 
         let sim = SimConfig {
@@ -122,7 +110,6 @@ fn random_crash_points_resume_byte_identically() {
             seed,
             env: env.config(),
             pop_mode,
-            exec,
             ..SimConfig::default()
         };
         let workload = contended_workload(seed);
@@ -134,7 +121,7 @@ fn random_crash_points_resume_byte_identically() {
             &crashed,
             &format!(
                 "case {case}: seed {seed} pop {population} {pop_mode:?} {env:?} \
-                 {exec:?} {kind:?} crash@{crash_after}"
+                 {kind:?} crash@{crash_after}"
             ),
         );
     }
@@ -144,7 +131,7 @@ fn random_crash_points_resume_byte_identically() {
 /// outstanding — must restore the allocation in progress exactly.
 #[test]
 fn crash_inside_an_active_round_is_invisible() {
-    let sim = experiment(31, EnvPreset::Off, PopMode::Eager, ExecMode::Sequential);
+    let sim = experiment(31, EnvPreset::Off, PopMode::Eager);
     let workload = contended_workload(sim.seed);
     for kind in [SchedKind::Venn, SchedKind::Fifo] {
         let whole = observe_kind(sim, &workload, kind);
@@ -170,31 +157,28 @@ fn crash_inside_an_active_round_is_invisible() {
     }
 }
 
-/// Crashing with demand-gated polls parked (on both the sequential plane
-/// and the sharded plane) must preserve their reserved `(time, seq)`
-/// identities — later wake-ups re-enter the stream at their original
-/// tie-break positions.
+/// Crashing with demand-gated polls parked must preserve their reserved
+/// `(time, seq)` identities — later wake-ups re-enter the stream at their
+/// original tie-break positions.
 #[test]
 fn crash_with_parked_polls_is_invisible() {
-    for exec in [ExecMode::Sequential, ExecMode::Sharded { shards: 3 }] {
-        let sim = experiment(93, EnvPreset::Off, PopMode::SplitEager, exec);
-        let workload = contended_workload(sim.seed);
-        let kind = SchedKind::Venn;
-        let whole = observe_kind(sim, &workload, kind);
-        let mut crashed_at = None;
-        let crashed = observe_kind_crashed_when(
-            sim,
-            &workload,
-            kind,
-            |world: &World| world.parked_poll_count() > 20,
-            &mut crashed_at,
-        );
-        assert!(
-            crashed_at.is_some(),
-            "{exec:?}: the run must park polls under demand gating"
-        );
-        assert_run_parity(&whole, &crashed, &format!("{exec:?} parked-poll crash"));
-    }
+    let sim = experiment(93, EnvPreset::Off, PopMode::SplitEager);
+    let workload = contended_workload(sim.seed);
+    let kind = SchedKind::Venn;
+    let whole = observe_kind(sim, &workload, kind);
+    let mut crashed_at = None;
+    let crashed = observe_kind_crashed_when(
+        sim,
+        &workload,
+        kind,
+        |world: &World| world.parked_poll_count() > 20,
+        &mut crashed_at,
+    );
+    assert!(
+        crashed_at.is_some(),
+        "the run must park polls under demand gating"
+    );
+    assert_run_parity(&whole, &crashed, "parked-poll crash");
 }
 
 /// Damage detection: every truncation length and a sweep of single-bit
@@ -202,7 +186,7 @@ fn crash_with_parked_polls_is_invisible() {
 /// never panics and never accepts damaged bytes.
 #[test]
 fn truncated_and_bit_flipped_checkpoints_are_rejected() {
-    let sim = experiment(55, EnvPreset::Chaos, PopMode::Lazy, ExecMode::Sequential);
+    let sim = experiment(55, EnvPreset::Chaos, PopMode::Lazy);
     let workload = contended_workload(sim.seed);
     let kind = SchedKind::Venn;
     let mut sched = kind.build(sim.seed ^ SCHED_SEED_SALT);
@@ -311,7 +295,7 @@ fn resume_store_to_end(
 /// zero drift.
 #[test]
 fn transient_faults_during_checkpoint_are_absorbed_by_retry() {
-    let sim = experiment(641, EnvPreset::Chaos, PopMode::Eager, ExecMode::Sequential);
+    let sim = experiment(641, EnvPreset::Chaos, PopMode::Eager);
     let workload = contended_workload(sim.seed);
     let kind = SchedKind::Venn;
     let whole = observe_kind(sim, &workload, kind);
@@ -355,7 +339,7 @@ fn transient_faults_during_checkpoint_are_absorbed_by_retry() {
 /// the disk filled up, still resumes the run with zero drift.
 #[test]
 fn persistent_enospc_surfaces_typed_and_older_checkpoint_still_resumes() {
-    let sim = experiment(642, EnvPreset::Chaos, PopMode::Lazy, ExecMode::Sequential);
+    let sim = experiment(642, EnvPreset::Chaos, PopMode::Lazy);
     let workload = contended_workload(sim.seed);
     let kind = SchedKind::Srsf;
     let whole = observe_kind(sim, &workload, kind);
@@ -411,12 +395,7 @@ fn persistent_enospc_surfaces_typed_and_older_checkpoint_still_resumes() {
 /// previous published checkpoint with zero drift.
 #[test]
 fn crash_before_rename_strands_tmp_and_resume_falls_back() {
-    let sim = experiment(
-        643,
-        EnvPreset::Off,
-        PopMode::SplitEager,
-        ExecMode::Sequential,
-    );
+    let sim = experiment(643, EnvPreset::Off, PopMode::SplitEager);
     let workload = contended_workload(sim.seed);
     let kind = SchedKind::Venn;
     let whole = observe_kind(sim, &workload, kind);
@@ -490,7 +469,7 @@ fn crash_before_rename_strands_tmp_and_resume_falls_back() {
 /// scheduler — each is a distinct run and must be refused.
 #[test]
 fn snapshots_are_pinned_to_their_run_identity() {
-    let sim = experiment(12, EnvPreset::Off, PopMode::Eager, ExecMode::Sequential);
+    let sim = experiment(12, EnvPreset::Off, PopMode::Eager);
     let workload = contended_workload(sim.seed);
     let kind = SchedKind::Venn;
     let mut sched = kind.build(sim.seed ^ SCHED_SEED_SALT);
@@ -530,27 +509,14 @@ fn snapshots_are_pinned_to_their_run_identity() {
         );
     }
 
-    // But a different queue kind / exec mode is the *same* run.
-    for (what, config) in [
-        (
-            "queue kind",
-            SimConfig {
-                queue: venn::sim::QueueKind::Heap,
-                ..sim
-            },
-        ),
-        (
-            "exec mode",
-            SimConfig {
-                exec: ExecMode::Sharded { shards: 4 },
-                ..sim
-            },
-        ),
-    ] {
-        let mut fresh = kind.build(sim.seed ^ SCHED_SEED_SALT);
-        assert!(
-            resume_world(&bytes, config, &workload, &mut *fresh).is_ok(),
-            "a snapshot must resume under a different {what}"
-        );
-    }
+    // But a different queue kind is the *same* run.
+    let config = SimConfig {
+        queue: venn::sim::QueueKind::Heap,
+        ..sim
+    };
+    let mut fresh = kind.build(sim.seed ^ SCHED_SEED_SALT);
+    assert!(
+        resume_world(&bytes, config, &workload, &mut *fresh).is_ok(),
+        "a snapshot must resume under a different queue kind"
+    );
 }

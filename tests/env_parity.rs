@@ -18,15 +18,15 @@
 mod common;
 
 use common::parity::{
-    assert_outcome_parity, assert_run_parity, contended_workload, every_sched_kind, observe_kind,
-    Observed,
+    assert_outcome_parity, assert_run_parity, contended_workload, every_sched_kind, observe,
+    observe_kind, CheckInTap, Observed, SCHED_SEED_SALT,
 };
 
 use venn::bench::{baseline_rows, diff_rows, parse_baseline, run_baseline, SchedKind};
-use venn::core::{JobId, SimTime, SpecCategory};
+use venn::core::{JobId, SimTime, SpecCategory, MINUTE_MS};
 use venn::env::{DeviceFault, EnvConfig, EnvPreset};
 use venn::sim::{
-    EventKind, QueueKind, RoundRecorder, SimConfig, SimObserver, SimResult, Simulation,
+    EventKind, PopMode, QueueKind, RoundRecorder, SimConfig, SimObserver, SimResult, Simulation,
 };
 use venn::traces::{JobPlan, Workload};
 
@@ -51,6 +51,22 @@ fn experiment(seed: u64, env: EnvPreset) -> (SimConfig, Workload) {
 
 fn run_logged(sim: SimConfig, workload: &Workload, kind: SchedKind) -> Observed {
     observe_kind(sim, workload, kind)
+}
+
+/// [`run_logged`] plus the `(time, device)` stream of supply observations
+/// the scheduler was fed.
+fn run_tapped(
+    sim: SimConfig,
+    workload: &Workload,
+    kind: SchedKind,
+) -> (Observed, Vec<(SimTime, u64)>) {
+    let mut sched = kind.build(sim.seed ^ SCHED_SEED_SALT);
+    let mut tap = CheckInTap {
+        inner: &mut *sched,
+        seen: Vec::new(),
+    };
+    let observed = observe(sim, workload, &mut tap);
+    (observed, tap.seen)
 }
 
 /// Replaying the committed benchmark baseline with the environment
@@ -100,14 +116,25 @@ fn presets_replay_identically_for_every_sched_kind() {
 /// The kernel's perf arms stay pure cost optimizations under every
 /// preset: gating off and the heap queue reproduce the default arm's
 /// assignment streams and results while the environment is injecting
-/// churn, stragglers, and faults.
+/// churn, stragglers, and faults. The lazy chaos case is the oracle for
+/// the parked polls' cached session ends: its jobs arrive six hours in,
+/// so the first mass-offline wave (hour 3.8) shrinks sessions under a
+/// fully parked population, on a pool that retires devices.
 #[test]
 fn gating_and_queue_arms_stay_identical_under_env_presets() {
-    for preset in PRESETS {
-        let (sim, workload) = experiment(103, preset);
+    let cases = PRESETS
+        .map(|preset| (preset, PopMode::Eager, 0))
+        .into_iter()
+        .chain([(EnvPreset::Chaos, PopMode::Lazy, 6 * 60 * MINUTE_MS)]);
+    for (preset, pop_mode, delay_ms) in cases {
+        let (sim, mut workload) = experiment(103, preset);
+        let sim = SimConfig { pop_mode, ..sim };
+        for plan in &mut workload.jobs {
+            plan.arrival_ms += delay_ms;
+        }
         for kind in [SchedKind::Random, SchedKind::Srsf, SchedKind::Venn] {
-            let def = run_logged(sim, &workload, kind);
-            let ungated = run_logged(
+            let (def, def_seen) = run_tapped(sim, &workload, kind);
+            let (ungated, ungated_seen) = run_tapped(
                 SimConfig {
                     demand_gating: false,
                     ..sim
@@ -115,6 +142,15 @@ fn gating_and_queue_arms_stay_identical_under_env_presets() {
                 &workload,
                 kind,
             );
+            if kind == SchedKind::Venn {
+                // Gating replays exactly the observations it suppressed:
+                // same records, same order, same timestamps (polls still
+                // parked when the last event dispatches never elapse).
+                assert!(
+                    ungated_seen.starts_with(&def_seen),
+                    "{preset:?} {pop_mode:?}: supply observations diverge"
+                );
+            }
             let heap = run_logged(
                 SimConfig {
                     queue: QueueKind::Heap,
@@ -126,15 +162,22 @@ fn gating_and_queue_arms_stay_identical_under_env_presets() {
             assert_outcome_parity(
                 &def,
                 &ungated,
-                &format!("{preset:?} {kind:?} vs gating-off"),
+                &format!("{preset:?} {pop_mode:?} {kind:?} vs gating-off"),
             );
-            assert_outcome_parity(&def, &heap, &format!("{preset:?} {kind:?} vs heap-queue"));
+            assert_outcome_parity(
+                &def,
+                &heap,
+                &format!("{preset:?} {pop_mode:?} {kind:?} vs heap-queue"),
+            );
             // Both default-config arms dispatch the same events; gating
             // is the only thing allowed to shrink the count.
-            assert_eq!(def.result.events, heap.result.events, "{preset:?} {kind:?}");
+            assert_eq!(
+                def.result.events, heap.result.events,
+                "{preset:?} {pop_mode:?} {kind:?}"
+            );
             assert!(
                 def.result.events <= ungated.result.events,
-                "{preset:?} {kind:?}: gating may only remove events"
+                "{preset:?} {pop_mode:?} {kind:?}: gating may only remove events"
             );
         }
     }

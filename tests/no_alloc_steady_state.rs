@@ -9,26 +9,21 @@
 //! that grows every scratch buffer to its high-water mark, an identical
 //! traffic pass must perform exactly zero allocations.
 //!
-//! The same contract extends to the sharded execution plane: once its
-//! per-shard deques, outbox scratch, and observation batch have grown to
-//! their high-water marks, a full park → advance → wake cycle must
-//! allocate nothing — on both the k-way-merge fast path and the bulk
-//! outbox path. (The *parallel* bulk resolve, used above
-//! `PAR_THRESHOLD` entries with multiple shards, spawns worker threads
-//! and is allocating by design; it is exercised for correctness in
-//! `tests/shard_determinism.rs` instead.)
+//! The same contract extends to the parked-poll plane: once its deque
+//! and observation batch have grown to their high-water marks, a full
+//! park → advance → wake cycle must allocate nothing, below and above
+//! the replay batch size.
 //!
 //! This file deliberately contains a single `#[test]` so no concurrent
 //! test pollutes the process-wide allocation counter.
 
 use venn::baselines::BaselineScheduler;
 use venn::core::{
-    Capacity, DeviceId, DeviceInfo, JobId, Request, ResourceSpec, Scheduler, VennConfig,
+    Capacity, DeviceId, DeviceInfo, JobId, Request, ResourceSpec, Scheduler, SimTime, VennConfig,
     VennScheduler,
 };
 use venn::metrics::alloc::{allocation_calls as allocations, TrackingAlloc};
-use venn::sim::shard::PAR_THRESHOLD;
-use venn::sim::{DevicePool, EventQueue, QueueKind, ShardPlane};
+use venn::sim::{DevicePool, EventQueue, ParkedPolls, QueueKind};
 use venn::traces::CapacityModel;
 
 // The shared counting allocator from `venn-metrics` (grown out of this
@@ -119,20 +114,42 @@ fn assert_no_alloc_steady_state(mut sched: Box<dyn Scheduler>, label: &str) {
     );
 }
 
-/// One steady-state shard-plane cycle: park one poll per device on the
+const REPOLL: u64 = 60_000;
+
+/// Counts replayed supply observations (through the trait's default
+/// per-record `replay_check_ins`) and holds no other state.
+struct CountCheckIns(usize);
+
+impl Scheduler for CountCheckIns {
+    fn name(&self) -> &str {
+        "count-check-ins"
+    }
+    fn submit(&mut self, _request: Request, _now: SimTime) {}
+    fn withdraw(&mut self, _job: JobId, _now: SimTime) {}
+    fn add_demand(&mut self, _job: JobId, _count: u32, _now: SimTime) {}
+    fn on_check_in(&mut self, _device: &DeviceInfo, _now: SimTime) {
+        self.0 += 1;
+    }
+    fn assign(&mut self, _device: &DeviceInfo, _now: SimTime) -> Option<JobId> {
+        None
+    }
+    fn pending_demand(&self, _job: JobId) -> Option<u32> {
+        None
+    }
+}
+
+/// One steady-state parked-plane cycle: park one poll per device on the
 /// repoll grid, elapse two grid steps (every chain survives and
-/// re-parks twice, filling the observation batch), then wake every
-/// parked continuation into the queue and drain it as the dispatcher
-/// would. The cached session ends prove every elapse alive, so the
-/// cycle never touches the device pool at all.
-fn drive_shard_cycle(
-    plane: &mut ShardPlane,
+/// re-parks twice), then wake every parked continuation into the queue
+/// and drain it as the dispatcher would. The cached session ends prove
+/// every elapse alive, so the cycle never touches the device pool at all.
+fn drive_parked_cycle(
+    plane: &mut ParkedPolls,
     queue: &mut EventQueue,
     pool: &mut DevicePool,
     n: usize,
     t: &mut u64,
 ) {
-    const REPOLL: u64 = 60_000;
     const FAR_END: u64 = 1 << 60;
     let base = *t + REPOLL;
     for d in 0..n {
@@ -140,38 +157,34 @@ fn drive_shard_cycle(
         plane.park(d, base, seq, FAR_END, Capacity::new(0.5, 0.5));
     }
     *t = base + 2 * REPOLL;
-    plane.advance(*t, 0, u64::MAX, REPOLL, pool, queue, true);
-    assert_eq!(
-        plane.observations().len(),
-        2 * n,
-        "each chain elapses twice"
-    );
-    plane.clear_observations();
+    let mut seen = CountCheckIns(0);
+    plane.advance(*t, 0, pool, queue, &mut seen);
+    assert_eq!(seen.0, 2 * n, "each chain elapses twice");
     plane.wake(queue);
     assert_eq!(plane.len(), 0);
     while queue.pop().is_some() {}
 }
 
-/// Warm a shard plane to its steady state, then assert a full
+/// Warm a parked plane to its steady state, then assert a full
 /// park → advance → wake cycle allocates nothing.
-fn assert_no_alloc_shard_plane(shards: u32, n: usize, label: &str) {
+fn assert_no_alloc_parked_plane(n: usize, label: &str) {
     let mut pool = DevicePool::lazy(CapacityModel::default(), 7, n);
     for d in 0..n {
         pool.begin_session(d, 1 << 60);
     }
-    let mut plane = ShardPlane::new(n, shards);
+    let mut plane = ParkedPolls::new(REPOLL, u64::MAX);
     let mut queue = EventQueue::with_kind(QueueKind::Heap);
     let mut t = 0_u64;
     for _ in 0..4 {
-        drive_shard_cycle(&mut plane, &mut queue, &mut pool, n, &mut t);
+        drive_parked_cycle(&mut plane, &mut queue, &mut pool, n, &mut t);
     }
 
     let before = allocations();
-    drive_shard_cycle(&mut plane, &mut queue, &mut pool, n, &mut t);
+    drive_parked_cycle(&mut plane, &mut queue, &mut pool, n, &mut t);
     let delta = allocations() - before;
     assert_eq!(
         delta, 0,
-        "{label}: steady-state shard cycle performed {delta} allocations"
+        "{label}: steady-state parked cycle performed {delta} allocations"
     );
 }
 
@@ -216,14 +229,8 @@ fn schedulers_do_not_allocate_in_steady_state() {
     assert_no_alloc_steady_state(Box::new(BaselineScheduler::random_order(42)), "random");
     assert_no_alloc_steady_state(Box::new(BaselineScheduler::fifo()), "fifo");
     assert_no_alloc_steady_state(Box::new(BaselineScheduler::srsf()), "srsf");
-    // The sharded execution plane: the k-way-merge fast path (well under
-    // the bulk threshold, several shards) and the serial bulk outbox
-    // path (past the threshold on one shard, so the lap machinery runs
-    // without the deliberately-allocating parallel fan-out).
-    assert_no_alloc_shard_plane(4, 512, "shard-plane fast path");
-    assert_no_alloc_shard_plane(
-        1,
-        PAR_THRESHOLD + PAR_THRESHOLD / 2,
-        "shard-plane bulk path",
-    );
+    // The parked-poll plane, with a window inside one replay batch and
+    // one spanning several.
+    assert_no_alloc_parked_plane(512, "parked plane, one batch");
+    assert_no_alloc_parked_plane(6_144, "parked plane, several batches");
 }
