@@ -1,6 +1,8 @@
-//! The timing-wheel event queue must be observationally identical to the
-//! binary-heap reference arm: for any interleaving of pushes and pops,
-//! both arms return the exact same `(time, seq, kind)` pop sequence.
+//! The timing-wheel event queue must pop exactly the `(time, seq)` order:
+//! for any interleaving of pushes and pops it returns the same
+//! `(time, seq, kind)` sequence as the reference [`Model`] below — a
+//! plain binary heap fed the same pushes — and so does the crate's own
+//! binary-heap arm.
 //!
 //! The generated operation streams deliberately cover the wheel's hard
 //! cases: same-tick ties (many pushes at one timestamp), pushes at the
@@ -9,9 +11,40 @@
 //! tier), and reserved-seq wake-ups landing between already-queued
 //! same-millisecond events.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use proptest::prelude::*;
 
-use venn::sim::{EventKind, EventQueue, QueueKind};
+use venn::sim::{Event, EventKind, EventQueue, QueueKind};
+
+/// The reference the queue is held to: a min-heap of
+/// `(time, seq, device)` with its own insertion counter. Every event the
+/// suites push is a `CheckIn`, so the device id is the whole payload.
+#[derive(Default)]
+struct Model {
+    heap: BinaryHeap<Reverse<(u64, u64, usize)>>,
+    next_seq: u64,
+}
+
+impl Model {
+    fn reserve_seq(&mut self) -> u64 {
+        self.next_seq += 1;
+        self.next_seq - 1
+    }
+
+    fn push_reserved(&mut self, time: u64, seq: u64, device: usize) {
+        self.heap.push(Reverse((time, seq, device)));
+    }
+
+    fn pop(&mut self) -> Option<Event> {
+        self.heap.pop().map(|Reverse((time, seq, device))| Event {
+            time,
+            seq,
+            kind: EventKind::CheckIn { device },
+        })
+    }
+}
 
 /// One scripted queue operation. Push deltas are relative to the time of
 /// the last popped event so generated streams never schedule into the
@@ -22,6 +55,99 @@ enum Op {
     Push { delta: u64, count: u8 },
     /// Pop up to `count` events.
     Pop { count: u8 },
+}
+
+/// Queues under test driven in lock-step with the [`Model`]: every op is
+/// applied to all of them, and every pop must equal the model's.
+struct Harness {
+    subjects: Vec<EventQueue>,
+    model: Model,
+    device: usize,
+    last_pop: u64,
+    /// Everything popped so far, in order.
+    popped: Vec<Event>,
+}
+
+impl Harness {
+    fn new() -> Self {
+        Harness {
+            subjects: vec![
+                EventQueue::with_kind(QueueKind::Wheel),
+                EventQueue::with_kind(QueueKind::Heap),
+            ],
+            model: Model::default(),
+            device: 0,
+            last_pop: 0,
+            popped: Vec::new(),
+        }
+    }
+
+    /// Allocates the next seq on the model and every subject.
+    fn reserve_seq(&mut self) -> u64 {
+        let seq = self.model.reserve_seq();
+        for q in &mut self.subjects {
+            assert_eq!(q.reserve_seq(), seq, "seq counters diverged");
+        }
+        seq
+    }
+
+    /// Schedules a fresh device at `time` under the reserved `seq`.
+    fn push_reserved(&mut self, time: u64, seq: u64) {
+        let device = self.device;
+        self.device += 1;
+        self.model.push_reserved(time, seq, device);
+        for q in &mut self.subjects {
+            q.push_reserved(time, seq, EventKind::CheckIn { device });
+        }
+    }
+
+    /// Pops the model and every subject once; `false` once they are empty.
+    fn pop(&mut self) -> bool {
+        let expected = self.model.pop();
+        for q in &mut self.subjects {
+            assert_eq!(q.pop(), expected, "{:?} left (time, seq) order", q.kind());
+        }
+        if let Some(e) = expected {
+            self.last_pop = e.time;
+            self.popped.push(e);
+        }
+        expected.is_some()
+    }
+
+    fn apply(&mut self, op: Op) {
+        match op {
+            Op::Push { delta, count } => {
+                for _ in 0..count {
+                    let seq = self.reserve_seq();
+                    self.push_reserved(self.last_pop + delta, seq);
+                }
+            }
+            Op::Pop { count } => {
+                for _ in 0..count {
+                    if !self.pop() {
+                        break;
+                    }
+                }
+            }
+        }
+        for q in &self.subjects {
+            assert_eq!(q.len(), self.model.heap.len());
+        }
+    }
+
+    /// Drains to the end: the tail must match too.
+    fn drain(&mut self) {
+        while self.pop() {}
+    }
+}
+
+/// Replays one op stream against the model, asserting every pop matches.
+fn assert_equivalent(ops: &[Op]) {
+    let mut h = Harness::new();
+    for &op in ops {
+        h.apply(op);
+    }
+    h.drain();
 }
 
 /// Deltas spanning every wheel tier: same-tick (0), tier 0 (1..256),
@@ -48,47 +174,6 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
         }),
         1..120,
     )
-}
-
-/// Replays one op stream against both arms, asserting every pop matches.
-fn assert_equivalent(ops: &[Op]) {
-    let mut wheel = EventQueue::with_kind(QueueKind::Wheel);
-    let mut heap = EventQueue::with_kind(QueueKind::Heap);
-    let mut device = 0usize;
-    let mut last_pop = 0u64;
-    for op in ops {
-        match *op {
-            Op::Push { delta, count } => {
-                for _ in 0..count {
-                    let t = last_pop + delta;
-                    wheel.push(t, EventKind::CheckIn { device });
-                    heap.push(t, EventKind::CheckIn { device });
-                    device += 1;
-                }
-            }
-            Op::Pop { count } => {
-                for _ in 0..count {
-                    let w = wheel.pop();
-                    let h = heap.pop();
-                    assert_eq!(w, h, "arms diverged mid-stream");
-                    match w {
-                        Some(e) => last_pop = e.time,
-                        None => break,
-                    }
-                }
-            }
-        }
-        assert_eq!(wheel.len(), heap.len());
-    }
-    // Drain both to the end: the tail must match too.
-    loop {
-        let w = wheel.pop();
-        let h = heap.pop();
-        assert_eq!(w, h, "arms diverged during final drain");
-        if w.is_none() {
-            break;
-        }
-    }
 }
 
 /// The top wheel tier covers `256^4` ms from the cursor; deltas at and
@@ -132,7 +217,7 @@ proptest! {
 
     /// Events pushed exactly at and just past the top tier's horizon —
     /// the tier-3/overflow boundary — must pop in `(time, seq)` order
-    /// identical to the heap arm.
+    /// identical to the reference heap.
     #[test]
     fn overflow_tier_boundary_matches_heap(ops in boundary_ops()) {
         assert_equivalent(&ops);
@@ -204,37 +289,28 @@ fn overflow_tier_round_trips_exactly() {
 
 #[test]
 fn reserved_seq_wakeups_tie_identically() {
-    // Reserve seqs between pushes (as demand gating does for parked
-    // check-ins) and wake them later at a contested millisecond: both
-    // arms must slot the wake-up at its reserved position.
-    let mut wheel = EventQueue::with_kind(QueueKind::Wheel);
-    let mut heap = EventQueue::with_kind(QueueKind::Heap);
-    for q in [&mut wheel, &mut heap] {
-        q.push(100, EventKind::CheckIn { device: 0 }); // seq 0
-    }
-    let r_wheel = wheel.reserve_seq(); // seq 1
-    let r_heap = heap.reserve_seq();
-    assert_eq!(r_wheel, r_heap);
-    for q in [&mut wheel, &mut heap] {
-        q.push(100, EventKind::CheckIn { device: 2 }); // seq 2
-        q.push(50, EventKind::CheckIn { device: 3 }); // seq 3
-    }
-    // Drain past 50, then wake the reserved check-in at the contested
-    // tick 100 — it must pop between devices 0 and 2.
-    assert_eq!(wheel.pop(), heap.pop());
-    wheel.push_reserved(100, r_wheel, EventKind::CheckIn { device: 1 });
-    heap.push_reserved(100, r_heap, EventKind::CheckIn { device: 1 });
-    let mut devices = Vec::new();
-    loop {
-        let w = wheel.pop();
-        assert_eq!(w, heap.pop());
-        match w {
-            Some(e) => match e.kind {
-                EventKind::CheckIn { device } => devices.push(device),
-                _ => unreachable!(),
-            },
-            None => break,
-        }
-    }
-    assert_eq!(devices, vec![0, 1, 2]);
+    // Reserve a seq between pushes (as demand gating does for a parked
+    // check-in) and wake it later at a contested millisecond: the wake-up
+    // must slot in at its reserved position.
+    let mut h = Harness::new();
+    h.apply(Op::Push {
+        delta: 100,
+        count: 1,
+    }); // seq 0
+    let reserved = h.reserve_seq(); // seq 1
+    h.apply(Op::Push {
+        delta: 100,
+        count: 1,
+    }); // seq 2
+    h.apply(Op::Push {
+        delta: 50,
+        count: 1,
+    }); // seq 3
+        // Drain past 50, then wake the reserved check-in at the contested
+        // tick 100 — it must pop between seqs 0 and 2.
+    h.apply(Op::Pop { count: 1 });
+    h.push_reserved(100, reserved);
+    h.drain();
+    let keys: Vec<(u64, u64)> = h.popped.iter().map(|e| (e.time, e.seq)).collect();
+    assert_eq!(keys, vec![(50, 3), (100, 0), (100, 1), (100, 2)]);
 }
