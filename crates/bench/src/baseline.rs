@@ -15,7 +15,6 @@
 
 use venn_core::VennConfig;
 use venn_env::EnvPreset;
-use venn_sim::QueueKind;
 use venn_traces::WorkloadKind;
 
 use crate::{run_matrix_sequential, Experiment, Matrix, MatrixCell, MatrixRun, SchedKind};
@@ -33,12 +32,10 @@ pub fn baseline_kinds() -> Vec<SchedKind> {
 /// kernel and environment arms.
 pub fn run_baseline(
     seed: u64,
-    queue: QueueKind,
     demand_gating: bool,
     env: EnvPreset,
 ) -> (Experiment, Vec<MatrixRun>) {
     let mut exp = Experiment::paper_default(WorkloadKind::Even, None, seed);
-    exp.sim.queue = queue;
     exp.sim.demand_gating = demand_gating;
     exp.sim.env = env.config();
     let matrix = Matrix::new()
@@ -57,12 +54,10 @@ pub fn run_baseline(
 /// no field may move.
 pub fn run_baseline_crashed(
     seed: u64,
-    queue: QueueKind,
     demand_gating: bool,
     env: EnvPreset,
 ) -> (Experiment, Vec<MatrixRun>) {
     let mut exp = Experiment::paper_default(WorkloadKind::Even, None, seed);
-    exp.sim.queue = queue;
     exp.sim.demand_gating = demand_gating;
     exp.sim.env = env.config();
     let runs = baseline_kinds()
@@ -142,7 +137,7 @@ pub fn baseline_rows(runs: &[MatrixRun]) -> Vec<BaselineRow> {
 }
 
 /// Renders the full baseline JSON document: the arm configuration header
-/// (queue, gating, environment — so baseline files are self-describing),
+/// (gating, environment — so baseline files are self-describing),
 /// the deterministic rows, and — unless `timing` is off — the per-run
 /// wall-clock telemetry. Environment arms additionally carry their
 /// deterministic `venn-env` counters per scheduler.
@@ -166,13 +161,9 @@ pub fn baseline_json(
         experiment.sim.population
     ));
     out.push_str(&format!("  \"days\": {},\n", experiment.sim.days));
-    out.push_str(&format!(
-        "  \"queue\": \"{}\",\n",
-        match experiment.sim.queue {
-            QueueKind::Wheel => "wheel",
-            QueueKind::Heap => "heap",
-        }
-    ));
+    // The one event queue; the key stays so regenerated files are
+    // byte-identical to the committed baseline.
+    out.push_str("  \"queue\": \"wheel\",\n");
     out.push_str(&format!(
         "  \"demand_gating\": {},\n",
         experiment.sim.demand_gating
@@ -233,12 +224,11 @@ pub fn baseline_json(
 }
 
 /// Parses the arm-configuration header of a baseline document — which
-/// queue/gating/environment arms the recording ran on — so a replay can
+/// gating/environment arms the recording ran on — so a replay can
 /// reproduce the recorded arms instead of assuming the defaults. Files
 /// from before the header existed (or with unknown values) fall back to
-/// the default arm (wheel, gating on, env off).
-pub fn parse_arm_header(json: &str) -> (QueueKind, bool, EnvPreset) {
-    let mut queue = QueueKind::Wheel;
+/// the default arm (gating on, env off).
+pub fn parse_arm_header(json: &str) -> (bool, EnvPreset) {
     let mut demand_gating = true;
     let mut env = EnvPreset::Off;
     for line in json.lines() {
@@ -251,13 +241,12 @@ pub fn parse_arm_header(json: &str) -> (QueueKind, bool, EnvPreset) {
         };
         let value = value.trim().trim_matches('"');
         match key.trim().trim_matches('"') {
-            "queue" if value == "heap" => queue = QueueKind::Heap,
             "demand_gating" if value == "false" => demand_gating = false,
             "env" => env = EnvPreset::parse(value).unwrap_or(EnvPreset::Off),
             _ => {}
         }
     }
-    (queue, demand_gating, env)
+    (demand_gating, env)
 }
 
 /// Parses a committed baseline file back into `(seed, rows)`.
@@ -436,25 +425,18 @@ mod tests {
     fn arm_header_round_trips_and_defaults() {
         // The emitted header parses back to the arms it recorded…
         let doc = tiny_baseline_doc()
-            .replace("\"queue\": \"wheel\"", "\"queue\": \"heap\"")
             .replace("\"demand_gating\": true", "\"demand_gating\": false")
             .replace("\"env\": \"off\"", "\"env\": \"straggler-heavy\"");
-        assert_eq!(
-            parse_arm_header(&doc),
-            (QueueKind::Heap, false, EnvPreset::StragglerHeavy)
-        );
+        assert_eq!(parse_arm_header(&doc), (false, EnvPreset::StragglerHeavy));
         // …a row field named like a header key is not mistaken for one…
         assert_eq!(
             parse_arm_header(&tiny_baseline_doc()),
-            (QueueKind::Wheel, true, EnvPreset::Off)
+            (true, EnvPreset::Off)
         );
         // …and headerless (pre-metadata) files fall back to the default
         // arm.
         let old = "{\n  \"seed\": 7\n}\n";
-        assert_eq!(
-            parse_arm_header(old),
-            (QueueKind::Wheel, true, EnvPreset::Off)
-        );
+        assert_eq!(parse_arm_header(old), (true, EnvPreset::Off));
     }
 
     #[test]

@@ -9,12 +9,11 @@
 //! regenerating the baseline, and the gate fails with a field-level diff.
 //! Timing telemetry (`wall_ms`, `events_per_sec`) is exempt.
 //!
-//! The seed and the arm configuration (queue, demand gating, env
-//! preset) are taken from the committed file's self-describing header,
-//! so the gate always replays exactly the recorded experiment — a
-//! baseline exported from a reference or environment arm is diffed
-//! against that same arm. Headerless (pre-arm-metadata) files fall back
-//! to the default arm.
+//! The seed and the arm configuration (demand gating, env preset) are
+//! taken from the committed file's self-describing header, so the gate
+//! always replays exactly the recorded experiment — a baseline exported
+//! from a reference or environment arm is diffed against that same arm.
+//! Headerless (pre-arm-metadata) files fall back to the default arm.
 //!
 //! With `--crashed` every replayed cell is snapshotted at its halfway
 //! point, torn down, and resumed from the snapshot bytes before
@@ -68,10 +67,10 @@ fn main() -> ExitCode {
         }
     };
 
-    let (queue, demand_gating, env) = parse_arm_header(&text);
+    let (demand_gating, env) = parse_arm_header(&text);
     eprintln!(
-        "replaying baseline matrix (seed {seed}, {} schedulers, queue {queue:?}, \
-         gating {demand_gating}, env {}{})…",
+        "replaying baseline matrix (seed {seed}, {} schedulers, gating {demand_gating}, \
+         env {}{})…",
         committed.len(),
         env.label(),
         if crashed_replay {
@@ -81,9 +80,9 @@ fn main() -> ExitCode {
         }
     );
     let (_, runs) = if crashed_replay {
-        run_baseline_crashed(seed, queue, demand_gating, env)
+        run_baseline_crashed(seed, demand_gating, env)
     } else {
-        run_baseline(seed, queue, demand_gating, env)
+        run_baseline(seed, demand_gating, env)
     };
     let fresh = baseline_rows(&runs);
 
@@ -111,9 +110,6 @@ fn main() -> ExitCode {
     }
     if drifted {
         let mut flags = String::new();
-        if queue == venn_sim::QueueKind::Heap {
-            flags.push_str(" --queue heap");
-        }
         if !demand_gating {
             flags.push_str(" --no-gating");
         }

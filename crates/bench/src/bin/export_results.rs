@@ -9,15 +9,13 @@
 //! results to `venn` by construction (the incremental parity harness),
 //! differing only in `wall_ms`/`events_per_sec`.
 //!
-//! The kernel's perf and environment arms are selectable for A/B
-//! verification: `--queue heap` runs the binary-heap reference queue
-//! instead of the timing wheel, `--no-gating` disables demand-gated
-//! check-ins, and `--env <preset>` turns on a `venn-env` scenario
-//! (`off|flash-crowd|straggler-heavy|mass-dropout|chaos`). The queue and
-//! gating reference arms must reproduce the default arm's JCT stats bit
-//! for bit; only `events` may differ, and only via gating. The chosen
-//! arms are recorded in the JSON header so baseline files are
-//! self-describing.
+//! The kernel's gating and environment arms are selectable for A/B
+//! verification: `--no-gating` disables demand-gated check-ins, and
+//! `--env <preset>` turns on a `venn-env` scenario
+//! (`off|flash-crowd|straggler-heavy|mass-dropout|chaos`). The un-gated
+//! reference arm must reproduce the default arm's JCT stats bit for bit;
+//! only `events` and `peak_queue_len` may differ. The chosen arms are
+//! recorded in the JSON header so baseline files are self-describing.
 //!
 //! `--deterministic` omits the timing telemetry (`wall_ms`,
 //! `events_per_sec`) from the JSON so two runs of the same arm produce
@@ -25,13 +23,11 @@
 //! exactly that.
 //!
 //! Run: `cargo run --release -p venn-bench --bin export_results [seed]
-//!       [--json PATH] [--queue wheel|heap] [--no-gating]
-//!       [--env PRESET] [--deterministic]`
+//!       [--json PATH] [--no-gating] [--env PRESET] [--deterministic]`
 
 use venn_bench::{baseline_json, run_baseline};
 use venn_env::EnvPreset;
 use venn_metrics::csv::Csv;
-use venn_sim::QueueKind;
 
 // Opt into allocation tracking so the emitted `peak_bytes` telemetry is a
 // real per-run high-water mark (the runs are sequential, see below).
@@ -42,7 +38,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut seed: u64 = 42;
     let mut json_path: Option<String> = None;
-    let mut queue = QueueKind::Wheel;
     let mut demand_gating = true;
     let mut env = EnvPreset::Off;
     let mut timing = true;
@@ -56,15 +51,6 @@ fn main() {
                     std::process::exit(1);
                 }
             }
-        } else if arg == "--queue" {
-            queue = match it.next().map(String::as_str) {
-                Some("wheel") => QueueKind::Wheel,
-                Some("heap") => QueueKind::Heap,
-                other => {
-                    eprintln!("error: --queue needs wheel|heap, got {other:?}");
-                    std::process::exit(1);
-                }
-            };
         } else if arg == "--no-gating" {
             demand_gating = false;
         } else if arg == "--env" {
@@ -94,7 +80,7 @@ fn main() {
     // Sequential on purpose: wall_ms feeds the events/sec baseline, and
     // timing runs while sibling simulations contend for cores would make
     // the recorded numbers machine-load-dependent.
-    let (exp, runs) = run_baseline(seed, queue, demand_gating, env);
+    let (exp, runs) = run_baseline(seed, demand_gating, env);
 
     for r in &runs {
         let mut csv = Csv::new(&[

@@ -11,8 +11,7 @@
 //!           [--workload {even|small|large|low|high}]
 //!           [--bias {general|compute|memory|resource}]
 //!           [--epsilon F] [--tiers N] [--async] [--overcommit F]
-//!           [--queue wheel|heap] [--no-gating]
-//!           [--pop eager|split-eager|lazy]
+//!           [--no-gating] [--pop eager|split-eager|lazy]
 //!           [--env off|flash-crowd|straggler-heavy|mass-dropout|chaos]
 //!           [--load FILE.tsv] [--save FILE.tsv] [--csv]
 //!           [--checkpoint-every SIM_MS] [--checkpoint-dir DIR]
@@ -31,7 +30,7 @@
 //! tried — and the resumed run's output is byte-identical to an
 //! uninterrupted run with the same parameters. Checkpoints only restore
 //! under the same `(seed, population, days, workload, scheduler, env,
-//! pop)` run identity; `--queue` may differ.
+//! pop)` run identity.
 //!
 //! `--fork-from FILE.vsnp` is the what-if entry point: restore the
 //! world from a snapshot but hand it to a **fresh** `--scheduler` arm
@@ -56,6 +55,11 @@
 //! "Online serving" and "Fault injection & durability" sections of
 //! `ARCHITECTURE.md` for the protocol.
 //!
+//! Exit status: 0 on success, 2 on a usage error (unknown flag, bad
+//! value, a configuration [`SimConfig::check`] rejects — reported before
+//! any world is built, on every entry point), 1 on a run-time failure
+//! (I/O, unknown scheduler, unusable snapshot).
+//!
 //! Run: `cargo run --release -p venn-bench --bin vennsim -- --jobs 12 --days 5`
 
 use std::process::ExitCode;
@@ -69,7 +73,7 @@ use venn_core::{FaultFs, RealFs, Scheduler, SimFs, VennConfig, VennScheduler, MI
 use venn_env::EnvPreset;
 use venn_metrics::csv::Csv;
 use venn_serve::{SyncPolicy, WalWriter};
-use venn_sim::{CheckpointStore, PopMode, QueueKind, SimConfig, SimResult, Simulation, World};
+use venn_sim::{CheckpointStore, PopMode, SimConfig, SimResult, Simulation, World};
 use venn_traces::{io as wio, BiasKind, JobDemandModel, Workload, WorkloadKind};
 
 #[derive(Debug)]
@@ -85,7 +89,6 @@ struct Args {
     tiers: usize,
     async_mode: bool,
     overcommit: f64,
-    queue: QueueKind,
     demand_gating: bool,
     pop_mode: PopMode,
     env: EnvPreset,
@@ -122,7 +125,6 @@ impl Default for Args {
             tiers: 3,
             async_mode: false,
             overcommit: 0.0,
-            queue: QueueKind::Wheel,
             demand_gating: true,
             pop_mode: PopMode::Eager,
             env: EnvPreset::Off,
@@ -216,17 +218,6 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|e| format!("--tiers: {e}"))?
             }
             "--async" => args.async_mode = true,
-            "--queue" => {
-                args.queue = match value("--queue")?.as_str() {
-                    "wheel" => QueueKind::Wheel,
-                    "heap" => QueueKind::Heap,
-                    other => {
-                        return Err(format!(
-                            "--queue: unknown value {other:?} (valid: wheel|heap)"
-                        ))
-                    }
-                }
-            }
             "--no-gating" => args.demand_gating = false,
             "--pop" => {
                 args.pop_mode = match value("--pop")?.as_str() {
@@ -543,7 +534,21 @@ fn run_serve(args: &Args, config: SimConfig, workload: &Workload) -> Result<(), 
     venn_serve::serve(&mut session, &opts).map_err(|e| e.to_string())
 }
 
-fn run(args: &Args) -> Result<(), String> {
+fn sim_config(args: &Args) -> SimConfig {
+    SimConfig {
+        population: args.population,
+        days: args.days,
+        seed: args.seed,
+        async_mode: args.async_mode,
+        overcommit: args.overcommit,
+        demand_gating: args.demand_gating,
+        pop_mode: args.pop_mode,
+        env: args.env.config(),
+        ..SimConfig::default()
+    }
+}
+
+fn run(args: &Args, config: SimConfig) -> Result<(), String> {
     let workload = match &args.load {
         Some(path) => {
             let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
@@ -566,18 +571,6 @@ fn run(args: &Args) -> Result<(), String> {
         eprintln!("saved workload to {path}");
     }
 
-    let config = SimConfig {
-        population: args.population,
-        days: args.days,
-        seed: args.seed,
-        async_mode: args.async_mode,
-        overcommit: args.overcommit,
-        queue: args.queue,
-        demand_gating: args.demand_gating,
-        pop_mode: args.pop_mode,
-        env: args.env.config(),
-        ..SimConfig::default()
-    };
     if args.serve {
         return run_serve(args, config, &workload);
     }
@@ -644,13 +637,21 @@ fn run(args: &Args) -> Result<(), String> {
 
 fn main() -> ExitCode {
     match parse_args() {
-        Ok(args) => match run(&args) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
+        Ok(args) => {
+            // One gate for batch, serve, --resume and --fork-from alike.
+            let config = sim_config(&args);
+            if let Err(e) = config.check() {
                 eprintln!("error: {e}");
-                ExitCode::FAILURE
+                return ExitCode::from(2);
             }
-        },
+            match run(&args, config) {
+                Ok(()) => ExitCode::SUCCESS,
+                Err(e) => {
+                    eprintln!("error: {e}");
+                    ExitCode::FAILURE
+                }
+            }
+        }
         Err(e) => {
             if e != "help" {
                 eprintln!("error: {e}\n");
@@ -660,7 +661,7 @@ fn main() -> ExitCode {
                  [--jobs N] \
                  [--population N] [--days N] [--seed N] [--workload even|small|large|low|high] \
                  [--bias general|compute|memory|resource] [--epsilon F] [--tiers N] \
-                 [--async] [--overcommit F] [--queue wheel|heap] [--no-gating] \
+                 [--async] [--overcommit F] [--no-gating] \
                  [--pop eager|split-eager|lazy] \
                  [--env off|flash-crowd|straggler-heavy|mass-dropout|chaos] \
                  [--load FILE.tsv] [--save FILE.tsv] [--csv] \
@@ -673,7 +674,7 @@ fn main() -> ExitCode {
             if e == "help" {
                 ExitCode::SUCCESS
             } else {
-                ExitCode::FAILURE
+                ExitCode::from(2)
             }
         }
     }

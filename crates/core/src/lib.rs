@@ -41,7 +41,6 @@ pub mod config;
 pub mod device;
 pub mod fairness;
 pub mod faultio;
-pub mod forecast;
 pub mod ids;
 pub mod intern;
 pub mod irs;

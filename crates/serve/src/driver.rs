@@ -161,7 +161,8 @@ impl OutQueue {
     /// Enqueues `line`, bounded by `cap`. At capacity the whole backlog
     /// is replaced by `overflow_line()` and the queue closes. Returns
     /// `false` when the client should be considered gone (queue closed,
-    /// now or previously).
+    /// now or previously). Lines are stored newline-terminated, so the
+    /// writer sends each in one write.
     pub fn push(&self, cap: usize, line: &str, overflow_line: impl FnOnce() -> String) -> bool {
         let mut s = self.state.lock().unwrap();
         if s.closing {
@@ -169,13 +170,13 @@ impl OutQueue {
         }
         if s.lines.len() >= cap.max(1) {
             s.lines.clear();
-            s.lines.push_back(overflow_line());
+            s.lines.push_back(overflow_line() + "\n");
             s.closing = true;
             s.tripped = true;
             self.ready.notify_all();
             return false;
         }
-        s.lines.push_back(line.to_string());
+        s.lines.push_back([line, "\n"].concat());
         self.ready.notify_all();
         true
     }
@@ -192,7 +193,8 @@ impl OutQueue {
         self.state.lock().unwrap().tripped
     }
 
-    /// Blocks for the next line; `None` once closed and drained.
+    /// Blocks for the next line, newline included; `None` once closed
+    /// and drained.
     pub fn pop(&self) -> Option<String> {
         let mut s = self.state.lock().unwrap();
         loop {
@@ -543,6 +545,8 @@ fn spawn_client(
     let idle_timeout = opts.idle_timeout;
     std::thread::spawn(move || reader_loop(id, reader_stream, tx, max_line, idle_timeout));
 
+    // Responses are small and latency-bound: never wait to coalesce.
+    stream.set_nodelay(true)?;
     let queue = OutQueue::new();
     let writer_queue = queue.clone();
     let writer = std::thread::spawn(move || writer_loop(writer_queue, stream));
@@ -617,15 +621,52 @@ fn reader_loop(
 /// down. Socket errors just end the drain — the reader side reports the
 /// disconnect.
 fn writer_loop(queue: Arc<OutQueue>, mut stream: TcpStream) {
+    write_lines(&queue, &mut stream);
+    let _ = stream.shutdown(Shutdown::Both);
+}
+
+/// One `write_all` per queued line — a line and its newline in separate
+/// segments would stall a default client on Nagle + delayed ACK.
+fn write_lines(queue: &OutQueue, out: &mut impl Write) {
     while let Some(line) = queue.pop() {
-        if stream
+        if out
             .write_all(line.as_bytes())
-            .and_then(|()| stream.write_all(b"\n"))
-            .and_then(|()| stream.flush())
+            .and_then(|()| out.flush())
             .is_err()
         {
             break;
         }
     }
-    let _ = stream.shutdown(Shutdown::Both);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Records the bytes of every `write` call separately.
+    struct Segments(Vec<Vec<u8>>);
+
+    impl Write for Segments {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn writer_sends_each_line_and_its_newline_in_one_write() {
+        let q = OutQueue::new();
+        assert!(q.push(8, "{\"ok\":true}", || unreachable!()));
+        assert!(q.push(8, "{\"ok\":false}", || unreachable!()));
+        q.finish();
+        let mut out = Segments(Vec::new());
+        write_lines(&q, &mut out);
+        assert_eq!(
+            out.0,
+            [b"{\"ok\":true}\n".to_vec(), b"{\"ok\":false}\n".to_vec()]
+        );
+    }
 }

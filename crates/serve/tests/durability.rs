@@ -166,7 +166,7 @@ fn out_queue_overflow_replaces_backlog_and_closes() {
     assert!(!q.push(3, "e", || unreachable!("queue already closed")));
 
     // The writer drains exactly the overflow notice, then sees EOF.
-    assert_eq!(q.pop().as_deref(), Some("backpressure!"));
+    assert_eq!(q.pop().as_deref(), Some("backpressure!\n"));
     assert_eq!(q.pop(), None);
 }
 
@@ -181,8 +181,8 @@ fn out_queue_finish_drains_in_order() {
         !q.push(8, "three", || unreachable!()),
         "closed to new lines"
     );
-    assert_eq!(q.pop().as_deref(), Some("one"));
-    assert_eq!(q.pop().as_deref(), Some("two"));
+    assert_eq!(q.pop().as_deref(), Some("one\n"));
+    assert_eq!(q.pop().as_deref(), Some("two\n"));
     assert_eq!(q.pop(), None);
     assert!(!q.tripped(), "a normal finish is not an overflow trip");
 }

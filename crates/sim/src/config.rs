@@ -4,8 +4,6 @@ use venn_core::{CategoryThresholds, SimTime, MINUTE_MS};
 use venn_env::EnvConfig;
 use venn_traces::{AvailabilityModel, CapacityModel};
 
-use crate::event::QueueKind;
-
 /// How the device population is generated and stored.
 ///
 /// The three arms trade determinism lineage against scale:
@@ -107,10 +105,6 @@ pub struct SimConfig {
     /// Record per-round participant logs (needed by the FL experiments;
     /// costs memory on big runs).
     pub record_rounds: bool,
-    /// Event-queue implementation. The timing wheel (default) and the
-    /// binary-heap reference arm pop byte-identical event sequences; the
-    /// heap arm exists for equivalence testing and benchmarking.
-    pub queue: QueueKind,
     /// Demand-gated check-ins (default on): while no job has an open
     /// request, idle devices are parked instead of re-polling every
     /// [`repoll_ms`](SimConfig::repoll_ms), and woken on the next request
@@ -162,7 +156,6 @@ impl Default for SimConfig {
             overcommit: 0.0,
             async_mode: false,
             record_rounds: false,
-            queue: QueueKind::Wheel,
             demand_gating: true,
             env: EnvConfig::off(),
             pop_mode: PopMode::Eager,
@@ -192,28 +185,39 @@ impl SimConfig {
         self.days as SimTime * venn_core::DAY_MS
     }
 
+    /// Checks the invariants a front end can report as a usage error:
+    /// non-empty population, a horizon of at least one day, quorum in
+    /// `(0, 1]`, positive repoll, non-negative noise, overcommit in
+    /// `[0, 1)`.
+    pub fn check(&self) -> Result<(), String> {
+        let ensure = |ok: bool, why: &str| if ok { Ok(()) } else { Err(why.to_string()) };
+        ensure(self.population > 0, "population must be positive")?;
+        ensure(self.days > 0, "horizon must cover at least one day")?;
+        ensure(
+            self.quorum > 0.0 && self.quorum <= 1.0,
+            "quorum must be in (0, 1]",
+        )?;
+        ensure(self.repoll_ms > 0, "repoll interval must be positive")?;
+        ensure(
+            self.response_noise_cv >= 0.0,
+            "noise cv must be non-negative",
+        )?;
+        ensure(
+            (0.0..1.0).contains(&self.overcommit),
+            "overcommit must be in [0, 1)",
+        )
+    }
+
     /// Validates invariants.
     ///
     /// # Panics
     ///
-    /// Panics on nonsensical parameters (empty population, zero horizon,
-    /// quorum outside `(0, 1]`, zero repoll).
+    /// Panics on nonsensical parameters: whatever [`check`](Self::check)
+    /// rejects, or an invalid [`env`](Self::env).
     pub fn validate(&self) {
-        assert!(self.population > 0, "population must be positive");
-        assert!(self.days > 0, "horizon must cover at least one day");
-        assert!(
-            self.quorum > 0.0 && self.quorum <= 1.0,
-            "quorum must be in (0, 1]"
-        );
-        assert!(self.repoll_ms > 0, "repoll interval must be positive");
-        assert!(
-            self.response_noise_cv >= 0.0,
-            "noise cv must be non-negative"
-        );
-        assert!(
-            (0.0..1.0).contains(&self.overcommit),
-            "overcommit must be in [0, 1)"
-        );
+        if let Err(why) = self.check() {
+            panic!("{why}");
+        }
         self.env.validate();
     }
 
@@ -271,6 +275,27 @@ mod tests {
         assert_eq!(c.requested(8), 10);
         assert_eq!(c.requested(1), 2);
         assert_eq!(SimConfig::default().requested(8), 8);
+    }
+
+    #[test]
+    fn check_names_the_first_violated_rule() {
+        let bad = |c: SimConfig| c.check().unwrap_err();
+        let d = SimConfig::default();
+        assert!(bad(SimConfig { population: 0, ..d }).contains("population"));
+        assert!(bad(SimConfig { days: 0, ..d }).contains("horizon"));
+        assert!(bad(SimConfig { quorum: 0.0, ..d }).contains("quorum"));
+        assert!(bad(SimConfig { repoll_ms: 0, ..d }).contains("repoll"));
+        let nan_cv = SimConfig {
+            response_noise_cv: f64::NAN,
+            ..d
+        };
+        assert!(bad(nan_cv).contains("noise"));
+        assert!(bad(SimConfig {
+            overcommit: 3.0,
+            ..d
+        })
+        .contains("overcommit"));
+        assert_eq!(d.check(), Ok(()));
     }
 
     #[test]

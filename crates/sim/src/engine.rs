@@ -350,23 +350,6 @@ mod tests {
     }
 
     #[test]
-    fn queue_arms_dispatch_identical_event_streams() {
-        let w = tiny_workload(4, 8, 3);
-        let wheel = run_fifo(&w, SimConfig::small());
-        let heap = run_fifo(
-            &w,
-            SimConfig {
-                queue: crate::QueueKind::Heap,
-                ..SimConfig::small()
-            },
-        );
-        assert_eq!(wheel.records, heap.records);
-        assert_eq!(wheel.assignments, heap.assignments);
-        assert_eq!(wheel.events, heap.events);
-        assert_eq!(wheel.aborted_rounds, heap.aborted_rounds);
-    }
-
-    #[test]
     fn straggler_env_stretches_responses_and_fills_tier_histograms() {
         let w = tiny_workload(3, 5, 2);
         let off = run_fifo(&w, SimConfig::small());

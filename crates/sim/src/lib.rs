@@ -47,7 +47,7 @@ pub use cohort::CohortSet;
 pub use config::{ExecMode, PopMode, SimConfig};
 pub use device_pool::{DevicePool, DeviceState};
 pub use engine::Simulation;
-pub use event::{Event, EventKind, EventQueue, QueueKind};
+pub use event::{Event, EventKind, EventQueue};
 pub use job_table::{JobPhase, JobRuntime, JobTable};
 pub use observer::{AssignmentLog, CompletionLog, EventTrace, RoundRecorder, SimObserver};
 pub use parked::ParkedPolls;

@@ -212,7 +212,6 @@ impl ParkedPolls {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::QueueKind;
     use venn_core::{JobId, Request};
     use venn_traces::CapacityModel;
 
@@ -260,7 +259,7 @@ mod tests {
     #[test]
     fn stale_generation_rereads_the_pool() {
         let mut plane = ParkedPolls::new(REPOLL, 1_000_000);
-        let mut queue = EventQueue::with_kind(QueueKind::Heap);
+        let mut queue = EventQueue::new();
         let mut devices = pool(4, 500_000);
         let mut sched = Recorder::default();
         plane.park(1, 100_000, queue.reserve_seq(), 500_000, cap());
@@ -276,7 +275,7 @@ mod tests {
     #[test]
     fn an_extended_session_outlives_its_cached_end() {
         let mut plane = ParkedPolls::new(REPOLL, 1_000_000);
-        let mut queue = EventQueue::with_kind(QueueKind::Heap);
+        let mut queue = EventQueue::new();
         let mut devices = pool(1, 150_000);
         let mut sched = Recorder::default();
         plane.park(0, 100_000, queue.reserve_seq(), 150_000, cap());
@@ -291,7 +290,7 @@ mod tests {
     #[test]
     fn wake_reenters_the_queue_in_time_seq_order() {
         let mut plane = ParkedPolls::new(REPOLL, 1_000_000);
-        let mut queue = EventQueue::with_kind(QueueKind::Heap);
+        let mut queue = EventQueue::new();
         for (device, time) in [(4usize, 200u64), (8, 200), (0, 500), (5, 650), (1, 900)] {
             plane.park(device, time, queue.reserve_seq(), 10_000, cap());
         }
@@ -311,7 +310,7 @@ mod tests {
     #[test]
     fn last_grid_poll_files_a_retire_note() {
         let mut plane = ParkedPolls::new(REPOLL, 1_000_000);
-        let mut queue = EventQueue::with_kind(QueueKind::Heap);
+        let mut queue = EventQueue::new();
         let mut devices = pool(1, 150_000);
         let mut sched = Recorder::default();
         plane.park(0, 100_000, queue.reserve_seq(), 150_000, cap());
@@ -328,7 +327,7 @@ mod tests {
     fn a_long_window_replays_in_bounded_batches_in_stream_order() {
         let n = 2 * REPLAY_BATCH + 3;
         let mut plane = ParkedPolls::new(REPOLL, 2_000_000);
-        let mut queue = EventQueue::with_kind(QueueKind::Heap);
+        let mut queue = EventQueue::new();
         let mut devices = pool(n, 1_000_000);
         let mut sched = Recorder::default();
         for d in 0..n {

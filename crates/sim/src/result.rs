@@ -42,7 +42,7 @@ pub struct SimResult {
     /// streamed (one pending `SessionStart` at a time on the eager arm,
     /// one `CohortWake` per cohort on the split arms) this tracks live
     /// concurrency — in-flight tasks, holds, and repolls — not population
-    /// size. The wheel/heap arms agree on it bit for bit.
+    /// size.
     pub peak_queue_len: u64,
     /// Allocator high-water mark (bytes) over the run, measured by the
     /// `venn-metrics` tracking allocator when the driving binary installs

@@ -24,25 +24,20 @@
 //! uninterrupted run's: the checkpoint captures the full `(time, seq)`
 //! total order, every split RNG stream position, and all reserved seqs.
 //!
-//! The fingerprint deliberately *excludes* the queue kind: results are
-//! identical across queue kinds by construction, so a snapshot taken
-//! under `--queue heap` may resume on the wheel (or vice versa).
-//! Everything else about the run — population, seed, environment preset,
-//! population mode, workload — must match, because the snapshot stores
-//! only state those inputs cannot re-derive.
+//! Everything about the run — population, seed, environment preset,
+//! population mode, workload — must match the fingerprint, because the
+//! snapshot stores only state those inputs cannot re-derive.
 
 use venn_core::snapshot::{checksum, seal, unseal};
 use venn_core::{Scheduler, SnapError, SnapReader, SnapWriter};
 use venn_traces::Workload;
 
 use crate::config::{ExecMode, SimConfig};
-use crate::event::QueueKind;
 use crate::world::World;
 
 /// A collision-resistant-enough identity for "the same run": the FNV-1a
 /// checksum of the config and workload debug renderings, with the
-/// result-invariant queue kind and the inert [`ExecMode`] normalized
-/// away.
+/// inert [`ExecMode`] normalized away.
 ///
 /// Debug renderings make every field — including ones future PRs add —
 /// part of the identity by default; a field must be *explicitly*
@@ -52,7 +47,6 @@ use crate::world::World;
 pub fn run_fingerprint(config: &SimConfig, workload: &Workload) -> u64 {
     let mut canon = *config;
     canon.exec = ExecMode::Sequential;
-    canon.queue = QueueKind::Wheel;
     checksum(format!("{canon:?}|{workload:?}").as_bytes())
 }
 
@@ -73,9 +67,8 @@ pub fn snapshot_world(world: &World, scheduler: &dyn Scheduler) -> Result<Vec<u8
 /// checkpoint, ready to continue stepping exactly where the checkpointed
 /// run left off.
 ///
-/// `config` and `workload` must be the pair the snapshot was taken under
-/// (queue kind excepted — see the module docs); `scheduler` must be a
-/// fresh instance of the same scheduler
+/// `config` and `workload` must be the pair the snapshot was taken
+/// under; `scheduler` must be a fresh instance of the same scheduler
 /// build. Every failure mode — truncation, bit flips, wrong format
 /// version, mismatched run or scheduler — returns a [`SnapError`];
 /// nothing in this path panics.
@@ -164,7 +157,6 @@ mod tests {
         let base = run_fingerprint(&config, &workload);
         let mut other = config;
         other.exec = ExecMode::Sharded { shards: 4 };
-        other.queue = QueueKind::Heap;
         assert_eq!(run_fingerprint(&other, &workload), base);
     }
 

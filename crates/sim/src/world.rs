@@ -138,13 +138,18 @@ impl World {
     /// Builds the initial world state: samples the device population,
     /// generates availability sessions, and seeds the queue with session
     /// starts and job arrivals.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration is invalid (see [`SimConfig::validate`]).
     pub fn new(config: SimConfig, workload: &Workload, scheduler_name: &str) -> Self {
+        config.validate();
         let horizon = config.horizon_ms();
         let mut rng = StdRng::seed_from_u64(config.seed);
         let noise = LogNormal::from_mean_cv(1.0, config.response_noise_cv.max(1e-6));
         let env = config.env.compile(config.population, horizon, config.seed);
 
-        let mut queue = EventQueue::with_kind(config.queue);
+        let mut queue = EventQueue::new();
         let mut session_stream = SessionStream::default();
         let mut cohorts = None;
         let devices = match config.pop_mode {
@@ -1268,8 +1273,8 @@ impl World {
     /// `(config, workload)`, and the container fingerprint pins that the
     /// resuming process passes the same pair. Internal-layout-dependent
     /// structures (the timing wheel) are written in canonical form — the
-    /// sorted `(time, seq)` event list — so a snapshot restores
-    /// bit-identically across queue kinds.
+    /// sorted `(time, seq)` event list — so snapshot bytes do not depend
+    /// on where the wheel's cursor stood.
     pub fn encode_state(&self, w: &mut SnapWriter) {
         w.u64(self.now);
         self.devices.encode_state(w);
@@ -1344,13 +1349,11 @@ impl World {
     /// [`encode_state`](Self::encode_state).
     ///
     /// Call on a world freshly built by [`World::new`] with the *same*
-    /// `(config, workload, scheduler_name)` as the checkpointed run
-    /// (a different queue kind is fine: results are identical across
-    /// queue kinds by construction). The constructor's initial queue
-    /// contents are discarded wholesale; the snapshot's pending-event set
-    /// is authoritative. Returns [`SnapError::Corrupt`] — never panics — on
-    /// any internally inconsistent input that slips past the container
-    /// checksum.
+    /// `(config, workload, scheduler_name)` as the checkpointed run. The
+    /// constructor's initial queue contents are discarded wholesale; the
+    /// snapshot's pending-event set is authoritative. Returns
+    /// [`SnapError::Corrupt`] — never panics — on any internally
+    /// inconsistent input that slips past the container checksum.
     pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.restore_state_impl(r, true)
     }
@@ -1406,7 +1409,7 @@ impl World {
                 )));
             }
         }
-        self.queue = EventQueue::restore(self.config.queue, &events, next_seq, peak_len);
+        self.queue = EventQueue::restore(&events, next_seq, peak_len);
 
         // Re-park, re-reading the authoritative session end (and
         // capacity) from the just-restored device pool. A fresh plane

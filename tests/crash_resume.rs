@@ -509,14 +509,10 @@ fn snapshots_are_pinned_to_their_run_identity() {
         );
     }
 
-    // But a different queue kind is the *same* run.
-    let config = SimConfig {
-        queue: venn::sim::QueueKind::Heap,
-        ..sim
-    };
+    // The positive control: the identity it was taken under resumes.
     let mut fresh = kind.build(sim.seed ^ SCHED_SEED_SALT);
     assert!(
-        resume_world(&bytes, config, &workload, &mut *fresh).is_ok(),
-        "a snapshot must resume under a different queue kind"
+        resume_world(&bytes, sim, &workload, &mut *fresh).is_ok(),
+        "a snapshot must resume under its own run identity"
     );
 }

@@ -6,8 +6,7 @@
 //!    deterministic field byte for byte.
 //! 2. **Per-seed reproducibility of every preset** — the three new
 //!    scenario presets run for every `SchedKind` across seeds with
-//!    run-to-run identical results, on both kernel perf arms (gating
-//!    on/off, wheel/heap queue).
+//!    run-to-run identical results, with demand gating on and off.
 //!
 //! Plus the quorum/abort edge case of the new mid-round dropout path: a
 //! round whose dropouts land the report count exactly on the 80 % quorum
@@ -25,9 +24,7 @@ use common::parity::{
 use venn::bench::{baseline_rows, diff_rows, parse_baseline, run_baseline, SchedKind};
 use venn::core::{JobId, SimTime, SpecCategory, MINUTE_MS};
 use venn::env::{DeviceFault, EnvConfig, EnvPreset};
-use venn::sim::{
-    EventKind, PopMode, QueueKind, RoundRecorder, SimConfig, SimObserver, SimResult, Simulation,
-};
+use venn::sim::{EventKind, PopMode, RoundRecorder, SimConfig, SimObserver, SimResult, Simulation};
 use venn::traces::{JobPlan, Workload};
 
 const PRESETS: [EnvPreset; 3] = [
@@ -77,7 +74,7 @@ fn env_off_reproduces_the_committed_baseline_exactly() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_BASELINE.json");
     let text = std::fs::read_to_string(path).expect("committed baseline present");
     let (seed, committed) = parse_baseline(&text).expect("committed baseline parses");
-    let (_, runs) = run_baseline(seed, QueueKind::Wheel, true, EnvPreset::Off);
+    let (_, runs) = run_baseline(seed, true, EnvPreset::Off);
     let fresh = baseline_rows(&runs);
     assert_eq!(committed.len(), fresh.len(), "scheduler row count");
     for (c, f) in committed.iter().zip(&fresh) {
@@ -113,15 +110,15 @@ fn presets_replay_identically_for_every_sched_kind() {
     }
 }
 
-/// The kernel's perf arms stay pure cost optimizations under every
-/// preset: gating off and the heap queue reproduce the default arm's
-/// assignment streams and results while the environment is injecting
-/// churn, stragglers, and faults. The lazy chaos case is the oracle for
+/// Demand gating stays a pure cost optimization under every preset:
+/// gating off reproduces the default arm's assignment streams and
+/// results while the environment is injecting churn, stragglers, and
+/// faults. The lazy chaos case is the oracle for
 /// the parked polls' cached session ends: its jobs arrive six hours in,
 /// so the first mass-offline wave (hour 3.8) shrinks sessions under a
 /// fully parked population, on a pool that retires devices.
 #[test]
-fn gating_and_queue_arms_stay_identical_under_env_presets() {
+fn gating_arms_stay_identical_under_env_presets() {
     let cases = PRESETS
         .map(|preset| (preset, PopMode::Eager, 0))
         .into_iter()
@@ -151,29 +148,10 @@ fn gating_and_queue_arms_stay_identical_under_env_presets() {
                     "{preset:?} {pop_mode:?}: supply observations diverge"
                 );
             }
-            let heap = run_logged(
-                SimConfig {
-                    queue: QueueKind::Heap,
-                    ..sim
-                },
-                &workload,
-                kind,
-            );
             assert_outcome_parity(
                 &def,
                 &ungated,
                 &format!("{preset:?} {pop_mode:?} {kind:?} vs gating-off"),
-            );
-            assert_outcome_parity(
-                &def,
-                &heap,
-                &format!("{preset:?} {pop_mode:?} {kind:?} vs heap-queue"),
-            );
-            // Both default-config arms dispatch the same events; gating
-            // is the only thing allowed to shrink the count.
-            assert_eq!(
-                def.result.events, heap.result.events,
-                "{preset:?} {pop_mode:?} {kind:?}"
             );
             assert!(
                 def.result.events <= ungated.result.events,

@@ -1,22 +1,23 @@
 //! The timing-wheel event queue must pop exactly the `(time, seq)` order:
-//! for any interleaving of pushes and pops it returns the same
-//! `(time, seq, kind)` sequence as the reference [`Model`] below — a
-//! plain binary heap fed the same pushes — and so does the crate's own
-//! binary-heap arm.
+//! for any interleaving of pushes, reservations, wake-ups, peeks and pops
+//! it returns the same `(time, seq, kind)` sequence as the reference
+//! [`Model`] below — a plain binary heap fed the same pushes.
 //!
 //! The generated operation streams deliberately cover the wheel's hard
 //! cases: same-tick ties (many pushes at one timestamp), pushes at the
 //! timestamp currently being drained, multi-tier deltas (from 1 ms up to
 //! beyond the 256^4 ms top-tier range, which exercises the overflow
-//! tier), and reserved-seq wake-ups landing between already-queued
-//! same-millisecond events.
+//! tier), reserved-seq wake-ups landing between already-queued
+//! same-millisecond events, and a snapshot → restore at any point of the
+//! stream (a restored wheel starts with its cursor at zero, so the same
+//! events sit in different slots).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use proptest::prelude::*;
 
-use venn::sim::{Event, EventKind, EventQueue, QueueKind};
+use venn::sim::{Event, EventKind, EventQueue};
 
 /// The reference the queue is held to: a min-heap of
 /// `(time, seq, device)` with its own insertion counter. Every event the
@@ -37,6 +38,10 @@ impl Model {
         self.heap.push(Reverse((time, seq, device)));
     }
 
+    fn peek_key(&self) -> Option<(u64, u64)> {
+        self.heap.peek().map(|&Reverse((time, seq, _))| (time, seq))
+    }
+
     fn pop(&mut self) -> Option<Event> {
         self.heap.pop().map(|Reverse((time, seq, device))| Event {
             time,
@@ -55,6 +60,14 @@ enum Op {
     Push { delta: u64, count: u8 },
     /// Pop up to `count` events.
     Pop { count: u8 },
+    /// Reserve a seq without scheduling anything — a poll parking.
+    Reserve,
+    /// Schedule the `pick`-th outstanding reserved seq (a fresh one when
+    /// none is outstanding) at `last_pop_time + delta` — a parked poll
+    /// waking.
+    PushReserved { delta: u64, pick: u8 },
+    /// `peek_key` must name the model's minimum, and move nothing.
+    Peek,
 }
 
 /// Queues under test driven in lock-step with the [`Model`]: every op is
@@ -64,6 +77,8 @@ struct Harness {
     model: Model,
     device: usize,
     last_pop: u64,
+    /// Reserved seqs not yet scheduled.
+    reserved: Vec<u64>,
     /// Everything popped so far, in order.
     popped: Vec<Event>,
 }
@@ -71,13 +86,11 @@ struct Harness {
 impl Harness {
     fn new() -> Self {
         Harness {
-            subjects: vec![
-                EventQueue::with_kind(QueueKind::Wheel),
-                EventQueue::with_kind(QueueKind::Heap),
-            ],
+            subjects: vec![EventQueue::new()],
             model: Model::default(),
             device: 0,
             last_pop: 0,
+            reserved: Vec::new(),
             popped: Vec::new(),
         }
     }
@@ -101,11 +114,23 @@ impl Harness {
         }
     }
 
-    /// Pops the model and every subject once; `false` once they are empty.
+    fn assert_peek(&self) {
+        for q in &self.subjects {
+            assert_eq!(
+                q.peek_key(),
+                self.model.peek_key(),
+                "peek is not the minimum"
+            );
+        }
+    }
+
+    /// Pops the model and every subject once, peeking first; `false`
+    /// once they are empty.
     fn pop(&mut self) -> bool {
+        self.assert_peek();
         let expected = self.model.pop();
         for q in &mut self.subjects {
-            assert_eq!(q.pop(), expected, "{:?} left (time, seq) order", q.kind());
+            assert_eq!(q.pop(), expected, "wheel left (time, seq) order");
         }
         if let Some(e) = expected {
             self.last_pop = e.time;
@@ -129,10 +154,33 @@ impl Harness {
                     }
                 }
             }
+            Op::Reserve => {
+                let seq = self.reserve_seq();
+                self.reserved.push(seq);
+            }
+            Op::PushReserved { delta, pick } => {
+                let seq = match self.reserved.len() {
+                    0 => self.reserve_seq(),
+                    n => self.reserved.remove(pick as usize % n),
+                };
+                self.push_reserved(self.last_pop + delta, seq);
+            }
+            Op::Peek => self.assert_peek(),
         }
         for q in &self.subjects {
             assert_eq!(q.len(), self.model.heap.len());
         }
+    }
+
+    /// Adds a subject rebuilt from the first one's snapshot form; from
+    /// here on it must pop exactly what the original pops.
+    fn fork_restored(&mut self) {
+        let q = &self.subjects[0];
+        let restored = EventQueue::restore(&q.snapshot_events(), q.next_seq(), q.peak_len());
+        assert_eq!(restored.len(), q.len());
+        assert_eq!(restored.next_seq(), q.next_seq());
+        assert_eq!(restored.peak_len(), q.peak_len());
+        self.subjects.push(restored);
     }
 
     /// Drains to the end: the tail must match too.
@@ -163,17 +211,20 @@ fn delta() -> impl Strategy<Value = u64> {
     })
 }
 
+/// Decodes one generated op: pushes and pops dominate, the parked-poll
+/// and peek ops ride along.
+fn op((which, delta, count): (u32, u64, u8)) -> Op {
+    match which {
+        0..=2 => Op::Push { delta, count },
+        3..=5 => Op::Pop { count },
+        6 => Op::Reserve,
+        7 => Op::PushReserved { delta, pick: count },
+        _ => Op::Peek,
+    }
+}
+
 fn ops() -> impl Strategy<Value = Vec<Op>> {
-    proptest::collection::vec(
-        (0u32..2, delta(), 1u8..6).prop_map(|(which, delta, count)| {
-            if which == 0 {
-                Op::Push { delta, count }
-            } else {
-                Op::Pop { count }
-            }
-        }),
-        1..120,
-    )
+    proptest::collection::vec((0u32..9, delta(), 1u8..6).prop_map(op), 1..120)
 }
 
 /// The top wheel tier covers `256^4` ms from the cursor; deltas at and
@@ -196,23 +247,34 @@ fn boundary_delta() -> impl Strategy<Value = u64> {
 }
 
 fn boundary_ops() -> impl Strategy<Value = Vec<Op>> {
-    proptest::collection::vec(
-        (0u32..2, boundary_delta(), 1u8..6).prop_map(|(which, delta, count)| {
-            if which == 0 {
-                Op::Push { delta, count }
-            } else {
-                Op::Pop { count }
-            }
-        }),
-        1..80,
-    )
+    proptest::collection::vec((0u32..9, boundary_delta(), 1u8..6).prop_map(op), 1..80)
 }
 
 proptest! {
-    /// Random push/pop interleavings across all tiers pop identically.
+    /// Random interleavings across all tiers pop identically.
     #[test]
     fn wheel_matches_heap_on_random_interleavings(ops in ops()) {
         assert_equivalent(&ops);
+    }
+
+    /// After any op prefix, a queue restored from the snapshot form pops
+    /// the same remaining sequence as the original — through the rest of
+    /// the stream and the final drain.
+    #[test]
+    fn restored_queue_pops_the_same_remaining_sequence(
+        ops in ops(),
+        cut in 0usize..120,
+    ) {
+        let (prefix, suffix) = ops.split_at(cut.min(ops.len()));
+        let mut h = Harness::new();
+        for &op in prefix {
+            h.apply(op);
+        }
+        h.fork_restored();
+        for &op in suffix {
+            h.apply(op);
+        }
+        h.drain();
     }
 
     /// Events pushed exactly at and just past the top tier's horizon —
