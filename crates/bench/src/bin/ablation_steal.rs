@@ -4,22 +4,13 @@
 //!
 //! Run: `cargo run --release -p venn-bench --bin ablation_steal [seeds]`
 
-use venn_bench::{mean_speedups_detailed, Experiment, SchedKind};
+use venn_bench::{cli, mean_speedups_detailed, Experiment, SchedKind};
 use venn_core::VennConfig;
 use venn_metrics::Table;
 use venn_traces::{BiasKind, WorkloadKind};
 
 fn main() {
-    let seeds: Vec<u64> = match std::env::args().nth(1) {
-        Some(n) => match n.parse::<u64>() {
-            Ok(count) => (0..count).map(|i| 640 + i).collect(),
-            Err(e) => {
-                eprintln!("error: seed count {n:?}: {e}");
-                std::process::exit(2);
-            }
-        },
-        None => vec![640, 641],
-    };
+    let seeds = cli::seeds(640, 2);
     let kinds = [
         SchedKind::VennWith(VennConfig {
             use_steal: false,

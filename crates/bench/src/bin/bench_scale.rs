@@ -9,9 +9,11 @@
 //! `peak_bytes`); `--max-pop N` caps which rows re-run, so CI gates drift
 //! at the 100k tier without paying for the 1M rows.
 //!
-//! Run: `cargo run --release -p venn-bench --bin bench_scale [seed]
-//!       [--json PATH] [--check] [--max-pop N]`
+//! Run: `cargo run --release -p venn-bench --bin bench_scale -- --help`
 
+use std::process::ExitCode;
+
+use venn_bench::cli::{self, Cli};
 use venn_bench::{check_scale, run_scale_row, scale_json, SCALE_KINDS, SCALE_POPULATIONS};
 use venn_metrics::Table;
 
@@ -20,64 +22,36 @@ use venn_metrics::Table;
 #[global_allocator]
 static ALLOC: venn_metrics::alloc::TrackingAlloc = venn_metrics::alloc::TrackingAlloc;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+fn main() -> ExitCode {
     let mut seed: u64 = 42;
     let mut path = "BENCH_SCALE.json".to_string();
     let mut check = false;
     let mut max_pop = usize::MAX;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        if arg == "--json" {
-            match it.next() {
-                Some(p) => path = p.clone(),
-                None => {
-                    eprintln!("error: --json needs a path");
-                    std::process::exit(1);
-                }
-            }
-        } else if arg == "--check" {
-            check = true;
-        } else if arg == "--max-pop" {
-            max_pop = match it.next().map(|s| s.parse()) {
-                Some(Ok(n)) => n,
-                other => {
-                    eprintln!("error: --max-pop needs a number, got {other:?}");
-                    std::process::exit(1);
-                }
-            };
-        } else {
-            match arg.parse() {
-                Ok(s) => seed = s,
-                Err(e) => {
-                    eprintln!("error: bad seed {arg:?}: {e}");
-                    std::process::exit(1);
-                }
-            }
+    Cli::new("[SEED] [--json PATH] [--check] [--max-pop N]").parse(|cli, arg| {
+        match arg {
+            "--json" => path = cli.value(arg)?,
+            "--check" => check = true,
+            "--max-pop" => max_pop = cli.value(arg)?,
+            _ => seed = cli::seed(arg)?,
         }
-    }
+        Ok(())
+    });
 
     if check {
-        let json = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            eprintln!("error: read scale baseline {path}: {e}");
-            std::process::exit(1);
-        });
-        match check_scale(&json, max_pop) {
+        let read = std::fs::read_to_string(&path).map_err(|e| format!("read {path}: {e}"));
+        return match read.and_then(|json| check_scale(&json, max_pop)) {
             Ok(drifts) if drifts.is_empty() => {
                 println!("scale baseline OK ({path}, max-pop {max_pop})");
+                ExitCode::SUCCESS
             }
             Ok(drifts) => {
                 for d in &drifts {
                     eprintln!("DRIFT: {d}");
                 }
-                std::process::exit(1);
+                ExitCode::FAILURE
             }
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            }
-        }
-        return;
+            Err(e) => cli::failure(e),
+        };
     }
 
     // Sequential on purpose: per-run wall time and the process-global
@@ -125,9 +99,9 @@ fn main() {
     }
     println!("{table}");
 
-    std::fs::write(&path, scale_json(seed, &rows)).unwrap_or_else(|e| {
-        eprintln!("error: write scale baseline {path}: {e}");
-        std::process::exit(1);
-    });
+    if let Err(e) = std::fs::write(&path, scale_json(seed, &rows)) {
+        return cli::failure(format!("write scale baseline {path}: {e}"));
+    }
     eprintln!("wrote scale baseline to {path}");
+    ExitCode::SUCCESS
 }

@@ -21,11 +21,11 @@
 //! committed baseline must reproduce with zero drift through a
 //! crash as well.
 //!
-//! Run: `cargo run --release -p venn-bench --bin check_regression
-//!       [--baseline PATH] [--crashed]`
+//! Run: `cargo run --release -p venn-bench --bin check_regression -- --help`
 
 use std::process::ExitCode;
 
+use venn_bench::cli::{self, Cli};
 use venn_bench::{
     baseline_rows, diff_rows, parse_arm_header, parse_baseline, run_baseline, run_baseline_crashed,
 };
@@ -33,38 +33,19 @@ use venn_bench::{
 fn main() -> ExitCode {
     let mut path = "BENCH_BASELINE.json".to_string();
     let mut crashed_replay = false;
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--baseline" => match it.next() {
-                Some(p) => path = p,
-                None => {
-                    eprintln!("error: --baseline needs a path");
-                    return ExitCode::FAILURE;
-                }
-            },
+    Cli::new("[--baseline PATH] [--crashed]").parse(|cli, arg| {
+        match arg {
+            "--baseline" => path = cli.value(arg)?,
             "--crashed" => crashed_replay = true,
-            other => {
-                eprintln!("error: unknown flag {other:?}");
-                eprintln!("usage: check_regression [--baseline PATH] [--crashed]");
-                return ExitCode::FAILURE;
-            }
+            _ => return Err(cli::unknown(arg)),
         }
-    }
+        Ok(())
+    });
 
-    let text = match std::fs::read_to_string(&path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let (seed, committed) = match parse_baseline(&text) {
+    let read = std::fs::read_to_string(&path).map_err(|e| e.to_string());
+    let ((seed, committed), text) = match read.and_then(|t| Ok((parse_baseline(&t)?, t))) {
         Ok(v) => v,
-        Err(e) => {
-            eprintln!("error: {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return cli::failure(format!("{path}: {e}")),
     };
 
     let (demand_gating, env) = parse_arm_header(&text);

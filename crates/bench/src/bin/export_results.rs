@@ -22,9 +22,11 @@
 //! byte-identical documents — the CI env-preset determinism gate diffs
 //! exactly that.
 //!
-//! Run: `cargo run --release -p venn-bench --bin export_results [seed]
-//!       [--json PATH] [--no-gating] [--env PRESET] [--deterministic]`
+//! Run: `cargo run --release -p venn-bench --bin export_results -- --help`
 
+use std::process::ExitCode;
+
+use venn_bench::cli::{self, Cli};
 use venn_bench::{baseline_json, run_baseline};
 use venn_env::EnvPreset;
 use venn_metrics::csv::Csv;
@@ -34,48 +36,27 @@ use venn_metrics::csv::Csv;
 #[global_allocator]
 static ALLOC: venn_metrics::alloc::TrackingAlloc = venn_metrics::alloc::TrackingAlloc;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+fn main() -> ExitCode {
     let mut seed: u64 = 42;
     let mut json_path: Option<String> = None;
     let mut demand_gating = true;
     let mut env = EnvPreset::Off;
     let mut timing = true;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        if arg == "--json" {
-            match it.next() {
-                Some(path) => json_path = Some(path.clone()),
-                None => {
-                    eprintln!("error: --json needs a path");
-                    std::process::exit(1);
-                }
-            }
-        } else if arg == "--no-gating" {
-            demand_gating = false;
-        } else if arg == "--env" {
-            env = match it.next().map(String::as_str).and_then(EnvPreset::parse) {
-                Some(p) => p,
-                None => {
-                    eprintln!(
-                        "error: --env needs one of {}",
-                        EnvPreset::ALL.map(|p| p.label()).join("|")
-                    );
-                    std::process::exit(1);
-                }
-            };
-        } else if arg == "--deterministic" {
-            timing = false;
-        } else {
-            match arg.parse() {
-                Ok(s) => seed = s,
-                Err(e) => {
-                    eprintln!("error: bad seed {arg:?}: {e}");
-                    std::process::exit(1);
-                }
-            }
+    let envs = EnvPreset::ALL.map(|p| (p.label(), p));
+    Cli::new(
+        "[SEED] [--json PATH] [--no-gating] \
+         [--env off|flash-crowd|straggler-heavy|mass-dropout|chaos] [--deterministic]",
+    )
+    .parse(|cli, arg| {
+        match arg {
+            "--json" => json_path = Some(cli.value(arg)?),
+            "--no-gating" => demand_gating = false,
+            "--env" => env = cli.choice(arg, &envs)?,
+            "--deterministic" => timing = false,
+            _ => seed = cli::seed(arg)?,
         }
-    }
+        Ok(())
+    });
 
     // Sequential on purpose: wall_ms feeds the events/sec baseline, and
     // timing runs while sibling simulations contend for cores would make
@@ -117,9 +98,9 @@ fn main() {
     if let Some(path) = json_path {
         let json = baseline_json(&exp, &runs, seed, env, timing);
         if let Err(e) = std::fs::write(&path, json) {
-            eprintln!("error: {path}: {e}");
-            std::process::exit(1);
+            return cli::failure(format!("{path}: {e}"));
         }
         eprintln!("wrote baseline to {path}");
     }
+    ExitCode::SUCCESS
 }

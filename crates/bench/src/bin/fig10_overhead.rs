@@ -58,6 +58,7 @@ fn measure_trigger_us(venn: &mut VennScheduler, iters: u32) -> f64 {
 }
 
 fn main() {
+    venn_bench::cli::no_args();
     let mut jobs_table = Table::new(
         "Figure 10 (left): trigger latency vs number of jobs (20 groups)",
         &["latency (us)"],

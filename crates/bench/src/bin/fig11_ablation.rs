@@ -8,21 +8,12 @@
 //!
 //! Run: `cargo run --release -p venn-bench --bin fig11_ablation [seeds]`
 
-use venn_bench::{mean_speedups_detailed, Experiment, SchedKind};
+use venn_bench::{cli, mean_speedups_detailed, Experiment, SchedKind};
 use venn_metrics::Table;
 use venn_traces::WorkloadKind;
 
 fn main() {
-    let seeds: Vec<u64> = match std::env::args().nth(1) {
-        Some(n) => match n.parse::<u64>() {
-            Ok(count) => (0..count).map(|i| 300 + i).collect(),
-            Err(e) => {
-                eprintln!("error: seed count {n:?}: {e}");
-                std::process::exit(2);
-            }
-        },
-        None => vec![300, 301, 302],
-    };
+    let seeds = cli::seeds(300, 3);
     let kinds = [
         SchedKind::Random,
         SchedKind::Fifo,

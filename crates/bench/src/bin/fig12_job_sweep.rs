@@ -8,21 +8,12 @@
 //!
 //! Run: `cargo run --release -p venn-bench --bin fig12_job_sweep [seeds]`
 
-use venn_bench::{run_matrix, speedup_summary, with_baseline, Experiment, Matrix, SchedKind};
+use venn_bench::{cli, run_matrix, speedup_summary, with_baseline, Experiment, Matrix, SchedKind};
 use venn_metrics::Table;
 use venn_traces::WorkloadKind;
 
 fn main() {
-    let seeds: Vec<u64> = match std::env::args().nth(1) {
-        Some(n) => match n.parse::<u64>() {
-            Ok(count) => (0..count).map(|i| 900 + i).collect(),
-            Err(e) => {
-                eprintln!("error: seed count {n:?}: {e}");
-                std::process::exit(2);
-            }
-        },
-        None => vec![900, 901],
-    };
+    let seeds = cli::seeds(900, 2);
     let kinds = [SchedKind::Fifo, SchedKind::Srsf, SchedKind::Venn];
     let mut matrix = Matrix::new().kinds(&with_baseline(&kinds)).seeds(&seeds);
     for jobs in [25usize, 50, 75] {

@@ -6,22 +6,13 @@
 //!
 //! Run: `cargo run --release -p venn-bench --bin fig13_tier_sweep [seeds]`
 
-use venn_bench::{mean_speedups_detailed, Experiment, SchedKind};
+use venn_bench::{cli, mean_speedups_detailed, Experiment, SchedKind};
 use venn_core::VennConfig;
 use venn_metrics::Table;
 use venn_traces::WorkloadKind;
 
 fn main() {
-    let seeds: Vec<u64> = match std::env::args().nth(1) {
-        Some(n) => match n.parse::<u64>() {
-            Ok(count) => (0..count).map(|i| 950 + i).collect(),
-            Err(e) => {
-                eprintln!("error: seed count {n:?}: {e}");
-                std::process::exit(2);
-            }
-        },
-        None => vec![950, 951],
-    };
+    let seeds = cli::seeds(950, 2);
     let mut table = Table::new(
         "Figure 13: Venn speed-up over Random vs number of tiers (Low workload)",
         &["speed-up"],

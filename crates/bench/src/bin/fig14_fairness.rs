@@ -11,7 +11,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use venn_bench::{run, Experiment, SchedKind};
+use venn_bench::{cli, run, Experiment, SchedKind};
 use venn_core::VennConfig;
 use venn_metrics::Table;
 use venn_traces::{CapacityModel, WorkloadKind};
@@ -45,16 +45,7 @@ fn uncontended_jct(exp: &Experiment) -> Vec<f64> {
 }
 
 fn main() {
-    let seeds: Vec<u64> = match std::env::args().nth(1) {
-        Some(n) => match n.parse::<u64>() {
-            Ok(count) => (0..count).map(|i| 980 + i).collect(),
-            Err(e) => {
-                eprintln!("error: seed count {n:?}: {e}");
-                std::process::exit(2);
-            }
-        },
-        None => vec![980],
-    };
+    let seeds = cli::seeds(980, 1);
     let mut table = Table::new(
         "Figure 14: fairness knob epsilon",
         &["speed-up over Random", "% jobs <= fair JCT"],

@@ -11,6 +11,7 @@ use venn_metrics::{Histogram, Series, Table};
 use venn_traces::{AvailabilityModel, CapacityModel, JobDemandModel};
 
 fn main() {
+    venn_bench::cli::no_args();
     let mut rng = StdRng::seed_from_u64(20);
 
     // --- Fig. 2a: % of clients online over 96 h.

@@ -55,6 +55,7 @@ fn random_matching_avg(inst: &Instance, trials: u32, seed: u64) -> f64 {
 }
 
 fn main() {
+    venn_bench::cli::no_args();
     let inst = toy_instance(20);
     let random = random_matching_avg(&inst, 20_000, 3);
 

@@ -16,6 +16,7 @@ const TARGET_PER_ROUND: usize = 20;
 const CLIENTS: usize = 200;
 
 fn main() {
+    venn_bench::cli::no_args();
     let mut rng = StdRng::seed_from_u64(44);
     let data = FederatedDataset::generate(
         FlDataConfig {

@@ -12,6 +12,7 @@ use venn_metrics::Table;
 use venn_traces::WorkloadKind;
 
 fn main() {
+    venn_bench::cli::no_args();
     let mut table = Table::new(
         "Figure 5: per-round JCT breakdown under random matching (seconds)",
         &["sched delay", "resp. time"],

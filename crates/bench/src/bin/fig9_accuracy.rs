@@ -42,6 +42,7 @@ fn experiment(seed: u64) -> Experiment {
 }
 
 fn main() {
+    venn_bench::cli::no_args();
     let seed = 77;
     let exp = experiment(seed);
     let mut data_rng = StdRng::seed_from_u64(seed ^ 0xF00D);

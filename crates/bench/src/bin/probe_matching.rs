@@ -10,6 +10,7 @@ use venn_sim::Simulation;
 use venn_traces::WorkloadKind;
 
 fn main() {
+    venn_bench::cli::no_args();
     for wk in [WorkloadKind::Low, WorkloadKind::High, WorkloadKind::Even] {
         let exp = Experiment::paper_default(wk, None, 100);
         let mut venn = VennScheduler::new(VennConfig {

@@ -8,21 +8,12 @@
 //!
 //! Run: `cargo run --release -p venn-bench --bin table1_e2e [seeds]`
 
-use venn_bench::{run_matrix, speedup_summary, with_baseline, Experiment, Matrix, SchedKind};
+use venn_bench::{cli, run_matrix, speedup_summary, with_baseline, Experiment, Matrix, SchedKind};
 use venn_metrics::Table;
 use venn_traces::WorkloadKind;
 
 fn main() {
-    let seeds: Vec<u64> = match std::env::args().nth(1) {
-        Some(n) => match n.parse::<u64>() {
-            Ok(count) => (0..count).map(|i| 100 + i).collect(),
-            Err(e) => {
-                eprintln!("error: seed count {n:?}: {e}");
-                std::process::exit(2);
-            }
-        },
-        None => vec![100, 101, 102],
-    };
+    let seeds = cli::seeds(100, 3);
     let kinds = [SchedKind::Fifo, SchedKind::Srsf, SchedKind::Venn];
     let mut matrix = Matrix::new().kinds(&with_baseline(&kinds)).seeds(&seeds);
     for wk in WorkloadKind::ALL {

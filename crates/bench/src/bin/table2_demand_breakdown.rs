@@ -11,6 +11,7 @@ use venn_metrics::Table;
 use venn_traces::WorkloadKind;
 
 fn main() {
+    venn_bench::cli::no_args();
     let mut table = Table::new(
         "Table 2: Venn speed-up over Random by total-demand percentile",
         &["25th", "50th", "75th"],

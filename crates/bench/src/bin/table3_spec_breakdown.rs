@@ -12,6 +12,7 @@ use venn_metrics::Table;
 use venn_traces::WorkloadKind;
 
 fn main() {
+    venn_bench::cli::no_args();
     let mut table = Table::new(
         "Table 3: Venn speed-up over Random by requirement category",
         &["General", "Compute", "Memory", "High-perf"],

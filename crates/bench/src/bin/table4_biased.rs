@@ -6,21 +6,12 @@
 //!
 //! Run: `cargo run --release -p venn-bench --bin table4_biased [seeds]`
 
-use venn_bench::{mean_speedups_detailed, Experiment, SchedKind};
+use venn_bench::{cli, mean_speedups_detailed, Experiment, SchedKind};
 use venn_metrics::Table;
 use venn_traces::{BiasKind, WorkloadKind};
 
 fn main() {
-    let seeds: Vec<u64> = match std::env::args().nth(1) {
-        Some(n) => match n.parse::<u64>() {
-            Ok(count) => (0..count).map(|i| 800 + i).collect(),
-            Err(e) => {
-                eprintln!("error: seed count {n:?}: {e}");
-                std::process::exit(2);
-            }
-        },
-        None => vec![800, 801],
-    };
+    let seeds = cli::seeds(800, 2);
     let kinds = [SchedKind::Fifo, SchedKind::Srsf, SchedKind::Venn];
     let mut table = Table::new(
         "Table 4: avg JCT speed-up over Random on biased workloads",

@@ -10,9 +10,11 @@
 //!   against the Random baseline, the paper's headline metric;
 //! * [`Matrix`] / [`run_matrix`] — the shared sweep executor: declare a
 //!   (scenario × seed × scheduler) grid once and fan the independent
-//!   deterministic runs out across cores.
+//!   deterministic runs out across cores;
+//! * [`cli`] — the one flag reader and exit policy of every binary.
 
 pub mod baseline;
+pub mod cli;
 pub mod matrix;
 pub mod scale;
 
@@ -32,8 +34,8 @@ pub use scale::{
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use venn_baselines::BaselineScheduler;
 use venn_core::{Scheduler, VennConfig, VennScheduler, DAY_MS, MINUTE_MS};
+use venn_serve::SchedSpec;
 use venn_sim::{SimConfig, SimResult, Simulation, World};
 use venn_traces::{BiasKind, JobDemandModel, ScenarioPreset, Workload, WorkloadKind};
 
@@ -65,26 +67,24 @@ impl SchedKind {
         SchedKind::Venn,
     ];
 
-    /// Builds a fresh scheduler. `seed` only affects randomized schedulers.
+    /// Builds a fresh scheduler through the [`SchedSpec`] registry (only
+    /// `VennWith` carries a configuration of its own). `seed` only
+    /// affects randomized schedulers.
     pub fn build(&self, seed: u64) -> Box<dyn Scheduler> {
-        match self {
-            SchedKind::Random => Box::new(BaselineScheduler::random_order(seed)),
-            SchedKind::Fifo => Box::new(BaselineScheduler::fifo()),
-            SchedKind::Srsf => Box::new(BaselineScheduler::srsf()),
-            SchedKind::Venn => Box::new(VennScheduler::new(VennConfig {
-                seed,
-                ..VennConfig::default()
-            })),
-            SchedKind::VennWoSched => Box::new(VennScheduler::new(VennConfig {
-                seed,
-                ..VennConfig::matching_only()
-            })),
-            SchedKind::VennWoMatch => Box::new(VennScheduler::new(VennConfig {
-                seed,
-                ..VennConfig::scheduling_only()
-            })),
-            SchedKind::VennWith(cfg) => Box::new(VennScheduler::new(VennConfig { seed, ..*cfg })),
-        }
+        let name = match self {
+            SchedKind::Random => "random",
+            SchedKind::Fifo => "fifo",
+            SchedKind::Srsf => "srsf",
+            SchedKind::Venn => "venn",
+            SchedKind::VennWoSched => "venn-wo-sched",
+            SchedKind::VennWoMatch => "venn-wo-match",
+            SchedKind::VennWith(cfg) => {
+                return Box::new(VennScheduler::new(VennConfig { seed, ..*cfg }))
+            }
+        };
+        SchedSpec::named(name, seed)
+            .build()
+            .expect("every named SchedKind is a registered arm")
     }
 
     /// Column label.

@@ -251,11 +251,10 @@ pub fn check_scale(json: &str, max_pop: usize) -> Result<Vec<String>, String> {
             .get("scheduler")
             .ok_or("row missing scheduler")?
             .trim_matches('"');
-        let kind = match sched {
-            "random" => SchedKind::Random,
-            "venn" => SchedKind::Venn,
-            other => return Err(format!("unknown scheduler arm {other:?} in baseline")),
-        };
+        let kind = SCALE_KINDS
+            .into_iter()
+            .find(|kind| kind.build(seed).name() == sched)
+            .ok_or_else(|| format!("unknown scheduler arm {sched:?} in baseline"))?;
         // The committed document still carries the rows of the deleted
         // sharded engine (`"shards": N`); only `0` or no key replays.
         if row.get("shards").is_some_and(|s| s != "0") {

@@ -104,22 +104,35 @@ impl VennConfig {
         }
     }
 
+    /// Checks the invariants a front end can report as a usage error,
+    /// naming the first violated one with its valid range: at least one
+    /// tier, ε finite and `>= 0`, non-zero windows.
+    pub fn check(&self) -> Result<(), String> {
+        let ensure = |ok: bool, why: &str| if ok { Ok(()) } else { Err(why.to_string()) };
+        ensure(self.tiers > 0, "tier count must be at least 1")?;
+        ensure(
+            self.epsilon.is_finite() && self.epsilon >= 0.0,
+            "epsilon must be finite and >= 0",
+        )?;
+        ensure(
+            self.supply_window_ms > 0,
+            "supply window must be at least 1 ms",
+        )?;
+        ensure(
+            self.rebuild_interval_ms > 0,
+            "rebuild interval must be at least 1 ms",
+        )
+    }
+
     /// Validates invariants; called by the scheduler constructor.
     ///
     /// # Panics
     ///
-    /// Panics if `tiers == 0`, ε is negative/non-finite, or a window is 0.
+    /// Panics on whatever [`check`](Self::check) rejects.
     pub fn validate(&self) {
-        assert!(self.tiers > 0, "tier count must be positive");
-        assert!(
-            self.epsilon.is_finite() && self.epsilon >= 0.0,
-            "epsilon must be finite and non-negative"
-        );
-        assert!(self.supply_window_ms > 0, "supply window must be positive");
-        assert!(
-            self.rebuild_interval_ms > 0,
-            "rebuild interval must be positive"
-        );
+        if let Err(why) = self.check() {
+            panic!("{why}");
+        }
     }
 }
 

@@ -16,10 +16,11 @@
 //! {"cmd":"unsubscribe"}
 //! {"cmd":"checkpoint","path":"FILE.vsnp"}
 //! {"cmd":"save-workload","path":"FILE.tsv"}
-//! {"cmd":"fork","scheduler":"venn|random|random-per-device|fifo|srsf"
-//!  [,"epsilon":F][,"tiers":N][,"csv":"FILE.csv"]}
+//! {"cmd":"fork","scheduler":NAME[,"epsilon":F][,"tiers":N][,"csv":"FILE.csv"]}
 //! {"cmd":"quit"}
 //! ```
+//!
+//! `NAME` is one of [`SchedSpec::NAMES`](crate::SchedSpec::NAMES).
 //!
 //! A command may carry a `"vt"` field (ignored on parse): journal lines
 //! are commands re-serialized in **canonical form** — `vt` first, then

@@ -45,11 +45,12 @@ const CKPT_ATTEMPTS: u32 = 4;
 /// wall-clock only, virtual time is untouched).
 const CKPT_BACKOFF: Duration = Duration::from_millis(5);
 
-/// How to build a scheduler arm — enough to construct fresh instances
-/// for the live session and for fork children.
+/// How to build a scheduler arm — the one registry from arm name to
+/// scheduler, shared by the live session, its fork children, every
+/// command-line front end and the experiment harness.
 #[derive(Debug, Clone)]
 pub struct SchedSpec {
-    /// Arm name: `venn|random|random-per-device|fifo|srsf`.
+    /// Arm name, one of [`SchedSpec::NAMES`].
     pub name: String,
     /// Venn fairness knob (ignored by baselines).
     pub epsilon: f64,
@@ -60,25 +61,56 @@ pub struct SchedSpec {
 }
 
 impl SchedSpec {
-    /// Constructs a fresh scheduler instance of this spec.
+    /// Every arm [`build`](Self::build) knows — the names the built
+    /// schedulers report through [`Scheduler::name`].
+    pub const NAMES: [&'static str; 7] = [
+        "venn",
+        "venn-wo-sched",
+        "venn-wo-match",
+        "random",
+        "random-per-device",
+        "fifo",
+        "srsf",
+    ];
+
+    /// The arm `name` with the paper's default Venn knobs.
+    pub fn named(name: &str, seed: u64) -> Self {
+        let venn = VennConfig::default();
+        SchedSpec {
+            name: name.to_string(),
+            epsilon: venn.epsilon,
+            tiers: venn.tiers,
+            seed,
+        }
+    }
+
+    /// Constructs a fresh scheduler instance of this spec. An unknown
+    /// name or a Venn knob [`VennConfig::check`] rejects is an error that
+    /// names the valid values.
     pub fn build(&self) -> Result<Box<dyn Scheduler>, String> {
-        Ok(match self.name.as_str() {
-            "venn" => Box::new(VennScheduler::new(VennConfig {
+        let venn = |base: VennConfig| -> Result<Box<dyn Scheduler>, String> {
+            let config = VennConfig {
                 epsilon: self.epsilon,
                 tiers: self.tiers,
                 seed: self.seed,
-                ..VennConfig::default()
-            })),
-            "random" => Box::new(BaselineScheduler::random_order(self.seed)),
-            "random-per-device" => Box::new(BaselineScheduler::random_per_device(self.seed)),
-            "fifo" => Box::new(BaselineScheduler::fifo()),
-            "srsf" => Box::new(BaselineScheduler::srsf()),
-            other => {
-                return Err(format!(
-                    "unknown scheduler {other:?} (expected venn|random|random-per-device|fifo|srsf)"
-                ))
-            }
-        })
+                ..base
+            };
+            config.check()?;
+            Ok(Box::new(VennScheduler::new(config)))
+        };
+        match self.name.as_str() {
+            "venn" => venn(VennConfig::default()),
+            "venn-wo-sched" => venn(VennConfig::matching_only()),
+            "venn-wo-match" => venn(VennConfig::scheduling_only()),
+            "random" => Ok(Box::new(BaselineScheduler::random_order(self.seed))),
+            "random-per-device" => Ok(Box::new(BaselineScheduler::random_per_device(self.seed))),
+            "fifo" => Ok(Box::new(BaselineScheduler::fifo())),
+            "srsf" => Ok(Box::new(BaselineScheduler::srsf())),
+            other => Err(format!(
+                "unknown scheduler {other:?} (valid: {})",
+                Self::NAMES.join("|")
+            )),
+        }
     }
 }
 
@@ -533,4 +565,36 @@ pub fn result_csv(result: &SimResult) -> String {
         ]);
     }
     csv.to_string()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_registered_name_builds_the_scheduler_of_that_name() {
+        for name in SchedSpec::NAMES {
+            let scheduler = SchedSpec::named(name, 7).build().unwrap();
+            assert_eq!(scheduler.name(), name);
+        }
+    }
+
+    #[test]
+    fn a_bad_spec_is_an_error_naming_the_valid_values() {
+        let err = |spec: SchedSpec| spec.build().err().expect("rejected");
+        let unknown = err(SchedSpec::named("lottery", 7));
+        assert!(unknown.contains(&SchedSpec::NAMES.join("|")), "{unknown}");
+        for name in ["venn", "venn-wo-sched", "venn-wo-match"] {
+            let tiers = err(SchedSpec {
+                tiers: 0,
+                ..SchedSpec::named(name, 7)
+            });
+            assert!(tiers.contains("at least 1"), "{name}: {tiers}");
+            let epsilon = err(SchedSpec {
+                epsilon: -1.0,
+                ..SchedSpec::named(name, 7)
+            });
+            assert!(epsilon.contains(">= 0"), "{name}: {epsilon}");
+        }
+    }
 }

@@ -25,11 +25,6 @@
 //! command), `batch` fsyncs every [`BATCH_RECORDS`] records and on seal
 //! (the default), `off` never fsyncs (the OS page cache decides — the
 //! pre-WAL behavior, now opt-in).
-//!
-//! Legacy plain-text journals (PR 9 format) remain readable through
-//! [`recover_journal`], including the torn-tail fix: a trailing partial
-//! line (no final newline) is dropped with a warning instead of
-//! poisoning replay.
 
 use std::cell::RefCell;
 use std::fmt;
@@ -84,16 +79,6 @@ pub enum SyncPolicy {
 }
 
 impl SyncPolicy {
-    /// Parses `always|batch|off`.
-    pub fn parse(name: &str) -> Option<Self> {
-        Some(match name {
-            "always" => SyncPolicy::Always,
-            "batch" => SyncPolicy::Batch,
-            "off" => SyncPolicy::Off,
-            _ => return None,
-        })
-    }
-
     /// The flag spelling of this policy.
     pub fn label(&self) -> &'static str {
         match self {
@@ -107,7 +92,7 @@ impl SyncPolicy {
 /// Where and why journal recovery stopped before the end of the file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TornTail {
-    /// Byte offset of the first damaged record (or partial line).
+    /// Byte offset of the first damaged record.
     pub offset: usize,
     /// Human-readable reason (short header, checksum mismatch...).
     pub reason: String,
@@ -117,7 +102,7 @@ pub struct TornTail {
 /// recognized journal is a [`TornTail`], not an error).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JournalError {
-    /// The bytes are neither a WAL (`VWAL` magic) nor legacy JSON lines.
+    /// The bytes do not start with the `VWAL` magic.
     Unrecognized,
     /// A WAL header with an unsupported version.
     BadVersion(u32),
@@ -128,12 +113,7 @@ pub enum JournalError {
 impl fmt::Display for JournalError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            JournalError::Unrecognized => {
-                write!(
-                    f,
-                    "unrecognized journal format (neither VWAL nor JSON lines)"
-                )
-            }
+            JournalError::Unrecognized => write!(f, "not a VWAL journal"),
             JournalError::BadVersion(v) => write!(
                 f,
                 "unsupported WAL journal version {v} (this build reads {WAL_VERSION})"
@@ -154,7 +134,8 @@ pub struct Recovered {
     pub sealed: bool,
     /// The torn tail, if recovery stopped before the end of the file.
     pub torn: Option<TornTail>,
-    /// Whether the journal was the WAL format (vs legacy text lines).
+    /// Whether the journal carried a WAL header (`false` only for an
+    /// empty file).
     pub wal: bool,
 }
 
@@ -309,55 +290,10 @@ fn decode_wal_body(body: &[u8], base_offset: usize) -> Recovered {
     }
 }
 
-/// Recovers a legacy plain-text journal: complete lines up to the first
-/// damage; a trailing partial line (torn tail — no final newline, or
-/// invalid UTF-8) is dropped with telemetry instead of failing replay.
-fn decode_legacy(bytes: &[u8]) -> Recovered {
-    let mut lines = Vec::new();
-    let mut pos = 0usize;
-    let mut torn = None;
-    while pos < bytes.len() {
-        match bytes[pos..].iter().position(|&b| b == b'\n') {
-            Some(nl) => {
-                let raw = &bytes[pos..pos + nl];
-                match std::str::from_utf8(raw) {
-                    Ok(line) => lines.push(line.to_string()),
-                    Err(_) => {
-                        torn = Some(TornTail {
-                            offset: pos,
-                            reason: "line is not UTF-8".into(),
-                        });
-                        break;
-                    }
-                }
-                pos += nl + 1;
-            }
-            None => {
-                torn = Some(TornTail {
-                    offset: pos,
-                    reason: format!(
-                        "partial final line ({} bytes, no terminating newline)",
-                        bytes.len() - pos
-                    ),
-                });
-                break;
-            }
-        }
-    }
-    Recovered {
-        lines,
-        sealed: false,
-        torn,
-        wal: false,
-    }
-}
-
-/// Recovers a journal of either format from its raw bytes:
-///
-/// * `VWAL` magic → WAL decode (bad version is a typed error);
-/// * leading `{` (or an empty file) → legacy JSON text lines;
-/// * anything else → [`JournalError::Unrecognized`] — damage to the
-///   8-byte WAL header cannot silently demote a WAL to "text".
+/// Recovers a WAL journal from its raw bytes. An empty file is an empty
+/// journal; anything not starting with the `VWAL` magic is
+/// [`JournalError::Unrecognized`] and a bad version is
+/// [`JournalError::BadVersion`].
 pub fn recover_journal(bytes: &[u8]) -> Result<Recovered, JournalError> {
     if bytes.is_empty() {
         return Ok(Recovered {
@@ -367,28 +303,25 @@ pub fn recover_journal(bytes: &[u8]) -> Result<Recovered, JournalError> {
             wal: false,
         });
     }
-    if bytes.len() >= 4 && bytes[..4] == WAL_MAGIC {
-        if bytes.len() < 8 {
-            return Ok(Recovered {
-                lines: Vec::new(),
-                sealed: false,
-                torn: Some(TornTail {
-                    offset: 4,
-                    reason: "WAL header torn before the version word".into(),
-                }),
-                wal: true,
-            });
-        }
-        let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-        if version != WAL_VERSION {
-            return Err(JournalError::BadVersion(version));
-        }
-        return Ok(decode_wal_body(&bytes[8..], 8));
+    if bytes.len() < 4 || bytes[..4] != WAL_MAGIC {
+        return Err(JournalError::Unrecognized);
     }
-    if bytes[0] == b'{' {
-        return Ok(decode_legacy(bytes));
+    if bytes.len() < 8 {
+        return Ok(Recovered {
+            lines: Vec::new(),
+            sealed: false,
+            torn: Some(TornTail {
+                offset: 4,
+                reason: "WAL header torn before the version word".into(),
+            }),
+            wal: true,
+        });
     }
-    Err(JournalError::Unrecognized)
+    let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
+    if version != WAL_VERSION {
+        return Err(JournalError::BadVersion(version));
+    }
+    Ok(decode_wal_body(&bytes[8..], 8))
 }
 
 #[cfg(test)]
@@ -479,34 +412,17 @@ mod tests {
     fn header_damage_is_a_typed_error_not_text_fallback() {
         let bytes = write_journal(&[r#"{"vt":0,"cmd":"stats"}"#], true, SyncPolicy::Batch);
         let mut bad = bytes.clone();
-        bad[0] ^= 0xFF; // magic damaged, first byte no longer '{' or 'V'
+        bad[0] ^= 0xFF; // magic damaged
         assert_eq!(recover_journal(&bad), Err(JournalError::Unrecognized));
+        // Plain JSON lines are no journal either.
+        let text = b"{\"vt\":0,\"cmd\":\"quit\"}\n";
+        assert_eq!(recover_journal(text), Err(JournalError::Unrecognized));
         let mut bad = bytes;
         bad[4] = 0x7F; // version damaged
         assert!(matches!(
             recover_journal(&bad),
             Err(JournalError::BadVersion(_))
         ));
-    }
-
-    #[test]
-    fn legacy_journal_with_torn_tail_truncates_with_warning() {
-        let text = "{\"vt\":0,\"cmd\":\"advance\",\"ms\":5}\n{\"vt\":5,\"cmd\":\"sta";
-        let r = recover_journal(text.as_bytes()).unwrap();
-        assert_eq!(r.lines, vec![r#"{"vt":0,"cmd":"advance","ms":5}"#]);
-        assert!(!r.wal);
-        let torn = r.torn.expect("partial line must be reported");
-        assert_eq!(torn.offset, 32);
-
-        // A clean legacy journal has no tear.
-        let text = "{\"vt\":0,\"cmd\":\"quit\"}\n";
-        let r = recover_journal(text.as_bytes()).unwrap();
-        assert_eq!(r.lines.len(), 1);
-        assert!(r.torn.is_none());
-
-        // Empty file: empty journal, no tear.
-        let r = recover_journal(b"").unwrap();
-        assert!(r.lines.is_empty() && r.torn.is_none());
     }
 
     #[test]

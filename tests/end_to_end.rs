@@ -4,8 +4,8 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use venn::baselines::BaselineScheduler;
-use venn::core::{Scheduler, VennConfig, VennScheduler, MINUTE_MS};
+use venn::core::{Scheduler, MINUTE_MS};
+use venn::serve::SchedSpec;
 use venn::sim::{SimConfig, SimResult, Simulation};
 use venn::traces::{JobDemandModel, Workload, WorkloadKind};
 
@@ -29,6 +29,16 @@ fn sim_config() -> SimConfig {
     }
 }
 
+/// The registered arm `name` with fairness knob `epsilon`.
+fn arm(name: &str, epsilon: f64, seed: u64) -> Box<dyn Scheduler> {
+    SchedSpec {
+        epsilon,
+        ..SchedSpec::named(name, seed)
+    }
+    .build()
+    .unwrap()
+}
+
 fn run_with(workload: &Workload, mut scheduler: Box<dyn Scheduler>) -> SimResult {
     Simulation::new(sim_config()).run(workload, &mut *scheduler)
 }
@@ -36,16 +46,13 @@ fn run_with(workload: &Workload, mut scheduler: Box<dyn Scheduler>) -> SimResult
 #[test]
 fn all_schedulers_complete_a_feasible_workload() {
     let w = contended_workload(1, 12);
-    let schedulers: Vec<Box<dyn Scheduler>> = vec![
-        Box::new(BaselineScheduler::random_order(1)),
-        Box::new(BaselineScheduler::fifo()),
-        Box::new(BaselineScheduler::srsf()),
-        Box::new(VennScheduler::new(VennConfig::default())),
-        Box::new(VennScheduler::new(VennConfig::scheduling_only())),
-        Box::new(VennScheduler::new(VennConfig::matching_only())),
-        Box::new(VennScheduler::new(VennConfig::with_fairness(2.0))),
-    ];
-    for s in schedulers {
+    // Per-device random stalls by design (the next test).
+    let arms = SchedSpec::NAMES
+        .iter()
+        .filter(|&&name| name != "random-per-device")
+        .map(|name| arm(name, 0.0, 1))
+        .chain([arm("venn", 2.0, 1)]);
+    for s in arms {
         let name = s.name().to_string();
         let r = run_with(&w, s);
         assert!(
@@ -69,8 +76,8 @@ fn naive_per_device_random_scatters_and_stalls() {
     // scatters devices across jobs and stalls round allocation under
     // contention. Our simulator reproduces that pathology.
     let w = contended_workload(1, 12);
-    let naive = run_with(&w, Box::new(BaselineScheduler::random_per_device(1)));
-    let strong = run_with(&w, Box::new(BaselineScheduler::random_order(1)));
+    let naive = run_with(&w, arm("random-per-device", 0.0, 1));
+    let strong = run_with(&w, arm("random", 0.0, 1));
     assert!(
         naive.completion_rate() <= strong.completion_rate(),
         "naive {} vs strengthened {}",
@@ -86,8 +93,8 @@ fn venn_beats_random_under_contention() {
     let mut random_total = 0.0;
     for seed in [3u64, 4, 5] {
         let w = contended_workload(seed, 16);
-        let random = run_with(&w, Box::new(BaselineScheduler::random_order(seed)));
-        let venn = run_with(&w, Box::new(VennScheduler::new(VennConfig::default())));
+        let random = run_with(&w, arm("random", 0.0, seed));
+        let venn = run_with(&w, arm("venn", 0.0, 1));
         assert!(random.completion_rate() > 0.8);
         assert!(venn.completion_rate() > 0.8);
         random_total += random.avg_jct_ms();
@@ -102,7 +109,7 @@ fn venn_beats_random_under_contention() {
 #[test]
 fn jct_decomposes_into_sched_delay_and_response() {
     let w = contended_workload(6, 10);
-    let r = run_with(&w, Box::new(VennScheduler::new(VennConfig::default())));
+    let r = run_with(&w, arm("venn", 0.0, 1));
     for rec in r.records.iter().filter(|r| r.is_finished()) {
         let jct = rec.jct_ms().unwrap();
         // Per Fig. 1: JCT >= total sched delay + total response collection
@@ -115,13 +122,9 @@ fn jct_decomposes_into_sched_delay_and_response() {
 #[test]
 fn identical_seeds_give_identical_results_for_every_scheduler() {
     let w = contended_workload(7, 8);
-    for build in [
-        || -> Box<dyn Scheduler> { Box::new(BaselineScheduler::random_order(9)) },
-        || -> Box<dyn Scheduler> { Box::new(BaselineScheduler::srsf()) },
-        || -> Box<dyn Scheduler> { Box::new(VennScheduler::new(VennConfig::default())) },
-    ] {
-        let a = run_with(&w, build());
-        let b = run_with(&w, build());
+    for name in ["random", "srsf", "venn"] {
+        let a = run_with(&w, arm(name, 0.0, 9));
+        let b = run_with(&w, arm(name, 0.0, 9));
         assert_eq!(a.records, b.records, "{}", a.scheduler_name);
     }
 }
@@ -140,8 +143,8 @@ fn contention_raises_scheduling_delay() {
         }
         delay / rounds.max(1) as f64
     };
-    let l = run_with(&light, Box::new(BaselineScheduler::random_order(2)));
-    let h = run_with(&heavy, Box::new(BaselineScheduler::random_order(2)));
+    let l = run_with(&light, arm("random", 0.0, 2));
+    let h = run_with(&heavy, arm("random", 0.0, 2));
     assert!(
         per_round_delay(&h) > per_round_delay(&l),
         "heavy {} <= light {}",
@@ -156,11 +159,8 @@ fn fairness_knob_protects_the_largest_job() {
     let biggest = (0..w.jobs.len())
         .max_by_key(|&i| w.jobs[i].total_demand())
         .unwrap();
-    let plain = run_with(&w, Box::new(VennScheduler::new(VennConfig::default())));
-    let fair = run_with(
-        &w,
-        Box::new(VennScheduler::new(VennConfig::with_fairness(4.0))),
-    );
+    let plain = run_with(&w, arm("venn", 0.0, 1));
+    let fair = run_with(&w, arm("venn", 4.0, 1));
     let jct = |r: &SimResult| r.records[biggest].jct_ms().unwrap_or(u64::MAX);
     // With a strong knob the largest job must not be (much) worse off.
     assert!(

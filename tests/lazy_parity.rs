@@ -20,9 +20,8 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use venn::baselines::BaselineScheduler;
-use venn::core::{Scheduler, VennConfig, VennScheduler};
 use venn::env::EnvPreset;
+use venn::serve::SchedSpec;
 use venn::sim::{PopMode, SimConfig, Simulation};
 use venn::traces::Workload;
 
@@ -39,22 +38,13 @@ fn config(seed: u64, population: usize, days: u32, env: EnvPreset) -> SimConfig 
     }
 }
 
-fn build_sched(name: &str, seed: u64) -> Box<dyn Scheduler> {
-    match name {
-        "random" => Box::new(BaselineScheduler::random_order(seed)),
-        "venn" => Box::new(VennScheduler::new(VennConfig {
-            seed,
-            ..VennConfig::default()
-        })),
-        other => panic!("unknown scheduler arm {other}"),
-    }
-}
-
 /// Runs one (config, workload, scheduler) cell under the given storage
 /// mode, capturing the full observable surface.
 fn run_mode(base: SimConfig, pop_mode: PopMode, workload: &Workload, sched: &str) -> Observed {
     let cfg = SimConfig { pop_mode, ..base };
-    let mut scheduler = build_sched(sched, cfg.seed ^ SCHED_SEED_SALT);
+    let mut scheduler = SchedSpec::named(sched, cfg.seed ^ SCHED_SEED_SALT)
+        .build()
+        .unwrap();
     observe(cfg, workload, &mut *scheduler)
 }
 
@@ -93,7 +83,9 @@ fn lazy_arm_materializes_a_fraction_of_the_population() {
         pop_mode: PopMode::Lazy,
         ..SimConfig::default()
     };
-    let mut scheduler = build_sched("venn", seed ^ SCHED_SEED_SALT);
+    let mut scheduler = SchedSpec::named("venn", seed ^ SCHED_SEED_SALT)
+        .build()
+        .unwrap();
     let name = scheduler.name().to_string();
     let sim = Simulation::new(cfg);
     let mut world = sim.world(&workload, &name);
