@@ -41,7 +41,10 @@ pub const SNAP_MAGIC: [u8; 4] = *b"VSNP";
 
 /// Current snapshot format version. Bumped on any layout change; other
 /// versions are rejected, never reinterpreted.
-pub const SNAP_FORMAT_VERSION: u32 = 1;
+///
+/// Version 2 stores the supply estimator's ring as 4-byte delta-packed
+/// words (version 1 wrote 8-byte `time << 16 | cell` words).
+pub const SNAP_FORMAT_VERSION: u32 = 2;
 
 /// FNV-1a offset basis (64-bit).
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -416,7 +419,10 @@ impl Snapshot for crate::ResourceSpec {
 
     fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let (cpu, mem) = (r.f64()?, r.f64()?);
-        if !(cpu.is_finite() && mem.is_finite() && cpu >= 0.0 && mem >= 0.0) {
+        // `ResourceSpec::new` turns -0.0 into 0.0, so an encoder never
+        // writes it: accepting it would decode bytes that do not re-encode.
+        let valid = |v: f64| v.is_finite() && v.is_sign_positive();
+        if !(valid(cpu) && valid(mem)) {
             return Err(SnapError::Corrupt(format!(
                 "resource spec thresholds ({cpu}, {mem})"
             )));
@@ -555,6 +561,22 @@ mod tests {
             unseal(&bad),
             Err(SnapError::ChecksumMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn version_1_containers_are_refused_before_the_body_is_read() {
+        // A version-1 container holds a supply ring of 8-byte words, which
+        // the current decoder would read as twice as many 4-byte ones: the
+        // frame must stop it before a single body byte is interpreted.
+        let mut supply = crate::SupplyEstimator::new(60_000);
+        for t in 0..20 {
+            supply.record(t * 1_000, &crate::Capacity::new(0.5, 0.5));
+        }
+        let mut w = SnapWriter::new();
+        supply.encode(&mut w);
+        let mut old = seal(w.into_bytes());
+        old[4..8].copy_from_slice(&1u32.to_le_bytes());
+        assert_eq!(unseal(&old), Err(SnapError::UnsupportedVersion(1)));
     }
 
     #[test]

@@ -8,14 +8,23 @@
 //! the scheduler.
 //!
 //! [`SupplyEstimator`] implements that store as a fixed grid over the
-//! normalized (cpu, mem) capacity square plus an expiry queue: check-ins are
+//! normalized (cpu, mem) capacity square plus an expiry ring: check-ins are
 //! O(1), spec-rate queries are O(grid), and region queries are
 //! O(grid × groups).
+//!
+//! The ring is the estimator's memory. It keeps one 4-byte word per
+//! in-window check-in, `dt << 13 | cell`: the step in milliseconds from the
+//! previous word (19 bits) and the grid cell (13 bits). At 100k devices a
+//! 24-hour window holds ~30 M check-ins, and they do not compress by run
+//! length (devices poll on their own millisecond phases, so consecutive
+//! `(time, cell)` pairs almost never repeat), but nearly every step is a
+//! few milliseconds. A step too long for one word is bridged by *filler*
+//! words that only advance time.
 
 use std::collections::VecDeque;
 
 use crate::snapshot::{SnapError, SnapReader, SnapWriter, Snapshot};
-use crate::{Capacity, ResourceSpec, SimTime, DAY_MS};
+use crate::{Capacity, CheckInRecord, ResourceSpec, SimTime, DAY_MS};
 
 /// Number of grid cells per axis. 64×64 keeps quantization error below the
 /// noise floor of the traces while making queries effectively free.
@@ -79,11 +88,19 @@ pub struct SupplyEstimator {
     counts: Vec<u32>,
     /// Whether `counts` reflects the current queue contents.
     counts_fresh: bool,
-    /// In-window check-ins as packed `(time << CELL_BITS) | cell` words —
-    /// half the footprint of a `(u64, u16)` pair, which matters: at
-    /// 24-hour windows this ring holds millions of entries and `record`
-    /// runs once per device check-in.
-    queue: VecDeque<u64>,
+    /// In-window check-ins, oldest first, as `dt << CELL_BITS | cell`
+    /// words: `dt` is the step from the previous word's time (from
+    /// `base` for the front word). Cell [`FILLER`] marks a word that only
+    /// advances time by [`MAX_DT`]. At 24-hour windows this ring holds
+    /// millions of entries and `record` runs once per device check-in, so
+    /// bytes per word are the estimator's footprint.
+    queue: VecDeque<u32>,
+    /// Time the front word's `dt` counts from: the time of the last word
+    /// expired (or of the last word pushed, once the ring is empty).
+    base: SimTime,
+    /// Time of the last word pushed. `base` plus every `dt` in the ring
+    /// equals `back`.
+    back: SimTime,
     /// Specs registered for the incremental mask index; bit `j` of every
     /// mask refers to `specs[j]`.
     specs: Vec<ResourceSpec>,
@@ -96,19 +113,33 @@ pub struct SupplyEstimator {
     slot_counts: Vec<u64>,
 }
 
-/// Bits of a packed queue word holding the grid cell.
-const CELL_BITS: u32 = 16;
+/// Bits of a ring word holding the grid cell.
+const CELL_BITS: u32 = 13;
 
-/// Packs a check-in into one queue word. Times are bounded to 48 bits
-/// (about 8,900 simulated years) by the packing.
-fn pack(now: SimTime, cell: u16) -> u64 {
-    debug_assert!(now < 1 << (64 - CELL_BITS), "sim time exceeds 48 bits");
-    (now << CELL_BITS) | cell as u64
+/// Mask of a ring word's cell bits.
+const CELL_MASK: u32 = (1 << CELL_BITS) - 1;
+
+/// Cell of a filler word: one past the last grid cell.
+const FILLER: u32 = (GRID * GRID) as u32;
+
+/// Longest step one ring word carries, in milliseconds (the 19 bits above
+/// the cell: 524 287 ms, about 8.7 minutes).
+const MAX_DT: SimTime = (u32::MAX >> CELL_BITS) as SimTime;
+
+const _: () = assert!(
+    FILLER <= CELL_MASK,
+    "grid cells and the filler must fit the cell bits"
+);
+
+/// Packs a step and a cell into one ring word.
+fn word(dt: SimTime, cell: u32) -> u32 {
+    debug_assert!(dt <= MAX_DT && cell <= FILLER);
+    (dt as u32) << CELL_BITS | cell
 }
 
-/// Unpacks a queue word into `(time, cell)`.
-fn unpack(word: u64) -> (SimTime, u16) {
-    (word >> CELL_BITS, word as u16)
+/// The step of a ring word.
+fn dt_of(word: u32) -> SimTime {
+    (word >> CELL_BITS) as SimTime
 }
 
 impl SupplyEstimator {
@@ -124,6 +155,8 @@ impl SupplyEstimator {
             counts: vec![0; GRID * GRID],
             counts_fresh: true,
             queue: VecDeque::new(),
+            base: 0,
+            back: 0,
             specs: Vec::new(),
             cell_slot: vec![0; GRID * GRID],
             slot_masks: vec![0],
@@ -141,46 +174,104 @@ impl SupplyEstimator {
         self.window_ms
     }
 
-    fn cell_of(capacity: &Capacity) -> u16 {
+    fn cell_of(capacity: &Capacity) -> u32 {
         let clamp = |v: f64| (v * GRID as f64).min((GRID - 1) as f64).max(0.0) as usize;
-        (clamp(capacity.cpu()) * GRID + clamp(capacity.mem())) as u16
+        (clamp(capacity.cpu()) * GRID + clamp(capacity.mem())) as u32
     }
 
+    /// Expires every word older than `now - window`.
     fn prune(&mut self, now: SimTime) {
         let cutoff = now.saturating_sub(self.window_ms);
-        if cutoff == 0 {
-            return;
-        }
-        let cutoff_word = cutoff << CELL_BITS;
         while let Some(&word) = self.queue.front() {
-            // Packed words order by time first, so one integer compare
-            // replaces the unpack (the cell bits only break exact ties,
-            // and any word below `cutoff << CELL_BITS` has time < cutoff).
-            if word >= cutoff_word {
+            let time = self.base + dt_of(word);
+            if time >= cutoff {
                 break;
             }
             self.queue.pop_front();
-            let cell = unpack(word).1 as usize;
-            self.slot_counts[self.cell_slot[cell] as usize] -= 1;
-            self.counts_fresh = false;
+            self.base = time;
+            let cell = word & CELL_MASK;
+            if cell != FILLER {
+                self.slot_counts[self.cell_slot[cell as usize] as usize] -= 1;
+                self.counts_fresh = false;
+            }
         }
     }
 
     /// Records one device check-in.
     ///
-    /// The hot path does no expiry: pushes keep the queue time-ordered
+    /// Times must be non-decreasing across `record` and
+    /// [`record_batch`](Self::record_batch) calls, and queries must not ask
+    /// about a time before the last record (the simulator's clock
+    /// guarantees both). A time before the last record is a bug: debug
+    /// builds panic, release builds record it at the last record's time.
+    ///
+    /// The hot path does no expiry: pushes keep the ring time-ordered
     /// regardless, the slot counts are only *read* through the query
     /// methods, and every query prunes first — so expiry batches up there
     /// (same total work, amortized off the per-check-in path) and a
     /// record is three array touches plus a ring push.
     pub fn record(&mut self, now: SimTime, capacity: &Capacity) {
-        let cell = Self::cell_of(capacity);
-        self.slot_counts[self.cell_slot[cell as usize] as usize] += 1;
-        self.queue.push_back(pack(now, cell));
+        self.back = self.push(self.back, now, capacity);
         self.counts_fresh = false;
     }
 
-    /// Rebuilds the per-cell count table from the queue — the cold-path
+    /// Records a batch of check-ins, oldest first — the same state
+    /// transition as calling [`record`](Self::record) on each, under the
+    /// same time-order contract, with one ring reservation for the batch.
+    pub fn record_batch(&mut self, batch: &[CheckInRecord]) {
+        if batch.is_empty() {
+            return;
+        }
+        self.queue.reserve(batch.len());
+        let mut back = self.back;
+        for r in batch {
+            back = self.push(back, r.time, r.device.capacity());
+        }
+        self.back = back;
+        self.counts_fresh = false;
+    }
+
+    /// Pushes a check-in at `now` onto the ring, whose last word is at
+    /// `back` (a batch keeps it in a local, so `self.back` may lag), and
+    /// returns the new back time.
+    #[inline(always)]
+    fn push(&mut self, mut back: SimTime, now: SimTime, capacity: &Capacity) -> SimTime {
+        debug_assert!(
+            now >= back,
+            "check-in at {now} ms recorded after one at {back} ms"
+        );
+        let now = now.max(back);
+        if now - back > MAX_DT {
+            self.back = back;
+            self.bridge(now);
+            back = self.back;
+        }
+        let cell = Self::cell_of(capacity);
+        self.slot_counts[self.cell_slot[cell as usize] as usize] += 1;
+        self.queue.push_back(word(now - back, cell));
+        now
+    }
+
+    /// Brings `back` within [`MAX_DT`] of `now`, ahead of a record at
+    /// `now`. Whatever `now` pushes out of the window expires first; an
+    /// empty ring then restarts at `now`, and a non-empty one gets filler
+    /// words across the gap — at most `window / MAX_DT` of them, since its
+    /// front is still in the window.
+    #[cold]
+    #[inline(never)]
+    fn bridge(&mut self, now: SimTime) {
+        self.prune(now);
+        if self.queue.is_empty() {
+            self.base = now;
+            self.back = now;
+        }
+        while now - self.back > MAX_DT {
+            self.queue.push_back(word(MAX_DT, FILLER));
+            self.back += MAX_DT;
+        }
+    }
+
+    /// Rebuilds the per-cell count table from the ring — the cold-path
     /// complement of the hot path's slot-count-only maintenance.
     fn refresh_counts(&mut self) {
         if self.counts_fresh {
@@ -188,7 +279,10 @@ impl SupplyEstimator {
         }
         self.counts.iter_mut().for_each(|c| *c = 0);
         for &word in &self.queue {
-            self.counts[unpack(word).1 as usize] += 1;
+            let cell = word & CELL_MASK;
+            if cell != FILLER {
+                self.counts[cell as usize] += 1;
+            }
         }
         self.counts_fresh = true;
     }
@@ -353,7 +447,7 @@ impl SupplyEstimator {
     /// Number of check-ins currently inside the window.
     pub fn window_count(&mut self, now: SimTime) -> usize {
         self.prune(now);
-        self.queue.len()
+        self.slot_counts.iter().sum::<u64>() as usize
     }
 
     /// Effective averaging span: the full window once enough history has
@@ -454,15 +548,25 @@ impl SupplyEstimator {
 /// The snapshot dumps every field verbatim — including the lazily
 /// maintained count table and its freshness flag — so a restored
 /// estimator continues pruning, refreshing, and splitting regions on
-/// exactly the schedule the snapshotted one would have.
+/// exactly the schedule the snapshotted one would have. The ring goes out
+/// as `base`, `back` and its 4-byte words, the bulk of a Venn checkpoint.
+///
+/// Decode walks the ring once and refuses, as [`SnapError::Corrupt`], a
+/// cell past the filler, a filler whose step is not `MAX_DT`, steps that
+/// overflow or do not lead from `base` to `back`, slot counts (or fresh
+/// cell counts) that disagree with the ring, and slot masks naming specs
+/// that are not registered — so hostile bytes give an error here, never a
+/// panic in a later query.
 impl Snapshot for SupplyEstimator {
     fn encode(&self, w: &mut SnapWriter) {
         w.u64(self.window_ms);
         w.seq(&self.counts, |w, &c| w.u32(c));
         w.bool(self.counts_fresh);
+        w.u64(self.base);
+        w.u64(self.back);
         w.len_prefix(self.queue.len());
         for &word in &self.queue {
-            w.u64(word);
+            w.u32(word);
         }
         w.seq(&self.specs, |w, s| s.encode(w));
         w.seq(&self.cell_slot, |w, &s| w.u32(s));
@@ -471,31 +575,73 @@ impl Snapshot for SupplyEstimator {
     }
 
     fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let corrupt = |what: &str| SnapError::Corrupt(format!("supply {what}"));
         let window_ms = r.u64()?;
         if window_ms == 0 {
-            return Err(SnapError::Corrupt("zero supply window".into()));
+            return Err(corrupt("window is zero"));
         }
         let counts = r.seq(|r| r.u32())?;
         let counts_fresh = r.bool()?;
-        let queue: VecDeque<u64> = r.seq(|r| r.u64())?.into();
+        let base = r.u64()?;
+        let back = r.u64()?;
+        let queue = r.seq(|r| r.u32())?;
         let specs = r.seq(ResourceSpec::decode)?;
         let cell_slot = r.seq(|r| r.u32())?;
         let slot_masks = r.seq(|r| r.u128())?;
         let slot_counts = r.seq(|r| r.u64())?;
         if counts.len() != GRID * GRID || cell_slot.len() != GRID * GRID {
-            return Err(SnapError::Corrupt("supply grid size mismatch".into()));
+            return Err(corrupt("grid size mismatch"));
+        }
+        if specs.len() > 128 {
+            return Err(corrupt("spec count exceeds the mask width"));
         }
         if slot_masks.len() != slot_counts.len() {
-            return Err(SnapError::Corrupt("supply slot table mismatch".into()));
+            return Err(corrupt("slot table mismatch"));
         }
         if cell_slot.iter().any(|&s| s as usize >= slot_masks.len()) {
-            return Err(SnapError::Corrupt("supply cell slot out of range".into()));
+            return Err(corrupt("cell slot out of range"));
+        }
+        if specs.len() < 128 && slot_masks.iter().any(|&m| m >> specs.len() != 0) {
+            return Err(corrupt("slot mask names an unregistered spec"));
+        }
+        let mut time = base;
+        let mut cells = vec![0u64; GRID * GRID];
+        for &word in &queue {
+            let cell = word & CELL_MASK;
+            if cell > FILLER {
+                return Err(corrupt("ring cell out of range"));
+            }
+            if cell == FILLER {
+                if dt_of(word) != MAX_DT {
+                    return Err(corrupt("ring filler with a partial step"));
+                }
+            } else {
+                cells[cell as usize] += 1;
+            }
+            time = time
+                .checked_add(dt_of(word))
+                .ok_or_else(|| corrupt("ring time overflows"))?;
+        }
+        if time != back {
+            return Err(corrupt("ring steps do not lead from base to back"));
+        }
+        let mut tally = vec![0u64; slot_masks.len()];
+        for (&n, &s) in cells.iter().zip(&cell_slot) {
+            tally[s as usize] += n;
+        }
+        if tally != slot_counts {
+            return Err(corrupt("slot counts disagree with the ring"));
+        }
+        if counts_fresh && counts.iter().zip(&cells).any(|(&c, &n)| c as u64 != n) {
+            return Err(corrupt("fresh cell counts disagree with the ring"));
         }
         Ok(SupplyEstimator {
             window_ms,
             counts,
             counts_fresh,
-            queue,
+            queue: queue.into(),
+            base,
+            back,
             specs,
             cell_slot,
             slot_masks,
@@ -685,6 +831,133 @@ mod tests {
         let mut regions = Vec::new();
         s.registered_regions(2_000, &mut regions);
         assert!(regions.is_empty());
+    }
+
+    // --- packed ring ---------------------------------------------------------
+
+    #[test]
+    fn long_gaps_bridge_with_fillers_that_count_for_nothing() {
+        let mut s = SupplyEstimator::new(4 * MAX_DT);
+        s.record(3, &Capacity::new(0.5, 0.5));
+        s.record(3 + 2 * MAX_DT + 1, &Capacity::new(0.5, 0.5));
+        // Two fillers carry the gap; the second record steps 1 ms.
+        assert_eq!(s.queue.len(), 4);
+        assert_eq!(
+            s.queue.iter().filter(|&&w| w & CELL_MASK == FILLER).count(),
+            2
+        );
+        assert_eq!(s.window_count(s.back), 2);
+        // Expiring the first record leaves the fillers until their turn.
+        assert_eq!(s.window_count(4 * MAX_DT + 4), 1);
+        assert_eq!(s.window_count(6 * MAX_DT + 5), 0);
+        assert!(s.queue.is_empty());
+        assert_eq!(s.base, s.back);
+    }
+
+    #[test]
+    fn a_far_future_record_restarts_an_expired_ring() {
+        // The gap is 2^25 words long, but nothing in the ring survives it.
+        let mut s = SupplyEstimator::new(1_000);
+        s.record(0, &Capacity::new(0.5, 0.5));
+        let far = 1 << 44;
+        s.record(far, &Capacity::new(0.5, 0.5));
+        assert_eq!(s.queue.len(), 1);
+        assert_eq!((s.base, s.back), (far, far));
+        assert_eq!(s.window_count(far), 1);
+    }
+
+    #[test]
+    fn record_batch_matches_per_record_calls() {
+        let batch: Vec<CheckInRecord> = [0, 0, 5, MAX_DT + 5, 3 * MAX_DT, 3 * MAX_DT]
+            .iter()
+            .enumerate()
+            .map(|(i, &time)| CheckInRecord {
+                time,
+                device: crate::DeviceInfo::new(
+                    crate::DeviceId::new(i as u64),
+                    Capacity::new(i as f64 / 6.0, 0.5),
+                ),
+            })
+            .collect();
+        let mut one = SupplyEstimator::new(2 * MAX_DT);
+        let mut many = one.clone();
+        one.record_batch(&batch);
+        one.record_batch(&[]);
+        for r in &batch {
+            many.record(r.time, r.device.capacity());
+        }
+        let bytes = |s: &SupplyEstimator| {
+            let mut w = SnapWriter::new();
+            s.encode(&mut w);
+            w.into_bytes()
+        };
+        assert_eq!(bytes(&one), bytes(&many));
+    }
+
+    #[test]
+    fn decode_refuses_rings_that_do_not_add_up() {
+        let valid = || {
+            let mut s = SupplyEstimator::new(4 * MAX_DT);
+            s.register_spec(ResourceSpec::new(0.5, 0.5));
+            s.record(3, &Capacity::new(0.5, 0.5));
+            s.record(3 + 2 * MAX_DT + 1, &Capacity::new(0.9, 0.9));
+            s
+        };
+        let decoded = |s: &SupplyEstimator| {
+            let mut w = SnapWriter::new();
+            s.encode(&mut w);
+            SupplyEstimator::decode(&mut SnapReader::new(&w.into_bytes()))
+        };
+        let refused = |s: SupplyEstimator, why: &str| match decoded(&s) {
+            Err(SnapError::Corrupt(msg)) => assert!(msg.contains(why), "{msg}"),
+            other => panic!("expected a corrupt `{why}`, got {other:?}"),
+        };
+        assert!(decoded(&valid()).is_ok());
+        let mut s = valid();
+        s.queue[0] |= CELL_MASK;
+        refused(s, "cell out of range");
+        let mut s = valid();
+        s.queue[1] -= 1 << CELL_BITS;
+        refused(s, "partial step");
+        let mut s = valid();
+        s.back += 1;
+        refused(s, "from base to back");
+        let mut s = valid();
+        s.base = u64::MAX - 1;
+        refused(s, "overflows");
+        let mut s = valid();
+        s.slot_counts[0] += 1;
+        refused(s, "slot counts disagree");
+        let mut s = valid();
+        s.refresh_counts();
+        s.counts[0] += 1;
+        refused(s, "fresh cell counts disagree");
+        let mut s = valid();
+        s.slot_masks[0] |= 1 << 5;
+        refused(s, "unregistered spec");
+        let mut s = valid();
+        s.specs = vec![ResourceSpec::any(); 129];
+        refused(s, "mask width");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "recorded after one at")]
+    fn out_of_order_records_panic_in_debug_builds() {
+        let mut s = SupplyEstimator::new(1_000);
+        s.record(10, &Capacity::new(0.5, 0.5));
+        s.record(9, &Capacity::new(0.5, 0.5));
+    }
+
+    #[test]
+    #[cfg(not(debug_assertions))]
+    fn out_of_order_records_land_at_the_last_time_in_release_builds() {
+        let mut s = SupplyEstimator::new(1_000);
+        s.record(10, &Capacity::new(0.5, 0.5));
+        s.record(9, &Capacity::new(0.5, 0.5));
+        assert_eq!(s.queue.len(), 2);
+        assert_eq!(s.back, 10);
+        assert_eq!(s.window_count(1_010), 2);
     }
 
     #[test]

@@ -746,9 +746,7 @@ impl Scheduler for VennScheduler {
         // per-record virtual dispatch: suppressed check-ins only touch the
         // supply estimator, so a whole gated window folds into one tight
         // loop over the ring.
-        for r in batch {
-            self.supply.record(r.time, r.device.capacity());
-        }
+        self.supply.record_batch(batch);
     }
 
     fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
