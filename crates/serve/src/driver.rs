@@ -5,39 +5,43 @@
 //! * **scripted** — lines arrive from stdin (or a replay file) and
 //!   virtual time moves only on explicit `advance` commands. Fully
 //!   deterministic; this is the mode CI exercises.
-//! * **paced** (`--rate R`) — a reader thread feeds stdin lines through
-//!   a channel; whenever the channel is quiet the driver materializes
-//!   the elapsed wall-clock time as a synthetic `advance` command at
-//!   `R` virtual ms per wall ms. Because the synthetic advances go
-//!   through [`ServeSession::apply_line`] like any typed command, they
-//!   are journaled, and the journal replays deterministically even
-//!   though the live session was wall-clock paced.
-//! * **TCP** (`--listen ADDR`) — a **multi-client** accept loop. Every
-//!   connection gets its own reader thread (bounded line scanner,
-//!   per-read timeout, idle disconnect) and its own writer thread
-//!   draining a bounded [`OutQueue`]. Commands from all clients
-//!   serialize through the single session; acks and errors return to
-//!   the issuing connection, streamed metrics frames broadcast to every
-//!   connection. A consumer that cannot keep up has its queue replaced
-//!   by one final typed `backpressure` error and is disconnected — a
-//!   slow subscriber can never stall the session or balloon memory.
+//! * **paced** (`--rate R`) — every `PACE_TICK`, however busy stdin is,
+//!   the elapsed wall time becomes a synthetic `advance` of `R` virtual
+//!   ms per wall ms. It goes through [`ServeSession::apply_line`] and the
+//!   journal like any typed command, so the recording replays
+//!   deterministically.
+//! * **TCP** (`--listen ADDR`) — any number of clients, their commands
+//!   serialized through the one session. Acks and errors return to the
+//!   issuer; streamed metrics frames broadcast to every connection. A
+//!   client whose socket refuses bytes while its bounded [`OutQueue`] is
+//!   full gets the backlog replaced by one typed `backpressure` error
+//!   and is disconnected — a slow subscriber can never stall the
+//!   session or balloon memory.
 //!
-//! All modes append accepted commands to the WAL journal (when one is
-//! configured; see [`crate::wal`]) and shut down gracefully — on
-//! `quit`, end of input, or (paced/TCP modes) SIGTERM: the journal is
-//! sealed, a final checkpoint is written when `--checkpoint-dir` is
-//! set, and per-client queues drain before the process exits.
+//! Paced and TCP sessions run on the calling thread alone, in one
+//! `poll(2)` wait on stdin, or on the listener and every client socket,
+//! until the next pace tick or idle deadline, or SIGTERM. A command costs
+//! one wake-up into the server and one write back out. A wake-up reads
+//! at most `READ_CHUNK` bytes per client, from a different first client
+//! each time, so none can starve the others.
+//!
+//! All modes append accepted commands to the WAL journal (see
+//! [`crate::wal`]) and shut down gracefully on `quit`, end of input, or
+//! (paced/TCP) SIGTERM: client queues drain for at most the idle
+//! timeout, the journal is sealed, and a final checkpoint is written
+//! when `--checkpoint-dir` is set.
 
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
+use std::io::ErrorKind::{Interrupted, WouldBlock};
 use std::io::{self, BufRead, Read, Write};
-use std::net::{Shutdown, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
 use crate::protocol::CmdError;
 use crate::session::ServeSession;
 use crate::wal::{SyncPolicy, WalWriter};
+
+use sys::{PollFd, POLLIN, POLLOUT};
 
 /// Driver configuration, independent of where the world came from.
 #[derive(Debug)]
@@ -49,16 +53,16 @@ pub struct ServeOpts {
     /// Virtual ms per wall-clock ms; `None` = scripted (explicit
     /// `advance` only).
     pub rate: Option<f64>,
-    /// Bind address for the multi-client TCP accept loop instead of
-    /// stdio.
+    /// Bind address for the multi-client TCP loop instead of stdio.
     pub listen: Option<String>,
-    /// Disconnect a TCP client after this long without a byte from it.
+    /// Disconnect a TCP client after this long without a byte from it
+    /// (and give a closing client's queue as long to drain).
     pub idle_timeout: Duration,
     /// Protocol bound on one input line; longer lines are discarded
     /// with a typed `line-too-long` error.
     pub max_line_bytes: usize,
-    /// Outbound lines buffered per client before the connection is
-    /// dropped with a typed `backpressure` error.
+    /// Outbound lines queued per client, past what its socket takes,
+    /// before the connection is dropped with a typed `backpressure` error.
     pub frame_queue_cap: usize,
     /// Write a final checkpoint into this directory on shutdown.
     pub shutdown_checkpoint_dir: Option<String>,
@@ -79,133 +83,184 @@ impl Default for ServeOpts {
     }
 }
 
-/// How often the paced/TCP drivers wake up to convert wall time into
-/// virtual time and poll for shutdown when no commands are arriving.
+/// How often the paced driver converts wall time into virtual time, and
+/// the longest a wait lasts (a SIGTERM just before it waits this long).
 const PACE_TICK: Duration = Duration::from_millis(100);
 
-/// Per-read timeout on TCP client sockets; idle time accumulates in
-/// these increments toward [`ServeOpts::idle_timeout`].
-const READ_TICK: Duration = Duration::from_millis(200);
+/// Bytes read from one input per wake-up.
+const READ_CHUNK: usize = 4096;
 
-/// SIGTERM/SIGINT handling for the paced and TCP loops, without a libc
-/// dependency: a raw `signal(2)` binding flips an atomic the driver
-/// loops poll every tick. The scripted stdin loop blocks in `read` and
-/// cannot poll, so it keeps default signal behavior.
-#[cfg(unix)]
-mod shutdown_signal {
-    use super::{AtomicBool, Ordering};
+/// SIGTERM, `poll(2)` and unbuffered stdin without a libc dependency;
+/// off unix, paced and TCP sessions fail at their first wait.
+mod sys {
+    use std::io;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::Duration;
 
-    static REQUESTED: AtomicBool = AtomicBool::new(false);
-    const SIGTERM: i32 = 15;
+    pub const POLLIN: i16 = 0x1;
+    pub const POLLOUT: i16 = 0x4;
 
-    extern "C" fn on_signal(_sig: i32) {
-        REQUESTED.store(true, Ordering::SeqCst);
-    }
+    static SIGTERM: AtomicBool = AtomicBool::new(false);
 
-    extern "C" {
-        fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
-    }
+    /// One `struct pollfd`: the fd, the events to wait for, the events
+    /// that happened.
+    #[repr(C)]
+    pub struct PollFd(i32, i16, i16);
 
-    pub fn install() {
-        unsafe {
-            signal(SIGTERM, on_signal);
+    impl PollFd {
+        pub fn ready(&self) -> bool {
+            self.2 != 0
         }
     }
 
-    pub fn requested() -> bool {
-        REQUESTED.load(Ordering::SeqCst)
+    /// From now on SIGTERM sets the flag [`sigterm`] reads instead of
+    /// ending the process.
+    pub fn catch_sigterm() {
+        #[cfg(unix)]
+        {
+            extern "C" fn on_sigterm(_sig: i32) {
+                SIGTERM.store(true, Ordering::SeqCst);
+            }
+            // SAFETY: the handler only stores to an atomic, which is
+            // async-signal-safe.
+            unsafe { signal(15, on_sigterm) };
+        }
+    }
+
+    pub fn sigterm() -> bool {
+        SIGTERM.load(Ordering::SeqCst)
+    }
+
+    #[cfg(unix)]
+    extern "C" {
+        fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
+        fn poll(fds: *mut PollFd, nfds: std::ffi::c_ulong, timeout: i32) -> i32;
+    }
+
+    #[cfg(unix)]
+    impl PollFd {
+        pub fn new(file: &impl std::os::fd::AsRawFd, events: i16) -> Self {
+            PollFd(file.as_raw_fd(), events, 0)
+        }
+    }
+
+    /// Waits until one of `fds` is ready or `timeout` (rounded up to
+    /// whole ms) has passed. A signal ends the wait early with nothing
+    /// ready: Linux never restarts `poll`, even under `SA_RESTART`.
+    #[cfg(unix)]
+    pub fn wait(fds: &mut [PollFd], timeout: Duration) -> io::Result<()> {
+        let ms = i32::try_from(timeout.as_micros().div_ceil(1000)).unwrap_or(i32::MAX);
+        // SAFETY: `fds` is a live, exclusively borrowed slice of
+        // `repr(C)` `pollfd`s and `nfds` is its length; the kernel
+        // writes only their `revents`.
+        let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as std::ffi::c_ulong, ms) };
+        let err = io::Error::last_os_error();
+        if rc >= 0 || err.kind() == io::ErrorKind::Interrupted {
+            return Ok(());
+        }
+        Err(err)
+    }
+
+    /// One `read(2)` of stdin; `Stdin` would buffer bytes where `poll`
+    /// cannot see them.
+    #[cfg(unix)]
+    pub fn read_stdin(buf: &mut [u8]) -> io::Result<usize> {
+        use std::os::fd::FromRawFd;
+        // SAFETY: fd 0 is the process's standard input for its whole
+        // life, and `ManuallyDrop` keeps this `File` from closing it.
+        let mut stdin = std::mem::ManuallyDrop::new(unsafe { std::fs::File::from_raw_fd(0) });
+        io::Read::read(&mut *stdin, buf)
+    }
+
+    #[cfg(not(unix))]
+    impl PollFd {
+        pub fn new<T>(_file: &T, events: i16) -> Self {
+            PollFd(-1, events, 0)
+        }
+    }
+
+    #[cfg(not(unix))]
+    pub fn wait(_fds: &mut [PollFd], _timeout: Duration) -> io::Result<()> {
+        Err(io::ErrorKind::Unsupported.into())
+    }
+
+    #[cfg(not(unix))]
+    pub fn read_stdin(_buf: &mut [u8]) -> io::Result<usize> {
+        Err(io::ErrorKind::Unsupported.into())
     }
 }
 
-#[cfg(not(unix))]
-mod shutdown_signal {
-    pub fn install() {}
-
-    pub fn requested() -> bool {
-        false
-    }
-}
-
-/// A bounded outbound line queue between the session loop and one
-/// client's writer thread.
+/// A bounded outbound line queue for one client.
 ///
-/// The session loop never blocks on a slow socket: [`OutQueue::push`]
-/// either enqueues or — at capacity — **replaces** the backlog with one
-/// final overflow line (a typed `backpressure` error), closes the
-/// queue, and reports the client dead. The writer thread drains until
-/// the queue closes, then shuts the socket down.
+/// [`OutQueue::push`] either enqueues or — at capacity — **replaces**
+/// the backlog with one final overflow line (a typed `backpressure`
+/// error), closes the queue, and reports the client dead.
+/// [`OutQueue::write_to`] drains the queue onto a socket as far as the
+/// socket takes bytes; the next call resumes where it stopped.
+#[derive(Debug, Default)]
 pub struct OutQueue {
-    state: Mutex<QueueState>,
-    ready: Condvar,
-}
-
-struct QueueState {
-    lines: std::collections::VecDeque<String>,
+    lines: VecDeque<String>,
+    /// Bytes of the front line already written.
+    written: usize,
     closing: bool,
     tripped: bool,
 }
 
 impl OutQueue {
     /// A fresh open queue.
-    pub fn new() -> Arc<Self> {
-        Arc::new(OutQueue {
-            state: Mutex::new(QueueState {
-                lines: std::collections::VecDeque::new(),
-                closing: false,
-                tripped: false,
-            }),
-            ready: Condvar::new(),
-        })
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Enqueues `line`, bounded by `cap`. At capacity the whole backlog
-    /// is replaced by `overflow_line()` and the queue closes. Returns
-    /// `false` when the client should be considered gone (queue closed,
-    /// now or previously). Lines are stored newline-terminated, so the
-    /// writer sends each in one write.
-    pub fn push(&self, cap: usize, line: &str, overflow_line: impl FnOnce() -> String) -> bool {
-        let mut s = self.state.lock().unwrap();
-        if s.closing {
+    /// Enqueues `line`, bounded by `cap`. At capacity the backlog (bar a
+    /// line already partly written) gives way to `overflow_line()` and
+    /// the queue closes. Returns `false` once the queue is closed, now or
+    /// earlier. Lines are stored newline-terminated, one write each.
+    pub fn push(&mut self, cap: usize, line: &str, overflow_line: impl FnOnce() -> String) -> bool {
+        if self.closing {
             return false;
         }
-        if s.lines.len() >= cap.max(1) {
-            s.lines.clear();
-            s.lines.push_back(overflow_line() + "\n");
-            s.closing = true;
-            s.tripped = true;
-            self.ready.notify_all();
+        if self.lines.len() >= cap.max(1) {
+            self.lines.truncate(usize::from(self.written > 0));
+            self.lines.push_back(overflow_line() + "\n");
+            self.closing = true;
+            self.tripped = true;
             return false;
         }
-        s.lines.push_back([line, "\n"].concat());
-        self.ready.notify_all();
+        self.lines.push_back([line, "\n"].concat());
         true
     }
 
-    /// Closes the queue; the writer drains what remains, then exits.
-    pub fn finish(&self) {
-        let mut s = self.state.lock().unwrap();
-        s.closing = true;
-        self.ready.notify_all();
+    /// Closes the queue to new lines; what it holds still drains.
+    pub fn finish(&mut self) {
+        self.closing = true;
     }
 
     /// Whether the queue was closed by overflow (vs a normal finish).
     pub fn tripped(&self) -> bool {
-        self.state.lock().unwrap().tripped
+        self.tripped
     }
 
-    /// Blocks for the next line, newline included; `None` once closed
-    /// and drained.
-    pub fn pop(&self) -> Option<String> {
-        let mut s = self.state.lock().unwrap();
-        loop {
-            if let Some(line) = s.lines.pop_front() {
-                return Some(line);
+    /// Writes queued lines to `out` until the queue is empty or a write
+    /// fails, `WouldBlock` from a full non-blocking socket included. One
+    /// `write` per line: a line and its newline in separate segments
+    /// would stall a default client on Nagle + delayed ACK.
+    pub fn write_to(&mut self, out: &mut impl Write) -> io::Result<()> {
+        while let Some(line) = self.lines.front() {
+            match out.write(&line.as_bytes()[self.written..]) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => {
+                    self.written += n;
+                    if self.written == line.len() {
+                        self.lines.pop_front();
+                        self.written = 0;
+                    }
+                }
+                Err(e) if e.kind() == Interrupted => {}
+                Err(e) => return Err(e),
             }
-            if s.closing {
-                return None;
-            }
-            s = self.ready.wait(s).unwrap();
         }
+        Ok(())
     }
 }
 
@@ -213,7 +268,7 @@ impl OutQueue {
 /// `out` and every accepted command's canonical form to `journal`.
 /// Returns when the input ends or the session quits. The scripted and
 /// paced drivers bottom out here or in `apply_and_emit`; the TCP
-/// driver runs its own multi-client loop over the same session calls.
+/// driver routes the same session calls to its clients.
 pub fn run_lines<I>(
     session: &mut ServeSession,
     lines: I,
@@ -268,14 +323,10 @@ pub fn serve(session: &mut ServeSession, opts: &ServeOpts) -> io::Result<()> {
     let result = if let Some(addr) = &opts.listen {
         serve_multi(session, addr, opts, &mut journal)
     } else {
-        let stdout = io::stdout();
-        let mut out: Box<dyn Write> = Box::new(stdout.lock());
+        let mut out = io::stdout().lock();
         match opts.rate {
-            None => {
-                let stdin = io::stdin();
-                run_lines(session, stdin.lock().lines(), &mut out, &mut journal)
-            }
-            Some(rate) => serve_paced(session, rate, &mut out, &mut journal),
+            None => run_lines(session, io::stdin().lock().lines(), &mut out, &mut journal),
+            Some(rate) => serve_paced(session, rate, opts.max_line_bytes, &mut out, &mut journal),
         }
     };
     // Graceful epilogue, even when the loop above returned an error:
@@ -294,124 +345,214 @@ pub fn serve(session: &mut ServeSession, opts: &ServeOpts) -> io::Result<()> {
     result
 }
 
-/// The wall-clock paced loop: stdin lines interleave with synthetic
-/// `advance` commands derived from elapsed wall time. SIGTERM ends the
-/// loop at the next tick.
+/// Wall-clock pacing (`--rate`): once a `PACE_TICK` has elapsed, the
+/// wall time since the last tick becomes one synthetic `advance`.
+struct Pacer {
+    /// Virtual ms per wall ms.
+    rate: f64,
+    last_tick: Instant,
+    /// Virtual time owed but not yet advanced; advances are whole
+    /// virtual milliseconds, the remainder carries over.
+    carry_ms: f64,
+}
+
+impl Pacer {
+    fn new(rate: f64) -> Self {
+        Pacer {
+            rate,
+            last_tick: Instant::now(),
+            carry_ms: 0.0,
+        }
+    }
+
+    fn next_tick(&self) -> Instant {
+        self.last_tick + PACE_TICK
+    }
+
+    /// The synthetic `advance` owed at `now`, if a tick has elapsed.
+    fn tick(&mut self, now: Instant) -> Option<String> {
+        if now < self.next_tick() {
+            return None;
+        }
+        self.carry_ms += now.duration_since(self.last_tick).as_secs_f64() * 1_000.0 * self.rate;
+        self.last_tick = now;
+        let whole = self.carry_ms.floor();
+        self.carry_ms -= whole;
+        (whole >= 1.0).then(|| format!("{{\"cmd\":\"advance\",\"ms\":{}}}", whole as u64))
+    }
+}
+
+/// Splits raw input bytes into lines of at most `max` bytes. An
+/// over-long line comes out once, as `None`, and is discarded up to its
+/// newline.
+#[derive(Default)]
+struct LineScanner {
+    acc: Vec<u8>,
+    overlong: bool,
+}
+
+impl LineScanner {
+    fn feed(&mut self, bytes: &[u8], max: usize, out: &mut Vec<Option<String>>) {
+        for chunk in bytes.split_inclusive(|&b| b == b'\n') {
+            let line = chunk.strip_suffix(b"\n");
+            let part = line.unwrap_or(chunk);
+            if !self.overlong && self.acc.len() + part.len() > max {
+                self.overlong = true;
+                self.acc.clear();
+                out.push(None);
+            } else if !self.overlong {
+                self.acc.extend_from_slice(part);
+            }
+            if line.is_some() {
+                if !std::mem::take(&mut self.overlong) {
+                    out.push(Some(String::from_utf8_lossy(&self.acc).into_owned()));
+                }
+                self.acc.clear();
+            }
+        }
+    }
+}
+
+fn line_too_long(max: usize, vt: u64) -> String {
+    let len = max + 1;
+    let msg = format!("input line of {len}+ bytes exceeds the {max}-byte bound; discarded");
+    CmdError::line_too_long(msg).to_response(vt)
+}
+
+/// The wall-clock paced stdin loop. SIGTERM ends it within one tick.
 fn serve_paced(
     session: &mut ServeSession,
     rate: f64,
+    max_line: usize,
     out: &mut dyn Write,
     journal: &mut Option<WalWriter>,
 ) -> io::Result<()> {
-    shutdown_signal::install();
-    let (tx, rx) = mpsc::channel::<io::Result<String>>();
-    std::thread::spawn(move || {
-        let stdin = io::stdin();
-        for line in stdin.lock().lines() {
-            if tx.send(line).is_err() {
-                break;
-            }
+    sys::catch_sigterm();
+    let mut pacer = Pacer::new(rate);
+    let (mut scanner, mut inputs, mut buf) = (LineScanner::default(), Vec::new(), [0; READ_CHUNK]);
+    let mut eof = false;
+    while !eof && !sys::sigterm() {
+        let mut fds = [PollFd::new(&io::stdin(), POLLIN)];
+        let timeout = pacer.next_tick().saturating_duration_since(Instant::now());
+        sys::wait(&mut fds, timeout)?;
+        if fds[0].ready() {
+            let n = sys::read_stdin(&mut buf)?;
+            eof = n == 0;
+            // End of input also ends an unterminated last line.
+            let bytes = if eof { &b"\n"[..] } else { &buf[..n] };
+            scanner.feed(bytes, max_line, &mut inputs);
         }
-    });
-    // Wall time owed but not yet converted to virtual time; advances
-    // are whole virtual milliseconds, the remainder carries over.
-    let mut last_tick = Instant::now();
-    let mut carry_ms = 0.0_f64;
-    loop {
-        if shutdown_signal::requested() {
-            eprintln!("vennsim serve: SIGTERM, shutting down");
-            return out.flush();
-        }
-        match rx.recv_timeout(PACE_TICK) {
-            Ok(line) => {
-                if apply_and_emit(session, &line?, out, journal)? {
-                    return out.flush();
-                }
+        inputs.extend(pacer.tick(Instant::now()).map(Some));
+        for input in inputs.drain(..) {
+            let Some(line) = input else {
+                writeln!(out, "{}", line_too_long(max_line, session.vt()))?;
+                continue;
+            };
+            if apply_and_emit(session, &line, out, journal)? {
+                return out.flush();
             }
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                let now = Instant::now();
-                carry_ms += now.duration_since(last_tick).as_secs_f64() * 1_000.0 * rate;
-                last_tick = now;
-                let whole = carry_ms.floor();
-                if whole >= 1.0 {
-                    carry_ms -= whole;
-                    let cmd = format!("{{\"cmd\":\"advance\",\"ms\":{}}}", whole as u64);
-                    if apply_and_emit(session, &cmd, out, journal)? {
-                        return out.flush();
-                    }
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => return out.flush(),
         }
     }
+    if !eof {
+        eprintln!("vennsim serve: SIGTERM, shutting down");
+    }
+    out.flush()
 }
 
-/// What the per-connection threads report into the session loop.
-enum DriverMsg {
-    /// A new accepted connection.
-    Conn(u64, TcpStream),
-    /// One complete input line from a client.
-    Line(u64, String),
-    /// A client line exceeded the protocol bound and was discarded.
-    TooLong(u64, usize),
-    /// A client is gone (EOF, idle timeout, read error).
-    Gone(u64, &'static str),
-}
-
-/// One connected client as the session loop sees it.
+/// One connected TCP client.
 struct Client {
-    queue: Arc<OutQueue>,
-    writer: std::thread::JoinHandle<()>,
+    id: u64,
+    stream: TcpStream,
+    scanner: LineScanner,
+    queue: OutQueue,
+    /// While the client is read: when it idles out. Once its queue is
+    /// closed: when its drain gives up.
+    deadline: Instant,
 }
 
-/// Pushes one line to a client; on queue overflow the client is
-/// disconnected with a typed `backpressure` error. Returns `false`
-/// (and removes the client) when it is gone.
-fn push_to(clients: &mut BTreeMap<u64, Client>, id: u64, line: &str, cap: usize, vt: u64) -> bool {
-    let Some(client) = clients.get(&id) else {
-        return false;
-    };
-    let ok = client.queue.push(cap, line, || {
-        CmdError::backpressure(format!(
-            "outbound queue exceeded {cap} lines; disconnecting slow consumer"
-        ))
-        .to_response(vt)
-    });
-    if !ok {
-        let client = clients.remove(&id).expect("client present above");
-        let tripped = client.queue.tripped();
-        let _ = client.writer.join();
-        if tripped {
-            eprintln!("vennsim serve: client {id} disconnected (backpressure)");
+impl Client {
+    /// Writes what the socket takes of the queue. A socket that fails
+    /// for any reason but being full is past draining.
+    fn flush(&mut self) {
+        let result = self.queue.write_to(&mut self.stream);
+        if result.is_err_and(|e| e.kind() != WouldBlock) {
+            self.queue = OutQueue::new();
+            self.queue.finish();
         }
     }
-    ok
+
+    /// Stops reading the client; its queue may drain until `deadline`.
+    fn close(&mut self, reason: &str, deadline: Instant) {
+        self.queue.finish();
+        self.deadline = deadline;
+        eprintln!("vennsim serve: client {} disconnected ({reason})", self.id);
+    }
 }
 
-/// Routes one command's responses: streamed metrics frames broadcast to
-/// every client, everything else goes to the issuer (`Some(id)`);
-/// synthetic commands have no issuer and drop their acks.
-fn route(
-    clients: &mut BTreeMap<u64, Client>,
-    issuer: Option<u64>,
-    responses: &[String],
-    cap: usize,
-    vt: u64,
-) {
-    for resp in responses {
-        if resp.starts_with("{\"frame\":") {
-            for id in clients.keys().copied().collect::<Vec<_>>() {
-                push_to(clients, id, resp, cap, vt);
+/// The TCP clients in connection order, and where responses go.
+struct Clients<'a> {
+    list: Vec<Client>,
+    opts: &'a ServeOpts,
+}
+
+impl Clients<'_> {
+    /// Queues one line for client `i` and writes what its socket takes.
+    /// The client trips with a typed `backpressure` error only when the
+    /// socket refused bytes and `frame_queue_cap` lines already wait.
+    fn push(&mut self, i: usize, line: &str, vt: u64) {
+        let (cap, c) = (self.opts.frame_queue_cap, &mut self.list[i]);
+        if c.queue.closing {
+            return;
+        }
+        let overflow = || {
+            let msg = format!("outbound queue exceeded {cap} lines; disconnecting slow consumer");
+            CmdError::backpressure(msg).to_response(vt)
+        };
+        if !c.queue.push(cap, line, overflow) {
+            c.close("backpressure", Instant::now() + self.opts.idle_timeout);
+        }
+        c.flush();
+    }
+
+    /// Applies one command, routing metrics frames to every client and
+    /// the rest to the issuer (synthetic commands drop their acks).
+    /// Returns whether the session quit. A journal append failure is
+    /// fatal, as in `apply_and_emit`; the issuer is told first.
+    fn command(
+        &mut self,
+        session: &mut ServeSession,
+        journal: &mut Option<WalWriter>,
+        issuer: Option<usize>,
+        line: &str,
+    ) -> io::Result<bool> {
+        let outcome = session.apply_line(line);
+        let vt = session.vt();
+        if let (Some(j), Some(entry)) = (journal.as_mut(), &outcome.journal) {
+            if let Err(e) = j.append(entry) {
+                let err = io::Error::other(format!("journal append: {e}"));
+                if let Some(i) = issuer {
+                    self.push(i, &CmdError::io(err.to_string()).to_response(vt), vt);
+                }
+                eprintln!("vennsim serve: journal append failed ({e}), shutting down");
+                return Err(err);
             }
-        } else if let Some(id) = issuer {
-            push_to(clients, id, resp, cap, vt);
         }
+        for resp in &outcome.responses {
+            if resp.starts_with("{\"frame\":") {
+                for i in 0..self.list.len() {
+                    self.push(i, resp, vt);
+                }
+            } else if let Some(i) = issuer {
+                self.push(i, resp, vt);
+            }
+        }
+        Ok(outcome.quit)
     }
 }
 
-/// The multi-client TCP loop. All client commands serialize through the
-/// one session; `quit` from any client, SIGTERM, or a journal append
-/// failure ends the session for everyone (queues drain first).
+/// The multi-client TCP loop. `quit` from any client, SIGTERM, or a
+/// journal append failure ends the session for everyone; the loop then
+/// drains the queues and returns once every socket has closed.
 fn serve_multi(
     session: &mut ServeSession,
     addr: &str,
@@ -419,254 +560,112 @@ fn serve_multi(
     journal: &mut Option<WalWriter>,
 ) -> io::Result<()> {
     let listener = TcpListener::bind(addr)?;
+    listener.set_nonblocking(true)?;
     eprintln!("vennsim serve: listening on {}", listener.local_addr()?);
-    shutdown_signal::install();
+    sys::catch_sigterm();
 
-    let (tx, rx) = mpsc::channel::<DriverMsg>();
-    {
-        let tx = tx.clone();
-        std::thread::spawn(move || {
-            let mut next_id = 1u64;
-            while let Ok((stream, _)) = listener.accept() {
-                if tx.send(DriverMsg::Conn(next_id, stream)).is_err() {
-                    return;
-                }
-                next_id += 1;
-            }
-        });
-    }
-
-    let cap = opts.frame_queue_cap;
-    let mut clients: BTreeMap<u64, Client> = BTreeMap::new();
-    let mut last_tick = Instant::now();
-    let mut carry_ms = 0.0_f64;
-    let mut result = Ok(());
+    let idle = opts.idle_timeout;
+    let mut clients = Clients { list: vec![], opts };
+    let mut pacer = opts.rate.map(Pacer::new);
+    let (mut fds, mut inputs, mut buf) = (Vec::new(), Vec::new(), [0; READ_CHUNK]);
+    let (mut next_id, mut turn) = (1, 0);
+    let mut ended = None; // How the session ended, once it has.
     loop {
-        if shutdown_signal::requested() {
+        if ended.is_none() && sys::sigterm() {
             eprintln!("vennsim serve: SIGTERM, shutting down");
-            break;
+            ended = Some(Ok(()));
         }
-        match rx.recv_timeout(PACE_TICK) {
-            Ok(DriverMsg::Conn(id, stream)) => {
-                match spawn_client(id, stream, tx.clone(), opts) {
-                    Ok(client) => {
-                        eprintln!("vennsim serve: client {id} connected");
-                        clients.insert(id, client);
-                    }
-                    Err(e) => eprintln!("vennsim serve: client {id} setup failed: {e}"),
-                };
+        // Close idle clients (all, once over); drop drained or expired ones.
+        let now = Instant::now();
+        for c in clients.list.iter_mut().filter(|c| !c.queue.closing) {
+            if ended.is_some() {
+                c.close("shutdown", now + idle);
+            } else if now >= c.deadline {
+                c.close("idle-timeout", now + idle);
             }
-            Ok(DriverMsg::Line(id, line)) => {
-                let outcome = session.apply_line(&line);
-                if let (Some(j), Some(entry)) = (journal.as_mut(), &outcome.journal) {
-                    if let Err(e) = j.append(entry) {
-                        // The WAL is the replay authority; a hole in it
-                        // would make every later record a lie. Tell the
-                        // issuer, then shut the session down.
-                        let err =
-                            CmdError::io(format!("journal append: {e}")).to_response(session.vt());
-                        push_to(&mut clients, id, &err, cap, session.vt());
-                        eprintln!("vennsim serve: journal append failed ({e}), shutting down");
-                        result = Err(io::Error::other(format!("journal append: {e}")));
-                        break;
-                    }
+        }
+        let done = |c: &Client| c.queue.closing && (c.queue.lines.is_empty() || now >= c.deadline);
+        clients.list.retain(|c| !done(c));
+        match ended {
+            Some(result) if clients.list.is_empty() => return result,
+            _ => {}
+        }
+        let mut wake = pacer.as_ref().map_or(now + PACE_TICK, Pacer::next_tick);
+        let accept = if ended.is_none() { POLLIN } else { 0 };
+        fds.clear();
+        fds.push(PollFd::new(&listener, accept));
+        for c in &clients.list {
+            wake = wake.min(c.deadline);
+            let read = if c.queue.closing { 0 } else { POLLIN };
+            let write = if c.queue.lines.is_empty() { 0 } else { POLLOUT };
+            fds.push(PollFd::new(&c.stream, read | write));
+        }
+        sys::wait(&mut fds, wake.saturating_duration_since(now))?;
+
+        if fds[0].ready() {
+            // Responses are small and latency-bound: never wait to coalesce.
+            let setup = |s: TcpStream| s.set_nodelay(true).and(s.set_nonblocking(true)).map(|_| s);
+            match listener.accept().and_then(|(stream, _)| setup(stream)) {
+                Ok(stream) => {
+                    eprintln!("vennsim serve: client {next_id} connected");
+                    clients.list.push(Client {
+                        id: next_id,
+                        stream,
+                        scanner: LineScanner::default(),
+                        queue: OutQueue::new(),
+                        deadline: Instant::now() + idle,
+                    });
+                    next_id += 1;
                 }
-                route(
-                    &mut clients,
-                    Some(id),
-                    &outcome.responses,
-                    cap,
-                    session.vt(),
-                );
-                if outcome.quit {
-                    eprintln!("vennsim serve: quit from client {id}, shutting down");
+                Err(e) if e.kind() == WouldBlock => {}
+                Err(e) => eprintln!("vennsim serve: accept failed: {e}"),
+            }
+        }
+
+        let polled = fds.len() - 1;
+        turn += 1;
+        for i in (0..polled).map(|k| (turn + k) % polled) {
+            let c = &mut clients.list[i];
+            if !fds[i + 1].ready() {
+                continue;
+            }
+            c.flush();
+            if c.queue.closing || ended.is_some() {
+                continue;
+            }
+            match c.stream.read(&mut buf) {
+                Ok(0) => c.close("eof", Instant::now() + idle),
+                Ok(n) => {
+                    c.deadline = Instant::now() + idle;
+                    c.scanner.feed(&buf[..n], opts.max_line_bytes, &mut inputs);
+                }
+                Err(e) if matches!(e.kind(), WouldBlock | Interrupted) => {}
+                Err(_) => c.close("read-error", Instant::now() + idle),
+            }
+            for input in inputs.drain(..) {
+                if ended.is_some() || clients.list[i].queue.closing {
                     break;
                 }
-            }
-            Ok(DriverMsg::TooLong(id, len)) => {
-                let err = CmdError::line_too_long(format!(
-                    "input line of {len}+ bytes exceeds the {}-byte bound; discarded",
-                    opts.max_line_bytes
-                ))
-                .to_response(session.vt());
-                push_to(&mut clients, id, &err, cap, session.vt());
-            }
-            Ok(DriverMsg::Gone(id, reason)) => {
-                if let Some(client) = clients.remove(&id) {
-                    client.queue.finish();
-                    let _ = client.writer.join();
-                    eprintln!("vennsim serve: client {id} disconnected ({reason})");
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                let Some(rate) = opts.rate else { continue };
-                let now = Instant::now();
-                carry_ms += now.duration_since(last_tick).as_secs_f64() * 1_000.0 * rate;
-                last_tick = now;
-                let whole = carry_ms.floor();
-                if whole >= 1.0 {
-                    carry_ms -= whole;
-                    let cmd = format!("{{\"cmd\":\"advance\",\"ms\":{}}}", whole as u64);
-                    let outcome = session.apply_line(&cmd);
-                    if let (Some(j), Some(entry)) = (journal.as_mut(), &outcome.journal) {
-                        if let Err(e) = j.append(entry) {
-                            eprintln!("vennsim serve: journal append failed ({e}), shutting down");
-                            result = Err(io::Error::other(format!("journal append: {e}")));
-                            break;
-                        }
+                let Some(line) = input else {
+                    let vt = session.vt();
+                    clients.push(i, &line_too_long(opts.max_line_bytes, vt), vt);
+                    continue;
+                };
+                match clients.command(session, journal, Some(i), &line) {
+                    Ok(false) => {}
+                    Ok(true) => {
+                        let id = clients.list[i].id;
+                        eprintln!("vennsim serve: quit from client {id}, shutting down");
+                        ended = Some(Ok(()));
                     }
-                    route(&mut clients, None, &outcome.responses, cap, session.vt());
+                    Err(e) => ended = Some(Err(e)),
                 }
             }
-            Err(mpsc::RecvTimeoutError::Disconnected) => break,
         }
-    }
-    // Drain: every surviving client gets its buffered lines, then the
-    // sockets close.
-    for (_, client) in clients {
-        client.queue.finish();
-        let _ = client.writer.join();
-    }
-    result
-}
 
-/// Wires up one accepted connection: a reader thread (bounded lines,
-/// read timeout, idle disconnect) and a writer thread draining the
-/// client's [`OutQueue`].
-fn spawn_client(
-    id: u64,
-    stream: TcpStream,
-    tx: mpsc::Sender<DriverMsg>,
-    opts: &ServeOpts,
-) -> io::Result<Client> {
-    let reader_stream = stream.try_clone()?;
-    reader_stream.set_read_timeout(Some(READ_TICK))?;
-    let max_line = opts.max_line_bytes;
-    let idle_timeout = opts.idle_timeout;
-    std::thread::spawn(move || reader_loop(id, reader_stream, tx, max_line, idle_timeout));
-
-    // Responses are small and latency-bound: never wait to coalesce.
-    stream.set_nodelay(true)?;
-    let queue = OutQueue::new();
-    let writer_queue = queue.clone();
-    let writer = std::thread::spawn(move || writer_loop(writer_queue, stream));
-    Ok(Client { queue, writer })
-}
-
-/// Scans raw socket bytes into bounded lines. An over-long line turns
-/// into one `TooLong` report and is discarded up to its newline; a
-/// quiet socket accumulates idle time and eventually disconnects.
-fn reader_loop(
-    id: u64,
-    mut stream: TcpStream,
-    tx: mpsc::Sender<DriverMsg>,
-    max_line: usize,
-    idle_timeout: Duration,
-) {
-    let mut acc: Vec<u8> = Vec::new();
-    let mut buf = [0u8; 4096];
-    let mut idle = Duration::ZERO;
-    let mut overlong = false;
-    loop {
-        match stream.read(&mut buf) {
-            Ok(0) => {
-                let _ = tx.send(DriverMsg::Gone(id, "eof"));
-                return;
-            }
-            Ok(n) => {
-                idle = Duration::ZERO;
-                for &b in &buf[..n] {
-                    if b == b'\n' {
-                        if overlong {
-                            overlong = false;
-                        } else {
-                            let line = String::from_utf8_lossy(&acc).into_owned();
-                            if tx.send(DriverMsg::Line(id, line)).is_err() {
-                                return;
-                            }
-                        }
-                        acc.clear();
-                    } else if overlong {
-                        // Discarding the rest of an over-long line.
-                    } else if acc.len() >= max_line {
-                        overlong = true;
-                        let _ = tx.send(DriverMsg::TooLong(id, acc.len() + 1));
-                        acc.clear();
-                    } else {
-                        acc.push(b);
-                    }
-                }
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                idle += READ_TICK;
-                if idle >= idle_timeout {
-                    let _ = tx.send(DriverMsg::Gone(id, "idle-timeout"));
-                    return;
-                }
-            }
-            Err(_) => {
-                let _ = tx.send(DriverMsg::Gone(id, "read-error"));
-                return;
-            }
+        let live_pacer = pacer.as_mut().filter(|_| ended.is_none());
+        if let Some(cmd) = live_pacer.and_then(|p| p.tick(Instant::now())) {
+            ended = clients.command(session, journal, None, &cmd).err().map(Err);
         }
-    }
-}
-
-/// Drains one client's queue onto its socket, then shuts the socket
-/// down. Socket errors just end the drain — the reader side reports the
-/// disconnect.
-fn writer_loop(queue: Arc<OutQueue>, mut stream: TcpStream) {
-    write_lines(&queue, &mut stream);
-    let _ = stream.shutdown(Shutdown::Both);
-}
-
-/// One `write_all` per queued line — a line and its newline in separate
-/// segments would stall a default client on Nagle + delayed ACK.
-fn write_lines(queue: &OutQueue, out: &mut impl Write) {
-    while let Some(line) = queue.pop() {
-        if out
-            .write_all(line.as_bytes())
-            .and_then(|()| out.flush())
-            .is_err()
-        {
-            break;
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Records the bytes of every `write` call separately.
-    struct Segments(Vec<Vec<u8>>);
-
-    impl Write for Segments {
-        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            self.0.push(buf.to_vec());
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> io::Result<()> {
-            Ok(())
-        }
-    }
-
-    #[test]
-    fn writer_sends_each_line_and_its_newline_in_one_write() {
-        let q = OutQueue::new();
-        assert!(q.push(8, "{\"ok\":true}", || unreachable!()));
-        assert!(q.push(8, "{\"ok\":false}", || unreachable!()));
-        q.finish();
-        let mut out = Segments(Vec::new());
-        write_lines(&q, &mut out);
-        assert_eq!(
-            out.0,
-            [b"{\"ok\":true}\n".to_vec(), b"{\"ok\":false}\n".to_vec()]
-        );
     }
 }

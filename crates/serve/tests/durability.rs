@@ -1,8 +1,9 @@
 //! Serve-plane durability: scripted I/O faults routed through a
 //! session's [`SharedFs`] must surface as **typed** protocol errors (or
 //! a typed fatal for the journal itself), and the bounded outbound
-//! queue must convert overflow into a single backpressure error —
-//! never a panic, never silent loss.
+//! queue must convert overflow into a single backpressure error and
+//! reach its socket one whole line per write — never a panic, never
+//! silent loss, never a torn line.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -151,7 +152,7 @@ fn journal_append_fault_is_fatal_and_typed() {
 /// the client gone — exactly the slow-subscriber disconnect contract.
 #[test]
 fn out_queue_overflow_replaces_backlog_and_closes() {
-    let q = OutQueue::new();
+    let mut q = OutQueue::new();
     assert!(q.push(3, "a", || unreachable!("no overflow yet")));
     assert!(q.push(3, "b", || unreachable!("no overflow yet")));
     assert!(q.push(3, "c", || unreachable!("no overflow yet")));
@@ -165,15 +166,81 @@ fn out_queue_overflow_replaces_backlog_and_closes() {
     // Further pushes are rejected without invoking the overflow line.
     assert!(!q.push(3, "e", || unreachable!("queue already closed")));
 
-    // The writer drains exactly the overflow notice, then sees EOF.
-    assert_eq!(q.pop().as_deref(), Some("backpressure!\n"));
-    assert_eq!(q.pop(), None);
+    // The socket receives exactly the overflow notice, then nothing.
+    let mut socket = Vec::new();
+    q.write_to(&mut socket).unwrap();
+    assert_eq!(socket, b"backpressure!\n");
+    q.write_to(&mut socket).unwrap();
+    assert_eq!(socket, b"backpressure!\n");
+}
+
+/// A test socket: records the bytes of every `write` call separately,
+/// and after `budget` bytes refuses more, like a full non-blocking socket.
+struct Socket {
+    writes: Vec<Vec<u8>>,
+    budget: usize,
+}
+
+impl Socket {
+    fn new(budget: usize) -> Self {
+        Socket {
+            writes: Vec::new(),
+            budget,
+        }
+    }
+}
+
+impl std::io::Write for Socket {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let n = buf.len().min(self.budget);
+        if n == 0 {
+            return Err(std::io::ErrorKind::WouldBlock.into());
+        }
+        self.budget -= n;
+        self.writes.push(buf[..n].to_vec());
+        Ok(n)
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn writer_sends_each_line_and_its_newline_in_one_write() {
+    let mut q = OutQueue::new();
+    assert!(q.push(8, "{\"ok\":true}", || unreachable!()));
+    assert!(q.push(8, "{\"ok\":false}", || unreachable!()));
+    q.finish();
+    let mut out = Socket::new(usize::MAX);
+    q.write_to(&mut out).unwrap();
+    assert_eq!(
+        out.writes,
+        [b"{\"ok\":true}\n".to_vec(), b"{\"ok\":false}\n".to_vec()]
+    );
+}
+
+/// A socket that takes half a line, then refuses: the next write resumes
+/// mid-line, and a trip in between finishes that line before the
+/// overflow notice, so the client never reads a torn line.
+#[test]
+fn out_queue_trip_mid_line_keeps_that_line_whole() {
+    let mut q = OutQueue::new();
+    assert!(q.push(2, "abcdef", || unreachable!()));
+    assert!(q.push(2, "ghi", || unreachable!()));
+    let mut socket = Socket::new(3);
+    let err = q.write_to(&mut socket).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::WouldBlock);
+    assert!(!q.push(2, "jkl", || "backpressure!".to_string()));
+    assert!(q.tripped());
+    socket.budget = usize::MAX;
+    q.write_to(&mut socket).unwrap();
+    assert_eq!(socket.writes.concat(), b"abcdef\nbackpressure!\n");
 }
 
 /// A normally-finished queue drains its backlog in order before EOF.
 #[test]
 fn out_queue_finish_drains_in_order() {
-    let q = OutQueue::new();
+    let mut q = OutQueue::new();
     assert!(q.push(8, "one", || unreachable!()));
     assert!(q.push(8, "two", || unreachable!()));
     q.finish();
@@ -181,8 +248,10 @@ fn out_queue_finish_drains_in_order() {
         !q.push(8, "three", || unreachable!()),
         "closed to new lines"
     );
-    assert_eq!(q.pop().as_deref(), Some("one\n"));
-    assert_eq!(q.pop().as_deref(), Some("two\n"));
-    assert_eq!(q.pop(), None);
+    let mut socket = Vec::new();
+    q.write_to(&mut socket).unwrap();
+    assert_eq!(socket, b"one\ntwo\n");
+    q.write_to(&mut socket).unwrap();
+    assert_eq!(socket, b"one\ntwo\n", "nothing after the backlog");
     assert!(!q.tripped(), "a normal finish is not an overflow trip");
 }
