@@ -29,14 +29,9 @@ pub fn baseline_kinds() -> Vec<SchedKind> {
 
 /// Executes the baseline matrix (sequentially — wall times feed the
 /// events/sec telemetry and must not contend for cores) on the chosen
-/// kernel and environment arms.
-pub fn run_baseline(
-    seed: u64,
-    demand_gating: bool,
-    env: EnvPreset,
-) -> (Experiment, Vec<MatrixRun>) {
+/// environment arm.
+pub fn run_baseline(seed: u64, env: EnvPreset) -> (Experiment, Vec<MatrixRun>) {
     let mut exp = Experiment::paper_default(WorkloadKind::Even, None, seed);
-    exp.sim.demand_gating = demand_gating;
     exp.sim.env = env.config();
     let matrix = Matrix::new()
         .fixed("paper_default/even", exp.clone())
@@ -52,13 +47,8 @@ pub fn run_baseline(
 /// replays the *committed* baseline through this path and still demands
 /// zero drift — recovery from a checkpoint is behaviorally invisible, so
 /// no field may move.
-pub fn run_baseline_crashed(
-    seed: u64,
-    demand_gating: bool,
-    env: EnvPreset,
-) -> (Experiment, Vec<MatrixRun>) {
+pub fn run_baseline_crashed(seed: u64, env: EnvPreset) -> (Experiment, Vec<MatrixRun>) {
     let mut exp = Experiment::paper_default(WorkloadKind::Even, None, seed);
-    exp.sim.demand_gating = demand_gating;
     exp.sim.env = env.config();
     let runs = baseline_kinds()
         .into_iter()
@@ -137,7 +127,7 @@ pub fn baseline_rows(runs: &[MatrixRun]) -> Vec<BaselineRow> {
 }
 
 /// Renders the full baseline JSON document: the arm configuration header
-/// (gating, environment — so baseline files are self-describing),
+/// (the environment — so baseline files are self-describing),
 /// the deterministic rows, and — unless `timing` is off — the per-run
 /// wall-clock telemetry. Environment arms additionally carry their
 /// deterministic `venn-env` counters per scheduler.
@@ -164,10 +154,6 @@ pub fn baseline_json(
     // The one event queue; the key stays so regenerated files are
     // byte-identical to the committed baseline.
     out.push_str("  \"queue\": \"wheel\",\n");
-    out.push_str(&format!(
-        "  \"demand_gating\": {},\n",
-        experiment.sim.demand_gating
-    ));
     out.push_str(&format!("  \"env\": \"{}\",\n", env.label()));
     out.push_str("  \"schedulers\": [\n");
     for (i, (row, r)) in rows.iter().zip(runs).enumerate() {
@@ -224,13 +210,12 @@ pub fn baseline_json(
 }
 
 /// Parses the arm-configuration header of a baseline document — which
-/// gating/environment arms the recording ran on — so a replay can
-/// reproduce the recorded arms instead of assuming the defaults. Files
-/// from before the header existed (or with unknown values) fall back to
-/// the default arm (gating on, env off).
-pub fn parse_arm_header(json: &str) -> (bool, EnvPreset) {
-    let mut demand_gating = true;
-    let mut env = EnvPreset::Off;
+/// environment arm the recording ran on — so a replay reproduces the
+/// recorded arm instead of assuming the default. A file without an
+/// `"env"` key (from before the header existed) falls back to `off`; an
+/// unknown label is an error naming the valid ones. Other header keys
+/// are ignored.
+pub fn parse_arm_header(json: &str) -> Result<EnvPreset, String> {
     for line in json.lines() {
         let line = line.trim().trim_end_matches(',');
         if line == "\"schedulers\": [" {
@@ -239,14 +224,18 @@ pub fn parse_arm_header(json: &str) -> (bool, EnvPreset) {
         let Some((key, value)) = line.split_once(':') else {
             continue;
         };
-        let value = value.trim().trim_matches('"');
-        match key.trim().trim_matches('"') {
-            "demand_gating" if value == "false" => demand_gating = false,
-            "env" => env = EnvPreset::parse(value).unwrap_or(EnvPreset::Off),
-            _ => {}
+        if key.trim().trim_matches('"') == "env" {
+            let value = value.trim().trim_matches('"');
+            return EnvPreset::parse(value).ok_or_else(|| {
+                let labels: Vec<_> = EnvPreset::ALL.iter().map(|p| p.label()).collect();
+                format!(
+                    "unknown env arm \"{value}\" (expected one of: {})",
+                    labels.join(", ")
+                )
+            });
         }
     }
-    (demand_gating, env)
+    Ok(EnvPreset::Off)
 }
 
 /// Parses a committed baseline file back into `(seed, rows)`.
@@ -254,7 +243,8 @@ pub fn parse_arm_header(json: &str) -> (bool, EnvPreset) {
 /// This is a shape-specific reader for the document [`baseline_json`]
 /// emits (one `"key": value` pair per line), not a general JSON parser —
 /// the build environment is dependency-free by design. Unknown metadata
-/// keys — the arm header (`queue`/`demand_gating`/`env`), per-row
+/// keys — the arm header (`queue`/`env`, and keys of removed arms in
+/// older files), per-row
 /// `venn-env` counters, timing telemetry, anything added later — are
 /// ignored rather than rejected, so baselines stay forward-readable.
 pub fn parse_baseline(json: &str) -> Result<(u64, Vec<BaselineRow>), String> {
@@ -369,7 +359,6 @@ mod tests {
   "seed": 7,
   "jobs": 50,
   "queue": "wheel",
-  "demand_gating": true,
   "env": "off",
   "schedulers": [
     {
@@ -423,20 +412,32 @@ mod tests {
 
     #[test]
     fn arm_header_round_trips_and_defaults() {
-        // The emitted header parses back to the arms it recorded…
-        let doc = tiny_baseline_doc()
-            .replace("\"demand_gating\": true", "\"demand_gating\": false")
-            .replace("\"env\": \"off\"", "\"env\": \"straggler-heavy\"");
-        assert_eq!(parse_arm_header(&doc), (false, EnvPreset::StragglerHeavy));
-        // …a row field named like a header key is not mistaken for one…
-        assert_eq!(
-            parse_arm_header(&tiny_baseline_doc()),
-            (true, EnvPreset::Off)
-        );
-        // …and headerless (pre-metadata) files fall back to the default
-        // arm.
+        // The emitted header parses back to the arm it recorded…
+        let doc = tiny_baseline_doc().replace("\"env\": \"off\"", "\"env\": \"straggler-heavy\"");
+        assert_eq!(parse_arm_header(&doc), Ok(EnvPreset::StragglerHeavy));
+        assert_eq!(parse_arm_header(&tiny_baseline_doc()), Ok(EnvPreset::Off));
+        // …the committed file's stale keys of removed arms are skipped…
+        let committed = include_str!("../../../BENCH_BASELINE.json");
+        assert_eq!(parse_arm_header(committed), Ok(EnvPreset::Off));
+        // …and headerless (pre-metadata) files fall back to `off`.
         let old = "{\n  \"seed\": 7\n}\n";
-        assert_eq!(parse_arm_header(old), (true, EnvPreset::Off));
+        assert_eq!(parse_arm_header(old), Ok(EnvPreset::Off));
+    }
+
+    #[test]
+    fn arm_header_without_env_means_off() {
+        let doc = tiny_baseline_doc().replace("  \"env\": \"off\",\n", "");
+        assert_eq!(parse_arm_header(&doc), Ok(EnvPreset::Off));
+    }
+
+    #[test]
+    fn arm_header_rejects_an_unknown_env_label() {
+        let doc = tiny_baseline_doc().replace("\"env\": \"off\"", "\"env\": \"choas\"");
+        let err = parse_arm_header(&doc).unwrap_err();
+        assert!(err.contains("\"choas\""), "{err}");
+        for preset in EnvPreset::ALL {
+            assert!(err.contains(preset.label()), "{err}");
+        }
     }
 
     #[test]
@@ -472,7 +473,6 @@ mod tests {
         let runs = run_matrix_sequential(&matrix);
         let json = baseline_json(&exp, &runs, 3, EnvPreset::Off, true);
         assert!(json.contains("\"queue\": \"wheel\""));
-        assert!(json.contains("\"demand_gating\": true"));
         assert!(json.contains("\"env\": \"off\""));
         let (seed, rows) = parse_baseline(&json).unwrap();
         assert_eq!(seed, 3);

@@ -9,11 +9,11 @@
 //! regenerating the baseline, and the gate fails with a field-level diff.
 //! Timing telemetry (`wall_ms`, `events_per_sec`) is exempt.
 //!
-//! The seed and the arm configuration (demand gating, env preset) are
-//! taken from the committed file's self-describing header, so the gate
-//! always replays exactly the recorded experiment — a baseline exported
-//! from a reference or environment arm is diffed against that same arm.
-//! Headerless (pre-arm-metadata) files fall back to the default arm.
+//! The seed and the environment arm are taken from the committed file's
+//! self-describing header, so the gate always replays exactly the
+//! recorded experiment — a baseline exported from an environment arm is
+//! diffed against that same arm. A file without an `"env"` key falls
+//! back to `off`; an unknown label fails the gate (exit 1).
 //!
 //! With `--crashed` every replayed cell is snapshotted at its halfway
 //! point, torn down, and resumed from the snapshot bytes before
@@ -48,10 +48,12 @@ fn main() -> ExitCode {
         Err(e) => return cli::failure(format!("{path}: {e}")),
     };
 
-    let (demand_gating, env) = parse_arm_header(&text);
+    let env = match parse_arm_header(&text) {
+        Ok(env) => env,
+        Err(e) => return cli::failure(format!("{path}: {e}")),
+    };
     eprintln!(
-        "replaying baseline matrix (seed {seed}, {} schedulers, gating {demand_gating}, \
-         env {}{})…",
+        "replaying baseline matrix (seed {seed}, {} schedulers, env {}{})…",
         committed.len(),
         env.label(),
         if crashed_replay {
@@ -61,9 +63,9 @@ fn main() -> ExitCode {
         }
     );
     let (_, runs) = if crashed_replay {
-        run_baseline_crashed(seed, demand_gating, env)
+        run_baseline_crashed(seed, env)
     } else {
-        run_baseline(seed, demand_gating, env)
+        run_baseline(seed, env)
     };
     let fresh = baseline_rows(&runs);
 
@@ -90,13 +92,11 @@ fn main() -> ExitCode {
         }
     }
     if drifted {
-        let mut flags = String::new();
-        if !demand_gating {
-            flags.push_str(" --no-gating");
-        }
-        if env != venn_env::EnvPreset::Off {
-            flags.push_str(&format!(" --env {}", env.label()));
-        }
+        let flags = if env == venn_env::EnvPreset::Off {
+            String::new()
+        } else {
+            format!(" --env {}", env.label())
+        };
         eprintln!(
             "\nbenchmark baseline drifted — if the change is intentional, regenerate with:\n  \
              cargo run --release -p venn-bench --bin export_results -- {seed}{flags} --json {path}"

@@ -9,13 +9,9 @@
 //! results to `venn` by construction (the incremental parity harness),
 //! differing only in `wall_ms`/`events_per_sec`.
 //!
-//! The kernel's gating and environment arms are selectable for A/B
-//! verification: `--no-gating` disables demand-gated check-ins, and
 //! `--env <preset>` turns on a `venn-env` scenario
-//! (`off|flash-crowd|straggler-heavy|mass-dropout|chaos`). The un-gated
-//! reference arm must reproduce the default arm's JCT stats bit for bit;
-//! only `events` and `peak_queue_len` may differ. The chosen arms are
-//! recorded in the JSON header so baseline files are self-describing.
+//! (`off|flash-crowd|straggler-heavy|mass-dropout|chaos`); the chosen arm
+//! is recorded in the JSON header so baseline files are self-describing.
 //!
 //! `--deterministic` omits the timing telemetry (`wall_ms`,
 //! `events_per_sec`) from the JSON so two runs of the same arm produce
@@ -39,18 +35,16 @@ static ALLOC: venn_metrics::alloc::TrackingAlloc = venn_metrics::alloc::Tracking
 fn main() -> ExitCode {
     let mut seed: u64 = 42;
     let mut json_path: Option<String> = None;
-    let mut demand_gating = true;
     let mut env = EnvPreset::Off;
     let mut timing = true;
     let envs = EnvPreset::ALL.map(|p| (p.label(), p));
     Cli::new(
-        "[SEED] [--json PATH] [--no-gating] \
+        "[SEED] [--json PATH] \
          [--env off|flash-crowd|straggler-heavy|mass-dropout|chaos] [--deterministic]",
     )
     .parse(|cli, arg| {
         match arg {
             "--json" => json_path = Some(cli.value(arg)?),
-            "--no-gating" => demand_gating = false,
             "--env" => env = cli.choice(arg, &envs)?,
             "--deterministic" => timing = false,
             _ => seed = cli::seed(arg)?,
@@ -61,7 +55,7 @@ fn main() -> ExitCode {
     // Sequential on purpose: wall_ms feeds the events/sec baseline, and
     // timing runs while sibling simulations contend for cores would make
     // the recorded numbers machine-load-dependent.
-    let (exp, runs) = run_baseline(seed, demand_gating, env);
+    let (exp, runs) = run_baseline(seed, env);
 
     for r in &runs {
         let mut csv = Csv::new(&[

@@ -36,7 +36,8 @@ fn uncontended_jct(exp: &Experiment) -> Vec<f64> {
             let online_eligible = 0.19 * exp.sim.population as f64 * frac.max(1e-6);
             let trickle_per_ms = (daily_unique * frac.max(1e-6)) / venn_core::DAY_MS as f64;
             let excess = (j.demand as f64 - online_eligible).max(0.0);
-            let alloc_ms = exp.sim.repoll_ms as f64 * (1.0 + j.demand as f64 / online_eligible)
+            let alloc_ms = venn_sim::config::REPOLL_MS as f64
+                * (1.0 + j.demand as f64 / online_eligible)
                 + excess / trickle_per_ms;
             let resp_ms = 1.5 * j.task_ms as f64;
             j.rounds as f64 * (alloc_ms + resp_ms)

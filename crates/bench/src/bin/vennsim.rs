@@ -36,7 +36,7 @@ const SYNOPSIS: &str = "\
                [--jobs N] [--population N] [--days N] [--seed N]
                [--workload even|small|large|low|high]
                [--bias general|compute|memory|resource]
-               [--epsilon F] [--tiers N] [--async] [--overcommit F] [--no-gating]
+               [--epsilon F] [--tiers N] [--async] [--overcommit F]
                [--pop eager|split-eager|lazy]
                [--env off|flash-crowd|straggler-heavy|mass-dropout|chaos]
                [--load FILE.tsv] [--save FILE.tsv] [--csv]
@@ -133,7 +133,6 @@ fn parse_args() -> Args {
             "--tiers" => a.spec.tiers = cli.value(flag)?,
             "--async" => a.config.async_mode = true,
             "--overcommit" => a.config.overcommit = cli.value(flag)?,
-            "--no-gating" => a.config.demand_gating = false,
             "--pop" => a.config.pop_mode = cli.choice(flag, &POP_MODES)?,
             "--env" => a.env = cli.choice(flag, &envs)?,
             "--load" => a.load = Some(cli.value(flag)?),
@@ -183,6 +182,7 @@ impl Args {
     /// The usage rules no single flag can check.
     fn check(&self) -> Result<(), String> {
         let ensure = |ok: bool, why: &str| if ok { Ok(()) } else { Err(why.to_string()) };
+        self.opts.check()?;
         ensure(
             self.opts.rate.map_or(true, |r| r > 0.0 && r.is_finite()),
             "--rate must be a positive number",

@@ -25,7 +25,7 @@ fn assert_usage_error(bin: &str, args: &[&str], what: &str) {
 
 #[test]
 fn invalid_configs_are_usage_errors_on_every_entry_point() {
-    let bad: [(&[&str], &str); 7] = [
+    let bad: [(&[&str], &str); 8] = [
         (&["--population", "0"], "population"),
         (&["--days", "0"], "horizon"),
         (&["--overcommit", "3"], "overcommit"),
@@ -33,6 +33,7 @@ fn invalid_configs_are_usage_errors_on_every_entry_point() {
         (&["--epsilon", "-1"], "epsilon"),
         (&["--epsilon", "NaN"], "epsilon"),
         (&["--scheduler", "lottery"], "scheduler"),
+        (&["--idle-timeout", "18446744073709551615"], "idle timeout"),
     ];
     for entry in [&[][..], &["serve"][..]] {
         for (flags, what) in bad {

@@ -1,12 +1,22 @@
 //! Configuration of the Venn scheduler.
 
-use crate::{SimTime, DAY_MS};
+use crate::{SimTime, DAY_MS, MINUTE_MS};
+
+/// Periodic plan refresh between job arrival/completion triggers, so the
+/// plan tracks diurnal supply drift (§4.2 re-plans on those triggers; the
+/// interval is this implementation's choice).
+pub const REBUILD_INTERVAL_MS: SimTime = MINUTE_MS;
+/// Responses a job's profile needs before tier matching may restrict it
+/// (§4.3 matches by profiled response times; the threshold is this
+/// implementation's choice).
+pub const MIN_PROFILE_SAMPLES: usize = 10;
 
 /// Tunables of [`VennScheduler`](crate::VennScheduler).
 ///
 /// The defaults reproduce the paper's evaluation setup; the toggles exist
 /// for the Fig. 11 ablation (`use_irs` / `use_matching`) and the Fig. 13/14
-/// sweeps (`tiers` / `epsilon`).
+/// sweeps (`tiers` / `epsilon`). What no caller varies is a constant:
+/// [`REBUILD_INTERVAL_MS`] and [`MIN_PROFILE_SAMPLES`].
 ///
 /// # Examples
 ///
@@ -37,11 +47,6 @@ pub struct VennConfig {
     pub use_matching: bool,
     /// Sliding window for supply estimation; the paper averages over 24 h.
     pub supply_window_ms: SimTime,
-    /// Periodic plan refresh between job arrival/completion triggers, so
-    /// the plan tracks diurnal supply drift.
-    pub rebuild_interval_ms: SimTime,
-    /// Minimum profiled responses before a job may be tier-restricted.
-    pub min_profile_samples: usize,
     /// Seed for the rotating random tier pick.
     pub seed: u64,
     /// Maintain job orders and the IRS plan incrementally (dirty-flag per
@@ -61,8 +66,6 @@ impl Default for VennConfig {
             use_steal: true,
             use_matching: true,
             supply_window_ms: DAY_MS,
-            rebuild_interval_ms: 60_000,
-            min_profile_samples: 10,
             seed: 0xC0FFEE,
             incremental: true,
         }
@@ -106,7 +109,7 @@ impl VennConfig {
 
     /// Checks the invariants a front end can report as a usage error,
     /// naming the first violated one with its valid range: at least one
-    /// tier, ε finite and `>= 0`, non-zero windows.
+    /// tier, ε finite and `>= 0`, a non-zero supply window.
     pub fn check(&self) -> Result<(), String> {
         let ensure = |ok: bool, why: &str| if ok { Ok(()) } else { Err(why.to_string()) };
         ensure(self.tiers > 0, "tier count must be at least 1")?;
@@ -117,10 +120,6 @@ impl VennConfig {
         ensure(
             self.supply_window_ms > 0,
             "supply window must be at least 1 ms",
-        )?;
-        ensure(
-            self.rebuild_interval_ms > 0,
-            "rebuild interval must be at least 1 ms",
         )
     }
 

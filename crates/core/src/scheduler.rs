@@ -120,10 +120,11 @@ pub trait Scheduler {
     /// While this returns `false`, [`assign`](Scheduler::assign) is
     /// guaranteed to return `None` for every device, and that can only
     /// change at the next [`submit`](Scheduler::submit) — so the simulator
-    /// may park idle pollers instead of re-polling them, and wake them
-    /// when a request arrives. The default (`true`, "demand may be open")
-    /// conservatively disables that optimization for implementations that
-    /// do not override this.
+    /// parks idle pollers instead of re-polling them, and wakes them when
+    /// a request arrives. This is the only switch for that optimization.
+    /// The default (`true`, "demand may be open") never parks: a scheduler
+    /// that keeps it runs the un-gated reference arm, which the parity
+    /// tests compare the gated one against.
     fn has_open_demand(&self) -> bool {
         true
     }

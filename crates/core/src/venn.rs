@@ -39,6 +39,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::config::{MIN_PROFILE_SAMPLES, REBUILD_INTERVAL_MS};
 use crate::fairness::{fair_target_ms, FairnessKnob};
 use crate::intern::SpecInterner;
 use crate::irs::{self, AllocationPlan, GroupSummary, IrsScratch};
@@ -527,7 +528,6 @@ impl Scheduler for VennScheduler {
 
         let tiers = self.config.tiers;
         let use_matching = self.config.use_matching;
-        let min_samples = self.config.min_profile_samples;
         let u = if tiers > 1 {
             self.rng.gen_range(0..tiers)
         } else {
@@ -566,12 +566,12 @@ impl Scheduler for VennScheduler {
         entry.submit_time = now;
         entry.tier = if use_matching && tiers > 1 {
             self.stats.considered += 1;
-            if entry.profiler.is_ready(min_samples) {
+            if entry.profiler.is_ready(MIN_PROFILE_SAMPLES) {
                 self.stats.cost_ratio_sum += entry.profiler.cost_ratio().unwrap_or(0.0);
             } else {
                 self.stats.not_ready += 1;
             }
-            let tier = decide_tier(&mut entry.profiler, tiers, u, min_samples);
+            let tier = decide_tier(&mut entry.profiler, tiers, u, MIN_PROFILE_SAMPLES);
             if tier.is_some() {
                 self.stats.fired += 1;
             }
@@ -652,7 +652,7 @@ impl Scheduler for VennScheduler {
     }
 
     fn assign(&mut self, device: &DeviceInfo, now: SimTime) -> Option<JobId> {
-        if now.saturating_sub(self.last_rebuild) > self.config.rebuild_interval_ms {
+        if now.saturating_sub(self.last_rebuild) > REBUILD_INTERVAL_MS {
             self.refresh(now);
         }
         if self.config.use_irs {

@@ -83,6 +83,20 @@ impl Default for ServeOpts {
     }
 }
 
+impl ServeOpts {
+    /// Checks what a front end can report as a usage error: the idle
+    /// timeout must be a deadline the clock can represent.
+    pub fn check(&self) -> Result<(), String> {
+        match Instant::now().checked_add(self.idle_timeout) {
+            Some(_) => Ok(()),
+            None => Err(format!(
+                "idle timeout {:?} overflows the clock",
+                self.idle_timeout
+            )),
+        }
+    }
+}
+
 /// How often the paced driver converts wall time into virtual time, and
 /// the longest a wait lasts (a SIGTERM just before it waits this long).
 const PACE_TICK: Duration = Duration::from_millis(100);
@@ -311,8 +325,12 @@ fn apply_and_emit(
 /// Runs the session against stdin/stdout (or the multi-client TCP loop
 /// when configured), scripted or wall-clock paced per `opts`. On any
 /// exit path — quit, end of input, SIGTERM — the journal is sealed and,
-/// when configured, a final checkpoint is written.
+/// when configured, a final checkpoint is written. Options that
+/// [`ServeOpts::check`] rejects are an [`io::ErrorKind::InvalidInput`]
+/// error, before any journal or socket is opened.
 pub fn serve(session: &mut ServeSession, opts: &ServeOpts) -> io::Result<()> {
+    opts.check()
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
     let mut journal = match &opts.journal {
         Some(path) => Some(
             WalWriter::create(session.fs(), path, opts.journal_sync)

@@ -373,3 +373,31 @@ fn serve_returns_with_its_listener_and_threads_released() {
     }
     assert_eq!(threads(), before);
 }
+
+/// An idle timeout the clock cannot add to `Instant::now()` is a typed
+/// `InvalidInput` error before anything binds, not a panic once the first
+/// client connects.
+#[test]
+fn an_idle_timeout_past_the_clock_is_invalid_input() {
+    let _serial = serial();
+    let addr = TcpListener::bind("127.0.0.1:0")
+        .and_then(|l| l.local_addr())
+        .expect("a free loopback port")
+        .to_string();
+    let opts = ServeOpts {
+        listen: Some(addr.clone()),
+        idle_timeout: Duration::MAX,
+        ..ServeOpts::default()
+    };
+    let handle = std::thread::spawn(move || {
+        let mut s = session(shared_fs(MemFs::new()));
+        serve(&mut s, &opts).map_err(|e| e.kind())
+    });
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !handle.is_finished() && Instant::now() < deadline {
+        let _ = TcpStream::connect(&addr);
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let result = handle.join().expect("serve must not panic");
+    assert_eq!(result, Err(std::io::ErrorKind::InvalidInput));
+}

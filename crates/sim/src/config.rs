@@ -51,11 +51,44 @@ pub enum ExecMode {
     },
 }
 
-/// All knobs of one simulation run.
+/// Fraction of a round's participants that must report for the round to
+/// succeed: the paper's 80 % quorum.
+pub const QUORUM: f64 = 0.8;
+/// How often an idle online device re-polls the resource manager. Devices
+/// check in and wait to be matched (paper §4); the interval is this
+/// model's choice.
+pub const REPOLL_MS: SimTime = MINUTE_MS;
+/// Round deadline floor. A round of `demand` participants gets
+/// `DEADLINE_BASE_MS + demand × DEADLINE_PER_DEMAND_MS`, clamped to
+/// [`DEADLINE_MAX_MS`]: the paper's 5–15 min deadlines by demand.
+pub const DEADLINE_BASE_MS: SimTime = 5 * MINUTE_MS;
+/// Per-participant deadline slack (see [`DEADLINE_BASE_MS`]).
+pub const DEADLINE_PER_DEMAND_MS: SimTime = 5_000;
+/// Deadline upper clamp (see [`DEADLINE_BASE_MS`]).
+pub const DEADLINE_MAX_MS: SimTime = 15 * MINUTE_MS;
+/// Coefficient of variation of the log-normal noise on every response
+/// time, around the device's speed-scaled task time (a modelling choice).
+pub const RESPONSE_NOISE_CV: f64 = 0.35;
+/// Server-side aggregation delay between a round's quorum and the next
+/// round's request (a modelling choice).
+pub const AGG_DELAY_MS: SimTime = 2_000;
+/// Pause before retrying an aborted round, so a failed round does not
+/// immediately burn the replenishing device pool again.
+pub const ABORT_BACKOFF_MS: SimTime = MINUTE_MS;
+
+/// The knobs of one simulation run.
 ///
-/// Defaults reproduce the paper's setup at a laptop-tractable scale (see
-/// `DESIGN.md` for the scaling argument); [`SimConfig::small`] shrinks
-/// everything further for unit tests.
+/// Defaults reproduce the paper's setup at a laptop-tractable scale;
+/// [`SimConfig::small`] shrinks everything further for unit tests. What no
+/// caller varies is a constant of the model instead of a field:
+/// [`QUORUM`], [`REPOLL_MS`], the deadline rule ([`DEADLINE_BASE_MS`],
+/// [`DEADLINE_PER_DEMAND_MS`], [`DEADLINE_MAX_MS`]),
+/// [`RESPONSE_NOISE_CV`], [`AGG_DELAY_MS`] and [`ABORT_BACKOFF_MS`].
+/// Every device takes at most one task per day (the paper's realism
+/// cap). Whether idle pollers park while no request is open is the
+/// scheduler's call ([`Scheduler::has_open_demand`]).
+///
+/// [`Scheduler::has_open_demand`]: venn_core::Scheduler::has_open_demand
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
     /// Number of devices in the population.
@@ -65,33 +98,12 @@ pub struct SimConfig {
     /// RNG seed for the environment (availability, capacities, response
     /// noise). Scheduler seeds are separate, inside each scheduler.
     pub seed: u64,
-    /// Fraction of a round's participants that must report for success
-    /// (the paper uses 80 %).
-    pub quorum: f64,
-    /// How often an idle online device re-polls the resource manager.
-    pub repoll_ms: SimTime,
-    /// Round deadline = `deadline_base_ms + demand × deadline_per_demand_ms`
-    /// clamped to `deadline_max_ms` (the paper: 5–15 min by demand).
-    pub deadline_base_ms: SimTime,
-    /// Per-participant deadline slack.
-    pub deadline_per_demand_ms: SimTime,
-    /// Deadline upper clamp.
-    pub deadline_max_ms: SimTime,
-    /// Coefficient of variation of the log-normal response-time noise.
-    pub response_noise_cv: f64,
-    /// Server-side aggregation delay between rounds.
-    pub agg_delay_ms: SimTime,
-    /// Pause before retrying an aborted round, so a failed round does not
-    /// immediately burn the replenishing device pool again.
-    pub abort_backoff_ms: SimTime,
     /// Eligibility-region thresholds.
     pub thresholds: CategoryThresholds,
     /// Device availability model.
     pub availability: AvailabilityModel,
     /// Device capacity model.
     pub capacity: CapacityModel,
-    /// Enforce the paper's one-task-per-device-per-day realism cap.
-    pub one_task_per_day: bool,
     /// Overcommit factor α: jobs request `ceil(demand × (1 + α))` devices
     /// so dropouts during the round do not sink the quorum (Appendix A
     /// delegates the amount of overcommit to jobs; this models a uniform
@@ -105,13 +117,6 @@ pub struct SimConfig {
     /// Record per-round participant logs (needed by the FL experiments;
     /// costs memory on big runs).
     pub record_rounds: bool,
-    /// Demand-gated check-ins (default on): while no job has an open
-    /// request, idle devices are parked instead of re-polling every
-    /// [`repoll_ms`](SimConfig::repoll_ms), and woken on the next request
-    /// at exactly the poll-grid instants they would have used — dispatched
-    /// events shrink, while schedules, RNG draws, and results stay
-    /// byte-identical to the un-gated run (`false` is that reference arm).
-    pub demand_gating: bool,
     /// Environment dynamics (`venn-env`): churn, flash crowds, network
     /// tiers, and fault plans, each on its own split RNG stream. The
     /// default ([`EnvConfig::off`]) injects nothing — that arm is
@@ -134,14 +139,6 @@ impl Default for SimConfig {
             population: 5_000,
             days: 10,
             seed: 42,
-            quorum: 0.8,
-            repoll_ms: MINUTE_MS,
-            deadline_base_ms: 5 * MINUTE_MS,
-            deadline_per_demand_ms: 5_000,
-            deadline_max_ms: 15 * MINUTE_MS,
-            response_noise_cv: 0.35,
-            agg_delay_ms: 2_000,
-            abort_backoff_ms: MINUTE_MS,
             // 0.55/0.55 thresholds leave ~15 % of devices in the
             // High-Perf region — scarce enough that wasting them on
             // General jobs (what Random/SRSF do) visibly hurts, while
@@ -152,11 +149,9 @@ impl Default for SimConfig {
             },
             availability: AvailabilityModel::default(),
             capacity: CapacityModel::default(),
-            one_task_per_day: true,
             overcommit: 0.0,
             async_mode: false,
             record_rounds: false,
-            demand_gating: true,
             env: EnvConfig::off(),
             pop_mode: PopMode::Eager,
             exec: ExecMode::Sequential,
@@ -175,9 +170,8 @@ impl SimConfig {
     }
 
     /// Deadline for a round of `demand` participants.
-    pub fn deadline_ms(&self, demand: u32) -> SimTime {
-        (self.deadline_base_ms + demand as SimTime * self.deadline_per_demand_ms)
-            .min(self.deadline_max_ms)
+    pub fn deadline_ms(demand: u32) -> SimTime {
+        (DEADLINE_BASE_MS + demand as SimTime * DEADLINE_PER_DEMAND_MS).min(DEADLINE_MAX_MS)
     }
 
     /// Simulated horizon in milliseconds.
@@ -186,22 +180,12 @@ impl SimConfig {
     }
 
     /// Checks the invariants a front end can report as a usage error:
-    /// non-empty population, a horizon of at least one day, quorum in
-    /// `(0, 1]`, positive repoll, non-negative noise, overcommit in
+    /// non-empty population, a horizon of at least one day, overcommit in
     /// `[0, 1)`.
     pub fn check(&self) -> Result<(), String> {
         let ensure = |ok: bool, why: &str| if ok { Ok(()) } else { Err(why.to_string()) };
         ensure(self.population > 0, "population must be positive")?;
         ensure(self.days > 0, "horizon must cover at least one day")?;
-        ensure(
-            self.quorum > 0.0 && self.quorum <= 1.0,
-            "quorum must be in (0, 1]",
-        )?;
-        ensure(self.repoll_ms > 0, "repoll interval must be positive")?;
-        ensure(
-            self.response_noise_cv >= 0.0,
-            "noise cv must be non-negative",
-        )?;
         ensure(
             (0.0..1.0).contains(&self.overcommit),
             "overcommit must be in [0, 1)",
@@ -228,8 +212,8 @@ impl SimConfig {
     }
 
     /// Quorum target for a round of `demand` participants (at least 1).
-    pub fn quorum_target(&self, demand: u32) -> u32 {
-        ((demand as f64 * self.quorum).ceil() as u32).max(1)
+    pub fn quorum_target(demand: u32) -> u32 {
+        ((demand as f64 * QUORUM).ceil() as u32).max(1)
     }
 }
 
@@ -245,18 +229,16 @@ mod tests {
 
     #[test]
     fn deadline_scales_and_clamps() {
-        let c = SimConfig::default();
-        assert_eq!(c.deadline_ms(0), 5 * MINUTE_MS);
-        assert!(c.deadline_ms(50) > c.deadline_ms(10));
-        assert_eq!(c.deadline_ms(10_000), 15 * MINUTE_MS);
+        assert_eq!(SimConfig::deadline_ms(0), 5 * MINUTE_MS);
+        assert!(SimConfig::deadline_ms(50) > SimConfig::deadline_ms(10));
+        assert_eq!(SimConfig::deadline_ms(10_000), 15 * MINUTE_MS);
     }
 
     #[test]
     fn quorum_target_rounds_up() {
-        let c = SimConfig::default();
-        assert_eq!(c.quorum_target(10), 8);
-        assert_eq!(c.quorum_target(1), 1);
-        assert_eq!(c.quorum_target(3), 3); // ceil(2.4)
+        assert_eq!(SimConfig::quorum_target(10), 8);
+        assert_eq!(SimConfig::quorum_target(1), 1);
+        assert_eq!(SimConfig::quorum_target(3), 3); // ceil(2.4)
     }
 
     #[test]
@@ -283,13 +265,6 @@ mod tests {
         let d = SimConfig::default();
         assert!(bad(SimConfig { population: 0, ..d }).contains("population"));
         assert!(bad(SimConfig { days: 0, ..d }).contains("horizon"));
-        assert!(bad(SimConfig { quorum: 0.0, ..d }).contains("quorum"));
-        assert!(bad(SimConfig { repoll_ms: 0, ..d }).contains("repoll"));
-        let nan_cv = SimConfig {
-            response_noise_cv: f64::NAN,
-            ..d
-        };
-        assert!(bad(nan_cv).contains("noise"));
         assert!(bad(SimConfig {
             overcommit: 3.0,
             ..d
@@ -314,16 +289,6 @@ mod tests {
         SimConfig {
             exec: ExecMode::Sharded { shards: 0 },
             ..SimConfig::small()
-        }
-        .validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "quorum")]
-    fn bad_quorum_panics() {
-        SimConfig {
-            quorum: 1.5,
-            ..SimConfig::default()
         }
         .validate();
     }

@@ -269,16 +269,16 @@ impl DevicePool {
     }
 
     /// Whether the device may poll the resource manager at `now`: online,
-    /// idle, and (if the cap is enforced) not already used today. Absent
-    /// devices are offline, hence `false`.
-    pub fn can_check_in(&self, device: usize, now: SimTime, one_task_per_day: bool) -> bool {
+    /// idle, and not already used today (the paper's one-task-per-day
+    /// cap). Absent devices are offline, hence `false`.
+    pub fn can_check_in(&self, device: usize, now: SimTime) -> bool {
         let Some(d) = self.state(device) else {
             return false;
         };
         if d.busy || now >= d.session_end {
             return false;
         }
-        !(one_task_per_day && d.last_task_day == Some(now / DAY_MS))
+        d.last_task_day != Some(now / DAY_MS)
     }
 
     /// Marks the device computing (async-mode assignment — no holding
@@ -637,14 +637,14 @@ mod tests {
     #[test]
     fn check_in_requires_online_and_idle() {
         let mut p = pool(1);
-        assert!(!p.can_check_in(0, 0, true), "offline device cannot poll");
+        assert!(!p.can_check_in(0, 0), "offline device cannot poll");
         p.begin_session(0, 10_000);
-        assert!(p.can_check_in(0, 5_000, true));
-        assert!(!p.can_check_in(0, 10_000, true), "session over");
+        assert!(p.can_check_in(0, 5_000));
+        assert!(!p.can_check_in(0, 10_000), "session over");
         p.mark_busy(0);
-        assert!(!p.can_check_in(0, 5_000, true), "busy device cannot poll");
+        assert!(!p.can_check_in(0, 5_000), "busy device cannot poll");
         p.release(0);
-        assert!(p.can_check_in(0, 5_000, true));
+        assert!(p.can_check_in(0, 5_000));
     }
 
     #[test]
@@ -652,9 +652,8 @@ mod tests {
         let mut p = pool(1);
         p.begin_session(0, 2 * DAY_MS);
         p.note_task(0, 1_000);
-        assert!(!p.can_check_in(0, 2_000, true), "cap applies same day");
-        assert!(p.can_check_in(0, 2_000, false), "cap can be disabled");
-        assert!(p.can_check_in(0, DAY_MS + 1, true), "next day resets cap");
+        assert!(!p.can_check_in(0, 2_000), "cap applies same day");
+        assert!(p.can_check_in(0, DAY_MS + 1), "next day resets cap");
     }
 
     #[test]
@@ -679,7 +678,7 @@ mod tests {
         p.begin_session(0, 10_000);
         p.force_offline(0, 4_000);
         assert_eq!(p.session_end(0), 4_000);
-        assert!(!p.can_check_in(0, 5_000, true), "forced offline at 4000");
+        assert!(!p.can_check_in(0, 5_000), "forced offline at 4000");
         // A later session start extends again (only-extend vs the new end).
         p.begin_session(0, 8_000);
         assert_eq!(p.session_end(0), 8_000);
@@ -702,11 +701,11 @@ mod tests {
         assert_eq!(p.live_devices(), 0);
         assert_eq!(p.len(), 100);
         assert_eq!(p.session_end(7), 0, "absent device reads as offline");
-        assert!(!p.can_check_in(7, 0, true));
+        assert!(!p.can_check_in(7, 0));
         assert!(!p.hold_is_current(7, 1));
         p.begin_session(7, 10_000);
         assert_eq!(p.live_devices(), 1);
-        assert!(p.can_check_in(7, 5_000, true));
+        assert!(p.can_check_in(7, 5_000));
         assert_eq!(p.info(7).id().as_u64(), 7);
     }
 
@@ -750,8 +749,8 @@ mod tests {
         // Re-materialize: durable facts survive.
         p.begin_session(3, 90_000_000);
         assert_eq!(p.get(3).last_task_day, Some(0), "daily cap survives");
-        assert!(!p.can_check_in(3, 10_000, true), "cap still applies today");
-        assert!(p.can_check_in(3, DAY_MS + 1, true), "next day resets");
+        assert!(!p.can_check_in(3, 10_000), "cap still applies today");
+        assert!(p.can_check_in(3, DAY_MS + 1), "next day resets");
         let g2 = p.mark_held(3, 0, 0);
         assert!(g2 > g, "hold generations never restart");
     }

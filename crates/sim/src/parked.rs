@@ -33,6 +33,7 @@ use std::collections::VecDeque;
 
 use venn_core::{Capacity, CheckInRecord, DeviceId, DeviceInfo, Scheduler, SimTime};
 
+use crate::config::REPOLL_MS;
 use crate::device_pool::DevicePool;
 use crate::event::{EventKind, EventQueue};
 
@@ -60,7 +61,7 @@ struct Entry {
 /// Every parked poll of one world, ascending by `(time, seq)`.
 ///
 /// The ordering is maintained with plain `push_back`s: every entry is
-/// created `repoll_ms` after a stream position that is itself
+/// created [`REPOLL_MS`] after a stream position that is itself
 /// non-decreasing, so a new entry's key always trails the back's.
 #[derive(Debug)]
 pub struct ParkedPolls {
@@ -70,19 +71,17 @@ pub struct ParkedPolls {
     /// Supply observations awaiting replay, in stream order. Persistent
     /// scratch: drained (capacity retained) by every flush.
     obs: Vec<CheckInRecord>,
-    repoll_ms: SimTime,
     horizon: SimTime,
 }
 
 impl ParkedPolls {
-    /// An empty plane for a world polling every `repoll_ms` until
+    /// An empty plane for a world polling every [`REPOLL_MS`] until
     /// `horizon`.
-    pub fn new(repoll_ms: SimTime, horizon: SimTime) -> Self {
+    pub fn new(horizon: SimTime) -> Self {
         ParkedPolls {
             q: VecDeque::new(),
             gen: 0,
             obs: Vec::new(),
-            repoll_ms,
             horizon,
         }
     }
@@ -130,7 +129,7 @@ impl ParkedPolls {
 
     /// Demand just opened: every parked poll re-enters the event queue at
     /// its reserved `(time, seq)` position — the next instant of the
-    /// device's own `repoll_ms` grid, with its original tie-break rank.
+    /// device's own [`REPOLL_MS`] grid, with its original tie-break rank.
     pub fn wake(&mut self, queue: &mut EventQueue) {
         for e in self.q.drain(..) {
             let device = e.device as usize;
@@ -161,7 +160,7 @@ impl ParkedPolls {
         let observes = !self.q.is_empty() && scheduler.observes_check_ins();
         while let Some(e) = self.pop_due(time, seq) {
             let device = e.device as usize;
-            let next = e.time + self.repoll_ms;
+            let next = e.time + REPOLL_MS;
             // The cache may only say "alive, and so is the next poll".
             let end = if e.gen == self.gen && next < e.end {
                 e.end
@@ -215,8 +214,6 @@ mod tests {
     use venn_core::{JobId, Request};
     use venn_traces::CapacityModel;
 
-    const REPOLL: SimTime = 60_000;
-
     /// Records every replayed observation and the size of each batch.
     #[derive(Default)]
     struct Recorder {
@@ -258,7 +255,7 @@ mod tests {
 
     #[test]
     fn stale_generation_rereads_the_pool() {
-        let mut plane = ParkedPolls::new(REPOLL, 1_000_000);
+        let mut plane = ParkedPolls::new(1_000_000);
         let mut queue = EventQueue::new();
         let mut devices = pool(4, 500_000);
         let mut sched = Recorder::default();
@@ -274,7 +271,7 @@ mod tests {
 
     #[test]
     fn an_extended_session_outlives_its_cached_end() {
-        let mut plane = ParkedPolls::new(REPOLL, 1_000_000);
+        let mut plane = ParkedPolls::new(1_000_000);
         let mut queue = EventQueue::new();
         let mut devices = pool(1, 150_000);
         let mut sched = Recorder::default();
@@ -289,7 +286,7 @@ mod tests {
 
     #[test]
     fn wake_reenters_the_queue_in_time_seq_order() {
-        let mut plane = ParkedPolls::new(REPOLL, 1_000_000);
+        let mut plane = ParkedPolls::new(1_000_000);
         let mut queue = EventQueue::new();
         for (device, time) in [(4usize, 200u64), (8, 200), (0, 500), (5, 650), (1, 900)] {
             plane.park(device, time, queue.reserve_seq(), 10_000, cap());
@@ -309,7 +306,7 @@ mod tests {
 
     #[test]
     fn last_grid_poll_files_a_retire_note() {
-        let mut plane = ParkedPolls::new(REPOLL, 1_000_000);
+        let mut plane = ParkedPolls::new(1_000_000);
         let mut queue = EventQueue::new();
         let mut devices = pool(1, 150_000);
         let mut sched = Recorder::default();
@@ -326,7 +323,7 @@ mod tests {
     #[test]
     fn a_long_window_replays_in_bounded_batches_in_stream_order() {
         let n = 2 * REPLAY_BATCH + 3;
-        let mut plane = ParkedPolls::new(REPOLL, 2_000_000);
+        let mut plane = ParkedPolls::new(2_000_000);
         let mut queue = EventQueue::new();
         let mut devices = pool(n, 1_000_000);
         let mut sched = Recorder::default();
@@ -346,7 +343,7 @@ mod tests {
         let expected: Vec<(SimTime, u64)> = lap
             .iter()
             .copied()
-            .chain(lap.iter().map(|&(t, d)| (t + REPOLL, d)))
+            .chain(lap.iter().map(|&(t, d)| (t + REPOLL_MS, d)))
             .collect();
         assert_eq!(sched.seen, expected);
         assert_eq!(plane.len(), n, "every chain re-parked its third poll");

@@ -26,7 +26,9 @@ use venn_traces::dist::LogNormal;
 use venn_traces::{JobPlan, Workload};
 
 use crate::cohort::CohortSet;
-use crate::config::{PopMode, SimConfig};
+use crate::config::{
+    PopMode, SimConfig, ABORT_BACKOFF_MS, AGG_DELAY_MS, REPOLL_MS, RESPONSE_NOISE_CV,
+};
 use crate::device_pool::DevicePool;
 use crate::event::{Event, EventKind, EventQueue};
 use crate::job_table::{JobPhase, JobRuntime, JobTable};
@@ -146,7 +148,7 @@ impl World {
         config.validate();
         let horizon = config.horizon_ms();
         let mut rng = StdRng::seed_from_u64(config.seed);
-        let noise = LogNormal::from_mean_cv(1.0, config.response_noise_cv.max(1e-6));
+        let noise = LogNormal::from_mean_cv(1.0, RESPONSE_NOISE_CV);
         let env = config.env.compile(config.population, horizon, config.seed);
 
         let mut queue = EventQueue::new();
@@ -273,7 +275,7 @@ impl World {
             devices,
             jobs: JobTable::new(workload, config.thresholds),
             queue,
-            parked: ParkedPolls::new(config.repoll_ms, horizon),
+            parked: ParkedPolls::new(horizon),
             env,
             cohorts,
             session_stream,
@@ -476,7 +478,7 @@ impl World {
             let held: Vec<usize> = self.jobs.get(job_idx).held_devices().collect();
             for device in held {
                 self.devices.release(device);
-                let next = now + self.config.repoll_ms;
+                let next = now + REPOLL_MS;
                 if next < self.devices.session_end(device) {
                     self.queue.push(next, EventKind::CheckIn { device });
                 } else {
@@ -710,10 +712,7 @@ impl World {
         scheduler: &mut dyn Scheduler,
         observers: &mut [&mut dyn SimObserver],
     ) {
-        if !self
-            .devices
-            .can_check_in(device, now, self.config.one_task_per_day)
-        {
+        if !self.devices.can_check_in(device, now) {
             // A dead/capped/busy poll target may be this device's last
             // touchpoint — let the lazy store consider retiring it.
             self.devices.note_possible_retire(device, now);
@@ -755,19 +754,21 @@ impl World {
                 }
             }
             None => {
-                // Stay online and poll again later. While no job has an
-                // open request the next poll cannot assign either, so the
-                // gated kernel parks the device instead of dispatching the
+                // Stay online and poll again later. While the scheduler
+                // reports no open request the next poll cannot assign
+                // either, so the device parks instead of dispatching the
                 // repoll flood — reserving the poll's seq so a wake-up
-                // re-enters the stream at the exact un-gated position.
-                let next = now + self.config.repoll_ms;
+                // re-enters the stream at the exact un-gated position. A
+                // scheduler that keeps the default `has_open_demand` never
+                // parks: the un-gated reference arm.
+                let next = now + REPOLL_MS;
                 let end = self.devices.session_end(device);
                 if next < end {
-                    if self.config.demand_gating && !scheduler.has_open_demand() {
+                    if scheduler.has_open_demand() {
+                        self.queue.push(next, EventKind::CheckIn { device });
+                    } else {
                         let seq = self.queue.reserve_seq();
                         self.parked.park(device, next, seq, end, *info.capacity());
-                    } else {
-                        self.queue.push(next, EventKind::CheckIn { device });
                     }
                 } else {
                     // Poll chain ends inside this session: nothing will
@@ -853,7 +854,7 @@ impl World {
             self.push_task_outcome(job, epoch, device, response_ms, now, session_end);
         }
         self.queue.push(
-            now + self.config.deadline_ms(demand),
+            now + SimConfig::deadline_ms(demand),
             EventKind::RoundDeadline { job, epoch },
         );
         for o in observers.iter_mut() {
@@ -1002,7 +1003,7 @@ impl World {
         // arriving at its session's final instant can retire it here.
         self.devices.note_possible_retire(device, now);
         let demand = self.workload.jobs[job_idx].demand;
-        if responses >= self.config.quorum_target(demand) {
+        if responses >= SimConfig::quorum_target(demand) {
             self.complete_round(job_idx, now, scheduler, observers);
         }
     }
@@ -1101,7 +1102,7 @@ impl World {
             let held: Vec<usize> = self.jobs.get(job_idx).held_devices().collect();
             for device in held {
                 self.devices.release(device);
-                let next = now + self.config.repoll_ms;
+                let next = now + REPOLL_MS;
                 if next < self.devices.session_end(device) {
                     self.queue.push(next, EventKind::CheckIn { device });
                 } else {
@@ -1118,10 +1119,8 @@ impl World {
         j.phase = JobPhase::Idle;
         j.epoch += 1;
         let round = j.rounds_done;
-        self.queue.push(
-            now + self.config.abort_backoff_ms,
-            EventKind::RoundStart { job_idx },
-        );
+        self.queue
+            .push(now + ABORT_BACKOFF_MS, EventKind::RoundStart { job_idx });
         for o in observers.iter_mut() {
             o.on_round_abort(now, job_idx, round);
         }
@@ -1214,7 +1213,6 @@ impl World {
     ) {
         let plan_rounds = self.workload.jobs[job_idx].rounds;
         let record_rounds = self.config.record_rounds;
-        let agg_delay = self.config.agg_delay_ms;
         let j = self.jobs.get_mut(job_idx);
         if j.phase == JobPhase::Allocating {
             // Async quorum before full allocation: close the open request.
@@ -1243,7 +1241,7 @@ impl World {
         } else {
             j.phase = JobPhase::Idle;
             self.queue
-                .push(now + agg_delay, EventKind::RoundStart { job_idx });
+                .push(now + AGG_DELAY_MS, EventKind::RoundStart { job_idx });
         }
         if let Some(log) = log {
             for o in observers.iter_mut() {
@@ -1417,7 +1415,7 @@ impl World {
         // behaviorally identical to the checkpointed plane's cache state,
         // which only ever *under*-estimates session ends between
         // generation bumps.
-        self.parked = ParkedPolls::new(self.config.repoll_ms, self.horizon);
+        self.parked = ParkedPolls::new(self.horizon);
         for &(time, seq, device) in &polls {
             let device = device as usize;
             let end = self.devices.session_end(device);

@@ -15,11 +15,14 @@
 //!   `peak_queue_len`. Two arms that claim bit-identity (storage modes,
 //!   incremental scheduling) must pass this.
 //! - [`CheckInTap`] records the supply observations a scheduler is fed,
-//!   the one thing demand gating promises to replay exactly.
+//!   the one thing demand gating promises to replay exactly. An
+//!   `ungated` tap keeps the trait's default `has_open_demand`, so the
+//!   kernel never parks an idle poller: the un-gated reference arm
+//!   ([`observe_ungated`]).
 //! - [`assert_outcome_parity`] is the weaker comparison for arms that
-//!   legitimately dispatch a *different event stream* (demand gating
-//!   off re-polls idle devices) but must still produce identical
-//!   scheduling outcomes.
+//!   legitimately dispatch a *different event stream* (the un-gated arm
+//!   re-polls idle devices) but must still produce identical scheduling
+//!   outcomes.
 //!
 //! The conventional scheduler seed is `sim.seed ^ SCHED_SEED_SALT`, so
 //! arms that differ only in kernel configuration share scheduler RNG
@@ -95,9 +98,23 @@ pub fn contended_workload(seed: u64) -> Workload {
 
 /// Forwards every call to `inner`, recording each supply observation
 /// `(time, device)` it is fed — per check-in or replayed in a batch.
+/// With `ungated` set it answers `has_open_demand` with the trait's
+/// default `true` instead of forwarding it, so the kernel never parks an
+/// idle poller.
 pub struct CheckInTap<'a> {
     pub inner: &'a mut dyn Scheduler,
     pub seen: Vec<(SimTime, u64)>,
+    pub ungated: bool,
+}
+
+impl<'a> CheckInTap<'a> {
+    pub fn new(inner: &'a mut dyn Scheduler, ungated: bool) -> Self {
+        CheckInTap {
+            inner,
+            seen: Vec::new(),
+            ungated,
+        }
+    }
 }
 
 impl Scheduler for CheckInTap<'_> {
@@ -130,7 +147,7 @@ impl Scheduler for CheckInTap<'_> {
         self.inner.pending_demand(job)
     }
     fn has_open_demand(&self) -> bool {
-        self.inner.has_open_demand()
+        self.ungated || self.inner.has_open_demand()
     }
     fn observes_check_ins(&self) -> bool {
         self.inner.observes_check_ins()
@@ -158,6 +175,16 @@ pub fn observe_kind(sim: SimConfig, workload: &Workload, kind: SchedKind) -> Obs
     observe(sim, workload, &mut *sched)
 }
 
+/// Runs `scheduler` on the un-gated reference arm: every idle poll is
+/// dispatched, none parked.
+pub fn observe_ungated(
+    sim: SimConfig,
+    workload: &Workload,
+    scheduler: &mut dyn Scheduler,
+) -> Observed {
+    observe(sim, workload, &mut CheckInTap::new(scheduler, true))
+}
+
 /// Strict parity: every deterministic field of the observable surface,
 /// byte for byte. Arms that claim bit-identity must pass this.
 pub fn assert_run_parity(a: &Observed, b: &Observed, ctx: &str) {
@@ -183,7 +210,7 @@ pub fn assert_run_parity(a: &Observed, b: &Observed, ctx: &str) {
 }
 
 /// Outcome parity for arms whose event *streams* legitimately differ
-/// (demand gating off dispatches extra polls): the scheduling outcome —
+/// (the un-gated arm dispatches extra polls): the scheduling outcome —
 /// records, rounds, assignment stream, aborts, failures, environment
 /// counters — must still be identical.
 pub fn assert_outcome_parity(a: &Observed, b: &Observed, ctx: &str) {

@@ -6,7 +6,7 @@
 //!    deterministic field byte for byte.
 //! 2. **Per-seed reproducibility of every preset** — the three new
 //!    scenario presets run for every `SchedKind` across seeds with
-//!    run-to-run identical results, with demand gating on and off.
+//!    run-to-run identical results, on the gated and the un-gated arm.
 //!
 //! Plus the quorum/abort edge case of the new mid-round dropout path: a
 //! round whose dropouts land the report count exactly on the 80 % quorum
@@ -51,17 +51,15 @@ fn run_logged(sim: SimConfig, workload: &Workload, kind: SchedKind) -> Observed 
 }
 
 /// [`run_logged`] plus the `(time, device)` stream of supply observations
-/// the scheduler was fed.
+/// the scheduler was fed, on the gated or the un-gated arm.
 fn run_tapped(
     sim: SimConfig,
     workload: &Workload,
     kind: SchedKind,
+    ungated: bool,
 ) -> (Observed, Vec<(SimTime, u64)>) {
     let mut sched = kind.build(sim.seed ^ SCHED_SEED_SALT);
-    let mut tap = CheckInTap {
-        inner: &mut *sched,
-        seen: Vec::new(),
-    };
+    let mut tap = CheckInTap::new(&mut *sched, ungated);
     let observed = observe(sim, workload, &mut tap);
     (observed, tap.seen)
 }
@@ -74,7 +72,7 @@ fn env_off_reproduces_the_committed_baseline_exactly() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_BASELINE.json");
     let text = std::fs::read_to_string(path).expect("committed baseline present");
     let (seed, committed) = parse_baseline(&text).expect("committed baseline parses");
-    let (_, runs) = run_baseline(seed, true, EnvPreset::Off);
+    let (_, runs) = run_baseline(seed, EnvPreset::Off);
     let fresh = baseline_rows(&runs);
     assert_eq!(committed.len(), fresh.len(), "scheduler row count");
     for (c, f) in committed.iter().zip(&fresh) {
@@ -110,8 +108,9 @@ fn presets_replay_identically_for_every_sched_kind() {
     }
 }
 
-/// Demand gating stays a pure cost optimization under every preset:
-/// gating off reproduces the default arm's assignment streams and
+/// Demand gating stays a pure cost optimization under every preset: the
+/// un-gated arm (a scheduler that keeps the default `has_open_demand`)
+/// reproduces the default arm's assignment streams and
 /// results while the environment is injecting churn, stragglers, and
 /// faults. The lazy chaos case is the oracle for
 /// the parked polls' cached session ends: its jobs arrive six hours in,
@@ -130,15 +129,8 @@ fn gating_arms_stay_identical_under_env_presets() {
             plan.arrival_ms += delay_ms;
         }
         for kind in [SchedKind::Random, SchedKind::Srsf, SchedKind::Venn] {
-            let (def, def_seen) = run_tapped(sim, &workload, kind);
-            let (ungated, ungated_seen) = run_tapped(
-                SimConfig {
-                    demand_gating: false,
-                    ..sim
-                },
-                &workload,
-                kind,
-            );
+            let (def, def_seen) = run_tapped(sim, &workload, kind, false);
+            let (ungated, ungated_seen) = run_tapped(sim, &workload, kind, true);
             if kind == SchedKind::Venn {
                 // Gating replays exactly the observations it suppressed:
                 // same records, same order, same timestamps (polls still
@@ -151,7 +143,7 @@ fn gating_arms_stay_identical_under_env_presets() {
             assert_outcome_parity(
                 &def,
                 &ungated,
-                &format!("{preset:?} {pop_mode:?} {kind:?} vs gating-off"),
+                &format!("{preset:?} {pop_mode:?} {kind:?} vs un-gated"),
             );
             assert!(
                 def.result.events <= ungated.result.events,
@@ -263,7 +255,11 @@ fn run_with_faults(w: &Workload, faults: &'static [DeviceFault]) -> (SimResult, 
 fn dropouts_on_the_quorum_boundary_succeed_one_fewer_aborts() {
     let w = boundary_workload();
     let config = SimConfig::small();
-    assert_eq!(config.quorum_target(5), 4, "80 % of 5 is exactly 4 reports");
+    assert_eq!(
+        SimConfig::quorum_target(5),
+        4,
+        "80 % of 5 is exactly 4 reports"
+    );
 
     // Observe the untouched round: when it starts and when each of the
     // five participants would report.

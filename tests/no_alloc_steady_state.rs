@@ -23,6 +23,7 @@ use venn::core::{
     VennScheduler,
 };
 use venn::metrics::alloc::{allocation_calls as allocations, TrackingAlloc};
+use venn::sim::config::REPOLL_MS as REPOLL;
 use venn::sim::{DevicePool, EventQueue, ParkedPolls};
 use venn::traces::CapacityModel;
 
@@ -114,8 +115,6 @@ fn assert_no_alloc_steady_state(mut sched: Box<dyn Scheduler>, label: &str) {
     );
 }
 
-const REPOLL: u64 = 60_000;
-
 /// Counts replayed supply observations (through the trait's default
 /// per-record `replay_check_ins`) and holds no other state.
 struct CountCheckIns(usize);
@@ -172,7 +171,7 @@ fn assert_no_alloc_parked_plane(n: usize, label: &str) {
     for d in 0..n {
         pool.begin_session(d, 1 << 60);
     }
-    let mut plane = ParkedPolls::new(REPOLL, u64::MAX);
+    let mut plane = ParkedPolls::new(u64::MAX);
     let mut queue = EventQueue::new();
     let mut t = 0_u64;
     // The queue the cycle wakes into has a steady state of its own: a
