@@ -377,7 +377,7 @@ impl ServeSession {
             ("rounds", Value::Int(plan.rounds as i64)),
             ("demand", Value::Int(plan.demand as i64)),
             ("arrival_ms", Value::Int(plan.arrival_ms as i64)),
-            ("assigned", Value::Int(j.assigned as i64)),
+            ("assigned", Value::Int(j.assigned() as i64)),
             ("responses", Value::Int(j.responses as i64)),
             ("rounds_aborted", Value::Int(j.record.rounds_aborted as i64)),
             ("jct_ms", jct),

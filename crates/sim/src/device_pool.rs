@@ -1,5 +1,5 @@
-//! The device population: availability sessions, busy flags, and the
-//! one-task-per-day realism cap.
+//! The device population: availability sessions, each device's [`Role`]
+//! towards the jobs, and the one-task-per-day realism cap.
 //!
 //! Two storage arms back the pool:
 //!
@@ -34,6 +34,21 @@ use venn_core::{
 };
 use venn_traces::{CapacityModel, DeviceProfile};
 
+/// What a materialized device is doing for the jobs. Written only by the
+/// [`lifecycle`](crate::lifecycle) transitions, which keep it in step with
+/// the holding job's hold list.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Role {
+    /// Free: may poll the resource manager.
+    Idle,
+    /// Allocated to `job`'s open request, not yet computing; `slot` is
+    /// the device's index in that job's hold list, making release O(1).
+    Held { job: usize, slot: usize },
+    /// Computing a task. `failed` is set when an environment fault forced
+    /// the device offline mid-task: its report must count as a failure.
+    Computing { failed: bool },
+}
+
 /// Per-device simulation state.
 #[derive(Debug)]
 pub struct DeviceState {
@@ -47,30 +62,17 @@ pub struct DeviceState {
     pub info: DeviceInfo,
     /// End of the current availability session (0 = offline).
     pub session_end: SimTime,
-    /// Held by a job or computing.
-    pub busy: bool,
+    /// Idle, held, or computing.
+    pub role: Role,
     /// Day index of the device's last computation (one-task-per-day cap).
     pub last_task_day: Option<u64>,
-    /// While held by a job: the device's slot in that job's hold list,
-    /// making hold release O(1). Meaningless when not held.
-    pub held_slot: usize,
-    /// Whether `busy` means *held* (allocated, idle) rather than
-    /// *computing* — environment faults treat the two differently.
-    pub held: bool,
-    /// While held: the holding job's workload index. Meaningless when
-    /// not held.
-    pub held_job: usize,
-    /// Hold-generation counter, bumped on every [`DevicePool::mark_held`].
+    /// Hold-generation counter, bumped on every hold.
     /// A pending `HoldExpire` only releases when its recorded generation
     /// still matches — environment faults can release holds early, which
     /// would otherwise let the stale expiry free a *new* hold. Survives
     /// retirement via the durable overlay: a re-materialized device must
     /// not restart the counter under stale expiries still in flight.
     pub hold_seq: u64,
-    /// Set when an environment fault forced the device offline while it
-    /// was computing: its in-flight response must be counted as a
-    /// failure when it arrives. Never set on the env-off arm.
-    pub failed_task: bool,
 }
 
 impl DeviceState {
@@ -79,13 +81,9 @@ impl DeviceState {
             info: DeviceInfo::new(DeviceId::new(device as u64), profile.capacity),
             profile,
             session_end: 0,
-            busy: false,
+            role: Role::Idle,
             last_task_day: None,
-            held_slot: 0,
-            held: false,
-            held_job: 0,
             hold_seq: 0,
-            failed_task: false,
         }
     }
 }
@@ -126,11 +124,10 @@ enum Store {
 
 /// All devices of one simulated world, indexed by population index.
 ///
-/// The pool owns session bookkeeping and the busy/daily-cap flags; the
-/// [`World`](crate::world::World) event handlers mutate it exclusively
-/// through these named operations, which keeps every lifecycle rule
-/// (sessions only extend, a busy device never checks in, one task per
-/// day) in one place.
+/// The pool owns session bookkeeping, device roles and the daily cap.
+/// Roles change only through the device × job transitions of
+/// [`lifecycle`](crate::lifecycle); the pool's own rules (sessions only
+/// extend, a busy device never checks in, one task per day) stay here.
 ///
 /// Absent (never-materialized or retired) devices on the lazy arm answer
 /// read queries exactly like offline idle devices — `session_end` 0,
@@ -275,37 +272,32 @@ impl DevicePool {
         let Some(d) = self.state(device) else {
             return false;
         };
-        if d.busy || now >= d.session_end {
+        if d.role != Role::Idle || now >= d.session_end {
             return false;
         }
         d.last_task_day != Some(now / DAY_MS)
     }
 
-    /// Marks the device computing (async-mode assignment — no holding
-    /// phase).
-    pub fn mark_busy(&mut self, device: usize) {
+    /// Marks the device held by `job` at `slot` of the job's hold list,
+    /// and returns the new hold generation (carried by the matching
+    /// `HoldExpire` event).
+    pub(crate) fn mark_held(&mut self, device: usize, job: usize, slot: usize) -> u64 {
         let d = self.expect_mut(device);
-        d.busy = true;
-        d.held = false;
-    }
-
-    /// Marks the device held by `job`, remembering its slot in the job's
-    /// hold list so a later release is O(1), and returns the new hold
-    /// generation (carried by the matching `HoldExpire` event).
-    pub fn mark_held(&mut self, device: usize, job: usize, held_slot: usize) -> u64 {
-        let d = self.expect_mut(device);
-        d.busy = true;
-        d.held = true;
-        d.held_job = job;
-        d.held_slot = held_slot;
+        d.role = Role::Held { job, slot };
         d.hold_seq += 1;
         d.hold_seq
     }
 
-    /// The device's slot in the holding job's hold list (set by
-    /// [`mark_held`](Self::mark_held)).
-    pub fn held_slot(&self, device: usize) -> usize {
-        self.get(device).held_slot
+    /// Sets the device's role, returning the one it replaces.
+    pub(crate) fn set_role(&mut self, device: usize, role: Role) -> Role {
+        std::mem::replace(&mut self.expect_mut(device).role, role)
+    }
+
+    /// The device's role, or `None` if it is out of range or not
+    /// materialized.
+    pub(crate) fn role(&self, device: usize) -> Option<Role> {
+        let d = (device < self.population).then(|| self.state(device));
+        d.flatten().map(|d| d.role)
     }
 
     /// Whether the device is still in the hold instance identified by
@@ -313,46 +305,21 @@ impl DevicePool {
     /// Absent devices hold nothing.
     pub fn hold_is_current(&self, device: usize, hold_seq: u64) -> bool {
         self.state(device)
-            .is_some_and(|d| d.busy && d.held && d.hold_seq == hold_seq)
-    }
-
-    /// The device leaves its holding phase and starts computing (round
-    /// start): still busy, no longer *held*.
-    pub fn begin_compute(&mut self, device: usize) {
-        self.expect_mut(device).held = false;
-    }
-
-    /// Returns the device to the idle pool (response, failure, or hold
-    /// release).
-    pub fn release(&mut self, device: usize) {
-        let d = self.expect_mut(device);
-        d.busy = false;
-        d.held = false;
+            .is_some_and(|d| matches!(d.role, Role::Held { .. }) && d.hold_seq == hold_seq)
     }
 
     /// Forces the device offline *now* (environment fault): the session
     /// end shrinks to `now` — the one place the sessions-only-extend
     /// rule is deliberately broken, which is why parked check-ins
     /// re-validate their session before replaying.
-    pub fn force_offline(&mut self, device: usize, now: SimTime) {
+    pub(crate) fn cut_session(&mut self, device: usize, now: SimTime) {
         let d = self.expect_mut(device);
         d.session_end = d.session_end.min(now);
     }
 
-    /// Flags an in-flight computation as failed (the device was forced
-    /// offline while computing); its response must not count.
-    pub fn mark_failed_task(&mut self, device: usize) {
-        self.expect_mut(device).failed_task = true;
-    }
-
-    /// Consumes the failed-task flag, returning whether it was set.
-    pub fn take_failed_task(&mut self, device: usize) -> bool {
-        std::mem::take(&mut self.expect_mut(device).failed_task)
-    }
-
     /// Records that the device computed a task today (daily-cap
     /// bookkeeping).
-    pub fn note_task(&mut self, device: usize, now: SimTime) {
+    pub(crate) fn note_task(&mut self, device: usize, now: SimTime) {
         self.expect_mut(device).last_task_day = Some(now / DAY_MS);
     }
 
@@ -361,14 +328,14 @@ impl DevicePool {
     /// for [`sweep_retire`](Self::sweep_retire) at its session end. The
     /// world calls this wherever a device's activity ends (poll-chain
     /// death, release, parked-poll death). No-op on the dense arms.
-    pub fn note_possible_retire(&mut self, device: usize, now: SimTime) {
+    pub(crate) fn note_possible_retire(&mut self, device: usize, now: SimTime) {
         let Store::Lazy(l) = &mut self.store else {
             return;
         };
         let Some(d) = l.slots[device].as_deref() else {
             return;
         };
-        if !d.busy && d.session_end <= now {
+        if d.role == Role::Idle && d.session_end <= now {
             l.retire(device);
         } else {
             l.retire_notes.push(Reverse((d.session_end, device as u32)));
@@ -380,7 +347,7 @@ impl DevicePool {
     /// note, device busy again, already retired) are dropped — the next
     /// activity end files a fresh note. O(due notes) per call with an
     /// O(1) peek when nothing is due; no-op on the dense arms.
-    pub fn sweep_retire(&mut self, now: SimTime) {
+    pub(crate) fn sweep_retire(&mut self, now: SimTime) {
         let Store::Lazy(l) = &mut self.store else {
             return;
         };
@@ -391,7 +358,7 @@ impl DevicePool {
             l.retire_notes.pop();
             let retire = l.slots[device as usize]
                 .as_deref()
-                .is_some_and(|d| !d.busy && d.session_end <= now);
+                .is_some_and(|d| d.role == Role::Idle && d.session_end <= now);
             if retire {
                 l.retire(device as usize);
             }
@@ -541,28 +508,47 @@ impl DevicePool {
     }
 }
 
-/// The eight per-device fields runtime events mutate (profile and info
-/// are static per materialization and re-derived on restore).
+/// The per-device words runtime events mutate (profile and info are
+/// static per materialization and re-derived on restore). The role is
+/// spread over five of the eight words — busy, held slot, held, held job,
+/// failed task — and the words a role gives no meaning to are written 0.
 fn encode_mutable(d: &DeviceState, w: &mut SnapWriter) {
+    let (busy, held, (job, slot), failed) = match d.role {
+        Role::Idle => (false, false, (0, 0), false),
+        Role::Held { job, slot } => (true, true, (job, slot), false),
+        Role::Computing { failed } => (true, false, (0, 0), failed),
+    };
     w.u64(d.session_end);
-    w.bool(d.busy);
+    w.bool(busy);
     w.option(&d.last_task_day, |w, &day| w.u64(day));
-    w.usize(d.held_slot);
-    w.bool(d.held);
-    w.usize(d.held_job);
+    w.usize(slot);
+    w.bool(held);
+    w.usize(job);
     w.u64(d.hold_seq);
-    w.bool(d.failed_task);
+    w.bool(failed);
 }
 
+/// Reads [`encode_mutable`]'s words back into a role; the held job and
+/// slot words are ignored unless the device is held.
 fn decode_mutable(d: &mut DeviceState, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
     d.session_end = r.u64()?;
-    d.busy = r.bool()?;
+    let busy = r.bool()?;
     d.last_task_day = r.option(|r| r.u64())?;
-    d.held_slot = r.usize()?;
-    d.held = r.bool()?;
-    d.held_job = r.usize()?;
+    let slot = r.usize()?;
+    let held = r.bool()?;
+    let job = r.usize()?;
     d.hold_seq = r.u64()?;
-    d.failed_task = r.bool()?;
+    let failed = r.bool()?;
+    d.role = match (busy, held, failed) {
+        (false, false, false) => Role::Idle,
+        (true, true, false) => Role::Held { job, slot },
+        (true, false, failed) => Role::Computing { failed },
+        _ => {
+            return Err(SnapError::Corrupt(format!(
+                "device words busy={busy} held={held} failed_task={failed} name no role"
+            )));
+        }
+    };
     Ok(())
 }
 
@@ -641,9 +627,9 @@ mod tests {
         p.begin_session(0, 10_000);
         assert!(p.can_check_in(0, 5_000));
         assert!(!p.can_check_in(0, 10_000), "session over");
-        p.mark_busy(0);
+        p.set_role(0, Role::Computing { failed: false });
         assert!(!p.can_check_in(0, 5_000), "busy device cannot poll");
-        p.release(0);
+        p.set_role(0, Role::Idle);
         assert!(p.can_check_in(0, 5_000));
     }
 
@@ -662,13 +648,13 @@ mod tests {
         p.begin_session(0, 10_000);
         let g1 = p.mark_held(0, 3, 0);
         assert!(p.hold_is_current(0, g1));
-        p.release(0);
+        p.set_role(0, Role::Idle);
         assert!(!p.hold_is_current(0, g1), "released hold is stale");
         let g2 = p.mark_held(0, 3, 1);
         assert_ne!(g1, g2);
         assert!(!p.hold_is_current(0, g1), "old generation must not match");
         assert!(p.hold_is_current(0, g2));
-        p.begin_compute(0);
+        p.set_role(0, Role::Computing { failed: false });
         assert!(!p.hold_is_current(0, g2), "computing devices are not held");
     }
 
@@ -676,15 +662,16 @@ mod tests {
     fn force_offline_shrinks_session_and_flags_tasks() {
         let mut p = pool(1);
         p.begin_session(0, 10_000);
-        p.force_offline(0, 4_000);
+        p.cut_session(0, 4_000);
         assert_eq!(p.session_end(0), 4_000);
         assert!(!p.can_check_in(0, 5_000), "forced offline at 4000");
         // A later session start extends again (only-extend vs the new end).
         p.begin_session(0, 8_000);
         assert_eq!(p.session_end(0), 8_000);
-        p.mark_failed_task(0);
-        assert!(p.take_failed_task(0));
-        assert!(!p.take_failed_task(0), "flag is consumed");
+        p.set_role(0, Role::Computing { failed: false });
+        let was = p.set_role(0, Role::Computing { failed: true });
+        assert_eq!(was, Role::Computing { failed: false });
+        assert_eq!(p.role(0), Some(Role::Computing { failed: true }));
     }
 
     #[test]
@@ -740,7 +727,7 @@ mod tests {
         p.begin_session(3, 5_000);
         p.note_task(3, 1_000);
         let g = p.mark_held(3, 0, 0);
-        p.release(3);
+        p.set_role(3, Role::Idle);
         // Idle past session end: the note retires it immediately.
         p.note_possible_retire(3, 6_000);
         assert_eq!(p.live_devices(), 0);
@@ -769,14 +756,52 @@ mod tests {
         assert_eq!(p.live_devices(), 1, "device 0 retired at its end");
         assert_eq!(p.session_end(1), 20_000, "extended session survives");
         // Busy devices never retire, even past their end.
-        p.mark_busy(1);
+        p.set_role(1, Role::Computing { failed: false });
         p.note_possible_retire(1, 30_000);
         p.sweep_retire(30_000);
         assert_eq!(p.live_devices(), 1);
         // Released after the end: immediate retirement.
-        p.release(1);
+        p.set_role(1, Role::Idle);
         p.note_possible_retire(1, 30_000);
         assert_eq!(p.live_devices(), 0);
         assert_eq!(p.peak_live_devices(), 2);
+    }
+
+    /// Writes one dense device record with the given role words.
+    fn device_words(busy: bool, held: bool, failed_task: bool) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        w.u8(0);
+        w.len_prefix(1);
+        w.u64(10_000);
+        w.bool(busy);
+        w.option(&None::<u64>, |w, &day| w.u64(day));
+        w.usize(0);
+        w.bool(held);
+        w.usize(0);
+        w.u64(1);
+        w.bool(failed_task);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn decoder_rejects_role_less_device_words() {
+        for (busy, held, failed) in [
+            (false, true, false),
+            (false, false, true),
+            (true, true, true),
+        ] {
+            let bytes = device_words(busy, held, failed);
+            let err = pool(1)
+                .restore_state(&mut SnapReader::new(&bytes))
+                .unwrap_err();
+            assert!(
+                matches!(&err, SnapError::Corrupt(m) if m.contains("name no role")),
+                "busy={busy} held={held} failed={failed}: {err:?}"
+            );
+        }
+        let mut p = pool(1);
+        p.restore_state(&mut SnapReader::new(&device_words(true, false, true)))
+            .expect("a failed task on a computing device is a role");
+        assert_eq!(p.role(0), Some(Role::Computing { failed: true }));
     }
 }

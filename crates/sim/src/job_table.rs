@@ -1,9 +1,9 @@
 //! Per-job runtime state: round phases, epochs, held devices, and JCT
 //! accounting.
 
-use venn_core::{CategoryThresholds, SimTime};
+use venn_core::{CategoryThresholds, SimTime, SnapError, SnapReader, SnapWriter};
 use venn_metrics::JctRecord;
-use venn_traces::Workload;
+use venn_traces::{JobPlan, Workload};
 
 /// Where a job is in its round lifecycle (paper Fig. 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,16 +39,19 @@ pub struct JobRuntime {
     pub request_start: SimTime,
     /// When the current round started computing.
     pub round_start: SimTime,
-    /// Devices assigned to the current request.
-    pub assigned: u32,
+    /// Devices assigned to the current request. Written only by the
+    /// [`lifecycle`](crate::lifecycle) transitions.
+    assigned: u32,
     /// Responses received this round.
     pub responses: u32,
     /// Devices currently held (population indices), in assignment order.
     /// Released slots are blanked to [`HELD_TOMBSTONE`] rather than
     /// removed, so a release is O(1) *and* the order of the surviving
     /// holds — which fixes the RNG draw order at round start — is exactly
-    /// what an order-preserving `retain` would leave.
-    pub held: Vec<usize>,
+    /// what an order-preserving `retain` would leave. Written only by the
+    /// [`lifecycle`](crate::lifecycle) transitions; once the round starts
+    /// it lists the round's first participants until the next request.
+    held: Vec<usize>,
     /// Devices that responded this round.
     pub participants: Vec<usize>,
     /// JCT accounting for the final report.
@@ -56,8 +59,24 @@ pub struct JobRuntime {
 }
 
 impl JobRuntime {
+    fn new(plan: &JobPlan, thresholds: CategoryThresholds) -> Self {
+        JobRuntime {
+            spec: plan.spec(thresholds),
+            rounds_done: 0,
+            phase: JobPhase::Idle,
+            epoch: 0,
+            request_start: 0,
+            round_start: 0,
+            assigned: 0,
+            responses: 0,
+            held: Vec::new(),
+            participants: Vec::new(),
+            record: JctRecord::new(plan.arrival_ms),
+        }
+    }
+
     /// Resets per-round state when a new request is submitted.
-    pub fn begin_request(&mut self, now: SimTime) {
+    pub(crate) fn begin_request(&mut self, now: SimTime) {
         self.phase = JobPhase::Allocating;
         self.request_start = now;
         self.assigned = 0;
@@ -72,25 +91,107 @@ impl JobRuntime {
         self.epoch == epoch
     }
 
-    /// Records `device` as held and returns its slot in the hold list —
-    /// the position index [`release_held`](Self::release_held) frees in
-    /// O(1).
-    pub fn hold(&mut self, device: usize) -> usize {
+    /// Devices assigned to the current request.
+    pub fn assigned(&self) -> u32 {
+        self.assigned
+    }
+
+    /// The hold list, tombstones included.
+    pub fn held(&self) -> &[usize] {
+        &self.held
+    }
+
+    /// Counts one more device assigned to the current request.
+    pub(crate) fn count_assigned(&mut self) {
+        self.assigned += 1;
+    }
+
+    /// Uncounts an assigned device whose task failed while the request
+    /// is still open.
+    pub(crate) fn uncount_assigned(&mut self) {
+        debug_assert!(self.assigned > 0, "uncount with nothing assigned");
+        self.assigned = self.assigned.saturating_sub(1);
+    }
+
+    /// Records `device` as held and assigned, and returns its slot in the
+    /// hold list — the position index [`release_held`](Self::release_held)
+    /// frees in O(1).
+    pub(crate) fn hold(&mut self, device: usize) -> usize {
         debug_assert_ne!(device, HELD_TOMBSTONE);
+        self.assigned += 1;
         self.held.push(device);
         self.held.len() - 1
     }
 
     /// Releases the hold at `slot` in O(1) without shifting later holds
-    /// (a tombstone takes its place until the round ends).
-    pub fn release_held(&mut self, slot: usize, device: usize) {
+    /// (a tombstone takes its place until the round ends), and uncounts
+    /// its assignment.
+    pub(crate) fn release_held(&mut self, slot: usize, device: usize) {
         debug_assert_eq!(self.held[slot], device, "hold index out of sync");
         self.held[slot] = HELD_TOMBSTONE;
+        self.uncount_assigned();
     }
 
     /// The devices still held, in assignment order (tombstones skipped).
     pub fn held_devices(&self) -> impl Iterator<Item = usize> + '_ {
         self.held.iter().copied().filter(|&d| d != HELD_TOMBSTONE)
+    }
+
+    /// Encodes the mutable fields; `spec` is re-derived from the workload
+    /// plan by the constructor.
+    pub(crate) fn encode(&self, w: &mut SnapWriter) {
+        w.u32(self.rounds_done);
+        w.u8(match self.phase {
+            JobPhase::Idle => 0,
+            JobPhase::Allocating => 1,
+            JobPhase::Running => 2,
+            JobPhase::Finished => 3,
+        });
+        w.u32(self.epoch);
+        w.u64(self.request_start);
+        w.u64(self.round_start);
+        w.u32(self.assigned);
+        w.u32(self.responses);
+        w.seq(&self.held, |w, &d| w.usize(d));
+        w.seq(&self.participants, |w, &d| w.usize(d));
+        let rec = &self.record;
+        w.u64(rec.arrival_ms);
+        w.option(&rec.finish_ms, |w, &t| w.u64(t));
+        w.u64(rec.sched_delay_ms);
+        w.u64(rec.response_ms);
+        w.u32(rec.rounds_completed);
+        w.u32(rec.rounds_aborted);
+    }
+
+    /// Overwrites the mutable fields from [`encode`](Self::encode)'s bytes.
+    /// The hold list is taken as written; the world cross-checks it
+    /// against the device roles once every job is decoded.
+    pub(crate) fn decode(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.rounds_done = r.u32()?;
+        self.phase = match r.u8()? {
+            0 => JobPhase::Idle,
+            1 => JobPhase::Allocating,
+            2 => JobPhase::Running,
+            3 => JobPhase::Finished,
+            other => {
+                return Err(SnapError::Corrupt(format!("job phase tag {other}")));
+            }
+        };
+        self.epoch = r.u32()?;
+        self.request_start = r.u64()?;
+        self.round_start = r.u64()?;
+        self.assigned = r.u32()?;
+        self.responses = r.u32()?;
+        self.held = r.seq(|r| r.usize())?;
+        self.participants = r.seq(|r| r.usize())?;
+        let rec = &mut self.record;
+        rec.arrival_ms = r.u64()?;
+        rec.finish_ms = r.option(|r| r.u64())?;
+        rec.sched_delay_ms = r.u64()?;
+        rec.response_ms = r.u64()?;
+        rec.rounds_completed = r.u32()?;
+        rec.rounds_aborted = r.u32()?;
+        Ok(())
     }
 }
 
@@ -108,19 +209,7 @@ impl JobTable {
             jobs: workload
                 .jobs
                 .iter()
-                .map(|plan| JobRuntime {
-                    spec: plan.spec(thresholds),
-                    rounds_done: 0,
-                    phase: JobPhase::Idle,
-                    epoch: 0,
-                    request_start: 0,
-                    round_start: 0,
-                    assigned: 0,
-                    responses: 0,
-                    held: Vec::new(),
-                    participants: Vec::new(),
-                    record: JctRecord::new(plan.arrival_ms),
-                })
+                .map(|plan| JobRuntime::new(plan, thresholds))
                 .collect(),
         }
     }
@@ -129,20 +218,8 @@ impl JobTable {
     /// serving): identical initial state to what [`JobTable::new`] builds
     /// for a plan known at t=0, so a dynamically submitted job is
     /// indistinguishable from a pre-planned one with the same arrival.
-    pub fn push(&mut self, plan: &venn_traces::JobPlan, thresholds: CategoryThresholds) {
-        self.jobs.push(JobRuntime {
-            spec: plan.spec(thresholds),
-            rounds_done: 0,
-            phase: JobPhase::Idle,
-            epoch: 0,
-            request_start: 0,
-            round_start: 0,
-            assigned: 0,
-            responses: 0,
-            held: Vec::new(),
-            participants: Vec::new(),
-            record: JctRecord::new(plan.arrival_ms),
-        });
+    pub fn push(&mut self, plan: &JobPlan, thresholds: CategoryThresholds) {
+        self.jobs.push(JobRuntime::new(plan, thresholds));
     }
 
     /// Number of jobs.

@@ -36,6 +36,7 @@ pub mod device_pool;
 pub mod engine;
 pub mod event;
 pub mod job_table;
+pub mod lifecycle;
 pub mod observer;
 pub mod parked;
 pub mod result;
@@ -45,7 +46,7 @@ pub mod world;
 pub use checkpoint::{CheckpointStore, CkptError, ResumeOutcome};
 pub use cohort::CohortSet;
 pub use config::{ExecMode, PopMode, SimConfig};
-pub use device_pool::{DevicePool, DeviceState};
+pub use device_pool::{DevicePool, DeviceState, Role};
 pub use engine::Simulation;
 pub use event::{Event, EventKind, EventQueue};
 pub use job_table::{JobPhase, JobRuntime, JobTable};

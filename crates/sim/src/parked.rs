@@ -262,7 +262,7 @@ mod tests {
         plane.park(1, 100_000, queue.reserve_seq(), 500_000, cap());
         // A fault forces the device offline after it parked: the cached
         // end (500_000) now over-estimates.
-        devices.force_offline(1, 50_000);
+        devices.cut_session(1, 50_000);
         plane.bump_gen();
         plane.advance(200_000, u64::MAX, &mut devices, &mut queue, &mut sched);
         assert!(sched.seen.is_empty(), "dead chain must not observe");

@@ -1,7 +1,7 @@
 //! Simulation outputs.
 
-use venn_core::SimTime;
-use venn_metrics::{EnvStats, JctBreakdown, JctRecord};
+use venn_core::{SimTime, SnapError, SnapReader, SnapWriter, Snapshot};
+use venn_metrics::{EnvStats, Histogram, JctBreakdown, JctRecord};
 
 /// One completed round, logged when `record_rounds` is enabled — the hook
 /// the federated-learning experiments (Figs. 4, 9) consume.
@@ -17,6 +17,26 @@ pub struct RoundLog {
     pub end_ms: SimTime,
     /// Devices that responded in time (population indices).
     pub participants: Vec<usize>,
+}
+
+impl Snapshot for RoundLog {
+    fn encode(&self, w: &mut SnapWriter) {
+        w.usize(self.job_idx);
+        w.u32(self.round);
+        w.u64(self.start_ms);
+        w.u64(self.end_ms);
+        w.seq(&self.participants, |w, &d| w.usize(d));
+    }
+
+    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(RoundLog {
+            job_idx: r.usize()?,
+            round: r.u32()?,
+            start_ms: r.u64()?,
+            end_ms: r.u64()?,
+            participants: r.seq(|r| r.usize())?,
+        })
+    }
 }
 
 /// Everything a simulation run produces.
@@ -78,6 +98,84 @@ impl SimResult {
         }
         self.records.iter().filter(|r| r.is_finished()).count() as f64 / self.records.len() as f64
     }
+
+    /// Encodes the mid-run accumulators — a checkpoint's share of the
+    /// result. `records` is empty until the run finishes and
+    /// `peak_queue_len` is derived then from the queue's own high-water
+    /// mark, so neither is written.
+    pub(crate) fn encode_progress(&self, w: &mut SnapWriter) {
+        w.str(&self.scheduler_name);
+        w.u64(self.events);
+        w.u64(self.aborted_rounds);
+        w.u64(self.assignments);
+        w.u64(self.failures);
+        w.u64(self.peak_bytes);
+        encode_env_stats(&self.env, w);
+        w.seq(&self.rounds, |w, log| log.encode(w));
+    }
+
+    /// Restores [`encode_progress`](Self::encode_progress)'s
+    /// accumulators. With `check_scheduler`, a snapshot taken under
+    /// another scheduler is [`SnapError::Corrupt`].
+    pub(crate) fn restore_progress(
+        &mut self,
+        r: &mut SnapReader<'_>,
+        check_scheduler: bool,
+    ) -> Result<(), SnapError> {
+        let name = r.str()?;
+        if check_scheduler && name != self.scheduler_name {
+            return Err(SnapError::Corrupt(format!(
+                "snapshot taken under scheduler {name:?}, resuming {:?}",
+                self.scheduler_name
+            )));
+        }
+        self.events = r.u64()?;
+        self.aborted_rounds = r.u64()?;
+        self.assignments = r.u64()?;
+        self.failures = r.u64()?;
+        self.peak_bytes = r.u64()?;
+        self.env = decode_env_stats(r)?;
+        self.rounds = r.seq(RoundLog::decode)?;
+        Ok(())
+    }
+}
+
+fn encode_env_stats(s: &EnvStats, w: &mut SnapWriter) {
+    w.u64(s.dropouts);
+    w.u64(s.forced_offline);
+    w.u64(s.storm_aborts);
+    w.u64(s.retries);
+    w.seq(&s.tier_response_ms, |w, h| {
+        let (lo, hi) = h.bounds();
+        w.f64(lo);
+        w.f64(hi);
+        w.seq(h.counts(), |w, &c| w.u64(c));
+    });
+}
+
+fn decode_env_stats(r: &mut SnapReader<'_>) -> Result<EnvStats, SnapError> {
+    Ok(EnvStats {
+        dropouts: r.u64()?,
+        forced_offline: r.u64()?,
+        storm_aborts: r.u64()?,
+        retries: r.u64()?,
+        tier_response_ms: r.seq(|r| {
+            let lo = r.f64()?;
+            let hi = r.f64()?;
+            let counts = r.seq(|r| r.u64())?;
+            // `Histogram::from_parts` panics on an invalid shape; corrupt
+            // input must surface as an error instead. NaN bounds are not
+            // Greater, so they are rejected here too.
+            let ordered = hi.partial_cmp(&lo) == Some(std::cmp::Ordering::Greater);
+            if counts.is_empty() || !ordered {
+                return Err(SnapError::Corrupt(format!(
+                    "histogram shape lo={lo} hi={hi} bins={}",
+                    counts.len()
+                )));
+            }
+            Ok(Histogram::from_parts(lo, hi, counts))
+        })?,
+    })
 }
 
 #[cfg(test)]

@@ -211,6 +211,48 @@ mod tests {
         );
     }
 
+    /// A hold list the device roles contradict must not resume: the next
+    /// steps would index the pool with it.
+    #[test]
+    fn resume_rejects_inconsistent_holds() {
+        let (config, workload) = setup();
+        let mut sched = BaselineScheduler::fifo();
+        let mut world = World::new(config, &workload, sched.name());
+        let (job, device) = loop {
+            assert!(world.step(&mut sched, &mut []), "no job ever held a device");
+            let held = (0..world.jobs.len()).find_map(|j| {
+                let rt = world.jobs.get(j);
+                let live = rt.held_devices().next()?;
+                (rt.phase == crate::JobPhase::Allocating).then_some((j, live))
+            });
+            if let Some(found) = held {
+                break found;
+            }
+        };
+        let resume = |world: &World| {
+            let bytes = snapshot_world(world, &sched).expect("snapshot");
+            let mut fresh = BaselineScheduler::fifo();
+            resume_world(&bytes, config, &workload, &mut fresh).unwrap_err()
+        };
+
+        world.jobs.get_mut(job).hold(1_000_000_000);
+        let err = resume(&world);
+        assert!(
+            matches!(&err, SnapError::Corrupt(m) if m.contains("names device 1000000000, which is absent")),
+            "got {err:?}"
+        );
+
+        // The first live hold now names an idle device; it is checked
+        // before the out-of-range one appended above.
+        world.devices.set_role(device, crate::Role::Idle);
+        let err = resume(&world);
+        assert!(
+            matches!(&err, SnapError::Corrupt(m)
+                if m.contains(&format!("job {job} hold slot")) && m.contains(&format!("names device {device}, which is Idle"))),
+            "got {err:?}"
+        );
+    }
+
     #[test]
     fn resume_rejects_truncation() {
         let (config, workload) = setup();

@@ -1,9 +1,11 @@
 //! The simulation kernel: a [`World`] state machine stepping an event
 //! queue over named sub-state.
 //!
-//! `World` owns the [`DevicePool`] (sessions, busy flags, daily caps), the
-//! [`JobTable`] (round phases, epochs, JCT accounting), and the
+//! `World` owns the [`DevicePool`] (sessions, device roles, daily caps),
+//! the [`JobTable`] (round phases, epochs, JCT accounting), and the
 //! [`EventQueue`]; every [`EventKind`] is handled by a dedicated method.
+//! A handler changes which device serves which job only through the
+//! named transitions of [`lifecycle`](crate::lifecycle).
 //! The driver ([`Simulation::run`](crate::Simulation::run)) just
 //! constructs a world and steps it, and [`SimObserver`]s hook lifecycle
 //! moments without touching the loop — new device-behavior models,
@@ -21,7 +23,7 @@ use rand::SeedableRng;
 
 use venn_core::{JobId, Scheduler, SimTime, SnapError, SnapReader, SnapWriter, Snapshot};
 use venn_env::{Disturbance, EnvRuntime};
-use venn_metrics::{EnvStats, Histogram, JctRecord, MetricsFrame, Samples};
+use venn_metrics::{EnvStats, MetricsFrame, Samples};
 use venn_traces::dist::LogNormal;
 use venn_traces::{JobPlan, Workload};
 
@@ -31,7 +33,7 @@ use crate::config::{
 };
 use crate::device_pool::DevicePool;
 use crate::event::{Event, EventKind, EventQueue};
-use crate::job_table::{JobPhase, JobRuntime, JobTable};
+use crate::job_table::{JobPhase, JobTable, HELD_TOMBSTONE};
 use crate::observer::SimObserver;
 use crate::parked::ParkedPolls;
 use crate::result::{RoundLog, SimResult};
@@ -102,8 +104,8 @@ impl SessionStream {
 /// against.
 #[derive(Debug)]
 pub struct World {
-    config: SimConfig,
-    workload: Workload,
+    pub(crate) config: SimConfig,
+    pub(crate) workload: Workload,
     /// Device population state.
     pub devices: DevicePool,
     /// Per-job runtime state.
@@ -111,13 +113,13 @@ pub struct World {
     /// Pending events.
     pub queue: EventQueue,
     /// Check-ins suppressed by demand gating.
-    parked: ParkedPolls,
+    pub(crate) parked: ParkedPolls,
     /// Compiled environment dynamics (`None` on the env-off arm — the
     /// kernel then takes its pre-environment paths untouched). All
     /// environment randomness lives in the runtime's own split streams,
     /// never in `rng`, so enabling a scenario cannot shift the kernel's
     /// response-noise draws.
-    env: Option<EnvRuntime>,
+    pub(crate) env: Option<EnvRuntime>,
     /// Streamed session source of the split population modes (`None` on
     /// the eager arm): per-device cursors into the split availability
     /// streams, one upcoming session per device, one pending `CohortWake`
@@ -127,9 +129,9 @@ pub struct World {
     /// Future `SessionStart`s fed into the queue one at a time (all
     /// sessions on the eager arm; environment extras on the split arms).
     session_stream: SessionStream,
-    rng: StdRng,
-    noise: LogNormal,
-    result: SimResult,
+    pub(crate) rng: StdRng,
+    pub(crate) noise: LogNormal,
+    pub(crate) result: SimResult,
     horizon: SimTime,
     /// Timestamp of the most recently popped event — the kernel's wall
     /// clock, used by checkpointing drivers to pace snapshot cadence.
@@ -453,13 +455,12 @@ impl World {
         Ok(job_idx)
     }
 
-    /// Withdraws a job mid-run: its current request (if any) is torn down
-    /// exactly as an abort would tear it down — scheduler `withdraw`,
-    /// held devices released back into their poll loops — and the job
-    /// moves to its terminal phase, epoch bumped so every in-flight event
-    /// (responses, deadlines, hold expiries, queued round starts) retires
-    /// through the existing staleness guards. Returns `false` for an
-    /// unknown or already-terminal job.
+    /// Withdraws a job mid-run: its open request, if any, is torn down as
+    /// an abort tears it down (`return_to_poll`),
+    /// and the job moves to its terminal phase, epoch bumped so every
+    /// in-flight event (responses, deadlines, hold expiries, queued round
+    /// starts) retires through the existing staleness guards. Returns
+    /// `false` for an unknown or already-terminal job.
     ///
     /// A withdrawn job's record stays unfinished: it reports as an
     /// aborted (JCT-less) job, not a completed one.
@@ -467,25 +468,7 @@ impl World {
         if job_idx >= self.jobs.len() || self.jobs.get(job_idx).phase == JobPhase::Finished {
             return false;
         }
-        let now = self.now;
-        if self.jobs.get(job_idx).phase == JobPhase::Allocating {
-            // Mirror `abort_round`'s open-request teardown (which see):
-            // the held devices' pending expiries are retired by the
-            // hold-generation guard, and each released device re-enters
-            // its poll loop rather than idling invisibly until its next
-            // session.
-            scheduler.withdraw(JobId::new(job_idx as u64), now);
-            let held: Vec<usize> = self.jobs.get(job_idx).held_devices().collect();
-            for device in held {
-                self.devices.release(device);
-                let next = now + REPOLL_MS;
-                if next < self.devices.session_end(device) {
-                    self.queue.push(next, EventKind::CheckIn { device });
-                } else {
-                    self.devices.note_possible_retire(device, now);
-                }
-            }
-        }
+        self.return_to_poll(job_idx, self.now, scheduler);
         let j = self.jobs.get_mut(job_idx);
         j.phase = JobPhase::Finished;
         j.epoch += 1;
@@ -550,22 +533,11 @@ impl World {
             if j.phase != JobPhase::Allocating {
                 continue;
             }
-            let plan = &self.workload.jobs[job_idx];
-            let requested = self.config.requested(plan.demand);
-            let open = requested.saturating_sub(j.assigned);
-            if open == 0 {
-                continue;
+            let requested = self.config.requested(self.workload.jobs[job_idx].demand);
+            let open = requested.saturating_sub(j.assigned());
+            if open > 0 {
+                scheduler.submit(self.request(job_idx, open), self.now);
             }
-            let remaining_rounds = plan.rounds - j.rounds_done;
-            scheduler.submit(
-                venn_core::Request::new(
-                    JobId::new(job_idx as u64),
-                    j.spec,
-                    open,
-                    remaining_rounds as u64 * plan.demand as u64,
-                ),
-                self.now,
-            );
         }
         // Any open demand means the parked set is empty already (demand
         // gating wakes it on submit), but a fork taken at an instant with
@@ -599,21 +571,42 @@ impl World {
             }
             EventKind::HoldExpire {
                 job,
-                epoch,
                 device,
                 hold_seq,
-            } => self.handle_hold_expire(job, epoch, device, hold_seq, now, scheduler),
+                ..
+            } => {
+                // A held device's session ended. A current hold generation
+                // implies its job is still allocating in the same epoch; a
+                // stale one was released early by an environment fault, or
+                // superseded by a newer hold.
+                if self.devices.hold_is_current(device, hold_seq) {
+                    self.release_hold(job.as_u64() as usize, device, now, scheduler);
+                }
+            }
             EventKind::Response {
                 job,
                 epoch,
                 device,
                 response_ms,
-            } => self.handle_response(job, epoch, device, response_ms, now, scheduler, observers),
+            } => {
+                // The round completes when the quorum is reached.
+                let job_idx = job.as_u64() as usize;
+                let quorum = SimConfig::quorum_target(self.workload.jobs[job_idx].demand);
+                if self.respond(job_idx, epoch, device, response_ms, now, scheduler)
+                    && self.jobs.get(job_idx).responses >= quorum
+                {
+                    self.complete_round(job_idx, now, scheduler, observers);
+                }
+            }
             EventKind::AssignFailure { job, epoch, device } => {
-                self.handle_assign_failure(job, epoch, device, now, scheduler)
+                self.fail(job, epoch, device, now, scheduler)
             }
             EventKind::RoundDeadline { job, epoch } => {
-                self.handle_round_deadline(job, epoch, now, scheduler, observers)
+                // Quorum missed: abort and retry after a short backoff.
+                let job_idx = job.as_u64() as usize;
+                if self.round_live(job_idx, epoch) {
+                    self.abort_round(job_idx, now, scheduler, observers);
+                }
             }
             EventKind::CohortWake { cohort } => {
                 self.handle_cohort_wake(cohort, now, scheduler, observers)
@@ -650,29 +643,28 @@ impl World {
     /// `JobArrival` / `RoundStart`: submits the request for the job's next
     /// round (allocation phase).
     fn handle_round_submit(&mut self, job_idx: usize, now: SimTime, scheduler: &mut dyn Scheduler) {
-        let plan = &self.workload.jobs[job_idx];
         let j = self.jobs.get_mut(job_idx);
         if j.phase != JobPhase::Idle {
             return;
         }
         j.begin_request(now);
-        let remaining_rounds = plan.rounds - j.rounds_done;
-        let requested = self.config.requested(plan.demand);
-        scheduler.submit(
-            venn_core::Request::new(
-                JobId::new(job_idx as u64),
-                j.spec,
-                requested,
-                remaining_rounds as u64 * plan.demand as u64,
-            ),
-            now,
-        );
+        let requested = self.config.requested(self.workload.jobs[job_idx].demand);
+        scheduler.submit(self.request(job_idx, requested), now);
         // Demand just opened: parked devices resume polling.
         self.parked.wake(&mut self.queue);
         // Async rounds carry no deadline: like buffered-asynchronous FL,
         // the aggregation fires whenever the quorum of updates arrives, so
         // participants computed for a round are never wasted. (Sync rounds
-        // arm their deadline at round start — see `start_round`.)
+        // arm their deadline at round start — see `request_filled`.)
+    }
+
+    /// The job's allocation request for `count` devices; its remaining
+    /// work is the demand of every round still to run.
+    fn request(&self, job_idx: usize, count: u32) -> venn_core::Request {
+        let plan = &self.workload.jobs[job_idx];
+        let j = self.jobs.get(job_idx);
+        let remaining = (plan.rounds - j.rounds_done) as u64 * plan.demand as u64;
+        venn_core::Request::new(JobId::new(job_idx as u64), j.spec, count, remaining)
     }
 
     /// `SessionStart`: the device comes online (sessions only extend) and
@@ -701,10 +693,7 @@ impl World {
     /// `on_check_in` (supply observation) immediately followed by one
     /// `assign` (allocation decision) at the same timestamp — schedulers
     /// may therefore maintain supply state incrementally per check-in and
-    /// defer plan recomputation to their own triggers. The other
-    /// callbacks (`add_demand` on hold expiry, `on_alloc_complete` +
-    /// `withdraw` at round start, `on_response` per response) fire from
-    /// their respective event handlers below.
+    /// defer plan recomputation to their own triggers.
     fn handle_check_in(
         &mut self,
         device: usize,
@@ -715,7 +704,7 @@ impl World {
         if !self.devices.can_check_in(device, now) {
             // A dead/capped/busy poll target may be this device's last
             // touchpoint — let the lazy store consider retiring it.
-            self.devices.note_possible_retire(device, now);
+            self.end_polls(device, now);
             return;
         }
         let info = self.devices.info(device);
@@ -729,28 +718,19 @@ impl World {
                     "scheduler assigned to a job without an active request"
                 );
                 self.result.assignments += 1;
-                self.jobs.get_mut(job_idx).assigned += 1;
                 for o in observers.iter_mut() {
                     o.on_assignment(now, job_idx, device);
                 }
+                // Async mode has no holding phase: the device computes
+                // immediately.
                 if self.config.async_mode {
-                    self.assign_async(job, job_idx, device, now, scheduler, observers);
-                    return;
+                    self.start(job_idx, device, now);
+                } else {
+                    self.hold(job_idx, device);
                 }
-                let slot = self.jobs.get_mut(job_idx).hold(device);
-                let hold_seq = self.devices.mark_held(device, job_idx, slot);
-                self.queue.push(
-                    self.devices.session_end(device),
-                    EventKind::HoldExpire {
-                        job,
-                        epoch: self.jobs.get(job_idx).epoch,
-                        device,
-                        hold_seq,
-                    },
-                );
                 let requested = self.config.requested(self.workload.jobs[job_idx].demand);
-                if self.jobs.get(job_idx).assigned >= requested {
-                    self.start_round(job_idx, now, scheduler, observers);
+                if self.jobs.get(job_idx).assigned() >= requested {
+                    self.request_filled(job_idx, now, scheduler, observers);
                 }
             }
             None => {
@@ -771,52 +751,18 @@ impl World {
                         self.parked.park(device, next, seq, end, *info.capacity());
                     }
                 } else {
-                    // Poll chain ends inside this session: nothing will
-                    // touch the device again before its session end.
-                    self.devices.note_possible_retire(device, now);
+                    // Poll chain ends inside this session.
+                    self.end_polls(device, now);
                 }
             }
         }
     }
 
-    /// Async-mode assignment: the device computes immediately, no holding
-    /// phase; the request closes as soon as it is filled.
-    fn assign_async(
-        &mut self,
-        job: JobId,
-        job_idx: usize,
-        device: usize,
-        now: SimTime,
-        scheduler: &mut dyn Scheduler,
-        observers: &mut [&mut dyn SimObserver],
-    ) {
-        self.devices.mark_busy(device);
-        self.devices.note_task(device, now);
-        let d = self.devices.get(device);
-        let task_ms = self.workload.jobs[job_idx].task_ms as f64;
-        let response_ms =
-            (task_ms / d.profile.speed * self.noise.sample(&mut self.rng)).max(1_000.0) as u64;
-        let session_end = d.session_end;
-        let epoch = self.jobs.get(job_idx).epoch;
-        self.push_task_outcome(job, epoch, device, response_ms, now, session_end);
-        let requested = self.config.requested(self.workload.jobs[job_idx].demand);
-        let j = self.jobs.get_mut(job_idx);
-        if j.assigned >= requested && j.phase == JobPhase::Allocating {
-            // Request filled: stop queueing, record the delay.
-            j.phase = JobPhase::Running;
-            j.round_start = now;
-            let round = j.rounds_done;
-            let delay = now - j.request_start;
-            scheduler.on_alloc_complete(job, delay, now);
-            scheduler.withdraw(job, now);
-            for o in observers.iter_mut() {
-                o.on_round_start(now, job_idx, round);
-            }
-        }
-    }
-
-    /// All participants held: start computing, arm the deadline.
-    fn start_round(
+    /// The request is filled: it leaves the scheduler and the round
+    /// starts. Synchronously every held device starts computing (in
+    /// assignment order, the RNG draw order) and the deadline is armed;
+    /// async devices started computing when they were assigned.
+    fn request_filled(
         &mut self,
         job_idx: usize,
         now: SimTime,
@@ -824,263 +770,48 @@ impl World {
         observers: &mut [&mut dyn SimObserver],
     ) {
         let job = JobId::new(job_idx as u64);
-        let task_ms = self.workload.jobs[job_idx].task_ms as f64;
-        let demand = self.workload.jobs[job_idx].demand;
-        {
-            let j = self.jobs.get_mut(job_idx);
-            j.phase = JobPhase::Running;
-            j.round_start = now;
-        }
-        let j = self.jobs.get(job_idx);
+        let j = self.jobs.get_mut(job_idx);
+        j.phase = JobPhase::Running;
+        j.round_start = now;
+        let (epoch, round) = (j.epoch, j.rounds_done);
         scheduler.on_alloc_complete(job, now - j.request_start, now);
         scheduler.withdraw(job, now);
-        let epoch = j.epoch;
-        let round = j.rounds_done;
-        // Walk the hold list in assignment order (the RNG draw order) by
-        // index — no clone; re-borrowing per hold keeps the loop body free
-        // to mutate devices and the queue. Tombstones are expired holds.
-        let held_len = j.held.len();
-        for i in 0..held_len {
-            let device = self.jobs.get(job_idx).held[i];
-            if device == crate::job_table::HELD_TOMBSTONE {
-                continue;
+        if !self.config.async_mode {
+            // By index, skipping tombstones (expired holds): no clone.
+            for slot in 0..self.jobs.get(job_idx).held().len() {
+                let device = self.jobs.get(job_idx).held()[slot];
+                if device != HELD_TOMBSTONE {
+                    self.start(job_idx, device, now);
+                }
             }
-            self.devices.begin_compute(device);
-            self.devices.note_task(device, now);
-            let d = self.devices.get(device);
-            let response_ms =
-                (task_ms / d.profile.speed * self.noise.sample(&mut self.rng)).max(1_000.0) as u64;
-            let session_end = d.session_end;
-            self.push_task_outcome(job, epoch, device, response_ms, now, session_end);
+            let demand = self.workload.jobs[job_idx].demand;
+            self.queue.push(
+                now + SimConfig::deadline_ms(demand),
+                EventKind::RoundDeadline { job, epoch },
+            );
         }
-        self.queue.push(
-            now + SimConfig::deadline_ms(demand),
-            EventKind::RoundDeadline { job, epoch },
-        );
         for o in observers.iter_mut() {
             o.on_round_start(now, job_idx, round);
         }
     }
 
-    /// Schedules the in-flight task's outcome event: its response, an
-    /// environment-injected mid-round dropout partway to that response,
-    /// or the session-end departure failure. On the env-off arm the
-    /// response time is untouched and no drop draw happens.
-    fn push_task_outcome(
-        &mut self,
-        job: JobId,
-        epoch: u32,
-        device: usize,
-        mut response_ms: u64,
-        now: SimTime,
-        session_end: SimTime,
-    ) {
-        if let Some(env) = &self.env {
-            response_ms = env.stretch(device, response_ms);
-        }
-        if now + response_ms > session_end {
-            self.queue
-                .push(session_end, EventKind::AssignFailure { job, epoch, device });
-            return;
-        }
-        let drop = match self.env.as_mut() {
-            Some(env) => env.sample_drop(device),
-            None => None,
-        };
-        match drop {
-            Some(frac) => {
-                // The participant's network tier drops it mid-round: an
-                // `AssignFailure` lands partway to the would-be response,
-                // and the existing quorum/abort machinery arbitrates.
-                let lead = ((response_ms as f64 * frac) as u64)
-                    .clamp(1, response_ms.saturating_sub(1).max(1));
-                self.result.env.dropouts += 1;
-                self.queue
-                    .push(now + lead, EventKind::AssignFailure { job, epoch, device });
-            }
-            None => self.queue.push(
-                now + response_ms,
-                EventKind::Response {
-                    job,
-                    epoch,
-                    device,
-                    response_ms,
-                },
-            ),
-        }
-    }
-
-    /// `HoldExpire`: a held (allocated but not yet computing) device's
-    /// session ended — release it and return its demand.
-    fn handle_hold_expire(
-        &mut self,
-        job: JobId,
-        epoch: u32,
-        device: usize,
-        hold_seq: u64,
-        now: SimTime,
-        scheduler: &mut dyn Scheduler,
-    ) {
-        if !self.devices.hold_is_current(device, hold_seq) {
-            // The hold this expiry belonged to is gone — released early
-            // by an environment fault, or superseded by a newer hold.
-            return;
-        }
-        let j = self.jobs.get(job.as_u64() as usize);
-        if j.phase == JobPhase::Allocating && j.epoch_is(epoch) {
-            self.release_hold(job.as_u64() as usize, device, now, scheduler);
-        }
-    }
-
-    /// Releases one device held by `job_idx` and returns its demand unit
-    /// — shared by the hold expiry and the early (environment-fault)
-    /// release. O(1) via the held-slot index; the tombstone keeps later
-    /// holds (and thus the round-start RNG draw order) in place.
-    fn release_hold(
-        &mut self,
-        job_idx: usize,
-        device: usize,
-        now: SimTime,
-        scheduler: &mut dyn Scheduler,
-    ) {
-        let slot = self.devices.held_slot(device);
-        let j = self.jobs.get_mut(job_idx);
-        debug_assert_eq!(
-            j.phase,
-            JobPhase::Allocating,
-            "holds only exist during allocation"
-        );
-        j.assigned = j.assigned.saturating_sub(1);
-        j.release_held(slot, device);
-        self.devices.release(device);
-        self.devices.note_possible_retire(device, now);
-        scheduler.add_demand(JobId::new(job_idx as u64), 1, now);
-    }
-
-    /// `Response`: a device reports back; the round completes when the
-    /// quorum is reached.
-    #[allow(clippy::too_many_arguments)]
-    fn handle_response(
-        &mut self,
-        job: JobId,
-        epoch: u32,
-        device: usize,
-        response_ms: u64,
-        now: SimTime,
-        scheduler: &mut dyn Scheduler,
-        observers: &mut [&mut dyn SimObserver],
-    ) {
-        if self.devices.take_failed_task(device) {
-            // The device was forced offline mid-computation by an
-            // environment fault: its report never arrives — account the
-            // in-flight task as a failed assignment instead.
-            self.handle_assign_failure(job, epoch, device, now, scheduler);
-            return;
-        }
-        self.devices.release(device);
-        let job_idx = job.as_u64() as usize;
-        let async_mode = self.config.async_mode;
-        let j = self.jobs.get_mut(job_idx);
-        let counting_phase = if async_mode {
-            j.phase == JobPhase::Running || j.phase == JobPhase::Allocating
-        } else {
-            j.phase == JobPhase::Running
-        };
-        if !counting_phase || !j.epoch_is(epoch) {
-            self.devices.note_possible_retire(device, now);
-            return; // stale response: round already over
-        }
-        j.responses += 1;
-        j.participants.push(device);
-        let responses = j.responses;
-        if let Some(env) = &self.env {
-            self.result
-                .env
-                .record_response(env.tier_of(device), response_ms);
-        }
-        scheduler.on_response(job, self.devices.info(device), response_ms, now);
-        // After the last read of the reporting device's state: a response
-        // arriving at its session's final instant can retire it here.
-        self.devices.note_possible_retire(device, now);
-        let demand = self.workload.jobs[job_idx].demand;
-        if responses >= SimConfig::quorum_target(demand) {
-            self.complete_round(job_idx, now, scheduler, observers);
-        }
-    }
-
-    /// `AssignFailure`: a device departed mid-computation. Synchronously
-    /// the deadline arbitrates the round's fate; in async mode the still-
-    /// open request can replace the device.
-    fn handle_assign_failure(
-        &mut self,
-        job: JobId,
-        epoch: u32,
-        device: usize,
-        now: SimTime,
-        scheduler: &mut dyn Scheduler,
-    ) {
-        // Clear any forced-offline flag so it cannot leak into the
-        // device's next task (no-op on the env-off arm).
-        self.devices.take_failed_task(device);
-        self.devices.release(device);
-        self.devices.note_possible_retire(device, now);
-        self.result.failures += 1;
-        if self.config.async_mode {
-            let j = self.jobs.get_mut(job.as_u64() as usize);
-            if j.phase == JobPhase::Allocating && j.epoch_is(epoch) {
-                j.assigned = j.assigned.saturating_sub(1);
-                scheduler.add_demand(job, 1, now);
-            }
-        }
-    }
-
-    /// `RoundDeadline`: quorum missed — abort and retry after a short
-    /// backoff.
-    fn handle_round_deadline(
-        &mut self,
-        job: JobId,
-        epoch: u32,
-        now: SimTime,
-        scheduler: &mut dyn Scheduler,
-        observers: &mut [&mut dyn SimObserver],
-    ) {
-        let job_idx = job.as_u64() as usize;
-        if !self.round_abortable(job_idx, epoch) {
-            return;
-        }
-        self.abort_round(job_idx, now, scheduler, observers);
-    }
-
-    /// Whether the deadline event is still armed: a computing round
+    /// Whether round incarnation `epoch` of the job is still live — its
+    /// deadline armed, its responses counted: a computing round
     /// synchronously, a computing round or an open request
-    /// asynchronously — for the round incarnation the event was armed
-    /// for.
-    fn round_abortable(&self, job_idx: usize, epoch: u32) -> bool {
+    /// asynchronously.
+    pub(crate) fn round_live(&self, job_idx: usize, epoch: u32) -> bool {
         let j = self.jobs.get(job_idx);
-        let armed = if self.config.async_mode {
+        let live = if self.config.async_mode {
             j.phase == JobPhase::Running || j.phase == JobPhase::Allocating
         } else {
             j.phase == JobPhase::Running
         };
-        armed && j.epoch_is(epoch)
-    }
-
-    /// Whether an abort storm can strike the job right now: any round in
-    /// flight — computing *or* still allocating (a storm models a
-    /// coordinator-side abort, which can kill an open request; the
-    /// deadline, by contrast, is only ever armed per
-    /// [`round_abortable`](Self::round_abortable)).
-    fn storm_abortable(&self, job_idx: usize) -> bool {
-        matches!(
-            self.jobs.get(job_idx).phase,
-            JobPhase::Running | JobPhase::Allocating
-        )
+        live && j.epoch_is(epoch)
     }
 
     /// Aborts the job's current round and schedules its retry — the
     /// shared tail of a deadline miss and an abort-storm strike. The
-    /// caller must have checked [`round_abortable`](Self::round_abortable)
-    /// (or [`storm_abortable`](Self::storm_abortable)).
+    /// caller must have checked that a round is in flight.
     fn abort_round(
         &mut self,
         job_idx: usize,
@@ -1088,28 +819,9 @@ impl World {
         scheduler: &mut dyn Scheduler,
         observers: &mut [&mut dyn SimObserver],
     ) {
-        let job = JobId::new(job_idx as u64);
-        if self.jobs.get(job_idx).phase == JobPhase::Allocating {
-            scheduler.withdraw(job, now);
-            // Free devices still held by the aborted request — reachable
-            // only via a sync-mode storm strike (deadline aborts never
-            // find holds: sync deadlines arm at round start, async mode
-            // holds nothing). The holds' pending expiries are retired by
-            // the hold-generation guard. Assignment ended each device's
-            // poll chain, so the release must also return it to the poll
-            // loop — otherwise it would sit online, idle, and invisible
-            // to every scheduler until its next session.
-            let held: Vec<usize> = self.jobs.get(job_idx).held_devices().collect();
-            for device in held {
-                self.devices.release(device);
-                let next = now + REPOLL_MS;
-                if next < self.devices.session_end(device) {
-                    self.queue.push(next, EventKind::CheckIn { device });
-                } else {
-                    self.devices.note_possible_retire(device, now);
-                }
-            }
-        }
+        // Only a sync-mode storm strike finds holds (sync deadlines arm at
+        // round start, async mode holds nothing).
+        self.return_to_poll(job_idx, now, scheduler);
         self.result.aborted_rounds += 1;
         if self.env.is_some() {
             self.result.env.retries += 1;
@@ -1153,18 +865,21 @@ impl World {
                         .expect("env present")
                         .mass_offline_hits(frac)
                     {
-                        self.force_device_offline(device, now, scheduler);
+                        self.force_offline(device, now, scheduler);
                     }
                 }
             }
             Disturbance::DeviceFail { device } => {
                 if device < self.devices.len() && now < self.devices.session_end(device) {
-                    self.force_device_offline(device, now, scheduler);
+                    self.force_offline(device, now, scheduler);
                 }
             }
             Disturbance::AbortStorm { prob } => {
                 for job_idx in 0..self.jobs.len() {
-                    if !self.storm_abortable(job_idx) {
+                    // A storm models a coordinator-side abort: it can kill
+                    // an open request too, unlike the deadline.
+                    let phase = self.jobs.get(job_idx).phase;
+                    if !matches!(phase, JobPhase::Running | JobPhase::Allocating) {
                         continue; // idle/finished jobs are not drawn for
                     }
                     if self.env.as_mut().expect("env present").storm_hits(prob) {
@@ -1173,32 +888,6 @@ impl World {
                     }
                 }
             }
-        }
-    }
-
-    /// Forces one online device offline (mass-offline victim or scripted
-    /// fault): its session ends now; a held device is released back to
-    /// its job's demand (exactly what its hold expiry would have done,
-    /// just early — the hold-generation guard retires the stale expiry);
-    /// a computing device's in-flight response is flagged to arrive as a
-    /// failure.
-    fn force_device_offline(&mut self, device: usize, now: SimTime, scheduler: &mut dyn Scheduler) {
-        self.result.env.forced_offline += 1;
-        let (was_held, was_computing, held_job) = {
-            let d = self.devices.get(device);
-            (d.busy && d.held, d.busy && !d.held, d.held_job)
-        };
-        self.devices.force_offline(device, now);
-        // The one transition that can shrink a session: invalidate the
-        // parked polls' cached session ends.
-        self.parked.bump_gen();
-        if was_held {
-            self.release_hold(held_job, device, now, scheduler);
-            // Demand reopened without a `submit`: wake parked pollers so
-            // the gated arm keeps matching the un-gated reference.
-            self.parked.wake(&mut self.queue);
-        } else if was_computing {
-            self.devices.mark_failed_task(device);
         }
     }
 
@@ -1281,7 +970,7 @@ impl World {
         // workload plan by the constructor.
         w.len_prefix(self.jobs.len());
         for idx in 0..self.jobs.len() {
-            encode_job(self.jobs.get(idx), w);
+            self.jobs.get(idx).encode(w);
         }
 
         // Event queue in canonical sorted form, plus the seq counter
@@ -1330,17 +1019,7 @@ impl World {
         // Kernel RNG (response noise).
         self.rng.encode(w);
 
-        // Mid-run result accumulators. `records` is empty until
-        // `finish()` and `peak_queue_len` is derived there from the
-        // queue's own high-water mark, so neither is written.
-        w.str(&self.result.scheduler_name);
-        w.u64(self.result.events);
-        w.u64(self.result.aborted_rounds);
-        w.u64(self.result.assignments);
-        w.u64(self.result.failures);
-        w.u64(self.result.peak_bytes);
-        encode_env_stats(&self.result.env, w);
-        w.seq(&self.result.rounds, |w, log| encode_round_log(log, w));
+        self.result.encode_progress(w);
     }
 
     /// Overwrites this world's mutable state from a snapshot written by
@@ -1377,8 +1056,9 @@ impl World {
             )));
         }
         for idx in 0..job_count {
-            decode_job(self.jobs.get_mut(idx), r)?;
+            self.jobs.get_mut(idx).decode(r)?;
         }
+        self.check_holds()?;
 
         let next_seq = r.u64()?;
         let peak_len = r.usize()?;
@@ -1477,135 +1157,6 @@ impl World {
 
         self.rng = StdRng::decode(r)?;
 
-        let name = r.str()?;
-        if check_scheduler && name != self.result.scheduler_name {
-            return Err(SnapError::Corrupt(format!(
-                "snapshot taken under scheduler {name:?}, resuming {:?}",
-                self.result.scheduler_name
-            )));
-        }
-        self.result.events = r.u64()?;
-        self.result.aborted_rounds = r.u64()?;
-        self.result.assignments = r.u64()?;
-        self.result.failures = r.u64()?;
-        self.result.peak_bytes = r.u64()?;
-        self.result.env = decode_env_stats(r)?;
-        self.result.rounds = r.seq(decode_round_log)?;
-        Ok(())
+        self.result.restore_progress(r, check_scheduler)
     }
-}
-
-fn encode_job(j: &JobRuntime, w: &mut SnapWriter) {
-    w.u32(j.rounds_done);
-    w.u8(match j.phase {
-        JobPhase::Idle => 0,
-        JobPhase::Allocating => 1,
-        JobPhase::Running => 2,
-        JobPhase::Finished => 3,
-    });
-    w.u32(j.epoch);
-    w.u64(j.request_start);
-    w.u64(j.round_start);
-    w.u32(j.assigned);
-    w.u32(j.responses);
-    w.seq(&j.held, |w, &d| w.usize(d));
-    w.seq(&j.participants, |w, &d| w.usize(d));
-    encode_record(&j.record, w);
-}
-
-fn decode_job(j: &mut JobRuntime, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-    j.rounds_done = r.u32()?;
-    j.phase = match r.u8()? {
-        0 => JobPhase::Idle,
-        1 => JobPhase::Allocating,
-        2 => JobPhase::Running,
-        3 => JobPhase::Finished,
-        other => {
-            return Err(SnapError::Corrupt(format!("job phase tag {other}")));
-        }
-    };
-    j.epoch = r.u32()?;
-    j.request_start = r.u64()?;
-    j.round_start = r.u64()?;
-    j.assigned = r.u32()?;
-    j.responses = r.u32()?;
-    j.held = r.seq(|r| r.usize())?;
-    j.participants = r.seq(|r| r.usize())?;
-    decode_record(&mut j.record, r)?;
-    Ok(())
-}
-
-fn encode_record(rec: &JctRecord, w: &mut SnapWriter) {
-    w.u64(rec.arrival_ms);
-    w.option(&rec.finish_ms, |w, &t| w.u64(t));
-    w.u64(rec.sched_delay_ms);
-    w.u64(rec.response_ms);
-    w.u32(rec.rounds_completed);
-    w.u32(rec.rounds_aborted);
-}
-
-fn decode_record(rec: &mut JctRecord, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-    rec.arrival_ms = r.u64()?;
-    rec.finish_ms = r.option(|r| r.u64())?;
-    rec.sched_delay_ms = r.u64()?;
-    rec.response_ms = r.u64()?;
-    rec.rounds_completed = r.u32()?;
-    rec.rounds_aborted = r.u32()?;
-    Ok(())
-}
-
-fn encode_env_stats(s: &EnvStats, w: &mut SnapWriter) {
-    w.u64(s.dropouts);
-    w.u64(s.forced_offline);
-    w.u64(s.storm_aborts);
-    w.u64(s.retries);
-    w.seq(&s.tier_response_ms, |w, h| {
-        let (lo, hi) = h.bounds();
-        w.f64(lo);
-        w.f64(hi);
-        w.seq(h.counts(), |w, &c| w.u64(c));
-    });
-}
-
-fn decode_env_stats(r: &mut SnapReader<'_>) -> Result<EnvStats, SnapError> {
-    Ok(EnvStats {
-        dropouts: r.u64()?,
-        forced_offline: r.u64()?,
-        storm_aborts: r.u64()?,
-        retries: r.u64()?,
-        tier_response_ms: r.seq(|r| {
-            let lo = r.f64()?;
-            let hi = r.f64()?;
-            let counts = r.seq(|r| r.u64())?;
-            // `Histogram::from_parts` panics on an invalid shape; corrupt
-            // input must surface as an error instead. NaN bounds are not
-            // Greater, so they are rejected here too.
-            let ordered = hi.partial_cmp(&lo) == Some(std::cmp::Ordering::Greater);
-            if counts.is_empty() || !ordered {
-                return Err(SnapError::Corrupt(format!(
-                    "histogram shape lo={lo} hi={hi} bins={}",
-                    counts.len()
-                )));
-            }
-            Ok(Histogram::from_parts(lo, hi, counts))
-        })?,
-    })
-}
-
-fn encode_round_log(log: &RoundLog, w: &mut SnapWriter) {
-    w.usize(log.job_idx);
-    w.u32(log.round);
-    w.u64(log.start_ms);
-    w.u64(log.end_ms);
-    w.seq(&log.participants, |w, &d| w.usize(d));
-}
-
-fn decode_round_log(r: &mut SnapReader<'_>) -> Result<RoundLog, SnapError> {
-    Ok(RoundLog {
-        job_idx: r.usize()?,
-        round: r.u32()?,
-        start_ms: r.u64()?,
-        end_ms: r.u64()?,
-        participants: r.seq(|r| r.usize())?,
-    })
 }

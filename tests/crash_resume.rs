@@ -144,7 +144,7 @@ fn crash_inside_an_active_round_is_invisible() {
                 (0..world.jobs.len()).any(|i| {
                     let j = world.jobs.get(i);
                     matches!(j.phase, JobPhase::Allocating | JobPhase::Running)
-                        && !j.held.is_empty()
+                        && !j.held().is_empty()
                 })
             },
             &mut crashed_at,
