@@ -549,14 +549,16 @@ impl SupplyEstimator {
 /// maintained count table and its freshness flag — so a restored
 /// estimator continues pruning, refreshing, and splitting regions on
 /// exactly the schedule the snapshotted one would have. The ring goes out
-/// as `base`, `back` and its 4-byte words, the bulk of a Venn checkpoint.
+/// as `base`, `back` and its 4-byte words, the bulk of a Venn checkpoint:
+/// written in bulk from the ring's two contiguous halves, and read back
+/// in one pass that converts and checks each word together.
 ///
-/// Decode walks the ring once and refuses, as [`SnapError::Corrupt`], a
-/// cell past the filler, a filler whose step is not `MAX_DT`, steps that
-/// overflow or do not lead from `base` to `back`, slot counts (or fresh
-/// cell counts) that disagree with the ring, and slot masks naming specs
-/// that are not registered — so hostile bytes give an error here, never a
-/// panic in a later query.
+/// Decode refuses, as [`SnapError::Corrupt`], a cell past the filler, a
+/// filler whose step is not `MAX_DT`, steps that overflow or do not lead
+/// from `base` to `back`, slot counts (or fresh cell counts) that
+/// disagree with the ring, and slot masks naming specs that are not
+/// registered — so hostile bytes give an error here, never a panic in a
+/// later query.
 impl Snapshot for SupplyEstimator {
     fn encode(&self, w: &mut SnapWriter) {
         w.u64(self.window_ms);
@@ -564,10 +566,10 @@ impl Snapshot for SupplyEstimator {
         w.bool(self.counts_fresh);
         w.u64(self.base);
         w.u64(self.back);
+        let (front, rest) = self.queue.as_slices();
         w.len_prefix(self.queue.len());
-        for &word in &self.queue {
-            w.u32(word);
-        }
+        w.u32s(front);
+        w.u32s(rest);
         w.seq(&self.specs, |w, s| s.encode(w));
         w.seq(&self.cell_slot, |w, &s| w.u32(s));
         w.seq(&self.slot_masks, |w, &m| w.u128(m));
@@ -584,7 +586,28 @@ impl Snapshot for SupplyEstimator {
         let counts_fresh = r.bool()?;
         let base = r.u64()?;
         let back = r.u64()?;
-        let queue = r.seq(|r| r.u32())?;
+        let len = r.len_prefix()?;
+        let words = r.u32s(len)?;
+        let mut queue = Vec::with_capacity(len);
+        let mut time = base;
+        let mut cells = vec![0u64; GRID * GRID];
+        for word in words {
+            let cell = word & CELL_MASK;
+            if cell < FILLER {
+                cells[cell as usize] += 1;
+            } else if cell > FILLER {
+                return Err(corrupt("ring cell out of range"));
+            } else if dt_of(word) != MAX_DT {
+                return Err(corrupt("ring filler with a partial step"));
+            }
+            time = time
+                .checked_add(dt_of(word))
+                .ok_or_else(|| corrupt("ring time overflows"))?;
+            queue.push(word);
+        }
+        if time != back {
+            return Err(corrupt("ring steps do not lead from base to back"));
+        }
         let specs = r.seq(ResourceSpec::decode)?;
         let cell_slot = r.seq(|r| r.u32())?;
         let slot_masks = r.seq(|r| r.u128())?;
@@ -603,27 +626,6 @@ impl Snapshot for SupplyEstimator {
         }
         if specs.len() < 128 && slot_masks.iter().any(|&m| m >> specs.len() != 0) {
             return Err(corrupt("slot mask names an unregistered spec"));
-        }
-        let mut time = base;
-        let mut cells = vec![0u64; GRID * GRID];
-        for &word in &queue {
-            let cell = word & CELL_MASK;
-            if cell > FILLER {
-                return Err(corrupt("ring cell out of range"));
-            }
-            if cell == FILLER {
-                if dt_of(word) != MAX_DT {
-                    return Err(corrupt("ring filler with a partial step"));
-                }
-            } else {
-                cells[cell as usize] += 1;
-            }
-            time = time
-                .checked_add(dt_of(word))
-                .ok_or_else(|| corrupt("ring time overflows"))?;
-        }
-        if time != back {
-            return Err(corrupt("ring steps do not lead from base to back"));
         }
         let mut tally = vec![0u64; slot_masks.len()];
         for (&n, &s) in cells.iter().zip(&cell_slot) {
@@ -938,6 +940,56 @@ mod tests {
         let mut s = valid();
         s.specs = vec![ResourceSpec::any(); 129];
         refused(s, "mask width");
+    }
+
+    #[test]
+    fn a_wrapped_ring_encodes_both_halves_in_order() {
+        fn record(s: &mut SupplyEstimator, t: &mut SimTime) {
+            *t += 7;
+            s.record(*t, &Capacity::new((*t % 640) as f64 / 640.0, 0.3));
+        }
+        let mut s = SupplyEstimator::new(1_000);
+        s.register_spec(ResourceSpec::new(0.5, 0.5));
+        let mut t = 0;
+        for _ in 0..200 {
+            record(&mut s, &mut t);
+        }
+        // Expire from the front, then push up to capacity without growing:
+        // the back wraps around to the start of the buffer.
+        assert!(s.window_count(t + 500) < 200);
+        while s.queue.len() < s.queue.capacity() {
+            record(&mut s, &mut t);
+        }
+        let (front, rest) = s.queue.as_slices();
+        assert!(!front.is_empty() && !rest.is_empty(), "the ring must wrap");
+
+        let mut reference = SnapWriter::new();
+        reference.u64(s.window_ms);
+        reference.seq(&s.counts, |w, &c| w.u32(c));
+        reference.bool(s.counts_fresh);
+        reference.u64(s.base);
+        reference.u64(s.back);
+        reference.len_prefix(s.queue.len());
+        for &word in &s.queue {
+            reference.u32(word);
+        }
+        reference.seq(&s.specs, |w, spec| spec.encode(w));
+        reference.seq(&s.cell_slot, |w, &slot| w.u32(slot));
+        reference.seq(&s.slot_masks, |w, &m| w.u128(m));
+        reference.seq(&s.slot_counts, |w, &c| w.u64(c));
+        let mut bulk = SnapWriter::new();
+        s.encode(&mut bulk);
+        let bytes = bulk.into_bytes();
+        assert_eq!(bytes, reference.into_bytes());
+
+        let mut r = SnapReader::new(&bytes);
+        let decoded = SupplyEstimator::decode(&mut r).unwrap();
+        r.finish().unwrap();
+        assert_eq!(decoded.queue, s.queue);
+        assert_eq!((decoded.base, decoded.back), (s.base, s.back));
+        let mut again = SnapWriter::new();
+        decoded.encode(&mut again);
+        assert_eq!(again.into_bytes(), bytes);
     }
 
     #[test]

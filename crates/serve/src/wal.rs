@@ -9,7 +9,7 @@
 //!
 //! ```text
 //! header : "VWAL" magic | u32 version (LE)
-//! record : u32 len (LE) | u64 FNV-1a(payload) | payload (UTF-8 line)
+//! record : u32 len (LE) | u64 XXH64(payload) | payload (UTF-8 line)
 //! seal   : a len-0 record — written on graceful shutdown
 //! ```
 //!
@@ -36,8 +36,9 @@ use venn_core::snapshot::checksum;
 /// Leading magic of a WAL journal (`b"VWAL"`).
 pub const WAL_MAGIC: [u8; 4] = *b"VWAL";
 
-/// Current WAL format version; other versions are rejected.
-pub const WAL_VERSION: u32 = 1;
+/// Current WAL format version; other versions are rejected. Version 2
+/// checksums records with XXH64 (version 1 used FNV-1a).
+pub const WAL_VERSION: u32 = 2;
 
 /// Records between fsyncs under [`SyncPolicy::Batch`].
 pub const BATCH_RECORDS: u32 = 64;
@@ -423,6 +424,15 @@ mod tests {
             recover_journal(&bad),
             Err(JournalError::BadVersion(_))
         ));
+    }
+
+    #[test]
+    fn version_1_journals_are_refused_by_their_version() {
+        // Version 1 records carry FNV-1a checksums: refused by the header,
+        // not misreported as a torn first record.
+        let mut old = write_journal(&[r#"{"vt":0,"cmd":"stats"}"#], true, SyncPolicy::Off);
+        old[4..8].copy_from_slice(&1u32.to_le_bytes());
+        assert_eq!(recover_journal(&old), Err(JournalError::BadVersion(1)));
     }
 
     #[test]

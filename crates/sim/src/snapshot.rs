@@ -5,7 +5,7 @@
 //! # Container layout
 //!
 //! The body inside the [`seal`]ed frame (magic, format version, length,
-//! FNV-1a checksum — see [`venn_core::snapshot`]) is:
+//! XXH64 checksum — see [`venn_core::snapshot`]) is:
 //!
 //! 1. run fingerprint (`u64`) — see [`run_fingerprint`]
 //! 2. [`World::encode_state`] — all mutable kernel state in canonical
@@ -35,7 +35,7 @@ use venn_traces::Workload;
 use crate::config::{ExecMode, SimConfig};
 use crate::world::World;
 
-/// A collision-resistant-enough identity for "the same run": the FNV-1a
+/// A collision-resistant-enough identity for "the same run": the XXH64
 /// checksum of the config and workload debug renderings, with the
 /// inert [`ExecMode`] normalized away.
 ///
@@ -60,7 +60,7 @@ pub fn snapshot_world(world: &World, scheduler: &dyn Scheduler) -> Result<Vec<u8
     w.u64(run_fingerprint(world.config(), world.workload()));
     world.encode_state(&mut w);
     scheduler.save_state(&mut w)?;
-    Ok(seal(w.into_bytes()))
+    Ok(seal(w))
 }
 
 /// Rebuilds a world (and overwrites `scheduler`'s state) from a sealed
