@@ -1,11 +1,10 @@
 //! The one command-line layer of every `venn-bench` binary: a flag
-//! reader with typed values and name tables, the `[SEED]` and `[SEEDS]`
-//! positionals, `--help`, and one exit policy — a usage error prints one
+//! reader with typed values and name tables, the `[SEED]` positional,
+//! `--help`, and one exit policy — a usage error prints one
 //! `error:` line plus the usage on stderr and exits 2; a run-time
 //! failure prints one `error:` line and exits 1.
 
 use std::fmt::Display;
-use std::num::NonZeroUsize;
 use std::path::Path;
 use std::process::{exit, ExitCode};
 use std::str::FromStr;
@@ -109,25 +108,6 @@ pub fn seed(arg: &str) -> Result<u64, String> {
     parse("seed", arg)
 }
 
-/// Parses the arguments of a binary that takes none.
-pub fn no_args() {
-    Cli::new("").parse(|_, arg| Err(unknown(arg)));
-}
-
-/// The seeds of a sweep binary, whose one optional positional `[SEEDS]`
-/// is a seed count N (default `default`): `first .. first + N`.
-pub fn seeds(first: u64, default: usize) -> Vec<u64> {
-    let mut count = None;
-    Cli::new("[SEEDS]").parse(|_, arg| {
-        if count.is_some() || arg.starts_with('-') {
-            return Err(unknown(arg));
-        }
-        count = Some(parse::<NonZeroUsize>("seed count", arg)?.get());
-        Ok(())
-    });
-    (first..).take(count.unwrap_or(default)).collect()
-}
-
 /// Reports a run-time failure: one `error:` line, exit status 1.
 pub fn failure(msg: impl Display) -> ExitCode {
     eprintln!("error: {msg}");
@@ -137,6 +117,7 @@ pub fn failure(msg: impl Display) -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::num::NonZeroUsize;
 
     #[test]
     fn values_choices_and_positionals_name_what_is_wrong() {

@@ -1,18 +1,22 @@
 //! Shared experiment harness for the paper's tables and figures.
 //!
-//! Every bench binary (`fig*`/`table*`) builds on the same three pieces:
+//! The `reproduce` binary and the baseline/scale gates build on the same
+//! pieces:
 //!
 //! * [`SchedKind`] — enumerates every scheduler the paper evaluates and
 //!   constructs a fresh instance per run;
 //! * [`Experiment`] — a (simulation config, workload) pair with
 //!   constructors matching §5.1's scenarios;
-//! * [`run`] / [`speedup_table`] — execute runs and normalize average JCT
-//!   against the Random baseline, the paper's headline metric;
-//! * [`Matrix`] / [`run_matrix`] — the shared sweep executor: declare a
-//!   (scenario × seed × scheduler) grid once and fan the independent
-//!   deterministic runs out across cores;
+//! * [`run`] — executes one scheduler over one experiment;
+//! * [`Matrix`] / [`run_matrix`] / [`speedup_summary`] — the shared sweep
+//!   executor: declare a (scenario × seed × scheduler) grid once, fan the
+//!   independent deterministic runs out across cores, and normalize
+//!   average JCT against the Random baseline, the paper's headline metric;
+//! * [`artifacts`] — the registry of the paper's tables and figures that
+//!   `reproduce NAME [SEEDS]` prints;
 //! * [`cli`] — the one flag reader and exit policy of every binary.
 
+pub mod artifacts;
 pub mod baseline;
 pub mod cli;
 pub mod matrix;
@@ -37,7 +41,7 @@ use rand::SeedableRng;
 use venn_core::{Scheduler, VennConfig, VennScheduler, DAY_MS, MINUTE_MS};
 use venn_serve::SchedSpec;
 use venn_sim::{SimConfig, SimResult, Simulation, World};
-use venn_traces::{BiasKind, JobDemandModel, ScenarioPreset, Workload, WorkloadKind};
+use venn_traces::{BiasKind, JobDemandModel, Workload, WorkloadKind};
 
 /// Every scheduler the evaluation compares.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -142,22 +146,6 @@ impl Experiment {
         }
     }
 
-    /// A (workload × environment) scenario preset at the paper's default
-    /// evaluation scale — the sweep harness's entry point for the
-    /// `venn-env` scenario axis.
-    pub fn scenario(preset: &ScenarioPreset, seed: u64) -> Experiment {
-        let mut exp = Experiment::paper_default(preset.workload, preset.bias, seed);
-        exp.sim.env = preset.env.config();
-        exp
-    }
-
-    /// [`Experiment::scenario`] at smoke scale, for tests and CI jobs.
-    pub fn scenario_smoke(preset: &ScenarioPreset, seed: u64) -> Experiment {
-        let mut exp = Experiment::smoke(preset.workload, seed);
-        exp.sim.env = preset.env.config();
-        exp
-    }
-
     /// A smaller, faster variant used by tests and smoke runs.
     pub fn smoke(kind: WorkloadKind, seed: u64) -> Experiment {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x517CC1B727220A95);
@@ -235,79 +223,6 @@ pub fn run_crashed(experiment: &Experiment, kind: SchedKind) -> SimResult {
     world.finish(&mut [])
 }
 
-/// Average-JCT speed-up of each scheduler over [`SchedKind::Random`] on the
-/// same experiment (the paper's headline normalization). Returns
-/// `(labels, speedups, results)` in the order of `kinds`. The schedulers
-/// run in parallel through [`run_matrix`].
-pub fn speedup_table(
-    experiment: &Experiment,
-    kinds: &[SchedKind],
-) -> (Vec<&'static str>, Vec<f64>, Vec<SimResult>) {
-    let matrix = Matrix::new()
-        .fixed("experiment", experiment.clone())
-        .kinds(&with_baseline(kinds))
-        .seeds(&[experiment.sim.seed]);
-    let runs = run_matrix(&matrix);
-    let base_jct = runs
-        .iter()
-        .find(|r| r.cell.kind == SchedKind::Random)
-        .expect("with_baseline guarantees a Random run")
-        .result
-        .avg_jct_ms();
-    let mut labels = Vec::new();
-    let mut speedups = Vec::new();
-    let mut results = Vec::new();
-    for kind in kinds {
-        let r = runs
-            .iter()
-            .find(|r| r.cell.kind == *kind)
-            .expect("every requested kind was in the matrix")
-            .result
-            .clone();
-        labels.push(kind.label());
-        speedups.push(if r.avg_jct_ms() > 0.0 {
-            base_jct / r.avg_jct_ms()
-        } else {
-            f64::NAN
-        });
-        results.push(r);
-    }
-    (labels, speedups, results)
-}
-
-/// Average of per-seed speed-ups over `seeds` repetitions of an experiment
-/// builder — smooths single-run noise in the headline tables.
-pub fn mean_speedups(
-    make: impl Fn(u64) -> Experiment + Sync,
-    kinds: &[SchedKind],
-    seeds: &[u64],
-) -> Vec<f64> {
-    mean_speedups_detailed(make, kinds, seeds).0
-}
-
-/// Like [`mean_speedups`] but also returns the mean job completion rate per
-/// scheduler — a sanity channel: speed-ups are only comparable when all
-/// schedulers finish (nearly) all jobs.
-///
-/// All `seeds × kinds` runs (plus the Random baselines) execute in
-/// parallel through [`run_matrix`]; per-run results are identical to the
-/// old sequential loop.
-pub fn mean_speedups_detailed(
-    make: impl Fn(u64) -> Experiment + Sync,
-    kinds: &[SchedKind],
-    seeds: &[u64],
-) -> (Vec<f64>, Vec<f64>) {
-    let matrix = Matrix::new()
-        .scenario("sweep", make)
-        .kinds(&with_baseline(kinds))
-        .seeds(seeds);
-    let runs = run_matrix(&matrix);
-    let row = speedup_summary(&runs, kinds)
-        .pop()
-        .expect("single-scenario matrix yields one row");
-    (row.speedups, row.completion)
-}
-
 /// Speed-up of `other` over `baseline` restricted to the jobs in `subset`
 /// (workload indices) — used for the Table 2/3 per-slice breakdowns.
 /// Returns `None` if either side finished no job in the subset.
@@ -346,16 +261,6 @@ mod tests {
             assert_eq!(r.records.len(), exp.workload.jobs.len(), "{kind:?}");
             assert!(r.completion_rate() > 0.5, "{kind:?}: {r:?}");
         }
-    }
-
-    #[test]
-    fn speedup_table_normalizes_to_random() {
-        let exp = Experiment::smoke(WorkloadKind::Even, 4);
-        let (labels, speedups, results) =
-            speedup_table(&exp, &[SchedKind::Random, SchedKind::Venn]);
-        assert_eq!(labels, vec!["Random", "Venn"]);
-        assert!((speedups[0] - 1.0).abs() < 1e-9);
-        assert_eq!(results.len(), 2);
     }
 
     #[test]

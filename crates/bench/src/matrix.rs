@@ -1,8 +1,8 @@
-//! The shared sweep executor behind every `fig*`/`table*` binary.
+//! The shared sweep executor behind every paper artifact of `reproduce`.
 //!
 //! A [`Matrix`] declares a (scenario × seed × scheduler) grid; by naming
 //! scenarios once and crossing them with seeds and [`SchedKind`]s, the
-//! experiment binaries stop duplicating nested run loops. [`run_matrix`]
+//! artifacts stop duplicating nested run loops. [`run_matrix`]
 //! executes the grid in parallel — every cell is an independent,
 //! deterministic simulation, so runs fan out across cores with rayon and
 //! [`run_matrix_sequential`] produces byte-identical per-run results

@@ -1,9 +1,12 @@
 //! The exit policy of `venn_bench::cli`, held on the spawned binaries: a
 //! usage error is one `error:` line, exit status 2, nothing on stdout and
 //! no panic — for `vennsim`'s invalid configurations on the batch and the
-//! `serve` entry point alike, and for an unknown flag on every binary.
+//! `serve` entry point alike, for an unknown flag on every binary, and for
+//! a bad artifact name or seed count of `reproduce`.
 
 use std::process::{Command, Stdio};
+
+use venn_bench::artifacts::ARTIFACTS;
 
 /// Runs `bin args…` and asserts the usage-error contract; the one
 /// `error:` line must mention `what`.
@@ -46,27 +49,46 @@ fn invalid_configs_are_usage_errors_on_every_entry_point() {
 #[test]
 fn every_binary_rejects_an_unknown_flag_as_a_usage_error() {
     for bin in [
-        env!("CARGO_BIN_EXE_ablation_steal"),
         env!("CARGO_BIN_EXE_bench_scale"),
         env!("CARGO_BIN_EXE_check_regression"),
         env!("CARGO_BIN_EXE_export_results"),
-        env!("CARGO_BIN_EXE_fig10_overhead"),
-        env!("CARGO_BIN_EXE_fig11_ablation"),
-        env!("CARGO_BIN_EXE_fig12_job_sweep"),
-        env!("CARGO_BIN_EXE_fig13_tier_sweep"),
-        env!("CARGO_BIN_EXE_fig14_fairness"),
-        env!("CARGO_BIN_EXE_fig2_traces"),
-        env!("CARGO_BIN_EXE_fig3_toy"),
-        env!("CARGO_BIN_EXE_fig4_contention"),
-        env!("CARGO_BIN_EXE_fig5_breakdown"),
-        env!("CARGO_BIN_EXE_fig9_accuracy"),
-        env!("CARGO_BIN_EXE_probe_matching"),
-        env!("CARGO_BIN_EXE_table1_e2e"),
-        env!("CARGO_BIN_EXE_table2_demand_breakdown"),
-        env!("CARGO_BIN_EXE_table3_spec_breakdown"),
-        env!("CARGO_BIN_EXE_table4_biased"),
+        env!("CARGO_BIN_EXE_reproduce"),
         env!("CARGO_BIN_EXE_vennsim"),
     ] {
         assert_usage_error(bin, &["--bogus"], "--bogus");
     }
+}
+
+#[test]
+fn reproduce_rejects_a_bad_artifact_or_seed_count() {
+    let names: Vec<&str> = ARTIFACTS.iter().map(|a| a.name).collect();
+    let valid = format!("(valid: {})", names.join("|"));
+    let bad: [(&[&str], &str); 3] = [
+        (&["fig1"], &valid),
+        (&["fig3", "2"], "fig3 takes no seeds"),
+        (&["table1", "0"], "seed count \"0\""),
+    ];
+    for (args, what) in bad {
+        assert_usage_error(env!("CARGO_BIN_EXE_reproduce"), args, what);
+    }
+}
+
+#[test]
+fn reproduce_fig3_prints_the_toy_example_byte_for_byte() {
+    let out = Command::new(env!("CARGO_BIN_EXE_reproduce"))
+        .arg("fig3")
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success(), "{out:?}");
+    let expected = "\
+== Figure 3: toy example average JCT ==
+                          avg JCT
+---------------------------------
+Random matching             11.16
+SRSF                        11.00
+Optimal (= Venn's order)     9.33
+
+(paper: Random 12, SRSF 11, optimal 9.3)
+";
+    assert_eq!(String::from_utf8_lossy(&out.stdout), expected);
 }

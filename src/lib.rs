@@ -21,7 +21,7 @@
 //!   protocol, virtual/real time decoupled driver, session journal with
 //!   byte-identical replay, and snapshot-fork what-if runs;
 //! * [`mod@bench`] — the experiment harness and sweep executor behind
-//!   every paper figure/table binary.
+//!   the `reproduce` binary's paper figures and tables.
 //!
 //! Root integration tests (and any downstream user who wants a single
 //! dependency) import everything through this crate:
