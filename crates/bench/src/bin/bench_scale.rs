@@ -7,7 +7,8 @@
 //! `--check` re-runs the committed file's rows and diffs the
 //! deterministic fields (everything except `wall_ms` / `events_per_sec` /
 //! `peak_bytes`); `--max-pop N` caps which rows re-run, so CI gates drift
-//! at the 100k tier without paying for the 1M rows.
+//! at the 100k tier without paying for the 1M rows. `--max-pop` without
+//! `--check` is a usage error: the sweep itself always runs every row.
 //!
 //! Run: `cargo run --release -p venn-bench --bin bench_scale -- --help`
 
@@ -26,16 +27,23 @@ fn main() -> ExitCode {
     let mut seed: u64 = 42;
     let mut path = "BENCH_SCALE.json".to_string();
     let mut check = false;
-    let mut max_pop = usize::MAX;
-    Cli::new("[SEED] [--json PATH] [--check] [--max-pop N]").parse(|cli, arg| {
+    let mut max_pop = None;
+    let mut cli = Cli::new("[SEED] [--json PATH] [--check [--max-pop N]]");
+    cli.parse(|cli, arg| {
         match arg {
             "--json" => path = cli.value(arg)?,
             "--check" => check = true,
-            "--max-pop" => max_pop = cli.value(arg)?,
+            "--max-pop" => max_pop = Some(cli.value(arg)?),
             _ => seed = cli::seed(arg)?,
         }
         Ok(())
     });
+    // The full sweep has no row cap: without `--check`, a `--max-pop`
+    // would be ignored and the 1M rows would overwrite `--json`.
+    if max_pop.is_some() && !check {
+        cli.fail("--max-pop only applies to --check");
+    }
+    let max_pop = max_pop.unwrap_or(usize::MAX);
 
     if check {
         let read = std::fs::read_to_string(&path).map_err(|e| format!("read {path}: {e}"));

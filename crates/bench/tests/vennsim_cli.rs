@@ -1,8 +1,9 @@
 //! The exit policy of `venn_bench::cli`, held on the spawned binaries: a
 //! usage error is one `error:` line, exit status 2, nothing on stdout and
 //! no panic — for `vennsim`'s invalid configurations on the batch and the
-//! `serve` entry point alike, for an unknown flag on every binary, and for
-//! a bad artifact name or seed count of `reproduce`.
+//! `serve` entry point alike, for an unknown flag on every binary, for
+//! `bench_scale --max-pop` without `--check`, and for a bad artifact name
+//! or seed count of `reproduce`.
 
 use std::process::{Command, Stdio};
 
@@ -28,8 +29,9 @@ fn assert_usage_error(bin: &str, args: &[&str], what: &str) {
 
 #[test]
 fn invalid_configs_are_usage_errors_on_every_entry_point() {
-    let bad: [(&[&str], &str); 8] = [
+    let bad: [(&[&str], &str); 9] = [
         (&["--population", "0"], "population"),
+        (&["--population", "4294967296"], "population"),
         (&["--days", "0"], "horizon"),
         (&["--overcommit", "3"], "overcommit"),
         (&["--tiers", "0"], "tier"),
@@ -57,6 +59,20 @@ fn every_binary_rejects_an_unknown_flag_as_a_usage_error() {
     ] {
         assert_usage_error(bin, &["--bogus"], "--bogus");
     }
+}
+
+#[test]
+fn bench_scale_rejects_max_pop_without_check() {
+    // `--json` points away from the committed `BENCH_SCALE.json`, so a
+    // binary that ran the sweep anyway could not overwrite it.
+    let json = std::env::temp_dir().join(format!("bench_scale_{}.json", std::process::id()));
+    let json = json.to_str().expect("temp path is UTF-8");
+    assert_usage_error(
+        env!("CARGO_BIN_EXE_bench_scale"),
+        &["--max-pop", "100000", "--json", json],
+        "--max-pop only applies to --check",
+    );
+    assert!(!std::path::Path::new(json).exists(), "the sweep ran");
 }
 
 #[test]

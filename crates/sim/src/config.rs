@@ -180,11 +180,17 @@ impl SimConfig {
     }
 
     /// Checks the invariants a front end can report as a usage error:
-    /// non-empty population, a horizon of at least one day, overcommit in
-    /// `[0, 1)`.
+    /// a non-empty population that `u32` device indices can address, a
+    /// horizon of at least one day, overcommit in `[0, 1)`.
     pub fn check(&self) -> Result<(), String> {
         let ensure = |ok: bool, why: &str| if ok { Ok(()) } else { Err(why.to_string()) };
         ensure(self.population > 0, "population must be positive")?;
+        // Cohort heaps, parked polls, retire notes and snapshot device
+        // words store a device index as `u32`.
+        ensure(
+            u32::try_from(self.population).is_ok(),
+            "population must be at most 4294967295 (device indices are u32)",
+        )?;
         ensure(self.days > 0, "horizon must cover at least one day")?;
         ensure(
             (0.0..1.0).contains(&self.overcommit),
@@ -264,6 +270,11 @@ mod tests {
         let bad = |c: SimConfig| c.check().unwrap_err();
         let d = SimConfig::default();
         assert!(bad(SimConfig { population: 0, ..d }).contains("population"));
+        assert!(bad(SimConfig {
+            population: u32::MAX as usize + 1,
+            ..d
+        })
+        .contains("population"));
         assert!(bad(SimConfig { days: 0, ..d }).contains("horizon"));
         assert!(bad(SimConfig {
             overcommit: 3.0,

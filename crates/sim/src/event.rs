@@ -247,12 +247,47 @@ const SLOTS: usize = 1 << SLOT_BITS;
 /// Wheel tiers below the overflow heap. Tier `l` slots are `256^l` ms
 /// wide, so four tiers cover `256^4` ms ≈ 49.7 days from the cursor.
 const TIERS: usize = 4;
+/// Events per slab chunk (a chunk's buffer is `CHUNK × 48` bytes),
+/// chosen by measurement among 16–128: smaller chunks link more often on
+/// the push path, larger ones strand more memory in the partly filled
+/// tail chunk of each occupied slot.
+const CHUNK: usize = 64;
+/// End of a chunk list.
+const NIL: u32 = u32::MAX;
 
 fn digit(t: SimTime, tier: usize) -> usize {
     ((t >> (SLOT_BITS * tier as u32)) & (SLOTS as u64 - 1)) as usize
 }
 
+/// One slab chunk: up to `CHUNK` events of one slot, and the next chunk
+/// of that slot's list (or of the free list).
+#[derive(Debug)]
+struct Chunk {
+    events: Vec<Event>,
+    next: u32,
+}
+
+/// A slot's chunk list; `head == NIL` iff the slot is empty.
+#[derive(Debug, Clone, Copy)]
+struct List {
+    head: u32,
+    tail: u32,
+}
+
+const EMPTY: List = List {
+    head: NIL,
+    tail: NIL,
+};
+
 /// The hierarchical timing wheel.
+///
+/// Slot contents live in one slab of fixed-capacity chunks shared by
+/// every slot: a slot is a singly linked chunk list, and a drained chunk
+/// returns to the free list for any slot to reuse. Retained memory is
+/// therefore bounded by the peak number of pending events (plus one
+/// partly filled chunk per occupied slot), not by the sum of every
+/// slot's own high-water mark — the +60 s re-poll flood walks all 256
+/// tier-2 slots in turn.
 #[derive(Debug, Default)]
 struct TimingWheel {
     /// Cursor: the timestamp currently being drained. All queued events
@@ -262,8 +297,12 @@ struct TimingWheel {
     /// already popped.
     current: Vec<Event>,
     pos: usize,
-    /// `TIERS × SLOTS` buckets (tier-major).
-    slots: Vec<Vec<Event>>,
+    /// `TIERS × SLOTS` chunk lists (tier-major).
+    slots: Vec<List>,
+    /// Every chunk ever created; a free chunk is empty.
+    chunks: Vec<Chunk>,
+    /// Head of the free-chunk list, linked through `Chunk::next`.
+    free: u32,
     /// Occupancy bitmap per tier: bit `s` set iff `slots[tier][s]` is
     /// non-empty.
     occupied: Vec<[u64; SLOTS / 64]>,
@@ -275,7 +314,8 @@ struct TimingWheel {
 impl TimingWheel {
     fn new() -> Self {
         TimingWheel {
-            slots: (0..TIERS * SLOTS).map(|_| Vec::new()).collect(),
+            slots: vec![EMPTY; TIERS * SLOTS],
+            free: NIL,
             occupied: vec![[0; SLOTS / 64]; TIERS],
             ..TimingWheel::default()
         }
@@ -301,12 +341,81 @@ impl TimingWheel {
                 == self.now >> (SLOT_BITS * (tier as u32 + 1))
             {
                 let s = digit(e.time, tier);
-                self.slots[tier * SLOTS + s].push(e);
+                self.append(tier * SLOTS + s, e);
                 self.occupied[tier][s / 64] |= 1 << (s % 64);
                 return;
             }
         }
         self.overflow.push(e);
+    }
+
+    /// Appends `e` to slot `i`'s tail chunk, linking a fresh one when the
+    /// tail is full or the slot is empty.
+    fn append(&mut self, i: usize, e: Event) {
+        let tail = self.slots[i].tail;
+        if tail != NIL {
+            let events = &mut self.chunks[tail as usize].events;
+            if events.len() < CHUNK {
+                events.push(e);
+                return;
+            }
+        }
+        let c = self.take_chunk();
+        self.chunks[c as usize].events.push(e);
+        if tail == NIL {
+            self.slots[i].head = c;
+        } else {
+            self.chunks[tail as usize].next = c;
+        }
+        self.slots[i].tail = c;
+    }
+
+    /// An empty chunk off the free list, or a new one once the slab has
+    /// no free chunk left — the only allocation on the push path.
+    fn take_chunk(&mut self) -> u32 {
+        let c = self.free;
+        if c == NIL {
+            self.chunks.push(Chunk {
+                events: Vec::with_capacity(CHUNK),
+                next: NIL,
+            });
+            return u32::try_from(self.chunks.len() - 1).expect("chunk index fits in u32");
+        }
+        let chunk = &mut self.chunks[c as usize];
+        self.free = chunk.next;
+        chunk.next = NIL;
+        c
+    }
+
+    /// Empties chunk `c` onto the free list; returns the chunk that
+    /// followed it in its slot's list.
+    fn release_chunk(&mut self, c: u32) -> u32 {
+        let chunk = &mut self.chunks[c as usize];
+        chunk.events.clear();
+        let next = chunk.next;
+        chunk.next = self.free;
+        self.free = c;
+        next
+    }
+
+    /// Unlinks slot `s` of `tier`, returning its list's first chunk.
+    fn detach(&mut self, tier: usize, s: usize) -> u32 {
+        self.occupied[tier][s / 64] &= !(1 << (s % 64));
+        std::mem::replace(&mut self.slots[tier * SLOTS + s], EMPTY).head
+    }
+
+    /// The events of slot `i`, chunk by chunk.
+    fn slot_events(&self, i: usize) -> impl Iterator<Item = &Event> + '_ {
+        let mut c = self.slots[i].head;
+        std::iter::from_fn(move || {
+            if c == NIL {
+                return None;
+            }
+            let chunk = &self.chunks[c as usize];
+            c = chunk.next;
+            Some(chunk.events.iter())
+        })
+        .flatten()
     }
 
     fn pop(&mut self) -> Option<Event> {
@@ -340,8 +449,8 @@ impl TimingWheel {
         }
         if let Some(s) = self.next_occupied(0, digit(self.now, 0) + 1) {
             let time = (self.now & !(SLOTS as u64 - 1)) | s as u64;
-            let seq = self.slots[s]
-                .iter()
+            let seq = self
+                .slot_events(s)
                 .map(|e| e.seq)
                 .min()
                 .expect("occupied tier-0 slot");
@@ -351,8 +460,8 @@ impl TimingWheel {
             if let Some(s) = self.next_occupied(tier, digit(self.now, tier) + 1) {
                 // One slot spans 256^tier ms, so the minimum is over the
                 // slot's own contents, by full `(time, seq)` key.
-                return self.slots[tier * SLOTS + s]
-                    .iter()
+                return self
+                    .slot_events(tier * SLOTS + s)
                     .map(|e| (e.time, e.seq))
                     .min();
             }
@@ -389,8 +498,12 @@ impl TimingWheel {
             // Tier 0: the next occupied millisecond of this 256 ms epoch.
             if let Some(s) = self.next_occupied(0, digit(self.now, 0) + 1) {
                 self.now = (self.now & !(SLOTS as u64 - 1)) | s as u64;
-                self.current.append(&mut self.slots[s]);
-                self.occupied[0][s / 64] &= !(1 << (s % 64));
+                let mut c = self.detach(0, s);
+                while c != NIL {
+                    self.current
+                        .extend_from_slice(&self.chunks[c as usize].events);
+                    c = self.release_chunk(c);
+                }
                 // Direct pushes and cascades interleave in a slot, so the
                 // seq order is restored here, once, at drain time.
                 self.current.sort_unstable_by_key(|e| e.seq);
@@ -405,12 +518,18 @@ impl TimingWheel {
                     let above = SLOT_BITS * (tier as u32 + 1);
                     self.now =
                         ((self.now >> above) << above) | ((s as u64) << (SLOT_BITS * tier as u32));
-                    let mut batch = std::mem::take(&mut self.slots[tier * SLOTS + s]);
-                    self.occupied[tier][s / 64] &= !(1 << (s % 64));
-                    for e in batch.drain(..) {
-                        self.place(e);
+                    let mut c = self.detach(tier, s);
+                    while c != NIL {
+                        // Release the chunk only once its events are
+                        // re-filed: a free chunk may be taken at once by
+                        // the lower-tier appends they make.
+                        let events = std::mem::take(&mut self.chunks[c as usize].events);
+                        for &e in &events {
+                            self.place(e);
+                        }
+                        self.chunks[c as usize].events = events;
+                        c = self.release_chunk(c);
                     }
-                    self.slots[tier * SLOTS + s] = batch; // keep capacity
                     cascaded = true;
                     break;
                 }
@@ -546,8 +665,8 @@ impl EventQueue {
         let w = &self.wheel;
         let mut out = Vec::with_capacity(self.len);
         out.extend_from_slice(&w.current[w.pos..]);
-        for slot in &w.slots {
-            out.extend_from_slice(slot);
+        for i in 0..w.slots.len() {
+            out.extend(w.slot_events(i));
         }
         out.extend(w.overflow.iter().copied());
         out.sort_unstable_by_key(|e| (e.time, e.seq));

@@ -141,9 +141,11 @@ pub fn fork_world(
 mod tests {
     use super::*;
     use crate::config::PopMode;
+    use crate::{Event, EventKind, EventQueue};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use venn_baselines::BaselineScheduler;
+    use venn_core::JobId;
 
     fn setup() -> (SimConfig, Workload) {
         let mut rng = StdRng::seed_from_u64(7);
@@ -251,6 +253,70 @@ mod tests {
                 if m.contains(&format!("job {job} hold slot")) && m.contains(&format!("names device {device}, which is Idle"))),
             "got {err:?}"
         );
+    }
+
+    /// An event the world cannot dispatch must not resume: the next steps
+    /// would index the pool with it, take a cohort set the eager arm does
+    /// not have, or run the clock backwards.
+    #[test]
+    fn resume_rejects_events_the_world_cannot_dispatch() {
+        let (config, workload) = setup();
+        let mut sched = BaselineScheduler::fifo();
+        let mut world = World::new(config, &workload, sched.name());
+        while world.now() < 600_000 {
+            assert!(world.step(&mut sched, &mut []), "run ended before 600 s");
+        }
+        let now = world.now();
+        let pending = world.queue.snapshot_events();
+        let next_seq = world.queue.next_seq();
+        let peak_len = world.queue.peak_len();
+        let mut resume_with = |time, kind| {
+            // `restore`, not `push`: a push into the past debug-asserts.
+            let mut events = pending.clone();
+            events.push(Event {
+                time,
+                seq: next_seq,
+                kind,
+            });
+            world.queue = EventQueue::restore(&events, next_seq + 1, peak_len);
+            let bytes = snapshot_world(&world, &sched).expect("snapshot");
+            let mut fresh = BaselineScheduler::fifo();
+            resume_world(&bytes, config, &workload, &mut fresh).unwrap_err()
+        };
+        let cases = [
+            (
+                now,
+                EventKind::CheckIn {
+                    device: 1_000_000_000,
+                },
+                "names device 1000000000 of 600".to_string(),
+            ),
+            (
+                now,
+                EventKind::CohortWake { cohort: 0 },
+                "names cohort 0 of 0".to_string(),
+            ),
+            (
+                now,
+                EventKind::RoundDeadline {
+                    job: JobId::new(4),
+                    epoch: 0,
+                },
+                "names job 4 of 4".to_string(),
+            ),
+            (
+                now - 500_000,
+                EventKind::CheckIn { device: 0 },
+                format!("precedes the clock ({now} ms)"),
+            ),
+        ];
+        for (time, kind, why) in cases {
+            let err = resume_with(time, kind);
+            assert!(
+                matches!(&err, SnapError::Corrupt(m) if m.contains(&why)),
+                "{kind:?} at {time}: got {err:?}"
+            );
+        }
     }
 
     #[test]

@@ -1071,12 +1071,17 @@ impl World {
         if events.iter().any(|e| e.seq >= next_seq) {
             return Err(SnapError::Corrupt("event seq beyond queue counter".into()));
         }
+        for e in &events {
+            self.check_event(e)?;
+        }
         let polls = r.seq(|r| Ok((r.u64()?, r.u64()?, r.u32()?)))?;
         for pair in polls.windows(2) {
             if pair[0] >= pair[1] {
                 return Err(SnapError::Corrupt("poll list not sorted".into()));
             }
         }
+        // Poll times are not held to the clock: `run_until` moves it past
+        // polls that only the next dispatched event elapses.
         for &(_, seq, device) in &polls {
             if seq >= next_seq {
                 return Err(SnapError::Corrupt("poll seq beyond queue counter".into()));
@@ -1158,5 +1163,54 @@ impl World {
         self.rng = StdRng::decode(r)?;
 
         self.result.restore_progress(r, check_scheduler)
+    }
+
+    /// Refuses a restored event this world could not dispatch: one dated
+    /// before the clock, or one naming a job, device, disturbance or
+    /// cohort the world does not have — cohorts exist on the split
+    /// population arms only, disturbances only with an environment.
+    fn check_event(&self, e: &Event) -> Result<(), SnapError> {
+        if e.time < self.now {
+            return Err(SnapError::Corrupt(format!(
+                "event at {} ms precedes the clock ({} ms)",
+                e.time, self.now
+            )));
+        }
+        let in_range = |what: &str, idx: usize, count: usize| {
+            if idx < count {
+                Ok(())
+            } else {
+                Err(SnapError::Corrupt(format!(
+                    "event at {} ms names {what} {idx} of {count}",
+                    e.time
+                )))
+            }
+        };
+        let jobs = self.jobs.len();
+        let devices = self.config.population;
+        let job_index = |job: JobId| usize::try_from(job.as_u64()).unwrap_or(usize::MAX);
+        match e.kind {
+            EventKind::JobArrival { job_idx } | EventKind::RoundStart { job_idx } => {
+                in_range("job", job_idx, jobs)
+            }
+            EventKind::RoundDeadline { job, .. } => in_range("job", job_index(job), jobs),
+            EventKind::SessionStart { device, .. } | EventKind::CheckIn { device } => {
+                in_range("device", device, devices)
+            }
+            EventKind::HoldExpire { job, device, .. }
+            | EventKind::Response { job, device, .. }
+            | EventKind::AssignFailure { job, device, .. } => {
+                in_range("job", job_index(job), jobs)?;
+                in_range("device", device, devices)
+            }
+            EventKind::EnvDisturbance { env_idx } => {
+                let count = self.env.as_ref().map_or(0, |env| env.disturbances().len());
+                in_range("disturbance", env_idx, count)
+            }
+            EventKind::CohortWake { cohort } => {
+                let count = self.cohorts.as_ref().map_or(0, |c| c.cohort_count());
+                in_range("cohort", cohort, count)
+            }
+        }
     }
 }

@@ -174,11 +174,11 @@ fn assert_no_alloc_parked_plane(n: usize, label: &str) {
     let mut plane = ParkedPolls::new(u64::MAX);
     let mut queue = EventQueue::new();
     let mut t = 0_u64;
-    // The queue the cycle wakes into has a steady state of its own: a
-    // wheel slot allocates the first time events land in it, and the
-    // cycle's 180 s stride needs 657 cycles to walk every tier-0..2 slot
-    // it can reach. Tier 3 opens a fresh slot once per 2^24 ms — cycles
-    // …, 745, 838, … — and the measured cycle, 768, is not one of them.
+    // The queue the cycle wakes into reaches its steady state in the
+    // first cycle: its chunk slab and drain buffer grow to the cycle's
+    // peak once, and every later cycle reuses the chunks its drains
+    // return, wherever in the wheel its events land. The 768 warm-up
+    // cycles of the 180 s stride walk every tier-0..2 slot it can reach.
     for _ in 0..768 {
         drive_parked_cycle(&mut plane, &mut queue, &mut pool, n, &mut t);
     }
