@@ -136,11 +136,6 @@ impl BaselineScheduler {
         Self::with_policy(Policy::Srsf, 0, "srsf")
     }
 
-    /// Number of jobs with an active request.
-    pub fn active_jobs(&self) -> usize {
-        self.active.len()
-    }
-
     /// The policy's winning candidate for `device`, if any.
     ///
     /// Fills the persistent candidate buffer with the eligible active
@@ -364,9 +359,9 @@ mod tests {
     fn withdraw_removes_request() {
         let mut s = BaselineScheduler::srsf();
         s.submit(req(1, 5, 5), 0);
-        assert_eq!(s.active_jobs(), 1);
+        assert_eq!(s.active.len(), 1);
         s.withdraw(JobId::new(1), 1);
-        assert_eq!(s.active_jobs(), 0);
+        assert_eq!(s.active.len(), 0);
         assert_eq!(s.assign(&dev(1), 2), None);
         assert_eq!(s.pending_demand(JobId::new(1)), None);
     }

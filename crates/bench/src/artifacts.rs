@@ -6,7 +6,7 @@
 //! default count, or none), the paper reference line printed after its
 //! output, and the one function that prints it. The speed-up sweeps share
 //! `sweep`: every row in one [`Matrix`], one [`run_matrix`], one
-//! [`speedup_summary`] fold.
+//! `speedup_summary` fold.
 
 use std::num::NonZeroUsize;
 use std::time::Instant;
@@ -167,7 +167,7 @@ fn workload_rows<'a>() -> Matrix<'a> {
 
 /// The one speed-up sweep: every row × `kinds` (plus the Random
 /// baseline) × `seeds` runs in one [`run_matrix`], and
-/// [`speedup_summary`] folds each row to its mean speed-ups over Random.
+/// `speedup_summary` folds each row to its mean speed-ups over Random.
 fn sweep(
     rows: Matrix,
     kinds: &[SchedKind],

@@ -21,7 +21,7 @@ use crate::{run_matrix_sequential, Experiment, Matrix, MatrixCell, MatrixRun, Sc
 
 /// The scheduler columns of the baseline, in file order: Table 1 plus the
 /// full-rebuild Venn reference arm.
-pub fn baseline_kinds() -> Vec<SchedKind> {
+pub(crate) fn baseline_kinds() -> Vec<SchedKind> {
     let mut kinds = SchedKind::TABLE1.to_vec();
     kinds.push(SchedKind::VennWith(VennConfig::full_rebuild()));
     kinds
@@ -43,7 +43,7 @@ pub fn run_baseline(seed: u64, env: EnvPreset) -> (Experiment, Vec<MatrixRun>) {
 /// [`run_baseline`] with a crash injected into every cell: each run
 /// is snapshotted at its halfway point, the live world and scheduler are
 /// torn down, and the run finishes from the snapshot bytes in fresh
-/// state (see [`crate::run_crashed`]). `check_regression --crashed`
+/// state (see `run_crashed`). `check_regression --crashed`
 /// replays the *committed* baseline through this path and still demands
 /// zero drift — recovery from a checkpoint is behaviorally invisible, so
 /// no field may move.
@@ -78,9 +78,9 @@ pub struct BaselineRow {
     /// Average JCT, formatted to 0.1 ms (`"null"` when no job finished).
     pub avg_jct_ms: String,
     /// Completion rate, formatted to 4 decimals.
-    pub completion_rate: String,
+    pub(crate) completion_rate: String,
     /// Speed-up vs Random, formatted to 4 decimals (`"null"` if undefined).
-    pub speedup_vs_random: String,
+    pub(crate) speedup_vs_random: String,
     /// Rounds that missed their deadline.
     pub aborted_rounds: u64,
     /// Devices assigned.

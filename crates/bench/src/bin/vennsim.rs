@@ -356,7 +356,7 @@ fn run(args: &Args) -> Result<(), String> {
     let workload = match &args.load {
         Some(path) => {
             let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-            wio::from_tsv(&text).map_err(|e| e.to_string())?
+            wio::from_tsv(&text).map_err(|e| format!("{path}: {e}"))?
         }
         None => {
             let mut rng = StdRng::seed_from_u64(args.config.seed);

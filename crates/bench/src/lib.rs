@@ -8,7 +8,7 @@
 //! * [`Experiment`] — a (simulation config, workload) pair with
 //!   constructors matching §5.1's scenarios;
 //! * [`run`] — executes one scheduler over one experiment;
-//! * [`Matrix`] / [`run_matrix`] / [`speedup_summary`] — the shared sweep
+//! * [`Matrix`] / [`run_matrix`] / `speedup_summary` — the shared sweep
 //!   executor: declare a (scenario × seed × scheduler) grid once, fan the
 //!   independent deterministic runs out across cores, and normalize
 //!   average JCT against the Random baseline, the paper's headline metric;
@@ -17,19 +17,17 @@
 //! * [`cli`] — the one flag reader and exit policy of every binary.
 
 pub mod artifacts;
-pub mod baseline;
+mod baseline;
 pub mod cli;
-pub mod matrix;
-pub mod scale;
+mod matrix;
+mod scale;
 
 pub use baseline::{
-    baseline_json, baseline_kinds, baseline_rows, diff_rows, parse_arm_header, parse_baseline,
-    run_baseline, run_baseline_crashed, BaselineRow,
+    baseline_json, baseline_rows, diff_rows, parse_arm_header, parse_baseline, run_baseline,
+    run_baseline_crashed, BaselineRow,
 };
-pub use matrix::{
-    run_matrix, run_matrix_sequential, speedup_summary, with_baseline, Matrix, MatrixCell,
-    MatrixRun, ScenarioSpeedups,
-};
+pub use matrix::{run_matrix, run_matrix_sequential, with_baseline, Matrix, MatrixCell, MatrixRun};
+pub(crate) use matrix::{speedup_summary, ScenarioSpeedups};
 pub use scale::{
     check_scale, parse_scale, run_scale_row, scale_experiment, scale_json, ScaleRow, SCALE_KINDS,
     SCALE_POPULATIONS,
@@ -64,7 +62,7 @@ pub enum SchedKind {
 
 impl SchedKind {
     /// The four headline columns of Table 1, in order.
-    pub const TABLE1: [SchedKind; 4] = [
+    pub(crate) const TABLE1: [SchedKind; 4] = [
         SchedKind::Random,
         SchedKind::Fifo,
         SchedKind::Srsf,
@@ -92,7 +90,7 @@ impl SchedKind {
     }
 
     /// Column label.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             SchedKind::Random => "Random",
             SchedKind::Fifo => "FIFO",
@@ -122,7 +120,7 @@ impl Experiment {
     }
 
     /// Same setup with an explicit job count (Fig. 12 sweeps it).
-    pub fn with_jobs(
+    pub(crate) fn with_jobs(
         kind: WorkloadKind,
         bias: Option<BiasKind>,
         num_jobs: usize,
@@ -193,7 +191,7 @@ pub fn run(experiment: &Experiment, kind: SchedKind) -> SimResult {
 /// Panics if the snapshot cannot be taken or restored — in a
 /// deterministic in-process round trip either is a bug, not an I/O
 /// hazard.
-pub fn run_crashed(experiment: &Experiment, kind: SchedKind) -> SimResult {
+pub(crate) fn run_crashed(experiment: &Experiment, kind: SchedKind) -> SimResult {
     let halfway = u64::from(experiment.sim.days) * DAY_MS / 2;
     let mut scheduler = kind.build(experiment.sim.seed ^ 0xA5A5);
     let mut world = World::new(experiment.sim, &experiment.workload, scheduler.name());
@@ -226,7 +224,11 @@ pub fn run_crashed(experiment: &Experiment, kind: SchedKind) -> SimResult {
 /// Speed-up of `other` over `baseline` restricted to the jobs in `subset`
 /// (workload indices) — used for the Table 2/3 per-slice breakdowns.
 /// Returns `None` if either side finished no job in the subset.
-pub fn subset_speedup(baseline: &SimResult, other: &SimResult, subset: &[usize]) -> Option<f64> {
+pub(crate) fn subset_speedup(
+    baseline: &SimResult,
+    other: &SimResult,
+    subset: &[usize],
+) -> Option<f64> {
     let avg = |r: &SimResult| -> Option<f64> {
         let jcts: Vec<f64> = subset
             .iter()

@@ -27,7 +27,7 @@ pub struct MatrixCell {
     /// Scheduler under test.
     pub kind: SchedKind,
     /// Environment/workload seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 /// One executed cell.
@@ -40,7 +40,7 @@ pub struct MatrixRun {
     /// Wall-clock milliseconds this run took (telemetry only; the one
     /// field that legitimately differs between parallel and sequential
     /// execution).
-    pub wall_ms: u64,
+    pub(crate) wall_ms: u64,
 }
 
 /// A declarative (scenario × seed × scheduler) sweep.
@@ -92,7 +92,7 @@ impl<'a> Matrix<'a> {
 
     /// Adds a scenario that ignores the seed axis and always runs one
     /// fixed experiment.
-    pub fn fixed(self, name: impl Into<String>, experiment: Experiment) -> Self {
+    pub(crate) fn fixed(self, name: impl Into<String>, experiment: Experiment) -> Self {
         self.scenario(name, move |_seed| experiment.clone())
     }
 
@@ -177,13 +177,13 @@ pub fn run_matrix_sequential(matrix: &Matrix) -> Vec<MatrixRun> {
 
 /// Per-scenario average speed-ups over [`SchedKind::Random`].
 #[derive(Debug, Clone, PartialEq)]
-pub struct ScenarioSpeedups {
+pub(crate) struct ScenarioSpeedups {
     /// Scenario name.
-    pub scenario: String,
+    pub(crate) scenario: String,
     /// Mean per-seed `avg_jct(Random) / avg_jct(kind)` per requested kind.
-    pub speedups: Vec<f64>,
+    pub(crate) speedups: Vec<f64>,
     /// Mean job completion rate per requested kind.
-    pub completion: Vec<f64>,
+    pub(crate) completion: Vec<f64>,
 }
 
 /// Folds matrix runs into per-scenario speed-up rows (the paper's
@@ -194,7 +194,7 @@ pub struct ScenarioSpeedups {
 /// # Panics
 ///
 /// Panics if a (scenario, seed) pair lacks its Random baseline run.
-pub fn speedup_summary(runs: &[MatrixRun], kinds: &[SchedKind]) -> Vec<ScenarioSpeedups> {
+pub(crate) fn speedup_summary(runs: &[MatrixRun], kinds: &[SchedKind]) -> Vec<ScenarioSpeedups> {
     let mut scenarios: Vec<&str> = Vec::new();
     for r in runs {
         if !scenarios.contains(&r.cell.scenario.as_str()) {
@@ -250,7 +250,7 @@ pub fn speedup_summary(runs: &[MatrixRun], kinds: &[SchedKind]) -> Vec<ScenarioS
 }
 
 /// Appends [`SchedKind::Random`] to `kinds` if absent — matrices
-/// normalized by [`speedup_summary`] always need the baseline runs.
+/// normalized by `speedup_summary` always need the baseline runs.
 pub fn with_baseline(kinds: &[SchedKind]) -> Vec<SchedKind> {
     let mut all = kinds.to_vec();
     if !all.contains(&SchedKind::Random) {

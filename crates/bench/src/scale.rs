@@ -36,12 +36,12 @@ pub const SCALE_KINDS: [SchedKind; 2] = [SchedKind::Random, SchedKind::Venn];
 
 /// Simulated horizon — two days keeps the 1M tier laptop-tractable while
 /// still exercising the day-boundary session regeneration.
-pub const SCALE_DAYS: u32 = 2;
+pub(crate) const SCALE_DAYS: u32 = 2;
 
 /// Jobs in the shared workload. Deliberately modest: the sweep measures
 /// how the *world* scales with population, so demand stays fixed and
 /// population-independent across tiers.
-pub const SCALE_JOBS: usize = 15;
+pub(crate) const SCALE_JOBS: usize = 15;
 
 /// One (population, scheduler) cell of the sweep.
 #[derive(Debug, Clone)]
@@ -51,13 +51,13 @@ pub struct ScaleRow {
     /// Scheduler name (`SimResult::scheduler_name`).
     pub scheduler: String,
     /// Events dispatched.
-    pub events: u64,
+    pub(crate) events: u64,
     /// Device assignments handed out.
-    pub assignments: u64,
+    pub(crate) assignments: u64,
     /// Rounds that missed their deadline.
-    pub aborted_rounds: u64,
+    pub(crate) aborted_rounds: u64,
     /// Average JCT, formatted to 0.1 ms (`"null"` when no job finished).
-    pub avg_jct_ms: String,
+    pub(crate) avg_jct_ms: String,
     /// Pending-event-queue high-water mark.
     pub peak_queue_len: u64,
     /// Materialized-device high-water mark — the memory-law headline.
@@ -74,7 +74,7 @@ pub struct ScaleRow {
 impl ScaleRow {
     /// The fields that must be byte-stable across machines and runs, as
     /// `(key, formatted value)` in emission order.
-    pub fn deterministic_fields(&self) -> Vec<(&'static str, String)> {
+    pub(crate) fn deterministic_fields(&self) -> Vec<(&'static str, String)> {
         vec![
             ("population", self.population.to_string()),
             ("scheduler", format!("\"{}\"", self.scheduler)),
@@ -88,7 +88,7 @@ impl ScaleRow {
     }
 
     /// Machine-dependent telemetry fields, exempt from the drift check.
-    pub fn telemetry_fields(&self) -> Vec<(&'static str, String)> {
+    pub(crate) fn telemetry_fields(&self) -> Vec<(&'static str, String)> {
         vec![
             ("wall_ms", self.wall_ms.to_string()),
             ("events_per_sec", self.events_per_sec.to_string()),

@@ -3,7 +3,8 @@
 //! no panic — for `vennsim`'s invalid configurations on the batch and the
 //! `serve` entry point alike, for an unknown flag on every binary, for
 //! `bench_scale --max-pop` without `--check`, and for a bad artifact name
-//! or seed count of `reproduce`.
+//! or seed count of `reproduce`. A workload file the kernel cannot run is
+//! a run-time failure: one `error:` line, exit status 1.
 
 use std::process::{Command, Stdio};
 
@@ -46,6 +47,33 @@ fn invalid_configs_are_usage_errors_on_every_entry_point() {
             assert_usage_error(env!("CARGO_BIN_EXE_vennsim"), &args, what);
         }
     }
+}
+
+#[test]
+fn loading_a_job_the_kernel_cannot_run_is_a_run_time_error() {
+    let tsv = std::env::temp_dir().join(format!("vennsim_load_{}.tsv", std::process::id()));
+    std::fs::write(
+        &tsv,
+        "#id\tarrival_ms\tcategory\trounds\tdemand\ttask_ms\n\
+         0\t0\tGeneral\t2\t5\t60000\n\
+         1\t10\tGeneral\t2\t0\t60000\n",
+    )
+    .expect("temp file writes");
+    let out = Command::new(env!("CARGO_BIN_EXE_vennsim"))
+        .args(["--load", tsv.to_str().expect("temp path is UTF-8")])
+        .args(["--population", "200", "--days", "1"])
+        .stdin(Stdio::null())
+        .output()
+        .expect("binary runs");
+    std::fs::remove_file(&tsv).expect("temp file removes");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(out.stdout.is_empty(), "answered on stdout");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    let errors: Vec<&str> = stderr.lines().filter(|l| l.starts_with("error:")).collect();
+    assert_eq!(errors.len(), 1, "{stderr}");
+    assert!(errors[0].contains("line 3"), "{stderr}");
+    assert!(errors[0].contains("participant"), "{stderr}");
 }
 
 #[test]

@@ -5,18 +5,18 @@ use crate::{SimTime, DAY_MS, MINUTE_MS};
 /// Periodic plan refresh between job arrival/completion triggers, so the
 /// plan tracks diurnal supply drift (§4.2 re-plans on those triggers; the
 /// interval is this implementation's choice).
-pub const REBUILD_INTERVAL_MS: SimTime = MINUTE_MS;
+pub(crate) const REBUILD_INTERVAL_MS: SimTime = MINUTE_MS;
 /// Responses a job's profile needs before tier matching may restrict it
 /// (§4.3 matches by profiled response times; the threshold is this
 /// implementation's choice).
-pub const MIN_PROFILE_SAMPLES: usize = 10;
+pub(crate) const MIN_PROFILE_SAMPLES: usize = 10;
 
 /// Tunables of [`VennScheduler`](crate::VennScheduler).
 ///
 /// The defaults reproduce the paper's evaluation setup; the toggles exist
 /// for the Fig. 11 ablation (`use_irs` / `use_matching`) and the Fig. 13/14
 /// sweeps (`tiers` / `epsilon`). What no caller varies is a constant:
-/// [`REBUILD_INTERVAL_MS`] and [`MIN_PROFILE_SAMPLES`].
+/// `REBUILD_INTERVAL_MS` and `MIN_PROFILE_SAMPLES`.
 ///
 /// # Examples
 ///
@@ -128,7 +128,7 @@ impl VennConfig {
     /// # Panics
     ///
     /// Panics on whatever [`check`](Self::check) rejects.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         if let Err(why) = self.check() {
             panic!("{why}");
         }

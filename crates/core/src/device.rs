@@ -39,7 +39,7 @@ impl DeviceInfo {
     }
 
     /// Scalar hardware score (see [`Capacity::score`]).
-    pub fn score(&self) -> f64 {
+    pub(crate) fn score(&self) -> f64 {
         self.capacity.score()
     }
 }

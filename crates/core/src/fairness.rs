@@ -62,13 +62,8 @@ impl FairnessKnob {
         FairnessKnob { epsilon: 0.0 }
     }
 
-    /// The ε value.
-    pub fn epsilon(&self) -> f64 {
-        self.epsilon
-    }
-
     /// Whether the knob changes anything.
-    pub fn is_enabled(&self) -> bool {
+    pub(crate) fn is_enabled(&self) -> bool {
         self.epsilon > 0.0
     }
 
@@ -91,7 +86,7 @@ impl FairnessKnob {
     /// Adjusted group queue length `q'_j = q_j · (Σ T_i / Σ t_i)^ε`.
     ///
     /// Degenerate inputs (zero totals) fall back to the unadjusted length.
-    pub fn adjusted_queue_len(
+    pub(crate) fn adjusted_queue_len(
         &self,
         queue_len: f64,
         sum_targets_ms: f64,

@@ -68,7 +68,7 @@ impl FioError {
     /// Whether retrying the operation could plausibly succeed —
     /// ENOSPC and EIO are transient in real deployments (space freed,
     /// controller recovers); a crash is not.
-    pub fn is_transient(&self) -> bool {
+    pub(crate) fn is_transient(&self) -> bool {
         matches!(self, FioError::NoSpace { .. } | FioError::Io { .. })
     }
 }
@@ -179,13 +179,13 @@ pub enum Fault {
 #[derive(Debug, Clone)]
 pub struct FaultRule {
     /// Operation kind to match.
-    pub op: FioOp,
+    pub(crate) op: FioOp,
     /// Substring the path must contain (empty matches everything).
-    pub path_contains: String,
+    pub(crate) path_contains: String,
     /// Matching operations to let through before firing.
-    pub countdown: usize,
+    pub(crate) countdown: usize,
     /// The fault to inject.
-    pub fault: Fault,
+    pub(crate) fault: Fault,
 }
 
 impl FaultRule {
@@ -306,14 +306,6 @@ impl MemFs {
     /// Direct read access to a file's bytes, for assertions.
     pub fn get(&self, path: &str) -> Option<&[u8]> {
         self.files.get(path).map(Vec::as_slice)
-    }
-
-    /// All `(path, size)` pairs, for assertions.
-    pub fn paths(&self) -> Vec<(String, usize)> {
-        self.files
-            .iter()
-            .map(|(p, b)| (p.clone(), b.len()))
-            .collect()
     }
 }
 
@@ -445,17 +437,6 @@ impl<F: SimFs> FaultFs<F> {
     /// "disk" at this instant, including after a crash.
     pub fn into_inner(self) -> F {
         self.inner
-    }
-
-    /// Read access to the backend without consuming the decorator.
-    pub fn inner(&self) -> &F {
-        &self.inner
-    }
-
-    /// Direct access to the backend, bypassing fault injection — the
-    /// "repair tooling" view of the disk.
-    pub fn inner_mut(&mut self) -> &mut F {
-        &mut self.inner
     }
 
     /// Whether a crash fault has fired.
@@ -738,9 +719,9 @@ mod tests {
         ));
         fs.write("log-c", b"z").unwrap(); // rule retired
         assert!(matches!(fs.append("j", b"hello"), Err(FioError::Io { .. })));
-        assert_eq!(fs.inner().get("j").unwrap(), b"he");
+        assert_eq!(fs.inner.get("j").unwrap(), b"he");
         fs.append("j", b"llo").unwrap();
-        assert_eq!(fs.inner().get("j").unwrap(), b"hello");
+        assert_eq!(fs.inner.get("j").unwrap(), b"hello");
         assert_eq!(fs.stats().1, 2);
     }
 
@@ -792,7 +773,7 @@ mod tests {
             fs.write("f", b"v")
         })
         .unwrap();
-        assert_eq!(fs.inner().get("f").unwrap(), b"v");
+        assert_eq!(fs.inner.get("f").unwrap(), b"v");
 
         // A crash is not transient: no retry, immediate surface.
         let mut fs = FaultFs::scripted(
@@ -822,6 +803,6 @@ mod tests {
             fs.write("f", b"v")
         });
         assert!(matches!(r, Err(FioError::NoSpace { .. })));
-        assert!(!fs.inner_mut().exists("f"));
+        assert!(!fs.inner.exists("f"));
     }
 }

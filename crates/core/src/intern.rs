@@ -67,18 +67,8 @@ impl SpecInterner {
         self.specs[group.index()]
     }
 
-    /// Number of distinct specs interned.
-    pub fn len(&self) -> usize {
-        self.specs.len()
-    }
-
-    /// Whether nothing has been interned.
-    pub fn is_empty(&self) -> bool {
-        self.specs.is_empty()
-    }
-
     /// All interned specs, in [`GroupId`] order (bit order of the masks).
-    pub fn specs(&self) -> &[ResourceSpec] {
+    pub(crate) fn specs(&self) -> &[ResourceSpec] {
         &self.specs
     }
 }
@@ -96,7 +86,7 @@ mod tests {
         assert_eq!(a, a2);
         assert!(!new);
         assert_ne!(a, b);
-        assert_eq!(i.len(), 2);
+        assert_eq!(i.specs.len(), 2);
     }
 
     #[test]
@@ -118,7 +108,7 @@ mod tests {
     #[test]
     fn ids_are_dense_in_first_seen_order() {
         let mut i = SpecInterner::new();
-        assert!(i.is_empty());
+        assert!(i.specs.is_empty());
         let (g0, _) = i.intern(ResourceSpec::new(0.9, 0.9));
         let (g1, _) = i.intern(ResourceSpec::any());
         assert_eq!(g0.index(), 0);

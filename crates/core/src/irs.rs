@@ -56,7 +56,7 @@ pub struct AllocationPlan {
     region_owners: Vec<u32>,
     /// All group indices ordered by ascending eligible supply (scarcest
     /// first), used to break ties and to place devices the owner declines.
-    pub fallback_order: Vec<usize>,
+    pub(crate) fallback_order: Vec<usize>,
 }
 
 impl AllocationPlan {
@@ -67,19 +67,6 @@ impl AllocationPlan {
             .binary_search(&mask)
             .ok()
             .map(|i| self.region_owners[i] as usize)
-    }
-
-    /// Number of owned regions in the table.
-    pub fn owned_region_count(&self) -> usize {
-        self.region_masks.len()
-    }
-
-    /// The `(mask, owner)` table rows, masks ascending.
-    pub fn owned_regions(&self) -> impl Iterator<Item = (u128, usize)> + '_ {
-        self.region_masks
-            .iter()
-            .zip(&self.region_owners)
-            .map(|(&mask, &owner)| (mask, owner as usize))
     }
 
     /// Iterator over group indices in the order a device with eligibility
@@ -157,7 +144,7 @@ pub fn allocate(groups: &[GroupSummary], regions: &[RegionSupply]) -> Allocation
 /// [`allocate`] with the greedy cross-group reallocation (Algorithm 1 lines
 /// 10–23) optionally disabled — the "scarcity-only" design ablation: groups
 /// keep exactly their initial scarcest-first seeding.
-pub fn allocate_with(
+pub(crate) fn allocate_with(
     groups: &[GroupSummary],
     regions: &[RegionSupply],
     steal: bool,
@@ -168,7 +155,7 @@ pub fn allocate_with(
     plan
 }
 
-/// [`allocate_with`] writing into an existing plan through reusable
+/// `allocate_with` writing into an existing plan through reusable
 /// working memory — the delta-friendly entry point: callers that rebuild
 /// the plan on every request arrival and completion (the incremental
 /// [`VennScheduler`](crate::VennScheduler)) reuse the plan's and scratch's
@@ -398,7 +385,7 @@ mod tests {
     #[test]
     fn empty_inputs_yield_empty_plan() {
         let plan = allocate(&[], &[]);
-        assert_eq!(plan.owned_region_count(), 0);
+        assert!(plan.region_masks.is_empty());
         assert!(plan.fallback_order.is_empty());
         assert_eq!(plan.owner_of(0b1), None);
     }
@@ -500,11 +487,7 @@ mod tests {
         let regions = [region(0b11, 0.4), region(0b11, 0.4), region(0b01, 0.2)];
         let groups = [group(0, 1.0, 1.0), group(1, 0.8, 1.0)];
         let plan = allocate(&groups, &regions);
-        assert_eq!(plan.owned_region_count(), 2);
-        let rows: Vec<(u128, usize)> = plan.owned_regions().collect();
-        assert_eq!(rows[0].0, 0b01);
-        assert_eq!(rows[1].0, 0b11);
-        // And the table stays mask-sorted for the binary search.
-        assert!(rows.windows(2).all(|w| w[0].0 < w[1].0));
+        assert_eq!(plan.region_masks, [0b01, 0b11]);
+        assert_eq!(plan.region_owners.len(), 2);
     }
 }

@@ -37,34 +37,33 @@
 //! assert_eq!(sched.assign(&device, 5), Some(JobId::new(1)));
 //! ```
 
-pub mod config;
-pub mod device;
+mod config;
+mod device;
 pub mod fairness;
 pub mod faultio;
-pub mod ids;
+mod ids;
 pub mod intern;
 pub mod irs;
 pub mod matching;
-pub mod request;
-pub mod resource;
-pub mod scheduler;
+mod request;
+mod resource;
+mod scheduler;
 pub mod slotmap;
 pub mod snapshot;
 pub mod supply;
-pub mod venn;
+mod venn;
 
 pub use config::VennConfig;
 pub use device::DeviceInfo;
-pub use faultio::{Fault, FaultFs, FaultRule, FioError, FioOp, MemFs, RealFs, SimFs};
+pub use faultio::{FaultFs, MemFs, RealFs, SimFs};
 pub use ids::{DeviceId, GroupId, JobId};
-pub use intern::SpecInterner;
 pub use request::Request;
 pub use resource::{Capacity, CategoryThresholds, ResourceSpec, SpecCategory};
 pub use scheduler::{CheckInRecord, Scheduler};
 pub use slotmap::{JobIdIndex, JobSlot, SlotMap};
 pub use snapshot::{SnapError, SnapReader, SnapWriter, Snapshot};
 pub use supply::SupplyEstimator;
-pub use venn::VennScheduler;
+pub use venn::{MatchingStats, VennScheduler};
 
 /// Simulated time in milliseconds since the start of a run.
 ///

@@ -53,7 +53,7 @@ impl Default for TierProfiler {
 
 impl TierProfiler {
     /// Default bound on each sample buffer.
-    pub const DEFAULT_CAPACITY: usize = 512;
+    pub(crate) const DEFAULT_CAPACITY: usize = 512;
 
     /// Creates a profiler with the default buffer capacity.
     pub fn new() -> Self {
@@ -65,7 +65,7 @@ impl TierProfiler {
     /// # Panics
     ///
     /// Panics if `cap` is zero.
-    pub fn with_capacity(cap: usize) -> Self {
+    pub(crate) fn with_capacity(cap: usize) -> Self {
         assert!(cap > 0, "profiler capacity must be positive");
         // The rings are bounded at `cap` anyway; reserving them up front
         // keeps every later record/percentile strictly allocation-free
@@ -118,13 +118,8 @@ impl TierProfiler {
         );
     }
 
-    /// Number of recorded responses.
-    pub fn response_count(&self) -> usize {
-        self.responses.len()
-    }
-
     /// Whether enough history exists to drive a tier decision.
-    pub fn is_ready(&self, min_samples: usize) -> bool {
+    pub(crate) fn is_ready(&self, min_samples: usize) -> bool {
         self.responses.len() >= min_samples && !self.sched_delays.is_empty()
     }
 
@@ -198,7 +193,7 @@ impl TierProfiler {
     /// # Panics
     ///
     /// Panics if `u + 1` is not a valid edge index.
-    pub fn speedup_with_edges(&self, edges: &[f64], u: usize) -> f64 {
+    pub(crate) fn speedup_with_edges(&self, edges: &[f64], u: usize) -> f64 {
         Self::speedup_over_edges(&self.responses, &mut Vec::new(), edges, u)
     }
 
@@ -257,7 +252,7 @@ impl TierProfiler {
     /// The job's cost ratio `c = t_response / t_schedule` from profiled p95
     /// response time and mean scheduling delay; `None` without history.
     /// Takes `&mut self` for the reused percentile sort buffer.
-    pub fn cost_ratio(&mut self) -> Option<f64> {
+    pub(crate) fn cost_ratio(&mut self) -> Option<f64> {
         let resp = Self::p95_into(&mut self.sort_scratch, self.responses.iter().map(|r| r.1))?;
         if self.sched_delays.is_empty() {
             return None;
@@ -313,7 +308,7 @@ impl Snapshot for TierProfiler {
 
 /// A tier restriction: the half-open capacity-score range `[lo, hi)` a
 /// served job will accept devices from.
-pub type TierRange = (f64, f64);
+pub(crate) type TierRange = (f64, f64);
 
 /// Runs Algorithm 2's trigger for job with profile `profile`, `v` tiers, and
 /// rotating tier pick `u` (caller supplies the randomness).
@@ -444,7 +439,7 @@ mod tests {
             p.record_response(i as f64, i);
             p.record_sched_delay(i);
         }
-        assert_eq!(p.response_count(), 8);
+        assert_eq!(p.responses.len(), 8);
         // Old entries overwritten: all remaining scores are recent.
         assert!(p.tier_edges(2)[1] >= 90.0);
     }

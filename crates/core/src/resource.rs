@@ -103,37 +103,18 @@ impl ResourceSpec {
     }
 
     /// Minimum CPU score.
-    pub fn min_cpu(&self) -> f64 {
+    pub(crate) fn min_cpu(&self) -> f64 {
         self.min_cpu
     }
 
     /// Minimum memory score.
-    pub fn min_mem(&self) -> f64 {
+    pub(crate) fn min_mem(&self) -> f64 {
         self.min_mem
     }
 
     /// Whether `device` satisfies this requirement.
     pub fn is_eligible(&self, device: &Capacity) -> bool {
         device.cpu >= self.min_cpu && device.mem >= self.min_mem
-    }
-
-    /// Whether this spec's eligible set contains `other`'s eligible set
-    /// (i.e. this spec is *weaker*: lower or equal thresholds on both axes).
-    pub fn contains(&self, other: &ResourceSpec) -> bool {
-        self.min_cpu <= other.min_cpu && self.min_mem <= other.min_mem
-    }
-
-    /// The spec whose eligible set is the intersection of the two
-    /// (component-wise maximum of the thresholds).
-    ///
-    /// For threshold ("quadrant") requirements the intersection is itself a
-    /// threshold requirement, which is what makes IRS's region bookkeeping
-    /// exact.
-    pub fn intersection(&self, other: &ResourceSpec) -> ResourceSpec {
-        ResourceSpec::new(
-            self.min_cpu.max(other.min_cpu),
-            self.min_mem.max(other.min_mem),
-        )
     }
 }
 
@@ -255,6 +236,24 @@ impl fmt::Display for SpecCategory {
 mod tests {
     use super::*;
     use std::collections::HashMap;
+
+    /// The set algebra the tests check the category lattice against.
+    impl ResourceSpec {
+        /// Whether this spec's eligible set contains `other`'s eligible set
+        /// (i.e. this spec is *weaker*: lower or equal thresholds on both axes).
+        fn contains(&self, other: &ResourceSpec) -> bool {
+            self.min_cpu <= other.min_cpu && self.min_mem <= other.min_mem
+        }
+
+        /// The spec whose eligible set is the intersection of the two
+        /// (component-wise maximum of the thresholds).
+        fn intersection(&self, other: &ResourceSpec) -> ResourceSpec {
+            ResourceSpec::new(
+                self.min_cpu.max(other.min_cpu),
+                self.min_mem.max(other.min_mem),
+            )
+        }
+    }
 
     #[test]
     fn eligibility_is_componentwise() {

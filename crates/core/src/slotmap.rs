@@ -31,7 +31,7 @@ pub struct JobSlot {
 
 impl JobSlot {
     /// Sentinel for "no slot" — never returned by [`SlotMap::insert`].
-    pub const NULL: JobSlot = JobSlot {
+    pub(crate) const NULL: JobSlot = JobSlot {
         index: u32::MAX,
         generation: u32::MAX,
     };
@@ -41,13 +41,8 @@ impl JobSlot {
         self.index as usize
     }
 
-    /// Generation the slot was issued at.
-    pub fn generation(&self) -> u32 {
-        self.generation
-    }
-
     /// Whether this is the [`NULL`](Self::NULL) sentinel.
-    pub fn is_null(&self) -> bool {
+    pub(crate) fn is_null(&self) -> bool {
         *self == JobSlot::NULL
     }
 }
@@ -204,7 +199,7 @@ impl<T> SlotMap<T> {
     }
 
     /// Live entries in slot-index order.
-    pub fn iter(&self) -> impl Iterator<Item = (JobSlot, &T)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (JobSlot, &T)> {
         self.entries
             .iter()
             .enumerate()
@@ -221,7 +216,7 @@ impl<T> SlotMap<T> {
     }
 
     /// Live values in slot-index order.
-    pub fn values(&self) -> impl Iterator<Item = &T> {
+    pub(crate) fn values(&self) -> impl Iterator<Item = &T> {
         self.entries.iter().filter_map(|e| match e {
             Entry::Occupied(v) => Some(v),
             Entry::Vacant(_) => None,
@@ -394,7 +389,7 @@ mod tests {
         // LIFO free list: b's index comes back first.
         let c = m.insert("c");
         assert_eq!(c.index(), b.index());
-        assert_ne!(c.generation(), b.generation());
+        assert_ne!(c.generation, b.generation);
         let d = m.insert("d");
         assert_eq!(d.index(), a.index());
         assert_eq!(m.entries.len(), 2, "no new storage grown");

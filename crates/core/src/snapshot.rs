@@ -28,7 +28,7 @@
 //!   provided defaults report "unsupported" so downstream trait impls
 //!   keep compiling).
 //!
-//! Versioning policy: [`SNAP_FORMAT_VERSION`] is bumped on *any* change
+//! Versioning policy: `SNAP_FORMAT_VERSION` is bumped on *any* change
 //! to the layout or the checksum, and old versions are rejected with a
 //! clean error — a simulator whose product is bit-identical replay has
 //! nothing trustworthy to say about a snapshot written by different
@@ -39,7 +39,7 @@ use std::fmt;
 use rand::rngs::StdRng;
 
 /// Leading magic of a sealed snapshot container (`b"VSNP"`).
-pub const SNAP_MAGIC: [u8; 4] = *b"VSNP";
+pub(crate) const SNAP_MAGIC: [u8; 4] = *b"VSNP";
 
 /// Current snapshot format version. Bumped on any layout change; other
 /// versions are rejected, never reinterpreted.
@@ -47,7 +47,7 @@ pub const SNAP_MAGIC: [u8; 4] = *b"VSNP";
 /// Version 2 stores the supply estimator's ring as 4-byte delta-packed
 /// words (version 1 wrote 8-byte `time << 16 | cell` words). Version 3
 /// checksums the body with XXH64 (versions 1 and 2 used FNV-1a).
-pub const SNAP_FORMAT_VERSION: u32 = 3;
+pub(crate) const SNAP_FORMAT_VERSION: u32 = 3;
 
 /// Bytes of the container frame in front of the body: magic, format
 /// version, body length and checksum.
@@ -141,9 +141,9 @@ pub enum SnapError {
         /// Bytes that were left.
         remaining: usize,
     },
-    /// The container does not start with [`SNAP_MAGIC`].
+    /// The container does not start with `SNAP_MAGIC` (`VSNP`).
     BadMagic,
-    /// The container's format version is not [`SNAP_FORMAT_VERSION`].
+    /// The container's format version is not `SNAP_FORMAT_VERSION`.
     UnsupportedVersion(u32),
     /// The body checksum does not match the sealed one.
     ChecksumMismatch {
@@ -238,7 +238,7 @@ impl SnapWriter {
 
     /// Writes `words` back to back as `u32`s, with no length prefix — the
     /// same bytes as one [`u32`](Self::u32) call per word, in one pass.
-    pub fn u32s(&mut self, words: &[u32]) {
+    pub(crate) fn u32s(&mut self, words: &[u32]) {
         self.buf
             .extend(words.iter().flat_map(|word| word.to_le_bytes()));
     }
@@ -249,7 +249,7 @@ impl SnapWriter {
     }
 
     /// Writes a `u128`.
-    pub fn u128(&mut self, v: u128) {
+    pub(crate) fn u128(&mut self, v: u128) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
@@ -342,7 +342,10 @@ impl<'a> SnapReader<'a> {
     /// Reads `n` back-to-back `u32`s written by [`SnapWriter::u32s`]: the
     /// bytes are taken (or refused as truncated) up front, and the words
     /// are converted as the caller iterates.
-    pub fn u32s(&mut self, n: usize) -> Result<impl ExactSizeIterator<Item = u32> + 'a, SnapError> {
+    pub(crate) fn u32s(
+        &mut self,
+        n: usize,
+    ) -> Result<impl ExactSizeIterator<Item = u32> + 'a, SnapError> {
         let bytes = n
             .checked_mul(4)
             .ok_or_else(|| SnapError::Corrupt(format!("{n} words overflow the address space")))?;

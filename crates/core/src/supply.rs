@@ -169,11 +169,6 @@ impl SupplyEstimator {
         SupplyEstimator::new(DAY_MS)
     }
 
-    /// Window length in milliseconds.
-    pub fn window_ms(&self) -> SimTime {
-        self.window_ms
-    }
-
     fn cell_of(capacity: &Capacity) -> u32 {
         let clamp = |v: f64| (v * GRID as f64).min((GRID - 1) as f64).max(0.0) as usize;
         (clamp(capacity.cpu()) * GRID + clamp(capacity.mem())) as u32
@@ -371,11 +366,6 @@ impl SupplyEstimator {
         j
     }
 
-    /// The specs registered so far, in bit order.
-    pub fn registered_specs(&self) -> &[ResourceSpec] {
-        &self.specs
-    }
-
     /// Check-in rate of devices satisfying registered spec `j` — the same
     /// number [`rate`](Self::rate) returns for that spec, read from the
     /// mask index in O(regions).
@@ -383,7 +373,7 @@ impl SupplyEstimator {
     /// # Panics
     ///
     /// Panics if `j` was never registered.
-    pub fn registered_rate(&mut self, now: SimTime, j: usize) -> f64 {
+    pub(crate) fn registered_rate(&mut self, now: SimTime, j: usize) -> f64 {
         assert!(j < self.specs.len(), "spec {j} not registered");
         self.prune(now);
         let bit = 1u128 << j;
@@ -533,7 +523,7 @@ impl SupplyEstimator {
 
     /// The eligibility mask of a single device against `specs` (same bit
     /// layout as [`region_supplies`](Self::region_supplies)).
-    pub fn mask_of(capacity: &Capacity, specs: &[ResourceSpec]) -> u128 {
+    pub(crate) fn mask_of(capacity: &Capacity, specs: &[ResourceSpec]) -> u128 {
         assert!(specs.len() <= 128, "at most 128 concurrent job groups");
         let mut mask = 0u128;
         for (j, spec) in specs.iter().enumerate() {

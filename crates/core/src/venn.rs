@@ -214,7 +214,7 @@ pub struct MatchingStats {
     /// Requests whose profile was not yet ready.
     pub not_ready: u64,
     /// Sum of observed cost ratios `c` (over ready decisions).
-    pub cost_ratio_sum: f64,
+    pub(crate) cost_ratio_sum: f64,
 }
 
 impl MatchingStats {
@@ -234,7 +234,7 @@ impl VennScheduler {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is invalid (see [`VennConfig::validate`]).
+    /// Panics if the configuration is invalid (see [`VennConfig::check`]).
     pub fn new(config: VennConfig) -> Self {
         config.validate();
         let mut name = match (config.use_irs, config.use_matching) {
@@ -279,18 +279,8 @@ impl VennScheduler {
         self.stats
     }
 
-    /// The scheduler configuration.
-    pub fn config(&self) -> &VennConfig {
-        &self.config
-    }
-
-    /// Number of resource-homogeneous job groups seen so far.
-    pub fn group_count(&self) -> usize {
-        self.members.len()
-    }
-
     /// Number of jobs with an active request.
-    pub fn active_jobs(&self) -> usize {
+    pub(crate) fn active_jobs(&self) -> usize {
         debug_assert_eq!(
             self.active_count,
             self.jobs.values().filter(|j| j.active).count()
@@ -1212,7 +1202,7 @@ mod tests {
             Request::new(JobId::new(3), ResourceSpec::new(0.5, 0.0), 1, 1),
             0,
         );
-        assert_eq!(s.group_count(), 2);
+        assert_eq!(s.members.len(), 2);
         assert_eq!(s.active_jobs(), 3);
     }
 }

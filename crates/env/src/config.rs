@@ -15,11 +15,11 @@ use venn_core::SimTime;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlashCrowd {
     /// When the crowd arrives, as a fraction of the horizon in `[0, 1]`.
-    pub at_frac: f64,
+    pub(crate) at_frac: f64,
     /// Fraction of the population that surges online.
-    pub frac: f64,
+    pub(crate) frac: f64,
     /// Mean duration of the surge sessions in milliseconds.
-    pub mean_dur_ms: f64,
+    pub(crate) mean_dur_ms: f64,
 }
 
 /// A correlated mass-offline disturbance: at `at_frac × horizon`, each
@@ -27,9 +27,9 @@ pub struct FlashCrowd {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MassOffline {
     /// When the disturbance fires, as a fraction of the horizon.
-    pub at_frac: f64,
+    pub(crate) at_frac: f64,
     /// Per-device probability of being forced offline.
-    pub frac: f64,
+    pub(crate) frac: f64,
 }
 
 /// One network/straggler class. Devices are assigned a tier once per run
@@ -37,17 +37,17 @@ pub struct MassOffline {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetTier {
     /// Relative share of the population in this tier.
-    pub weight: f64,
+    pub(crate) weight: f64,
     /// Multiplier applied to every response time of the tier's devices.
-    pub response_mult: f64,
+    pub(crate) response_mult: f64,
     /// Probability that an assigned participant of this tier drops
     /// mid-round (an `AssignFailure` before its response would land).
-    pub drop_prob: f64,
+    pub(crate) drop_prob: f64,
 }
 
 /// Identity tier used when a config enables the environment without
 /// declaring tiers: one class, no stretch, no drops.
-pub const DEFAULT_TIERS: &[NetTier] = &[NetTier {
+pub(crate) const DEFAULT_TIERS: &[NetTier] = &[NetTier {
     weight: 1.0,
     response_mult: 1.0,
     drop_prob: 0.0,
@@ -68,9 +68,9 @@ pub struct DeviceFault {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AbortStorm {
     /// When the storm fires, as a fraction of the horizon.
-    pub at_frac: f64,
+    pub(crate) at_frac: f64,
     /// Per-round abort probability.
-    pub prob: f64,
+    pub(crate) prob: f64,
 }
 
 /// All environment-dynamics knobs of one run.
@@ -94,7 +94,7 @@ pub struct EnvConfig {
     pub flash_crowds: &'static [FlashCrowd],
     /// Correlated mass-offline disturbances.
     pub mass_offline: &'static [MassOffline],
-    /// Network/straggler tiers (empty ⇒ [`DEFAULT_TIERS`]).
+    /// Network/straggler tiers (empty ⇒ `DEFAULT_TIERS`).
     pub tiers: &'static [NetTier],
     /// Scripted device failures.
     pub faults: &'static [DeviceFault],

@@ -13,7 +13,7 @@
 //!
 //! Every environment component draws from its **own** RNG stream,
 //! split off the simulation seed with a fixed salt
-//! ([`EnvStream`]): churn, network-tier assignment, fault plans, and
+//! (`EnvStream`): churn, network-tier assignment, fault plans, and
 //! mid-round drop decisions never share a generator with each other or
 //! with the kernel's response-noise RNG. Two consequences, both load-
 //! bearing:
@@ -42,8 +42,8 @@
 //! `straggler-heavy`, `mass-dropout`, `chaos`) for the CLIs and sweep
 //! harness.
 
-pub mod config;
-pub mod runtime;
+mod config;
+mod runtime;
 
 pub use config::{AbortStorm, DeviceFault, EnvConfig, EnvPreset, FlashCrowd, MassOffline, NetTier};
-pub use runtime::{Disturbance, EnvRuntime, EnvSession, EnvStream};
+pub use runtime::{Disturbance, EnvRuntime, EnvSession};

@@ -14,7 +14,7 @@ use crate::config::{EnvConfig, NetTier, DEFAULT_TIERS};
 /// share a generator — adding draws to one component cannot shift
 /// another's stream (or the kernel's response-noise stream).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EnvStream {
+pub(crate) enum EnvStream {
     /// Population drift windows, flash-crowd membership, mass-offline
     /// victim draws.
     Churn,
@@ -37,7 +37,7 @@ impl EnvStream {
     }
 
     /// The stream's generator for a simulation seed.
-    pub fn rng(self, seed: u64) -> StdRng {
+    pub(crate) fn rng(self, seed: u64) -> StdRng {
         // SplitMix-style mix keeps nearby seeds from producing nearby
         // stream seeds; the salt separates the streams of one seed.
         StdRng::seed_from_u64(

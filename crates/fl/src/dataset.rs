@@ -44,18 +44,17 @@ impl Default for FlDataConfig {
 
 /// One labelled example.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Example {
+pub(crate) struct Example {
     /// Feature vector.
-    pub x: Vec<f64>,
+    pub(crate) x: Vec<f64>,
     /// Class label.
-    pub y: usize,
+    pub(crate) y: usize,
 }
 
 /// A synthetic federated dataset: per-client shards plus a test set.
 #[derive(Debug, Clone)]
 pub struct FederatedDataset {
     config: FlDataConfig,
-    class_means: Vec<Vec<f64>>,
     shards: Vec<Vec<Example>>,
     test: Vec<Example>,
 }
@@ -110,19 +109,18 @@ impl FederatedDataset {
 
         FederatedDataset {
             config,
-            class_means,
             shards,
             test,
         }
     }
 
     /// The generation config.
-    pub fn config(&self) -> &FlDataConfig {
+    pub(crate) fn config(&self) -> &FlDataConfig {
         &self.config
     }
 
     /// Number of clients.
-    pub fn clients(&self) -> usize {
+    pub(crate) fn clients(&self) -> usize {
         self.shards.len()
     }
 
@@ -131,30 +129,13 @@ impl FederatedDataset {
     /// # Panics
     ///
     /// Panics if `client` is out of range.
-    pub fn shard(&self, client: usize) -> &[Example] {
+    pub(crate) fn shard(&self, client: usize) -> &[Example] {
         &self.shards[client]
     }
 
     /// The held-out test set.
-    pub fn test_set(&self) -> &[Example] {
+    pub(crate) fn test_set(&self) -> &[Example] {
         &self.test
-    }
-
-    /// The generating class means (one unit-scaled vector per class) —
-    /// exposed for diagnostics and tests.
-    pub fn class_means(&self) -> &[Vec<f64>] {
-        &self.class_means
-    }
-
-    /// Empirical label distribution of one client (for diversity metrics).
-    pub fn label_histogram(&self, client: usize) -> Vec<f64> {
-        let mut h = vec![0.0; self.config.classes];
-        for ex in &self.shards[client] {
-            h[ex.y] += 1.0;
-        }
-        let total: f64 = h.iter().sum::<f64>().max(1.0);
-        h.iter_mut().for_each(|v| *v /= total);
-        h
     }
 }
 
@@ -207,6 +188,17 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// Empirical label distribution of one client.
+    fn label_histogram(d: &FederatedDataset, client: usize) -> Vec<f64> {
+        let mut h = vec![0.0; d.config.classes];
+        for ex in &d.shards[client] {
+            h[ex.y] += 1.0;
+        }
+        let total: f64 = h.iter().sum::<f64>().max(1.0);
+        h.iter_mut().for_each(|v| *v /= total);
+        h
+    }
+
     fn dataset(seed: u64) -> FederatedDataset {
         let mut rng = StdRng::seed_from_u64(seed);
         FederatedDataset::generate(FlDataConfig::default(), &mut rng)
@@ -237,7 +229,7 @@ mod tests {
         // With alpha = 0.3, most clients concentrate on few classes: the
         // max label share should often exceed 0.5.
         let concentrated = (0..d.clients())
-            .filter(|&c| d.label_histogram(c).iter().cloned().fold(0.0, f64::max) > 0.5)
+            .filter(|&c| label_histogram(&d, c).iter().cloned().fold(0.0, f64::max) > 0.5)
             .count();
         assert!(
             concentrated > d.clients() / 3,

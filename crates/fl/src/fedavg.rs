@@ -7,11 +7,11 @@ use crate::model::SoftmaxModel;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FedAvgConfig {
     /// Local SGD epochs per participant per round.
-    pub local_epochs: usize,
+    pub(crate) local_epochs: usize,
     /// Local learning rate.
-    pub lr: f64,
+    pub(crate) lr: f64,
     /// L2 regularization.
-    pub l2: f64,
+    pub(crate) l2: f64,
 }
 
 impl Default for FedAvgConfig {
@@ -60,21 +60,6 @@ impl FedAvg {
             config,
             rounds_run: 0,
         }
-    }
-
-    /// The dataset.
-    pub fn dataset(&self) -> &FederatedDataset {
-        &self.dataset
-    }
-
-    /// The current global model.
-    pub fn model(&self) -> &SoftmaxModel {
-        &self.model
-    }
-
-    /// Number of rounds run so far.
-    pub fn rounds_run(&self) -> usize {
-        self.rounds_run
     }
 
     /// Runs one FedAvg round with the given participant client indices.
@@ -157,7 +142,7 @@ mod tests {
         }
         let end = fed.test_accuracy();
         assert!(end > 0.55, "converged accuracy {end}");
-        assert_eq!(fed.rounds_run(), 15);
+        assert_eq!(fed.rounds_run, 15);
     }
 
     #[test]
@@ -181,11 +166,11 @@ mod tests {
     #[test]
     fn empty_round_is_a_noop_on_the_model() {
         let mut fed = small_fed(3);
-        let before = fed.model().params().to_vec();
+        let before = fed.model.params().to_vec();
         let loss = fed.run_round(&[]);
         assert_eq!(loss, 0.0);
-        assert_eq!(fed.model().params(), &before[..]);
-        assert_eq!(fed.rounds_run(), 1);
+        assert_eq!(fed.model.params(), &before[..]);
+        assert_eq!(fed.rounds_run, 1);
     }
 
     #[test]
@@ -204,6 +189,6 @@ mod tests {
             a.run_round(&p);
             b.run_round(&p);
         }
-        assert_eq!(a.model().params(), b.model().params());
+        assert_eq!(a.model.params(), b.model.params());
     }
 }

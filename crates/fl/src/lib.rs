@@ -9,19 +9,18 @@
 //! (and more diverse) participants per round — so this crate implements
 //! the smallest complete such stack from scratch:
 //!
-//! * [`dataset`] — synthetic non-IID federated classification data
+//! * [`FederatedDataset`] — synthetic non-IID federated classification data
 //!   (Gaussian class clusters, Dirichlet label skew across clients);
-//! * [`model`] — a multinomial logistic-regression model with softmax
+//! * `SoftmaxModel` — a multinomial logistic-regression model with softmax
 //!   cross-entropy SGD;
-//! * [`fedavg`] — FedAvg orchestration: local training on a participant
+//! * [`FedAvg`] — FedAvg orchestration: local training on a participant
 //!   set, weighted averaging, centralized accuracy evaluation.
 //!
 //! See `DESIGN.md` for the substitution argument.
 
-pub mod dataset;
-pub mod fedavg;
-pub mod model;
+mod dataset;
+mod fedavg;
+mod model;
 
 pub use dataset::{FederatedDataset, FlDataConfig};
 pub use fedavg::{FedAvg, FedAvgConfig};
-pub use model::SoftmaxModel;

@@ -8,7 +8,7 @@ use crate::dataset::Example;
 /// enough that accuracy improves with more and more-diverse participants —
 /// the property Figs. 4 and 9 measure.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SoftmaxModel {
+pub(crate) struct SoftmaxModel {
     classes: usize,
     features: usize,
     /// Row-major `[classes][features]` weights followed by `classes` biases.
@@ -21,7 +21,7 @@ impl SoftmaxModel {
     /// # Panics
     ///
     /// Panics if `classes < 2` or `features == 0`.
-    pub fn new(classes: usize, features: usize) -> Self {
+    pub(crate) fn new(classes: usize, features: usize) -> Self {
         assert!(classes >= 2, "need at least two classes");
         assert!(features > 0, "need at least one feature");
         SoftmaxModel {
@@ -31,23 +31,13 @@ impl SoftmaxModel {
         }
     }
 
-    /// Number of classes.
-    pub fn classes(&self) -> usize {
-        self.classes
-    }
-
-    /// Number of features.
-    pub fn features(&self) -> usize {
-        self.features
-    }
-
     /// Flat parameter vector (weights then biases).
-    pub fn params(&self) -> &[f64] {
+    pub(crate) fn params(&self) -> &[f64] {
         &self.params
     }
 
     /// Mutable flat parameter vector.
-    pub fn params_mut(&mut self) -> &mut [f64] {
+    pub(crate) fn params_mut(&mut self) -> &mut [f64] {
         &mut self.params
     }
 
@@ -62,7 +52,7 @@ impl SoftmaxModel {
     }
 
     /// Class probabilities for one input.
-    pub fn predict_proba(&self, x: &[f64]) -> Vec<f64> {
+    pub(crate) fn predict_proba(&self, x: &[f64]) -> Vec<f64> {
         let logits = self.logits(x);
         let max = logits.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         let exps: Vec<f64> = logits.iter().map(|l| (l - max).exp()).collect();
@@ -71,7 +61,7 @@ impl SoftmaxModel {
     }
 
     /// Most likely class for one input.
-    pub fn predict(&self, x: &[f64]) -> usize {
+    pub(crate) fn predict(&self, x: &[f64]) -> usize {
         let probs = self.predict_proba(x);
         probs
             .iter()
@@ -83,7 +73,7 @@ impl SoftmaxModel {
 
     /// One epoch of plain SGD over `examples` with learning rate `lr` and
     /// L2 regularization `l2`. Returns the mean cross-entropy loss.
-    pub fn sgd_epoch(&mut self, examples: &[Example], lr: f64, l2: f64) -> f64 {
+    pub(crate) fn sgd_epoch(&mut self, examples: &[Example], lr: f64, l2: f64) -> f64 {
         let mut total_loss = 0.0;
         for ex in examples {
             let probs = self.predict_proba(&ex.x);
@@ -106,7 +96,7 @@ impl SoftmaxModel {
     }
 
     /// Top-1 accuracy on a labelled set; `0.0` for an empty set.
-    pub fn accuracy(&self, examples: &[Example]) -> f64 {
+    pub(crate) fn accuracy(&self, examples: &[Example]) -> f64 {
         if examples.is_empty() {
             return 0.0;
         }

@@ -44,16 +44,6 @@ impl Csv {
         self.rows.push(cells.to_vec());
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the document has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     fn escape(cell: &str) -> String {
         if cell.contains([',', '"', '\n']) {
             format!("\"{}\"", cell.replace('"', "\"\""))
@@ -90,8 +80,7 @@ mod tests {
         c.row(&["1".into(), "2".into()]);
         c.row(&["3".into(), "4".into()]);
         assert_eq!(c.to_string(), "a,b\n1,2\n3,4\n");
-        assert_eq!(c.len(), 2);
-        assert!(!c.is_empty());
+        assert_eq!(c.rows.len(), 2);
     }
 
     #[test]
@@ -115,7 +104,7 @@ mod tests {
     #[test]
     fn empty_document_is_header_only() {
         let c = Csv::new(&["only"]);
-        assert!(c.is_empty());
+        assert!(c.rows.is_empty());
         assert_eq!(c.to_string(), "only\n");
     }
 }

@@ -81,20 +81,10 @@ impl Histogram {
     /// # Panics
     ///
     /// Panics if `i` is out of bounds.
-    pub fn bin_center(&self, i: usize) -> f64 {
+    pub(crate) fn bin_center(&self, i: usize) -> f64 {
         let width = (self.hi - self.lo) / self.counts.len() as f64;
         assert!(i < self.counts.len(), "bin index out of range");
         self.lo + width * (i as f64 + 0.5)
-    }
-
-    /// Fraction of mass in bin `i`; `0.0` when the histogram is empty.
-    pub fn fraction(&self, i: usize) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            0.0
-        } else {
-            self.counts[i] as f64 / total as f64
-        }
     }
 
     /// Renders a one-line-per-bin sparkbar sketch.
@@ -144,22 +134,6 @@ mod tests {
         let h = Histogram::new(0.0, 4.0, 4);
         assert_eq!(h.bin_center(0), 0.5);
         assert_eq!(h.bin_center(3), 3.5);
-    }
-
-    #[test]
-    fn fractions_sum_to_one() {
-        let mut h = Histogram::new(0.0, 1.0, 3);
-        for i in 0..9 {
-            h.record(i as f64 / 9.0);
-        }
-        let total: f64 = (0..3).map(|i| h.fraction(i)).sum();
-        assert!((total - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_fraction_is_zero() {
-        let h = Histogram::new(0.0, 1.0, 2);
-        assert_eq!(h.fraction(0), 0.0);
     }
 
     #[test]

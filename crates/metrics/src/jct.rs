@@ -5,7 +5,7 @@
 //! the quorum of responses arrives) — Figure 1. These types accumulate that
 //! decomposition per job and across jobs.
 
-use crate::{Samples, Welford};
+use crate::welford::Welford;
 
 /// Completion-time accounting for one job.
 ///
@@ -83,7 +83,6 @@ pub struct JctBreakdown {
     jct: Welford,
     sched: Welford,
     resp: Welford,
-    jct_samples: Samples,
     unfinished: u64,
 }
 
@@ -99,7 +98,6 @@ impl JctBreakdown {
         match record.jct_ms() {
             Some(jct) => {
                 self.jct.push(jct as f64);
-                self.jct_samples.push(jct as f64);
                 self.sched.push(record.sched_delay_ms as f64);
                 self.resp.push(record.response_ms as f64);
             }
@@ -130,26 +128,6 @@ impl JctBreakdown {
     /// Average total response collection time in milliseconds.
     pub fn avg_response_ms(&self) -> f64 {
         self.resp.mean()
-    }
-
-    /// JCT percentile over finished jobs.
-    ///
-    /// # Panics
-    ///
-    /// Panics when no job has finished.
-    pub fn jct_percentile(&mut self, p: f64) -> f64 {
-        self.jct_samples.percentile(p)
-    }
-
-    /// Speed-up of this breakdown relative to `baseline`
-    /// (`baseline.avg_jct / self.avg_jct`), the paper's headline metric.
-    ///
-    /// Returns `None` if either side has no finished jobs.
-    pub fn speedup_over(&self, baseline: &JctBreakdown) -> Option<f64> {
-        if self.finished() == 0 || baseline.finished() == 0 || self.avg_jct_ms() == 0.0 {
-            return None;
-        }
-        Some(baseline.avg_jct_ms() / self.avg_jct_ms())
     }
 }
 
@@ -204,33 +182,5 @@ mod tests {
         assert_eq!(b.unfinished(), 1);
         assert_eq!(b.finished(), 1);
         assert_eq!(b.avg_jct_ms(), 10.0);
-    }
-
-    #[test]
-    fn speedup_is_baseline_over_self() {
-        let mut fast = JctBreakdown::new();
-        fast.add(&rec(0, 100, 0, 0));
-        let mut slow = JctBreakdown::new();
-        slow.add(&rec(0, 188, 0, 0));
-        let s = fast.speedup_over(&slow).unwrap();
-        assert!((s - 1.88).abs() < 1e-12);
-    }
-
-    #[test]
-    fn speedup_none_when_empty() {
-        let empty = JctBreakdown::new();
-        let mut one = JctBreakdown::new();
-        one.add(&rec(0, 10, 0, 0));
-        assert!(empty.speedup_over(&one).is_none());
-        assert!(one.speedup_over(&empty).is_none());
-    }
-
-    #[test]
-    fn percentiles_over_jcts() {
-        let mut b = JctBreakdown::new();
-        for f in [100, 200, 300] {
-            b.add(&rec(0, f, 0, 0));
-        }
-        assert_eq!(b.jct_percentile(50.0), 200.0);
     }
 }

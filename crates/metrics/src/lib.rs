@@ -5,7 +5,6 @@
 //! tables over job completion times (JCT). This crate provides the small,
 //! dependency-free measurement substrate those reports are built on:
 //!
-//! * [`Welford`] — numerically stable streaming mean/variance.
 //! * [`Samples`] — a sample buffer with exact percentiles.
 //! * [`Histogram`] — fixed-width binning for distribution sketches.
 //! * [`JctRecord`] / [`JctBreakdown`] — per-job completion-time accounting
@@ -29,14 +28,14 @@
 
 pub mod alloc;
 pub mod csv;
-pub mod env;
-pub mod frame;
-pub mod histogram;
-pub mod jct;
-pub mod samples;
-pub mod series;
-pub mod table;
-pub mod welford;
+mod env;
+mod frame;
+mod histogram;
+mod jct;
+mod samples;
+mod series;
+mod table;
+mod welford;
 
 pub use env::EnvStats;
 pub use frame::MetricsFrame;
@@ -45,4 +44,3 @@ pub use jct::{JctBreakdown, JctRecord};
 pub use samples::Samples;
 pub use series::Series;
 pub use table::Table;
-pub use welford::Welford;

@@ -1,7 +1,5 @@
 //! Sample buffers with exact percentile queries.
 
-use crate::Welford;
-
 /// A buffer of `f64` samples supporting exact percentiles.
 ///
 /// Percentiles use linear interpolation between closest ranks (the same
@@ -33,14 +31,6 @@ impl Samples {
         }
     }
 
-    /// Creates an empty buffer with room for `capacity` samples.
-    pub fn with_capacity(capacity: usize) -> Self {
-        Samples {
-            values: Vec::with_capacity(capacity),
-            sorted: true,
-        }
-    }
-
     /// Adds one sample.
     ///
     /// Non-finite values are ignored so a single failed measurement cannot
@@ -50,11 +40,6 @@ impl Samples {
             self.values.push(value);
             self.sorted = false;
         }
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.values.len()
     }
 
     /// Whether the buffer holds no samples.
@@ -89,30 +74,6 @@ impl Samples {
         let hi = rank.ceil() as usize;
         let frac = rank - lo as f64;
         self.values[lo] * (1.0 - frac) + self.values[hi] * frac
-    }
-
-    /// Median (50th percentile).
-    pub fn median(&mut self) -> f64 {
-        self.percentile(50.0)
-    }
-
-    /// Returns the samples whose value is at or below the `p`-th percentile.
-    ///
-    /// Used for the paper's Table 2 (improvement across jobs with lowest
-    /// 25 %/50 %/75 % of total demand).
-    pub fn below_percentile(&mut self, p: f64) -> Vec<f64> {
-        let cut = self.percentile(p);
-        self.values.iter().copied().filter(|v| *v <= cut).collect()
-    }
-
-    /// Streaming summary (mean/var/min/max) of the buffer.
-    pub fn summary(&self) -> Welford {
-        self.values.iter().copied().collect()
-    }
-
-    /// Immutable view of the raw samples (unsorted order not guaranteed).
-    pub fn as_slice(&self) -> &[f64] {
-        &self.values
     }
 
     fn ensure_sorted(&mut self) {
@@ -181,29 +142,15 @@ mod tests {
         s.push(f64::NAN);
         s.push(f64::INFINITY);
         s.push(1.0);
-        assert_eq!(s.len(), 1);
+        assert_eq!(s.values, [1.0]);
         assert_eq!(s.mean(), 1.0);
-    }
-
-    #[test]
-    fn below_percentile_filters() {
-        let mut s: Samples = (1..=100).map(f64::from).collect();
-        let low = s.below_percentile(25.0);
-        assert_eq!(low.len(), 25);
-        assert!(low.iter().all(|v| *v <= 25.75));
     }
 
     #[test]
     fn push_after_percentile_resorts() {
         let mut s: Samples = [3.0, 1.0].into_iter().collect();
-        assert_eq!(s.median(), 2.0);
+        assert_eq!(s.percentile(50.0), 2.0);
         s.push(100.0);
-        assert_eq!(s.median(), 3.0);
-    }
-
-    #[test]
-    fn summary_matches_mean() {
-        let s: Samples = [2.0, 4.0].into_iter().collect();
-        assert_eq!(s.summary().mean(), s.mean());
+        assert_eq!(s.percentile(50.0), 3.0);
     }
 }

@@ -48,27 +48,9 @@ impl Series {
         self.points.is_empty()
     }
 
-    /// Curve name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Immutable view of the points.
-    pub fn points(&self) -> &[(f64, f64)] {
-        &self.points
-    }
-
     /// Final y value, if any — handy for "final accuracy" style assertions.
     pub fn last_y(&self) -> Option<f64> {
         self.points.last().map(|p| p.1)
-    }
-
-    /// Maximum y value, if any.
-    pub fn max_y(&self) -> Option<f64> {
-        self.points
-            .iter()
-            .map(|p| p.1)
-            .fold(None, |acc, y| Some(acc.map_or(y, |m: f64| m.max(y))))
     }
 }
 
@@ -97,17 +79,16 @@ mod tests {
         let mut s = Series::new("c");
         s.point(2.0, 1.0);
         s.point(1.0, 3.0);
-        assert_eq!(s.points(), &[(2.0, 1.0), (1.0, 3.0)]);
+        assert_eq!(s.points, [(2.0, 1.0), (1.0, 3.0)]);
     }
 
     #[test]
     fn last_and_max_y() {
         let mut s = Series::new("c");
         assert_eq!(s.last_y(), None);
-        assert_eq!(s.max_y(), None);
         s.extend([(0.0, 1.0), (1.0, 5.0), (2.0, 3.0)]);
+        // The last point's y, not the largest one.
         assert_eq!(s.last_y(), Some(3.0));
-        assert_eq!(s.max_y(), Some(5.0));
     }
 
     #[test]
@@ -124,6 +105,6 @@ mod tests {
         let s = Series::new("e");
         assert!(s.is_empty());
         assert_eq!(s.len(), 0);
-        assert_eq!(s.name(), "e");
+        assert_eq!(s.name, "e");
     }
 }

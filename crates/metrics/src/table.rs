@@ -66,16 +66,6 @@ impl Table {
         );
         self.rows.push((label.to_string(), cells.to_vec()));
     }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
 }
 
 impl fmt::Display for Table {
@@ -133,8 +123,7 @@ mod tests {
         assert!(s.contains("== T =="));
         assert!(s.contains('A') && s.contains('B'));
         assert!(s.contains("1.00") && s.contains("2.50"));
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
+        assert_eq!(t.rows.len(), 2);
     }
 
     #[test]
@@ -153,7 +142,7 @@ mod tests {
     #[test]
     fn empty_table_renders_header_only() {
         let t = Table::new("Empty", &["X"]);
-        assert!(t.is_empty());
+        assert!(t.rows.is_empty());
         assert!(t.to_string().contains("Empty"));
     }
 

@@ -1,127 +1,32 @@
-//! Numerically stable streaming mean and variance (Welford's algorithm).
+//! Numerically stable streaming mean (Welford's algorithm).
 
-/// Streaming mean/variance accumulator.
+/// Streaming mean accumulator.
 ///
-/// Uses Welford's online algorithm, which is numerically stable for long
+/// Uses Welford's online update, which is numerically stable for long
 /// streams of samples with large offsets — exactly the situation when
 /// accumulating millisecond-scale completion times over multi-day simulated
 /// horizons.
-///
-/// # Examples
-///
-/// ```
-/// use venn_metrics::Welford;
-///
-/// let mut w = Welford::new();
-/// for v in [2.0, 4.0, 6.0] {
-///     w.push(v);
-/// }
-/// assert_eq!(w.mean(), 4.0);
-/// assert_eq!(w.variance(), 4.0); // sample variance
-/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct Welford {
+pub(crate) struct Welford {
     count: u64,
     mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
 }
 
 impl Welford {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Welford {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
     /// Adds one sample.
-    pub fn push(&mut self, value: f64) {
+    pub(crate) fn push(&mut self, value: f64) {
         self.count += 1;
-        let delta = value - self.mean;
-        self.mean += delta / self.count as f64;
-        let delta2 = value - self.mean;
-        self.m2 += delta * delta2;
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
+        self.mean += (value - self.mean) / self.count as f64;
     }
 
     /// Number of samples observed so far.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.count
     }
 
     /// Arithmetic mean of the samples; `0.0` when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Unbiased sample variance; `0.0` with fewer than two samples.
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
-    }
-
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest sample observed; `None` when empty.
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest sample observed; `None` when empty.
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// Merges another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &Welford) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        self.mean += delta * other.count as f64 / total as f64;
-        self.m2 +=
-            other.m2 + delta * delta * (self.count as f64 * other.count as f64) / total as f64;
-        self.count = total;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
-impl Extend<f64> for Welford {
-    fn extend<T: IntoIterator<Item = f64>>(&mut self, iter: T) {
-        for v in iter {
-            self.push(v);
-        }
-    }
-}
-
-impl FromIterator<f64> for Welford {
-    fn from_iter<T: IntoIterator<Item = f64>>(iter: T) -> Self {
-        let mut w = Welford::new();
-        w.extend(iter);
-        w
+    pub(crate) fn mean(&self) -> f64 {
+        self.mean
     }
 }
 
@@ -129,73 +34,32 @@ impl FromIterator<f64> for Welford {
 mod tests {
     use super::*;
 
+    fn collect(values: impl IntoIterator<Item = f64>) -> Welford {
+        let mut w = Welford::default();
+        for v in values {
+            w.push(v);
+        }
+        w
+    }
+
     #[test]
     fn empty_is_zero() {
-        let w = Welford::new();
+        let w = Welford::default();
         assert_eq!(w.count(), 0);
         assert_eq!(w.mean(), 0.0);
-        assert_eq!(w.variance(), 0.0);
-        assert_eq!(w.min(), None);
-        assert_eq!(w.max(), None);
     }
 
     #[test]
-    fn mean_and_variance_match_closed_form() {
-        let data = [1.0, 2.0, 3.0, 4.0, 5.0];
-        let w: Welford = data.iter().copied().collect();
+    fn mean_matches_closed_form() {
+        let w = collect([1.0, 2.0, 3.0, 4.0, 5.0]);
         assert_eq!(w.count(), 5);
         assert!((w.mean() - 3.0).abs() < 1e-12);
-        assert!((w.variance() - 2.5).abs() < 1e-12);
-        assert_eq!(w.min(), Some(1.0));
-        assert_eq!(w.max(), Some(5.0));
-    }
-
-    #[test]
-    fn single_sample_has_zero_variance() {
-        let mut w = Welford::new();
-        w.push(42.0);
-        assert_eq!(w.variance(), 0.0);
-        assert_eq!(w.mean(), 42.0);
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let mut a = Welford::new();
-        let mut b = Welford::new();
-        let mut all = Welford::new();
-        for i in 0..50 {
-            let v = (i as f64).sin() * 10.0 + 5.0;
-            if i % 2 == 0 {
-                a.push(v);
-            } else {
-                b.push(v);
-            }
-            all.push(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert!((a.mean() - all.mean()).abs() < 1e-10);
-        assert!((a.variance() - all.variance()).abs() < 1e-10);
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a: Welford = [1.0, 2.0].into_iter().collect();
-        let before = a;
-        a.merge(&Welford::new());
-        assert_eq!(a, before);
-
-        let mut e = Welford::new();
-        e.merge(&before);
-        assert_eq!(e, before);
     }
 
     #[test]
     fn large_offset_is_stable() {
         let base = 1e12;
-        let w: Welford = (0..1000).map(|i| base + (i % 10) as f64).collect();
-        // Variance of 0..=9 repeated is ~8.2575 (sample variance of the stream).
+        let w = collect((0..1000).map(|i| base + (i % 10) as f64));
         assert!((w.mean() - (base + 4.5)).abs() < 1e-3);
-        assert!(w.variance() > 8.0 && w.variance() < 8.5);
     }
 }

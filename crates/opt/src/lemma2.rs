@@ -14,9 +14,8 @@
 //! affected queue lengths. Prioritize iff `Δt < 0 ⇔ m'_A / (1 − x) >
 //! m'_B / x` — the line-15 ratio test of Algorithm 1.
 //!
-//! This module exposes both sides so tests (and the `venn-bench` property
-//! suite) can exhaustively check the equivalence and compare against the
-//! exact solver on enumerated two-group instances.
+//! This test-only module states both sides so its tests can check the
+//! equivalence exhaustively on a grid of two-group instances.
 
 /// The Lemma 2 instance: two nested job groups sharing a device stream.
 ///
@@ -24,15 +23,15 @@
 /// the *scarce* resource (a fraction `x` of devices). Each group holds a
 /// queue of equal-demand jobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TwoGroupInstance {
+struct TwoGroupInstance {
     /// Scarce fraction of the device stream eligible for group B, in (0,1).
-    pub x: f64,
+    x: f64,
     /// Jobs queued in the general group A.
-    pub m_a: u32,
+    m_a: u32,
     /// Jobs queued in the scarce group B.
-    pub m_b: u32,
+    m_b: u32,
     /// Demand of the head job of group A.
-    pub head_demand: u32,
+    head_demand: u32,
 }
 
 impl TwoGroupInstance {
@@ -41,7 +40,7 @@ impl TwoGroupInstance {
     /// # Panics
     ///
     /// Panics if `x` is outside `(0, 1)`.
-    pub fn new(x: f64, m_a: u32, m_b: u32, head_demand: u32) -> Self {
+    fn new(x: f64, m_a: u32, m_b: u32, head_demand: u32) -> Self {
         assert!(x > 0.0 && x < 1.0, "scarce fraction must be in (0,1)");
         TwoGroupInstance {
             x,
@@ -53,19 +52,19 @@ impl TwoGroupInstance {
 
     /// Queuing-delay change `Δt` from prioritizing group A's head job over
     /// group B on the intersected (scarce) resource — Appendix D.
-    pub fn delta_t(&self) -> f64 {
+    fn delta_t(&self) -> f64 {
         let l = self.head_demand as f64;
         l * self.m_b as f64 - (l / (1.0 - self.x) - l) * self.m_a as f64
     }
 
     /// Algorithm 1's line-15 ratio test in the two-group setting:
     /// prioritize A iff `m'_A / (1 − x) > m'_B / x`.
-    pub fn ratio_test_prioritizes_a(&self) -> bool {
+    fn ratio_test_prioritizes_a(&self) -> bool {
         self.m_a as f64 / (1.0 - self.x) > self.m_b as f64 / self.x
     }
 
     /// The Δt rule: prioritize A iff `Δt < 0`.
-    pub fn delta_rule_prioritizes_a(&self) -> bool {
+    fn delta_rule_prioritizes_a(&self) -> bool {
         self.delta_t() < 0.0
     }
 }
@@ -74,7 +73,7 @@ impl TwoGroupInstance {
 ///
 /// The two predicates agree except exactly on the boundary
 /// (`Δt == 0`), where either choice yields the same average delay.
-pub fn lemma2_holds(inst: &TwoGroupInstance) -> bool {
+fn lemma2_holds(inst: &TwoGroupInstance) -> bool {
     let boundary = inst.delta_t().abs() < 1e-9;
     boundary || (inst.delta_rule_prioritizes_a() == inst.ratio_test_prioritizes_a())
 }

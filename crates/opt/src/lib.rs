@@ -31,7 +31,8 @@
 //! assert!((sol.avg_completion() - 28.0 / 3.0).abs() < 1e-9);
 //! ```
 
-pub mod lemma2;
+#[cfg(test)]
+mod lemma2;
 
 use std::collections::HashMap;
 
@@ -97,7 +98,7 @@ pub struct Solution {
     total_completion: u64,
     jobs: usize,
     /// `assignment[i]` is the job device `i` serves, or `None` if idle.
-    pub assignment: Vec<Option<usize>>,
+    pub(crate) assignment: Vec<Option<usize>>,
 }
 
 impl Solution {
@@ -115,7 +116,7 @@ impl Solution {
 /// Evaluates a *given* assignment against an instance, returning the total
 /// completion time, or `None` if it is infeasible (ineligible device, more
 /// devices than demanded, or unmet demand).
-pub fn evaluate(inst: &Instance, assignment: &[Option<usize>]) -> Option<u64> {
+pub(crate) fn evaluate(inst: &Instance, assignment: &[Option<usize>]) -> Option<u64> {
     if assignment.len() != inst.arrivals.len() {
         return None;
     }

@@ -111,25 +111,25 @@ mod sys {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::time::Duration;
 
-    pub const POLLIN: i16 = 0x1;
-    pub const POLLOUT: i16 = 0x4;
+    pub(crate) const POLLIN: i16 = 0x1;
+    pub(crate) const POLLOUT: i16 = 0x4;
 
     static SIGTERM: AtomicBool = AtomicBool::new(false);
 
     /// One `struct pollfd`: the fd, the events to wait for, the events
     /// that happened.
     #[repr(C)]
-    pub struct PollFd(i32, i16, i16);
+    pub(crate) struct PollFd(i32, i16, i16);
 
     impl PollFd {
-        pub fn ready(&self) -> bool {
+        pub(crate) fn ready(&self) -> bool {
             self.2 != 0
         }
     }
 
     /// From now on SIGTERM sets the flag [`sigterm`] reads instead of
     /// ending the process.
-    pub fn catch_sigterm() {
+    pub(crate) fn catch_sigterm() {
         #[cfg(unix)]
         {
             extern "C" fn on_sigterm(_sig: i32) {
@@ -141,7 +141,7 @@ mod sys {
         }
     }
 
-    pub fn sigterm() -> bool {
+    pub(crate) fn sigterm() -> bool {
         SIGTERM.load(Ordering::SeqCst)
     }
 
@@ -153,7 +153,7 @@ mod sys {
 
     #[cfg(unix)]
     impl PollFd {
-        pub fn new(file: &impl std::os::fd::AsRawFd, events: i16) -> Self {
+        pub(crate) fn new(file: &impl std::os::fd::AsRawFd, events: i16) -> Self {
             PollFd(file.as_raw_fd(), events, 0)
         }
     }
@@ -162,7 +162,7 @@ mod sys {
     /// whole ms) has passed. A signal ends the wait early with nothing
     /// ready: Linux never restarts `poll`, even under `SA_RESTART`.
     #[cfg(unix)]
-    pub fn wait(fds: &mut [PollFd], timeout: Duration) -> io::Result<()> {
+    pub(crate) fn wait(fds: &mut [PollFd], timeout: Duration) -> io::Result<()> {
         let ms = i32::try_from(timeout.as_micros().div_ceil(1000)).unwrap_or(i32::MAX);
         // SAFETY: `fds` is a live, exclusively borrowed slice of
         // `repr(C)` `pollfd`s and `nfds` is its length; the kernel
@@ -178,7 +178,7 @@ mod sys {
     /// One `read(2)` of stdin; `Stdin` would buffer bytes where `poll`
     /// cannot see them.
     #[cfg(unix)]
-    pub fn read_stdin(buf: &mut [u8]) -> io::Result<usize> {
+    pub(crate) fn read_stdin(buf: &mut [u8]) -> io::Result<usize> {
         use std::os::fd::FromRawFd;
         // SAFETY: fd 0 is the process's standard input for its whole
         // life, and `ManuallyDrop` keeps this `File` from closing it.
@@ -188,18 +188,18 @@ mod sys {
 
     #[cfg(not(unix))]
     impl PollFd {
-        pub fn new<T>(_file: &T, events: i16) -> Self {
+        pub(crate) fn new<T>(_file: &T, events: i16) -> Self {
             PollFd(-1, events, 0)
         }
     }
 
     #[cfg(not(unix))]
-    pub fn wait(_fds: &mut [PollFd], _timeout: Duration) -> io::Result<()> {
+    pub(crate) fn wait(_fds: &mut [PollFd], _timeout: Duration) -> io::Result<()> {
         Err(io::ErrorKind::Unsupported.into())
     }
 
     #[cfg(not(unix))]
-    pub fn read_stdin(_buf: &mut [u8]) -> io::Result<usize> {
+    pub(crate) fn read_stdin(_buf: &mut [u8]) -> io::Result<usize> {
         Err(io::ErrorKind::Unsupported.into())
     }
 }

@@ -46,7 +46,7 @@ impl Value {
     }
 
     /// The value as a non-negative integer, if it is one.
-    pub fn as_u64(&self) -> Option<u64> {
+    pub(crate) fn as_u64(&self) -> Option<u64> {
         match *self {
             Value::Int(i) if i >= 0 => Some(i as u64),
             _ => None,
@@ -54,7 +54,7 @@ impl Value {
     }
 
     /// The value as a signed integer, if it is one.
-    pub fn as_i64(&self) -> Option<i64> {
+    pub(crate) fn as_i64(&self) -> Option<i64> {
         match *self {
             Value::Int(i) => Some(i),
             _ => None,

@@ -16,26 +16,27 @@
 //!
 //! * [`json`] — a dependency-free JSON value model with a canonical
 //!   compact writer (the protocol's wire format);
-//! * [`protocol`] — the command grammar, typed error codes, and the
-//!   canonical journal form (a serialization fixed point, which is what
-//!   makes journal replay byte-identical);
-//! * [`session`] — [`ServeSession`]: one world plus its scheduler,
+//! * [`Command`] / [`CmdError`] — the command grammar, typed error codes,
+//!   and the canonical journal form (a serialization fixed point, which is
+//!   what makes journal replay byte-identical);
+//! * [`ServeSession`] — one world plus its scheduler,
 //!   mutated mid-run by submit/withdraw, streaming [`venn_metrics::MetricsFrame`]
 //!   telemetry, checkpointing via the snapshot layer, and answering
 //!   what-if questions by forking the live state under a different
 //!   scheduler arm;
-//! * [`driver`] — the scripted / wall-clock-paced / TCP input loops.
+//! * [`run_lines`] / [`serve`] — the scripted / wall-clock-paced / TCP
+//!   input loops.
 //!
 //! Virtual time is decoupled from real time throughout: scripted
 //! sessions advance only on explicit `advance` commands and are fully
 //! deterministic; paced sessions journal their synthesized advances so
 //! the recording replays deterministically anyway.
 
-pub mod driver;
+mod driver;
 pub mod json;
-pub mod protocol;
-pub mod session;
-pub mod wal;
+mod protocol;
+mod session;
+mod wal;
 
 pub use driver::{run_lines, serve, OutQueue, ServeOpts};
 pub use protocol::{CmdError, Command};

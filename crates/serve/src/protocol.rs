@@ -37,14 +37,14 @@ use crate::json::{obj, parse, Value};
 #[derive(Debug, Clone, PartialEq)]
 pub struct CmdError {
     /// Stable machine-readable code.
-    pub code: &'static str,
+    pub(crate) code: &'static str,
     /// Human-readable detail.
-    pub msg: String,
+    pub(crate) msg: String,
 }
 
 impl CmdError {
     /// Unparseable JSON.
-    pub fn bad_json(msg: impl Into<String>) -> Self {
+    pub(crate) fn bad_json(msg: impl Into<String>) -> Self {
         CmdError {
             code: "bad-json",
             msg: msg.into(),
@@ -52,7 +52,7 @@ impl CmdError {
     }
 
     /// Well-formed JSON, unknown `cmd`.
-    pub fn unknown_cmd(msg: impl Into<String>) -> Self {
+    pub(crate) fn unknown_cmd(msg: impl Into<String>) -> Self {
         CmdError {
             code: "unknown-cmd",
             msg: msg.into(),
@@ -61,7 +61,7 @@ impl CmdError {
 
     /// Well-formed command, malformed argument (missing, wrong type,
     /// negative where a count is needed, unknown enum value).
-    pub fn bad_arg(msg: impl Into<String>) -> Self {
+    pub(crate) fn bad_arg(msg: impl Into<String>) -> Self {
         CmdError {
             code: "bad-arg",
             msg: msg.into(),
@@ -69,7 +69,7 @@ impl CmdError {
     }
 
     /// The referenced job does not exist or is already terminal.
-    pub fn unknown_job(msg: impl Into<String>) -> Self {
+    pub(crate) fn unknown_job(msg: impl Into<String>) -> Self {
         CmdError {
             code: "unknown-job",
             msg: msg.into(),
@@ -77,7 +77,7 @@ impl CmdError {
     }
 
     /// A time argument lands before the current virtual time.
-    pub fn past_time(msg: impl Into<String>) -> Self {
+    pub(crate) fn past_time(msg: impl Into<String>) -> Self {
         CmdError {
             code: "past-time",
             msg: msg.into(),
@@ -85,7 +85,7 @@ impl CmdError {
     }
 
     /// A command arrived after `quit`.
-    pub fn after_quit() -> Self {
+    pub(crate) fn after_quit() -> Self {
         CmdError {
             code: "after-quit",
             msg: "session already quit".into(),
@@ -93,7 +93,7 @@ impl CmdError {
     }
 
     /// A filesystem side effect failed.
-    pub fn io(msg: impl Into<String>) -> Self {
+    pub(crate) fn io(msg: impl Into<String>) -> Self {
         CmdError {
             code: "io",
             msg: msg.into(),
@@ -101,7 +101,7 @@ impl CmdError {
     }
 
     /// Snapshot capture or restore failed.
-    pub fn snapshot(msg: impl Into<String>) -> Self {
+    pub(crate) fn snapshot(msg: impl Into<String>) -> Self {
         CmdError {
             code: "snapshot",
             msg: msg.into(),
@@ -110,7 +110,7 @@ impl CmdError {
 
     /// A client's outbound frame queue overflowed; the connection is
     /// about to be closed. This error is the *last* line the client sees.
-    pub fn backpressure(msg: impl Into<String>) -> Self {
+    pub(crate) fn backpressure(msg: impl Into<String>) -> Self {
         CmdError {
             code: "backpressure",
             msg: msg.into(),
@@ -119,7 +119,7 @@ impl CmdError {
 
     /// A client sent a line longer than the protocol bound; the
     /// oversized line is discarded without being parsed.
-    pub fn line_too_long(msg: impl Into<String>) -> Self {
+    pub(crate) fn line_too_long(msg: impl Into<String>) -> Self {
         CmdError {
             code: "line-too-long",
             msg: msg.into(),
@@ -127,7 +127,7 @@ impl CmdError {
     }
 
     /// The error as a one-line JSON response.
-    pub fn to_response(&self, vt: u64) -> String {
+    pub(crate) fn to_response(&self, vt: u64) -> String {
         obj(vec![
             ("vt", Value::Int(vt as i64)),
             ("ok", Value::Bool(false)),
@@ -329,14 +329,14 @@ impl Command {
 
     /// The journal vt-check: the `"vt"` stamp a journal line carries, if
     /// any. Live input has none; replayed journals always do.
-    pub fn stamped_vt(line: &str) -> Option<u64> {
+    pub(crate) fn stamped_vt(line: &str) -> Option<u64> {
         parse(line).ok()?.get("vt")?.as_u64()
     }
 
     /// Canonical journal form: `vt` first, then `cmd`, then arguments in
     /// the grammar's order, compact. Re-serializing a parsed journal line
     /// reproduces it exactly.
-    pub fn canonical(&self, vt: u64) -> String {
+    pub(crate) fn canonical(&self, vt: u64) -> String {
         let mut fields: Vec<(&str, Value)> = vec![("vt", Value::Int(vt as i64))];
         match self {
             Command::Submit {

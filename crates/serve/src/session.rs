@@ -174,23 +174,18 @@ impl ServeSession {
     }
 
     /// The session's filesystem handle (shared with the journal/driver).
-    pub fn fs(&self) -> SharedFs {
+    pub(crate) fn fs(&self) -> SharedFs {
         self.fs.clone()
     }
 
     /// Current virtual time, ms.
-    pub fn vt(&self) -> u64 {
+    pub(crate) fn vt(&self) -> u64 {
         self.world.now()
     }
 
     /// Read access to the live world (telemetry, tests).
     pub fn world(&self) -> &World {
         &self.world
-    }
-
-    /// Whether `quit` has been processed.
-    pub fn is_done(&self) -> bool {
-        self.done
     }
 
     /// Finishes the session's world and returns the run result — the
@@ -450,7 +445,7 @@ impl ServeSession {
     /// Writes a final checkpoint of the live world into `dir` through
     /// the session's [`CheckpointStore`] — the graceful-shutdown path.
     /// Returns the published checkpoint path.
-    pub fn final_checkpoint(&mut self, dir: &str) -> Result<String, CmdError> {
+    pub(crate) fn final_checkpoint(&mut self, dir: &str) -> Result<String, CmdError> {
         let fs = self.fs.clone();
         let mut guard = fs.borrow_mut();
         let mut store =

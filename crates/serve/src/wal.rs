@@ -34,18 +34,18 @@ use venn_core::faultio::{FioError, RealFs, SimFs};
 use venn_core::snapshot::checksum;
 
 /// Leading magic of a WAL journal (`b"VWAL"`).
-pub const WAL_MAGIC: [u8; 4] = *b"VWAL";
+pub(crate) const WAL_MAGIC: [u8; 4] = *b"VWAL";
 
 /// Current WAL format version; other versions are rejected. Version 2
 /// checksums records with XXH64 (version 1 used FNV-1a).
-pub const WAL_VERSION: u32 = 2;
+pub(crate) const WAL_VERSION: u32 = 2;
 
 /// Records between fsyncs under [`SyncPolicy::Batch`].
-pub const BATCH_RECORDS: u32 = 64;
+pub(crate) const BATCH_RECORDS: u32 = 64;
 
 /// Upper bound on one record's payload — a corrupt length prefix can
 /// never drive a huge allocation or a bogus multi-gigabyte "record".
-pub const MAX_RECORD: usize = 1 << 24;
+pub(crate) const MAX_RECORD: usize = 1 << 24;
 
 /// Per-record header bytes: u32 length + u64 checksum.
 const RECORD_HEADER: usize = 12;
@@ -72,7 +72,7 @@ pub fn shared_fs(fs: impl SimFs + 'static) -> SharedFs {
 pub enum SyncPolicy {
     /// fsync after every record.
     Always,
-    /// fsync every [`BATCH_RECORDS`] records and on seal (default).
+    /// fsync every `BATCH_RECORDS` (64) records and on seal (default).
     #[default]
     Batch,
     /// Never fsync; the OS page cache decides.

@@ -70,7 +70,7 @@ impl From<SnapError> for CkptError {
 }
 
 /// A resumed run: the restored world plus the scheduler driving it.
-pub type LiveRun = (World, Box<dyn Scheduler>);
+pub(crate) type LiveRun = (World, Box<dyn Scheduler>);
 
 /// What a resume attempt found, with every degraded step on record.
 pub struct ResumeOutcome {

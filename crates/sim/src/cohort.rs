@@ -42,7 +42,7 @@ use venn_traces::AvailabilityModel;
 
 /// Devices per cohort. 1024 keeps the per-cohort heaps cache-friendly
 /// while bounding pending `CohortWake` events at population/1024.
-pub const COHORT_SIZE: usize = 1024;
+pub(crate) const COHORT_SIZE: usize = 1024;
 
 /// A device's position in its own session stream: the next `(day, idx)`
 /// pair to consume from `device_day_sessions(seed, device, day)`.
@@ -58,7 +58,7 @@ type Entry = Reverse<(SimTime, u32, SimTime)>;
 
 /// The streamed session source of every device, cohort by cohort.
 #[derive(Debug)]
-pub struct CohortSet {
+pub(crate) struct CohortSet {
     availability: AvailabilityModel,
     seed: u64,
     days: u32,
@@ -74,7 +74,7 @@ impl CohortSet {
     /// Builds the stream state for `population` devices: every device's
     /// cursor advances to its first live (env-clipped, pre-horizon)
     /// session, filling the per-cohort heaps.
-    pub fn new(
+    pub(crate) fn new(
         availability: AvailabilityModel,
         seed: u64,
         days: u32,
@@ -94,7 +94,7 @@ impl CohortSet {
     }
 
     /// [`CohortSet::new`] with an explicit cohort size (tests only).
-    pub fn with_cohort_size(
+    pub(crate) fn with_cohort_size(
         availability: AvailabilityModel,
         seed: u64,
         days: u32,
@@ -122,19 +122,19 @@ impl CohortSet {
     }
 
     /// Number of cohorts.
-    pub fn cohort_count(&self) -> usize {
+    pub(crate) fn cohort_count(&self) -> usize {
         self.heaps.len()
     }
 
     /// The cohort a device belongs to.
-    pub fn cohort_of(&self, device: usize) -> usize {
+    pub(crate) fn cohort_of(&self, device: usize) -> usize {
         device / self.cohort_size
     }
 
     /// The cohort's earliest upcoming session start (`None` when the
     /// cohort's devices are all exhausted) — the time its one pending
     /// `CohortWake` should be armed at.
-    pub fn next_wake(&self, cohort: usize) -> Option<SimTime> {
+    pub(crate) fn next_wake(&self, cohort: usize) -> Option<SimTime> {
         self.heaps[cohort]
             .peek()
             .map(|Reverse((start, _, _))| *start)
@@ -146,7 +146,7 @@ impl CohortSet {
     /// device's session and [`advance`](Self::advance)-ing it in between
     /// — replacement entries at the same `now` are picked up by the same
     /// drain.
-    pub fn pop_due(&mut self, cohort: usize, now: SimTime) -> Option<(usize, SimTime)> {
+    pub(crate) fn pop_due(&mut self, cohort: usize, now: SimTime) -> Option<(usize, SimTime)> {
         let Reverse((start, device, end)) = *self.heaps[cohort].peek()?;
         if start != now {
             debug_assert!(start > now, "cohort wake missed a session start");
@@ -163,7 +163,7 @@ impl CohortSet {
     /// never enqueued), skips post-horizon starts, and clamps ends to the
     /// horizon — mirroring exactly what `World::new` does to the eager
     /// trace. No push when the device is exhausted.
-    pub fn advance(&mut self, device: usize, env: Option<&EnvRuntime>) {
+    pub(crate) fn advance(&mut self, device: usize, env: Option<&EnvRuntime>) {
         loop {
             let cursor = self.cursors[device];
             if cursor.day >= self.days {
@@ -209,7 +209,7 @@ impl CohortSet {
     /// is an implementation detail; only the multiset matters). The
     /// model, seed, days, horizon, and cohort size are re-derived by
     /// world reconstruction.
-    pub fn encode_state(&self, w: &mut SnapWriter) {
+    pub(crate) fn encode_state(&self, w: &mut SnapWriter) {
         w.len_prefix(self.cursors.len());
         for c in &self.cursors {
             w.u32(c.day);
@@ -231,7 +231,7 @@ impl CohortSet {
 
     /// Restores cursors and heaps into a freshly constructed set of the
     /// same population and cohort size.
-    pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+    pub(crate) fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         let n = r.len_prefix()?;
         if n != self.cursors.len() {
             return Err(SnapError::Corrupt(format!(
@@ -250,13 +250,22 @@ impl CohortSet {
                 self.heaps.len()
             )));
         }
-        for heap in self.heaps.iter_mut() {
+        let population = self.cursors.len();
+        for (cohort, heap) in self.heaps.iter_mut().enumerate() {
             heap.clear();
+            let members =
+                cohort * self.cohort_size..population.min((cohort + 1) * self.cohort_size);
             let entries = r.len_prefix()?;
             for _ in 0..entries {
                 let start = r.u64()?;
                 let device = r.u32()?;
                 let end = r.u64()?;
+                if !members.contains(&(device as usize)) {
+                    return Err(SnapError::Corrupt(format!(
+                        "cohort {cohort} entry for device {device}, \
+                         which is not in it (population {population})"
+                    )));
+                }
                 heap.push(Reverse((start, device, end)));
             }
         }
@@ -336,6 +345,47 @@ mod tests {
         let (device, end) = set.pop_due(0, t).expect("due at its own wake time");
         assert!(end > t && end <= horizon);
         assert!(device < 64);
+    }
+
+    /// A stream state for 10 devices in cohorts of 8 whose only pending
+    /// entry is `device`'s, filed under `cohort`.
+    fn state_with_entry(cohort: usize, device: u32) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        w.len_prefix(10);
+        for _ in 0..10 {
+            w.u32(0);
+            w.u8(0);
+        }
+        w.len_prefix(2);
+        for c in 0..2 {
+            w.len_prefix(usize::from(c == cohort));
+            if c == cohort {
+                w.u64(100);
+                w.u32(device);
+                w.u64(200);
+            }
+        }
+        w.into_bytes()
+    }
+
+    #[test]
+    fn restore_rejects_entries_for_devices_outside_their_cohort() {
+        let horizon = DAY_MS;
+        let mut set = CohortSet::with_cohort_size(model(), 5, 1, horizon, 10, None, 8);
+        for (cohort, device) in [(0, 99), (1, 10), (0, 9), (1, 3)] {
+            let bytes = state_with_entry(cohort, device);
+            let err = set.restore_state(&mut SnapReader::new(&bytes)).unwrap_err();
+            assert!(
+                matches!(&err, SnapError::Corrupt(m) if m.contains(&format!("device {device},"))),
+                "cohort {cohort} device {device}: {err:?}"
+            );
+        }
+        for (cohort, device) in [(0, 3), (1, 9)] {
+            let bytes = state_with_entry(cohort, device);
+            set.restore_state(&mut SnapReader::new(&bytes))
+                .expect("a device in its own cohort restores");
+            assert_eq!(set.pop_due(cohort, 100), Some((device as usize, 200)));
+        }
     }
 
     #[test]

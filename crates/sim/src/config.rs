@@ -15,7 +15,7 @@ use venn_traces::{AvailabilityModel, CapacityModel};
 ///   `peak_queue_len` differs from the original bulk-enqueue kernel;
 ///   every event, draw, and JCT field is unchanged.
 /// * [`PopMode::SplitEager`] draws every device up front from per-device
-///   split RNG streams ([`venn_traces::stream`]) and feeds session starts
+///   split RNG streams (`venn_traces`' `stream.rs`) and feeds session starts
 ///   through the cohort wheel. It exists as the dense, fully-materialized
 ///   parity reference for the lazy arm.
 /// * [`PopMode::Lazy`] uses the same split streams but materializes a
@@ -53,7 +53,7 @@ pub enum ExecMode {
 
 /// Fraction of a round's participants that must report for the round to
 /// succeed: the paper's 80 % quorum.
-pub const QUORUM: f64 = 0.8;
+pub(crate) const QUORUM: f64 = 0.8;
 /// How often an idle online device re-polls the resource manager. Devices
 /// check in and wait to be matched (paper §4); the interval is this
 /// model's choice.
@@ -61,29 +61,29 @@ pub const REPOLL_MS: SimTime = MINUTE_MS;
 /// Round deadline floor. A round of `demand` participants gets
 /// `DEADLINE_BASE_MS + demand × DEADLINE_PER_DEMAND_MS`, clamped to
 /// [`DEADLINE_MAX_MS`]: the paper's 5–15 min deadlines by demand.
-pub const DEADLINE_BASE_MS: SimTime = 5 * MINUTE_MS;
+pub(crate) const DEADLINE_BASE_MS: SimTime = 5 * MINUTE_MS;
 /// Per-participant deadline slack (see [`DEADLINE_BASE_MS`]).
-pub const DEADLINE_PER_DEMAND_MS: SimTime = 5_000;
+pub(crate) const DEADLINE_PER_DEMAND_MS: SimTime = 5_000;
 /// Deadline upper clamp (see [`DEADLINE_BASE_MS`]).
-pub const DEADLINE_MAX_MS: SimTime = 15 * MINUTE_MS;
+pub(crate) const DEADLINE_MAX_MS: SimTime = 15 * MINUTE_MS;
 /// Coefficient of variation of the log-normal noise on every response
 /// time, around the device's speed-scaled task time (a modelling choice).
-pub const RESPONSE_NOISE_CV: f64 = 0.35;
+pub(crate) const RESPONSE_NOISE_CV: f64 = 0.35;
 /// Server-side aggregation delay between a round's quorum and the next
 /// round's request (a modelling choice).
-pub const AGG_DELAY_MS: SimTime = 2_000;
+pub(crate) const AGG_DELAY_MS: SimTime = 2_000;
 /// Pause before retrying an aborted round, so a failed round does not
 /// immediately burn the replenishing device pool again.
-pub const ABORT_BACKOFF_MS: SimTime = MINUTE_MS;
+pub(crate) const ABORT_BACKOFF_MS: SimTime = MINUTE_MS;
 
 /// The knobs of one simulation run.
 ///
 /// Defaults reproduce the paper's setup at a laptop-tractable scale;
 /// [`SimConfig::small`] shrinks everything further for unit tests. What no
 /// caller varies is a constant of the model instead of a field:
-/// [`QUORUM`], [`REPOLL_MS`], the deadline rule ([`DEADLINE_BASE_MS`],
-/// [`DEADLINE_PER_DEMAND_MS`], [`DEADLINE_MAX_MS`]),
-/// [`RESPONSE_NOISE_CV`], [`AGG_DELAY_MS`] and [`ABORT_BACKOFF_MS`].
+/// `QUORUM`, [`REPOLL_MS`], the deadline rule (`DEADLINE_BASE_MS`,
+/// `DEADLINE_PER_DEMAND_MS`, `DEADLINE_MAX_MS`), `RESPONSE_NOISE_CV`,
+/// `AGG_DELAY_MS` and `ABORT_BACKOFF_MS`.
 /// Every device takes at most one task per day (the paper's realism
 /// cap). Whether idle pollers park while no request is open is the
 /// scheduler's call ([`Scheduler::has_open_demand`]).
@@ -170,7 +170,7 @@ impl SimConfig {
     }
 
     /// Deadline for a round of `demand` participants.
-    pub fn deadline_ms(demand: u32) -> SimTime {
+    pub(crate) fn deadline_ms(demand: u32) -> SimTime {
         (DEADLINE_BASE_MS + demand as SimTime * DEADLINE_PER_DEMAND_MS).min(DEADLINE_MAX_MS)
     }
 
@@ -204,7 +204,7 @@ impl SimConfig {
     ///
     /// Panics on nonsensical parameters: whatever [`check`](Self::check)
     /// rejects, or an invalid [`env`](Self::env).
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         if let Err(why) = self.check() {
             panic!("{why}");
         }
@@ -213,7 +213,7 @@ impl SimConfig {
 
     /// Devices a job actually requests for a round of `demand`
     /// participants, including overcommit.
-    pub fn requested(&self, demand: u32) -> u32 {
+    pub(crate) fn requested(&self, demand: u32) -> u32 {
         ((demand as f64 * (1.0 + self.overcommit)).ceil() as u32).max(demand)
     }
 

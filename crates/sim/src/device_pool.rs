@@ -35,10 +35,10 @@ use venn_core::{
 use venn_traces::{CapacityModel, DeviceProfile};
 
 /// What a materialized device is doing for the jobs. Written only by the
-/// [`lifecycle`](crate::lifecycle) transitions, which keep it in step with
+/// `lifecycle` transitions, which keep it in step with
 /// the holding job's hold list.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Role {
+pub(crate) enum Role {
     /// Free: may poll the resource manager.
     Idle,
     /// Allocated to `job`'s open request, not yet computing; `slot` is
@@ -51,28 +51,28 @@ pub enum Role {
 
 /// Per-device simulation state.
 #[derive(Debug)]
-pub struct DeviceState {
+pub(crate) struct DeviceState {
     /// Static capacity/speed profile (sampled at world construction on
     /// the dense arms, from the device's split stream at materialization
     /// on the lazy arm).
-    pub profile: DeviceProfile,
+    pub(crate) profile: DeviceProfile,
     /// Scheduler-facing identity/capacity view, derived from `profile`
     /// once per materialization — check-ins are the kernel's hottest path
     /// and must not reconstruct a `DeviceInfo` per poll.
-    pub info: DeviceInfo,
+    pub(crate) info: DeviceInfo,
     /// End of the current availability session (0 = offline).
-    pub session_end: SimTime,
+    pub(crate) session_end: SimTime,
     /// Idle, held, or computing.
-    pub role: Role,
+    pub(crate) role: Role,
     /// Day index of the device's last computation (one-task-per-day cap).
-    pub last_task_day: Option<u64>,
+    pub(crate) last_task_day: Option<u64>,
     /// Hold-generation counter, bumped on every hold.
     /// A pending `HoldExpire` only releases when its recorded generation
     /// still matches — environment faults can release holds early, which
     /// would otherwise let the stale expiry free a *new* hold. Survives
     /// retirement via the durable overlay: a re-materialized device must
     /// not restart the counter under stale expiries still in flight.
-    pub hold_seq: u64,
+    pub(crate) hold_seq: u64,
 }
 
 impl DeviceState {
@@ -126,7 +126,7 @@ enum Store {
 ///
 /// The pool owns session bookkeeping, device roles and the daily cap.
 /// Roles change only through the device × job transitions of
-/// [`lifecycle`](crate::lifecycle); the pool's own rules (sessions only
+/// `lifecycle`; the pool's own rules (sessions only
 /// extend, a busy device never checks in, one task per day) stay here.
 ///
 /// Absent (never-materialized or retired) devices on the lazy arm answer
@@ -143,7 +143,7 @@ pub struct DevicePool {
 impl DevicePool {
     /// Builds a dense pool from sampled capacity profiles; all devices
     /// start offline and idle.
-    pub fn new(profiles: Vec<DeviceProfile>) -> Self {
+    pub(crate) fn new(profiles: Vec<DeviceProfile>) -> Self {
         let population = profiles.len();
         DevicePool {
             store: Store::Dense(
@@ -177,13 +177,8 @@ impl DevicePool {
     }
 
     /// Number of devices in the population (materialized or not).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.population
-    }
-
-    /// Whether the population is empty.
-    pub fn is_empty(&self) -> bool {
-        self.population == 0
     }
 
     /// Whether this pool uses the lazy storage arm.
@@ -192,7 +187,7 @@ impl DevicePool {
     }
 
     /// Currently materialized devices (== population on the dense arms).
-    pub fn live_devices(&self) -> usize {
+    pub(crate) fn live_devices(&self) -> usize {
         match &self.store {
             Store::Dense(v) => v.len(),
             Store::Lazy(l) => l.live,
@@ -237,14 +232,14 @@ impl DevicePool {
     /// Panics on the lazy arm if the device is not materialized — every
     /// caller reaches `get` through a guard (busy, or `session_end > now`)
     /// that implies materialization.
-    pub fn get(&self, device: usize) -> &DeviceState {
+    pub(crate) fn get(&self, device: usize) -> &DeviceState {
         self.state(device)
             .expect("read of a device that is not materialized")
     }
 
     /// The scheduler-facing identity/capacity view of a device (cached at
     /// materialization — no per-check-in rebuild).
-    pub fn info(&self, device: usize) -> &DeviceInfo {
+    pub(crate) fn info(&self, device: usize) -> &DeviceInfo {
         &self.get(device).info
     }
 
@@ -261,14 +256,14 @@ impl DevicePool {
     }
 
     /// End of the device's current session (0 = offline or retired).
-    pub fn session_end(&self, device: usize) -> SimTime {
+    pub(crate) fn session_end(&self, device: usize) -> SimTime {
         self.state(device).map_or(0, |d| d.session_end)
     }
 
     /// Whether the device may poll the resource manager at `now`: online,
     /// idle, and not already used today (the paper's one-task-per-day
     /// cap). Absent devices are offline, hence `false`.
-    pub fn can_check_in(&self, device: usize, now: SimTime) -> bool {
+    pub(crate) fn can_check_in(&self, device: usize, now: SimTime) -> bool {
         let Some(d) = self.state(device) else {
             return false;
         };
@@ -303,7 +298,7 @@ impl DevicePool {
     /// Whether the device is still in the hold instance identified by
     /// `hold_seq` (the guard a `HoldExpire` must pass before releasing).
     /// Absent devices hold nothing.
-    pub fn hold_is_current(&self, device: usize, hold_seq: u64) -> bool {
+    pub(crate) fn hold_is_current(&self, device: usize, hold_seq: u64) -> bool {
         self.state(device)
             .is_some_and(|d| matches!(d.role, Role::Held { .. }) && d.hold_seq == hold_seq)
     }
@@ -369,7 +364,7 @@ impl DevicePool {
     /// is materialized. Used when re-parking restored polls (a snapshot
     /// carries no capacities); absent lazy devices fall back to
     /// re-deriving the profile from the capacity model at the caller.
-    pub fn snapshot_capacity(&self, device: usize) -> Option<Capacity> {
+    pub(crate) fn snapshot_capacity(&self, device: usize) -> Option<Capacity> {
         self.state(device).map(|d| *d.info.capacity())
     }
 
@@ -377,7 +372,7 @@ impl DevicePool {
     /// per-device profiles on the dense arms, the lazy arm's capacity
     /// model and split seed — are re-derived by world reconstruction and
     /// deliberately not written; only what runtime events have changed is.
-    pub fn encode_state(&self, w: &mut SnapWriter) {
+    pub(crate) fn encode_state(&self, w: &mut SnapWriter) {
         match &self.store {
             Store::Dense(v) => {
                 w.u8(0);
@@ -426,7 +421,7 @@ impl DevicePool {
     /// of the same arm and population (world reconstruction provides the
     /// static facts). Fails with [`SnapError::Corrupt`] on arm or
     /// population mismatch rather than producing a half-restored pool.
-    pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+    pub(crate) fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         let tag = r.u8()?;
         let expected = if self.is_lazy() { 1 } else { 0 };
         if tag != expected {
@@ -492,6 +487,11 @@ impl DevicePool {
                 for _ in 0..notes {
                     let end = r.u64()?;
                     let device = r.u32()?;
+                    if device as usize >= population {
+                        return Err(SnapError::Corrupt(format!(
+                            "retire note for device {device} out of population {population}"
+                        )));
+                    }
                     l.retire_notes.push(Reverse((end, device)));
                 }
                 let peak = r.usize()?;
@@ -803,5 +803,24 @@ mod tests {
         p.restore_state(&mut SnapReader::new(&device_words(true, false, true)))
             .expect("a failed task on a computing device is a role");
         assert_eq!(p.role(0), Some(Role::Computing { failed: true }));
+    }
+
+    #[test]
+    fn lazy_restore_rejects_a_retire_note_out_of_population() {
+        let mut w = SnapWriter::new();
+        w.u8(1);
+        w.len_prefix(0); // materialized devices
+        w.len_prefix(0); // durable records
+        w.len_prefix(1); // retire notes
+        w.u64(5_000);
+        w.u32(99);
+        w.usize(0); // peak live
+        let bytes = w.into_bytes();
+        let mut p = lazy_pool(10);
+        let err = p.restore_state(&mut SnapReader::new(&bytes)).unwrap_err();
+        assert!(
+            matches!(&err, SnapError::Corrupt(m) if m.contains("device 99 out of population 10")),
+            "{err:?}"
+        );
     }
 }

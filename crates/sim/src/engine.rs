@@ -41,15 +41,11 @@ impl Simulation {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is invalid (see [`SimConfig::validate`]).
+    /// Panics if the configuration is invalid (see [`SimConfig::check`]) or
+    /// its environment is.
     pub fn new(config: SimConfig) -> Self {
         config.validate();
         Simulation { config }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &SimConfig {
-        &self.config
     }
 
     /// Runs `workload` under `scheduler` and returns the results.

@@ -21,24 +21,24 @@ pub enum JobPhase {
 /// Tombstone marking a released slot in [`JobRuntime::held`]. Releases
 /// must not shift later entries (the hold order drives the response-noise
 /// draw order at round start), so freed slots are blanked in place.
-pub const HELD_TOMBSTONE: usize = usize::MAX;
+pub(crate) const HELD_TOMBSTONE: usize = usize::MAX;
 
 /// Mutable state of one job across its rounds.
 #[derive(Debug)]
 pub struct JobRuntime {
     /// Eligibility spec derived from the job's category.
-    pub spec: venn_core::ResourceSpec,
+    pub(crate) spec: venn_core::ResourceSpec,
     /// Rounds completed so far.
     pub rounds_done: u32,
     /// Lifecycle phase.
     pub phase: JobPhase,
     /// Request incarnation; bumped on round completion/abort so stale
     /// events are ignored.
-    pub epoch: u32,
+    pub(crate) epoch: u32,
     /// When the current round's request was submitted.
-    pub request_start: SimTime,
+    pub(crate) request_start: SimTime,
     /// When the current round started computing.
-    pub round_start: SimTime,
+    pub(crate) round_start: SimTime,
     /// Devices assigned to the current request. Written only by the
     /// [`lifecycle`](crate::lifecycle) transitions.
     assigned: u32,
@@ -53,7 +53,7 @@ pub struct JobRuntime {
     /// it lists the round's first participants until the next request.
     held: Vec<usize>,
     /// Devices that responded this round.
-    pub participants: Vec<usize>,
+    pub(crate) participants: Vec<usize>,
     /// JCT accounting for the final report.
     pub record: JctRecord,
 }
@@ -87,7 +87,7 @@ impl JobRuntime {
 
     /// Whether an event stamped with `epoch` still refers to the current
     /// round incarnation.
-    pub fn epoch_is(&self, epoch: u32) -> bool {
+    pub(crate) fn epoch_is(&self, epoch: u32) -> bool {
         self.epoch == epoch
     }
 
@@ -133,7 +133,7 @@ impl JobRuntime {
     }
 
     /// The devices still held, in assignment order (tombstones skipped).
-    pub fn held_devices(&self) -> impl Iterator<Item = usize> + '_ {
+    pub(crate) fn held_devices(&self) -> impl Iterator<Item = usize> + '_ {
         self.held.iter().copied().filter(|&d| d != HELD_TOMBSTONE)
     }
 
@@ -204,7 +204,7 @@ pub struct JobTable {
 
 impl JobTable {
     /// Builds the table from the workload's job plans.
-    pub fn new(workload: &Workload, thresholds: CategoryThresholds) -> Self {
+    pub(crate) fn new(workload: &Workload, thresholds: CategoryThresholds) -> Self {
         JobTable {
             jobs: workload
                 .jobs
@@ -218,7 +218,7 @@ impl JobTable {
     /// serving): identical initial state to what [`JobTable::new`] builds
     /// for a plan known at t=0, so a dynamically submitted job is
     /// indistinguishable from a pre-planned one with the same arrival.
-    pub fn push(&mut self, plan: &JobPlan, thresholds: CategoryThresholds) {
+    pub(crate) fn push(&mut self, plan: &JobPlan, thresholds: CategoryThresholds) {
         self.jobs.push(JobRuntime::new(plan, thresholds));
     }
 
@@ -238,13 +238,13 @@ impl JobTable {
     }
 
     /// Write access to one job.
-    pub fn get_mut(&mut self, job_idx: usize) -> &mut JobRuntime {
+    pub(crate) fn get_mut(&mut self, job_idx: usize) -> &mut JobRuntime {
         &mut self.jobs[job_idx]
     }
 
     /// Consumes the table, yielding the per-job completion records in
     /// workload order.
-    pub fn into_records(self) -> Vec<JctRecord> {
+    pub(crate) fn into_records(self) -> Vec<JctRecord> {
         self.jobs.into_iter().map(|j| j.record).collect()
     }
 }

@@ -29,31 +29,29 @@
 //! println!("finished {} jobs", result.breakdown().finished());
 //! ```
 
-pub mod checkpoint;
-pub mod cohort;
+mod checkpoint;
+mod cohort;
 pub mod config;
-pub mod device_pool;
-pub mod engine;
-pub mod event;
-pub mod job_table;
-pub mod lifecycle;
-pub mod observer;
-pub mod parked;
-pub mod result;
-pub mod snapshot;
-pub mod world;
+mod device_pool;
+mod engine;
+mod event;
+mod job_table;
+mod lifecycle;
+mod observer;
+mod parked;
+mod result;
+mod snapshot;
+mod world;
 
 pub use checkpoint::{CheckpointStore, CkptError, ResumeOutcome};
-pub use cohort::CohortSet;
 pub use config::{ExecMode, PopMode, SimConfig};
-pub use device_pool::{DevicePool, DeviceState, Role};
+pub use device_pool::DevicePool;
 pub use engine::Simulation;
 pub use event::{Event, EventKind, EventQueue};
 pub use job_table::{JobPhase, JobRuntime, JobTable};
 pub use observer::{AssignmentLog, CompletionLog, EventTrace, RoundRecorder, SimObserver};
 pub use parked::ParkedPolls;
 pub use result::{RoundLog, SimResult};
-pub use snapshot::{fork_world, resume_world, run_fingerprint, snapshot_world};
-pub use world::World;
-
+pub use snapshot::{fork_world, resume_world, snapshot_world};
 pub use venn_core::Scheduler;
+pub use world::World;

@@ -54,21 +54,21 @@ pub struct EventTrace {
     /// `SessionStart` events.
     pub session_starts: u64,
     /// `EnvDisturbance` events (always 0 on the env-off arm).
-    pub env_disturbances: u64,
+    pub(crate) env_disturbances: u64,
     /// `CheckIn` events.
     pub check_ins: u64,
     /// `HoldExpire` events.
-    pub hold_expires: u64,
+    pub(crate) hold_expires: u64,
     /// `Response` events.
     pub responses: u64,
     /// `AssignFailure` events.
-    pub assign_failures: u64,
+    pub(crate) assign_failures: u64,
     /// `RoundDeadline` events.
-    pub round_deadlines: u64,
+    pub(crate) round_deadlines: u64,
     /// `RoundStart` events.
-    pub round_starts: u64,
+    pub(crate) round_starts: u64,
     /// `CohortWake` events (always 0 on the eager arm).
-    pub cohort_wakes: u64,
+    pub(crate) cohort_wakes: u64,
 }
 
 impl SimObserver for EventTrace {
@@ -113,7 +113,7 @@ impl SimObserver for RoundRecorder {
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct AssignmentLog {
     /// `(now, job_idx, device)` per assignment, in decision order.
-    pub assignments: Vec<(SimTime, usize, usize)>,
+    pub(crate) assignments: Vec<(SimTime, usize, usize)>,
 }
 
 impl SimObserver for AssignmentLog {

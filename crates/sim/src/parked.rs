@@ -117,13 +117,13 @@ impl ParkedPolls {
 
     /// Invalidates every cached session end: an environment fault forced
     /// a device offline, the one transition that can shrink a session.
-    pub fn bump_gen(&mut self) {
+    pub(crate) fn bump_gen(&mut self) {
         self.gen = self.gen.wrapping_add(1);
     }
 
     /// Every parked poll as `(time, seq, device)` in `(time, seq)` order —
     /// the snapshot form.
-    pub fn polls(&self) -> impl Iterator<Item = (SimTime, u64, u32)> + '_ {
+    pub(crate) fn polls(&self) -> impl Iterator<Item = (SimTime, u64, u32)> + '_ {
         self.q.iter().map(|e| (e.time, e.seq, e.device))
     }
 

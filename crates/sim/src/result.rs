@@ -12,7 +12,7 @@ pub struct RoundLog {
     /// Round number (0-based) within the job.
     pub round: u32,
     /// When the round's request was submitted.
-    pub start_ms: SimTime,
+    pub(crate) start_ms: SimTime,
     /// When the round reached quorum.
     pub end_ms: SimTime,
     /// Devices that responded in time (population indices).

@@ -44,7 +44,7 @@ use crate::world::World;
 /// normalized here to opt out. The population mode stays in: the split
 /// and eager arms share results but not RNG stream lineage, so their
 /// snapshots are not interchangeable.
-pub fn run_fingerprint(config: &SimConfig, workload: &Workload) -> u64 {
+pub(crate) fn run_fingerprint(config: &SimConfig, workload: &Workload) -> u64 {
     let mut canon = *config;
     canon.exec = ExecMode::Sequential;
     checksum(format!("{canon:?}|{workload:?}").as_bytes())
@@ -246,7 +246,9 @@ mod tests {
 
         // The first live hold now names an idle device; it is checked
         // before the out-of-range one appended above.
-        world.devices.set_role(device, crate::Role::Idle);
+        world
+            .devices
+            .set_role(device, crate::device_pool::Role::Idle);
         let err = resume(&world);
         assert!(
             matches!(&err, SnapError::Corrupt(m)

@@ -107,11 +107,11 @@ pub struct World {
     pub(crate) config: SimConfig,
     pub(crate) workload: Workload,
     /// Device population state.
-    pub devices: DevicePool,
+    pub(crate) devices: DevicePool,
     /// Per-job runtime state.
     pub jobs: JobTable,
     /// Pending events.
-    pub queue: EventQueue,
+    pub(crate) queue: EventQueue,
     /// Check-ins suppressed by demand gating.
     pub(crate) parked: ParkedPolls,
     /// Compiled environment dynamics (`None` on the env-off arm — the
@@ -145,7 +145,8 @@ impl World {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is invalid (see [`SimConfig::validate`]).
+    /// Panics if the configuration is invalid (see [`SimConfig::check`]) or
+    /// its environment is.
     pub fn new(config: SimConfig, workload: &Workload, scheduler_name: &str) -> Self {
         config.validate();
         let horizon = config.horizon_ms();
@@ -296,7 +297,7 @@ impl World {
     }
 
     /// The environment configuration.
-    pub fn config(&self) -> &SimConfig {
+    pub(crate) fn config(&self) -> &SimConfig {
         &self.config
     }
 
@@ -364,7 +365,7 @@ impl World {
     }
 
     /// Runs the event loop to completion and returns the results.
-    pub fn run(
+    pub(crate) fn run(
         mut self,
         scheduler: &mut dyn Scheduler,
         observers: &mut [&mut dyn SimObserver],
@@ -429,15 +430,7 @@ impl World {
     /// (zero rounds/demand/task cost, or an arrival before the current
     /// virtual time — the kernel never schedules into the past).
     pub fn submit_job(&mut self, mut plan: JobPlan) -> Result<usize, String> {
-        if plan.rounds == 0 {
-            return Err("job needs at least one round".into());
-        }
-        if plan.demand == 0 {
-            return Err("job needs at least one participant per round".into());
-        }
-        if plan.task_ms == 0 {
-            return Err("job task cost must be positive".into());
-        }
+        plan.check()?;
         if plan.arrival_ms < self.now {
             return Err(format!(
                 "arrival {} ms is in the past (virtual time is {} ms)",
@@ -952,7 +945,7 @@ impl World {
 
     /// Encodes every piece of mutable run state into `w` — the world half
     /// of a checkpoint (the scheduler half rides alongside; see
-    /// [`crate::snapshot`]).
+    /// [`snapshot_world`](crate::snapshot_world)).
     ///
     /// Immutable state (config, workload, compiled environment schedule,
     /// session stream entries, job specs, noise distribution, horizon) is
@@ -1031,7 +1024,7 @@ impl World {
     /// snapshot's pending-event set is authoritative. Returns
     /// [`SnapError::Corrupt`] — never panics — on any internally
     /// inconsistent input that slips past the container checksum.
-    pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+    pub(crate) fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.restore_state_impl(r, true)
     }
 

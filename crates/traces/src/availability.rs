@@ -25,26 +25,19 @@ pub struct Session {
     pub end: SimTime,
 }
 
-impl Session {
-    /// Session length in milliseconds.
-    pub fn duration(&self) -> SimTime {
-        self.end - self.start
-    }
-}
-
 /// Generator of diurnal availability sessions.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AvailabilityModel {
     /// Expected number of sessions a device starts per day.
-    pub sessions_per_day: f64,
+    pub(crate) sessions_per_day: f64,
     /// Hour of day (0-24) at which session starts peak.
-    pub peak_hour: f64,
+    pub(crate) peak_hour: f64,
     /// Peak-to-trough ratio of the diurnal start-time density (≥ 1).
-    pub diurnal_strength: f64,
+    pub(crate) diurnal_strength: f64,
     /// Mean session duration in milliseconds.
-    pub mean_session_ms: f64,
+    pub(crate) mean_session_ms: f64,
     /// Coefficient of variation of session durations.
-    pub duration_cv: f64,
+    pub(crate) duration_cv: f64,
 }
 
 impl Default for AvailabilityModel {
@@ -61,7 +54,7 @@ impl Default for AvailabilityModel {
 
 impl AvailabilityModel {
     /// Relative session-start intensity at millisecond `t` (peak = 1.0).
-    pub fn intensity(&self, t: SimTime) -> f64 {
+    pub(crate) fn intensity(&self, t: SimTime) -> f64 {
         let hour = (t % DAY_MS) as f64 / HOUR_MS as f64;
         let phase = (hour - self.peak_hour) / 24.0 * std::f64::consts::TAU;
         // Cosine between trough (1/strength) and peak (1.0).
@@ -138,7 +131,7 @@ impl AvailabilityModel {
     }
 
     /// Regenerates the sessions `device` starts on `day` from the device's
-    /// own split RNG stream (see [`crate::stream`]), appended to `out`
+    /// own split RNG stream (see `stream.rs`), appended to `out`
     /// sorted by start (stable, so same-start sessions keep draw order —
     /// matching the relative order [`generate`](Self::generate)'s global
     /// `(start, device)` sort gives one device's ties).

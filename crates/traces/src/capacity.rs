@@ -40,15 +40,15 @@ pub struct DeviceProfile {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CapacityModel {
     /// Fraction of devices in the flagship cluster.
-    pub flagship_fraction: f64,
+    pub(crate) flagship_fraction: f64,
     /// Mainstream cluster means (cpu, mem).
-    pub mainstream_mean: (f64, f64),
+    pub(crate) mainstream_mean: (f64, f64),
     /// Flagship cluster means (cpu, mem).
-    pub flagship_mean: (f64, f64),
+    pub(crate) flagship_mean: (f64, f64),
     /// Coefficient of variation inside each cluster.
-    pub cv: f64,
+    pub(crate) cv: f64,
     /// Correlation-inducing shared factor between cpu and mem (0..1).
-    pub axis_correlation: f64,
+    pub(crate) axis_correlation: f64,
 }
 
 impl Default for CapacityModel {
@@ -94,7 +94,7 @@ impl CapacityModel {
     }
 
     /// Samples one device's profile from its own split RNG stream (see
-    /// [`crate::stream`]): a pure function of `(seed, device)`, so the
+    /// `stream.rs`): a pure function of `(seed, device)`, so the
     /// profile is identical whether the device is materialized first,
     /// last, or never-until-hour-40 — touch order cannot affect draws.
     pub fn sample_device(&self, seed: u64, device: usize) -> DeviceProfile {

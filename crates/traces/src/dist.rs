@@ -1,6 +1,6 @@
 //! Distribution samplers built on uniform draws.
 //!
-//! Implemented from scratch (Box–Muller, inversion, Knuth) so the workspace
+//! Implemented from scratch (Box–Muller, inversion) so the workspace
 //! only depends on `rand`'s uniform source. Each distribution is a small
 //! value type with a `sample` method, mirroring `rand_distr`'s API shape.
 
@@ -64,7 +64,7 @@ impl LogNormal {
     /// # Panics
     ///
     /// Panics under the same conditions as [`Normal::new`].
-    pub fn new(mu: f64, sigma: f64) -> Self {
+    pub(crate) fn new(mu: f64, sigma: f64) -> Self {
         LogNormal {
             inner: Normal::new(mu, sigma),
         }
@@ -91,75 +91,25 @@ impl LogNormal {
 
 /// Exponential distribution (inter-arrival times of Poisson processes).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Exponential {
+pub(crate) struct Exponential {
     rate: f64,
 }
 
 impl Exponential {
-    /// Creates an exponential with events per unit time `rate`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rate` is not strictly positive and finite.
-    pub fn new(rate: f64) -> Self {
-        assert!(rate.is_finite() && rate > 0.0, "rate must be positive");
-        Exponential { rate }
-    }
-
     /// Creates from the mean inter-arrival time.
     ///
     /// # Panics
     ///
     /// Panics if `mean` is not strictly positive and finite.
-    pub fn from_mean(mean: f64) -> Self {
+    pub(crate) fn from_mean(mean: f64) -> Self {
         assert!(mean.is_finite() && mean > 0.0, "mean must be positive");
         Exponential { rate: 1.0 / mean }
     }
 
     /// Draws one sample (inversion method).
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
         -u.ln() / self.rate
-    }
-}
-
-/// Poisson distribution (counts per interval).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Poisson {
-    lambda: f64,
-}
-
-impl Poisson {
-    /// Creates a Poisson with mean `lambda`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lambda` is negative or non-finite.
-    pub fn new(lambda: f64) -> Self {
-        assert!(lambda.is_finite() && lambda >= 0.0, "invalid lambda");
-        Poisson { lambda }
-    }
-
-    /// Draws one count. Uses Knuth's method for small `lambda` and a
-    /// normal approximation above 64 (error is negligible there).
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
-        if self.lambda == 0.0 {
-            return 0;
-        }
-        if self.lambda > 64.0 {
-            let n = Normal::new(self.lambda, self.lambda.sqrt()).sample(rng);
-            return n.round().max(0.0) as u64;
-        }
-        let l = (-self.lambda).exp();
-        let mut k = 0u64;
-        let mut p = 1.0;
-        loop {
-            p *= rng.gen::<f64>();
-            if p <= l {
-                return k;
-            }
-            k += 1;
-        }
     }
 }
 
@@ -217,30 +167,6 @@ mod tests {
     }
 
     #[test]
-    fn poisson_small_lambda_matches_mean() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let d = Poisson::new(3.0);
-        let total: u64 = (0..20_000).map(|_| d.sample(&mut rng)).sum();
-        let mean = total as f64 / 20_000.0;
-        assert!((mean - 3.0).abs() < 0.1, "mean {mean}");
-    }
-
-    #[test]
-    fn poisson_large_lambda_uses_normal_approx() {
-        let mut rng = StdRng::seed_from_u64(12);
-        let d = Poisson::new(400.0);
-        let total: u64 = (0..5_000).map(|_| d.sample(&mut rng)).sum();
-        let mean = total as f64 / 5_000.0;
-        assert!((mean - 400.0).abs() < 2.0, "mean {mean}");
-    }
-
-    #[test]
-    fn poisson_zero_lambda_is_zero() {
-        let mut rng = StdRng::seed_from_u64(13);
-        assert_eq!(Poisson::new(0.0).sample(&mut rng), 0);
-    }
-
-    #[test]
     fn sampling_is_deterministic_per_seed() {
         let d = Normal::new(0.0, 1.0);
         let a: Vec<f64> = {
@@ -255,9 +181,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "rate must be positive")]
+    #[should_panic(expected = "mean must be positive")]
     fn zero_rate_panics() {
-        Exponential::new(0.0);
+        Exponential::from_mean(f64::INFINITY);
     }
 
     #[test]

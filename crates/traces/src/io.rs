@@ -30,11 +30,6 @@ impl ParseWorkloadError {
             reason: reason.into(),
         }
     }
-
-    /// 1-based line number of the offending record.
-    pub fn line(&self) -> usize {
-        self.line
-    }
 }
 
 impl fmt::Display for ParseWorkloadError {
@@ -78,7 +73,8 @@ pub fn to_tsv(workload: &Workload) -> String {
 /// # Errors
 ///
 /// Returns [`ParseWorkloadError`] on malformed lines, unknown categories,
-/// or non-numeric fields. Blank lines and `#` comments are skipped.
+/// non-numeric fields, or a job that breaks [`JobPlan::check`]. Blank
+/// lines and `#` comments are skipped.
 pub fn from_tsv(text: &str) -> Result<Workload, ParseWorkloadError> {
     let mut jobs = Vec::new();
     for (lineno, line) in text.lines().enumerate() {
@@ -100,14 +96,17 @@ pub fn from_tsv(text: &str) -> Result<Workload, ParseWorkloadError> {
         let category = category_from_label(fields[2]).ok_or_else(|| {
             ParseWorkloadError::new(lineno + 1, format!("unknown category {:?}", fields[2]))
         })?;
-        jobs.push(JobPlan {
+        let job = JobPlan {
             id: JobId::new(num(lineno, "id", fields[0])?),
             arrival_ms: num::<SimTime>(lineno, "arrival_ms", fields[1])?,
             category,
             rounds: num(lineno, "rounds", fields[3])?,
             demand: num(lineno, "demand", fields[4])?,
             task_ms: num(lineno, "task_ms", fields[5])?,
-        });
+        };
+        job.check()
+            .map_err(|reason| ParseWorkloadError::new(lineno + 1, reason))?;
+        jobs.push(job);
     }
     Ok(Workload { jobs })
 }
@@ -138,7 +137,7 @@ mod tests {
     #[test]
     fn bad_field_count_reports_line() {
         let err = from_tsv("0\t1\tGeneral\n").unwrap_err();
-        assert_eq!(err.line(), 1);
+        assert_eq!(err.line, 1);
         assert!(err.to_string().contains("expected 6 fields"));
     }
 
@@ -152,6 +151,42 @@ mod tests {
     fn non_numeric_field_is_rejected() {
         let err = from_tsv("0\tsoon\tGeneral\t2\t5\t1000\n").unwrap_err();
         assert!(err.to_string().contains("bad arrival_ms"));
+    }
+
+    /// Parses one record whose fields are all valid except what the test
+    /// changes, on line 2 (after a header).
+    fn parse_line(rounds: u32, demand: u32, task_ms: u64) -> Result<Workload, ParseWorkloadError> {
+        from_tsv(&format!(
+            "#id\tarrival_ms\tcategory\trounds\tdemand\ttask_ms\n0\t1\tGeneral\t{rounds}\t{demand}\t{task_ms}\n"
+        ))
+    }
+
+    #[test]
+    fn zero_rounds_is_rejected_with_its_line() {
+        let err = parse_line(0, 5, 1000).unwrap_err();
+        assert_eq!(err.line, 2);
+        assert!(err.to_string().contains("at least one round"), "{err}");
+    }
+
+    #[test]
+    fn zero_demand_is_rejected_with_its_line() {
+        let err = parse_line(2, 0, 1000).unwrap_err();
+        assert_eq!(err.line, 2);
+        assert!(
+            err.to_string().contains("at least one participant"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn zero_task_cost_is_rejected_with_its_line() {
+        let err = parse_line(2, 5, 0).unwrap_err();
+        assert_eq!(err.line, 2);
+        assert!(
+            err.to_string().contains("task cost must be positive"),
+            "{err}"
+        );
+        assert!(parse_line(1, 1, 1).is_ok());
     }
 
     #[test]

@@ -38,6 +38,28 @@ impl JobPlan {
         self.rounds as u64 * self.demand as u64
     }
 
+    /// Checks the rules every runnable job meets: at least one round, at
+    /// least one participant per round and a positive task cost. Jobs
+    /// from outside the program (a workload file, a mid-run submit) pass
+    /// through here, so one the kernel cannot run is a typed error at
+    /// that boundary, never a panic inside the run.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first rule the job breaks.
+    pub fn check(&self) -> Result<(), &'static str> {
+        if self.rounds == 0 {
+            return Err("job needs at least one round");
+        }
+        if self.demand == 0 {
+            return Err("job needs at least one participant per round");
+        }
+        if self.task_ms == 0 {
+            return Err("job task cost must be positive");
+        }
+        Ok(())
+    }
+
     /// The concrete [`ResourceSpec`] of this job under `thresholds`.
     pub fn spec(&self, thresholds: venn_core::CategoryThresholds) -> ResourceSpec {
         self.category.spec(thresholds)

@@ -3,30 +3,30 @@
 //! The paper drives its event-driven simulation with three real data
 //! sources none of which can ship with a reproduction:
 //!
-//! | Paper source | Module here |
+//! | Paper source | Generator here |
 //! |---|---|
-//! | FedScale client-availability trace (diurnal, Fig. 2a) | [`availability`] |
-//! | AI-Benchmark device capacities (Fig. 2b / 8a) | [`capacity`] |
-//! | Production CL job demands (Fig. 8b) | [`jobs`] + [`workload`] |
+//! | FedScale client-availability trace (diurnal, Fig. 2a) | [`AvailabilityModel`] |
+//! | AI-Benchmark device capacities (Fig. 2b / 8a) | [`CapacityModel`] |
+//! | Production CL job demands (Fig. 8b) | [`JobDemandModel`] + [`Workload`] |
 //!
-//! Each module is a calibrated synthetic equivalent: the scheduler only
+//! Each generator is a calibrated synthetic equivalent: the scheduler only
 //! observes check-in event streams, capacity distributions, and
 //! (rounds, demand) marginals, so generators matched to the published
 //! figures exercise the exact same code paths (see `DESIGN.md` for the
 //! substitution argument).
 //!
 //! Everything samples from caller-provided [`rand::Rng`] state, and all the
-//! classical distributions (normal, log-normal, exponential, Poisson) are
+//! classical distributions (normal, log-normal, exponential) are
 //! implemented in [`dist`] on top of uniform draws — no extra dependencies.
 
-pub mod availability;
-pub mod capacity;
+mod availability;
+mod capacity;
 pub mod dist;
 pub mod io;
-pub mod jobs;
-pub mod scenario;
-pub mod stream;
-pub mod workload;
+mod jobs;
+mod scenario;
+mod stream;
+mod workload;
 
 pub use availability::{AvailabilityModel, Session};
 pub use capacity::{CapacityModel, DeviceProfile};

@@ -18,9 +18,9 @@ pub struct ScenarioPreset {
     /// in results metadata.
     pub name: &'static str,
     /// Which slice of the job-demand trace the workload samples.
-    pub workload: WorkloadKind,
+    pub(crate) workload: WorkloadKind,
     /// Optional category bias (Table 4 case study).
-    pub bias: Option<BiasKind>,
+    pub(crate) bias: Option<BiasKind>,
     /// Environment-dynamics preset.
     pub env: EnvPreset,
 }

@@ -38,7 +38,7 @@ fn mix(mut h: u64) -> u64 {
 /// through a full-avalanche round, so streams keyed by different tuples
 /// are independent for all practical purposes.
 #[inline]
-pub fn split_seed(seed: u64, salt: u64, a: u64, b: u64) -> u64 {
+pub(crate) fn split_seed(seed: u64, salt: u64, a: u64, b: u64) -> u64 {
     mix(mix(mix(seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15)) ^ a) ^ b)
 }
 
@@ -46,7 +46,7 @@ pub fn split_seed(seed: u64, salt: u64, a: u64, b: u64) -> u64 {
 /// `(seed, device)` — identical no matter when (or whether) any other
 /// device was generated.
 #[inline]
-pub fn profile_rng(seed: u64, device: usize) -> StdRng {
+pub(crate) fn profile_rng(seed: u64, device: usize) -> StdRng {
     StdRng::seed_from_u64(split_seed(seed, PROFILE_SALT, device as u64, 0))
 }
 
@@ -54,7 +54,7 @@ pub fn profile_rng(seed: u64, device: usize) -> StdRng {
 /// `(device, day)` keeps regeneration O(sessions-in-day): a cursor that
 /// resumes mid-horizon replays one day block, never the whole trace.
 #[inline]
-pub fn session_rng(seed: u64, device: usize, day: u64) -> StdRng {
+pub(crate) fn session_rng(seed: u64, device: usize, day: u64) -> StdRng {
     StdRng::seed_from_u64(split_seed(seed, SESSION_SALT, device as u64, day))
 }
 

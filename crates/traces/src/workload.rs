@@ -184,19 +184,6 @@ impl Workload {
     pub fn total_demand(&self) -> u64 {
         self.jobs.iter().map(|j| j.total_demand()).sum()
     }
-
-    /// Number of jobs per category, in [`SpecCategory::ALL`] order.
-    pub fn category_counts(&self) -> [usize; 4] {
-        let mut counts = [0usize; 4];
-        for j in &self.jobs {
-            let idx = SpecCategory::ALL
-                .iter()
-                .position(|c| *c == j.category)
-                .expect("category in ALL");
-            counts[idx] += 1;
-        }
-        counts
-    }
 }
 
 fn sample_category<R: Rng + ?Sized>(bias: Option<BiasKind>, rng: &mut R) -> SpecCategory {
@@ -223,6 +210,19 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Number of jobs per category, in [`SpecCategory::ALL`] order.
+    fn category_counts(w: &Workload) -> [usize; 4] {
+        let mut counts = [0usize; 4];
+        for j in &w.jobs {
+            let idx = SpecCategory::ALL
+                .iter()
+                .position(|c| *c == j.category)
+                .expect("category in ALL");
+            counts[idx] += 1;
+        }
+        counts
+    }
 
     fn gen(kind: WorkloadKind, bias: Option<BiasKind>, n: usize, seed: u64) -> Workload {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -277,7 +277,7 @@ mod tests {
     #[test]
     fn unbiased_categories_are_roughly_uniform() {
         let w = gen(WorkloadKind::Even, None, 1_000, 4);
-        for count in w.category_counts() {
+        for count in category_counts(&w) {
             assert!((150..=350).contains(&count), "count {count}");
         }
     }
@@ -285,7 +285,7 @@ mod tests {
     #[test]
     fn bias_puts_half_on_favored_category() {
         let w = gen(WorkloadKind::Even, Some(BiasKind::ComputeHeavy), 1_000, 5);
-        let counts = w.category_counts();
+        let counts = category_counts(&w);
         let compute_idx = SpecCategory::ALL
             .iter()
             .position(|c| *c == SpecCategory::ComputeRich)
