@@ -2,18 +2,31 @@
 //!
 //! The serving protocol is line-delimited JSON, and the workspace builds
 //! offline with no serialization dependency — so this module hand-rolls
-//! the ~200 lines of JSON the protocol actually needs. Two properties
-//! matter more here than generality:
+//! the JSON the protocol actually needs, in two directions:
+//!
+//! * **In:** [`parse`] reads a line into a [`Value`] tree. The session
+//!   parses each input line once and reads both the command and its
+//!   `"vt"` journal stamp from that one value.
+//! * **Out:** `ObjWriter` appends `{"k":v,…}` field by field straight
+//!   into a `String`: integers by a digit loop, floats by `{:?}`, strings
+//!   with a no-escape fast path. Every response, frame and journal line
+//!   the crate emits is written this way, with no tree and no heap
+//!   `String` per key. [`Value::to_json`] renders through the same
+//!   primitives, so there is one formatter; [`Value`] and [`obj`] remain
+//!   the parse model and the builder for callers outside the protocol
+//!   path (the benchmark's result files, for one).
+//!
+//! Two properties matter more here than generality:
 //!
 //! * **Integer fidelity.** Virtual times, job indices, and event counts
 //!   are `u64`/`i64` quantities; a float round-trip could corrupt them.
 //!   Numbers without a fraction or exponent parse as [`Value::Int`] and
 //!   print digit-for-digit.
-//! * **Deterministic output.** [`Value::to_json`] writes objects in
-//!   insertion order with no whitespace, and every protocol message is
-//!   *constructed* field by field in a fixed order — so a replayed
-//!   session serializes byte-identical journal lines and responses.
-//!   Parsing is lenient about whitespace and key order; writing is not.
+//! * **Deterministic output.** Objects are written in insertion order
+//!   with no whitespace, and every protocol message writes its fields in
+//!   a fixed order — so a replayed session serializes byte-identical
+//!   journal lines and responses. Parsing is lenient about whitespace and
+//!   key order; writing is not.
 
 use std::fmt::Write as _;
 
@@ -89,22 +102,9 @@ impl Value {
     fn write(&self, out: &mut String) {
         match self {
             Value::Null => out.push_str("null"),
-            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::Int(i) => {
-                let _ = write!(out, "{i}");
-            }
-            Value::Float(f) => {
-                if f.is_finite() {
-                    // `{:?}` prints the shortest representation that
-                    // round-trips, and always marks the value as a float
-                    // ("1.0", not "1") — deterministic and loss-free.
-                    let _ = write!(out, "{f:?}");
-                } else {
-                    // JSON has no Inf/NaN; the protocol never produces
-                    // them, but a total writer must pick something.
-                    out.push_str("null");
-                }
-            }
+            Value::Bool(b) => write_bool(*b, out),
+            Value::Int(i) => write_i64(*i, out),
+            Value::Float(f) => write_f64(*f, out),
             Value::Str(s) => write_str(s, out),
             Value::Array(items) => {
                 out.push('[');
@@ -117,41 +117,186 @@ impl Value {
                 out.push(']');
             }
             Value::Object(fields) => {
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_str(k, out);
-                    out.push(':');
-                    v.write(out);
+                let mut w = ObjWriter::open(out);
+                for (k, v) in fields {
+                    v.write(w.key(k));
                 }
-                out.push('}');
+                w.close();
             }
         }
     }
+}
+
+fn write_bool(b: bool, out: &mut String) {
+    out.push_str(if b { "true" } else { "false" });
+}
+
+/// Decimal digits by a digit loop into a stack buffer — no `fmt`.
+fn write_u64(mut n: u64, out: &mut String) {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits"));
+}
+
+fn write_i64(i: i64, out: &mut String) {
+    if i < 0 {
+        out.push('-');
+    }
+    write_u64(i.unsigned_abs(), out);
+}
+
+fn write_f64(f: f64, out: &mut String) {
+    if f.is_finite() {
+        // `{:?}` prints the shortest representation that round-trips,
+        // and always marks the value as a float ("1.0", not "1") —
+        // deterministic and loss-free.
+        let _ = write!(out, "{f:?}");
+    } else {
+        // JSON has no Inf/NaN; the protocol never produces them, but a
+        // total writer must pick something.
+        out.push_str("null");
+    }
+}
+
+/// Whether `b` must be escaped inside a JSON string: the quote, the
+/// backslash and the C0 controls. Every such byte is ASCII, so the bytes
+/// between two of them are whole UTF-8 sequences.
+fn needs_escape(b: u8) -> bool {
+    b < 0x20 || b == b'"' || b == b'\\'
 }
 
 fn write_str(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    let bytes = s.as_bytes();
+    if !bytes.iter().any(|&b| needs_escape(b)) {
+        // Fast path: keys, codes, names and paths need no escape.
+        out.push_str(s);
+    } else {
+        let mut run = 0;
+        for (i, &b) in bytes.iter().enumerate() {
+            if !needs_escape(b) {
+                continue;
             }
-            c => out.push(c),
+            out.push_str(&s[run..i]);
+            run = i + 1;
+            match b {
+                b'"' => out.push_str("\\\""),
+                b'\\' => out.push_str("\\\\"),
+                b'\n' => out.push_str("\\n"),
+                b'\r' => out.push_str("\\r"),
+                b'\t' => out.push_str("\\t"),
+                _ => {
+                    const HEX: &[u8; 16] = b"0123456789abcdef";
+                    out.push_str("\\u00");
+                    out.push(HEX[(b >> 4) as usize] as char);
+                    out.push(HEX[(b & 0xf) as usize] as char);
+                }
+            }
         }
+        out.push_str(&s[run..]);
     }
     out.push('"');
 }
 
-/// Builds an object from `(key, value)` pairs in the given order — the
-/// construction helper behind every protocol message.
+/// Appends one JSON object, field by field, straight into a `String`:
+/// the writer behind every protocol output. It emits exactly the bytes
+/// [`Value::to_json`] emits for the same fields in the same order (both
+/// go through this module's primitives), without building a [`Value`]
+/// tree or one heap `String` per key.
+pub(crate) struct ObjWriter<'a> {
+    out: &'a mut String,
+    first: bool,
+}
+
+impl<'a> ObjWriter<'a> {
+    fn open(out: &'a mut String) -> Self {
+        out.push('{');
+        ObjWriter { out, first: true }
+    }
+
+    fn close(self) {
+        self.out.push('}');
+    }
+
+    /// Writes the separator and `"k":`, returning the buffer for the value.
+    fn key(&mut self, k: &str) -> &mut String {
+        if !self.first {
+            self.out.push(',');
+        }
+        self.first = false;
+        write_str(k, self.out);
+        self.out.push(':');
+        self.out
+    }
+
+    pub(crate) fn uint(&mut self, k: &str, v: u64) -> &mut Self {
+        write_u64(v, self.key(k));
+        self
+    }
+
+    pub(crate) fn int(&mut self, k: &str, v: i64) -> &mut Self {
+        write_i64(v, self.key(k));
+        self
+    }
+
+    /// A float by [`Value::Float`]'s rule: `{:?}`, non-finite as `null`.
+    pub(crate) fn float(&mut self, k: &str, v: f64) -> &mut Self {
+        write_f64(v, self.key(k));
+        self
+    }
+
+    pub(crate) fn str(&mut self, k: &str, v: &str) -> &mut Self {
+        write_str(v, self.key(k));
+        self
+    }
+
+    pub(crate) fn bool(&mut self, k: &str, v: bool) -> &mut Self {
+        write_bool(v, self.key(k));
+        self
+    }
+
+    pub(crate) fn null(&mut self, k: &str) -> &mut Self {
+        self.key(k).push_str("null");
+        self
+    }
+
+    /// An integer, or `null` for `None`.
+    pub(crate) fn opt_uint(&mut self, k: &str, v: Option<u64>) -> &mut Self {
+        match v {
+            Some(v) => self.uint(k, v),
+            None => self.null(k),
+        }
+    }
+
+    /// A nested object whose fields `fields` writes.
+    pub(crate) fn object(&mut self, k: &str, fields: impl FnOnce(&mut ObjWriter<'_>)) -> &mut Self {
+        let mut inner = ObjWriter::open(self.key(k));
+        fields(&mut inner);
+        inner.close();
+        self
+    }
+}
+
+/// One JSON object whose fields `fields` writes.
+pub(crate) fn object(fields: impl FnOnce(&mut ObjWriter<'_>)) -> String {
+    let mut out = String::new();
+    let mut w = ObjWriter::open(&mut out);
+    fields(&mut w);
+    w.close();
+    out
+}
+
+/// Builds an object from `(key, value)` pairs in the given order, for
+/// callers off the protocol path; protocol messages are written by
+/// `ObjWriter` without a tree.
 pub fn obj(fields: Vec<(&str, Value)>) -> Value {
     Value::Object(
         fields
@@ -329,15 +474,14 @@ impl<'a> Parser<'a> {
                     return Err(format!("raw control byte in string at {}", self.pos));
                 }
                 Some(_) => {
-                    // Multi-byte UTF-8 sequences pass through unchanged;
-                    // the input is a &str so they are already valid.
+                    // The whole run up to the next quote, backslash or
+                    // control byte in one copy. Those bytes are ASCII, so
+                    // the run ends on a character boundary: multi-byte
+                    // UTF-8 sequences pass through unchanged (the input
+                    // is a &str, so they are already valid).
                     let start = self.pos;
                     self.pos += 1;
-                    while self
-                        .bytes
-                        .get(self.pos)
-                        .is_some_and(|&b| b & 0b1100_0000 == 0b1000_0000)
-                    {
+                    while self.bytes.get(self.pos).is_some_and(|&b| !needs_escape(b)) {
                         self.pos += 1;
                     }
                     out.push_str(std::str::from_utf8(&self.bytes[start..self.pos]).unwrap());
@@ -383,6 +527,9 @@ impl<'a> Parser<'a> {
 
 #[cfg(test)]
 mod tests {
+    use proptest::collection;
+    use proptest::prelude::*;
+
     use super::*;
 
     #[test]
@@ -449,6 +596,137 @@ mod tests {
             ("a", Value::Array(vec![Value::Bool(false), Value::Null])),
         ]);
         assert_eq!(parse(&v.to_json()).unwrap(), v);
+    }
+
+    /// One field a [`Field`] list holds: a value both writers can render.
+    #[derive(Debug, Clone)]
+    enum Field {
+        Int(i64),
+        Float(f64),
+        Str(String),
+        Bool(bool),
+        Null,
+        Object(Vec<(String, Field)>),
+    }
+
+    const INTS: [i64; 6] = [i64::MIN, i64::MAX, 0, -1, -10, 1_000_000_007];
+    const FLOATS: [f64; 8] = [
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        -0.0,
+        5e-324,
+        1e21,
+        0.1,
+        -2.5e-8,
+    ];
+    const CHARS: [char; 16] = [
+        'a', '"', '\\', '\n', '\r', '\t', '\u{0}', '\u{1f}', '\u{7f}', 'é', 'π', '😀', ' ', '/',
+        '\u{8}', '\u{c}',
+    ];
+
+    /// A string of up to 16 characters drawn from [`CHARS`] by `bits`.
+    fn text(bits: u64) -> String {
+        let len = (bits % 17) as usize;
+        (0..len)
+            .map(|i| CHARS[((bits >> (4 * i)) & 0xf) as usize])
+            .collect()
+    }
+
+    fn field(kind: u8, bits: u64, depth: u32) -> Field {
+        match kind % 9 {
+            0 => Field::Int(INTS[(bits % INTS.len() as u64) as usize]),
+            1 => Field::Int(bits as i64),
+            2 => Field::Float(FLOATS[(bits % FLOATS.len() as u64) as usize]),
+            3 => Field::Float(f64::from_bits(bits)),
+            4 => Field::Str(text(bits)),
+            5 => Field::Bool(bits % 2 == 1),
+            6 => Field::Null,
+            7 => Field::Int(-((bits >> 1) as i64)),
+            _ if depth == 0 => Field::Null,
+            _ => Field::Object(
+                (0..bits % 4)
+                    .map(|i| {
+                        let b = bits.rotate_left(17 * i as u32);
+                        (text(b >> 3), field(b as u8, b.rotate_left(7), depth - 1))
+                    })
+                    .collect(),
+            ),
+        }
+    }
+
+    fn to_value(f: &Field) -> Value {
+        match f {
+            Field::Int(i) => Value::Int(*i),
+            Field::Float(x) => Value::Float(*x),
+            Field::Str(s) => Value::Str(s.clone()),
+            Field::Bool(b) => Value::Bool(*b),
+            Field::Null => Value::Null,
+            Field::Object(fields) => Value::Object(
+                fields
+                    .iter()
+                    .map(|(k, v)| (k.clone(), to_value(v)))
+                    .collect(),
+            ),
+        }
+    }
+
+    fn finite(v: Value) -> Value {
+        match v {
+            Value::Float(x) if !x.is_finite() => Value::Null,
+            Value::Object(fields) => {
+                Value::Object(fields.into_iter().map(|(k, v)| (k, finite(v))).collect())
+            }
+            v => v,
+        }
+    }
+
+    fn write_fields(w: &mut ObjWriter<'_>, fields: &[(String, Field)]) {
+        for (k, f) in fields {
+            match f {
+                Field::Int(i) if *i >= 0 => w.uint(k, *i as u64),
+                Field::Int(i) => w.int(k, *i),
+                Field::Float(x) => w.float(k, *x),
+                Field::Str(s) => w.str(k, s),
+                Field::Bool(b) => w.bool(k, *b),
+                Field::Null if k.len() % 2 == 0 => w.null(k),
+                Field::Null => w.opt_uint(k, None),
+                Field::Object(inner) => w.object(k, |o| write_fields(o, inner)),
+            };
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn the_writer_and_to_json_give_identical_bytes(
+            raw in collection::vec((0u8..9, 0u64..u64::MAX, 0u64..u64::MAX), 0..12),
+        ) {
+            let fields: Vec<(String, Field)> = raw
+                .iter()
+                .map(|&(kind, key, bits)| (text(key), field(kind, bits, 2)))
+                .collect();
+            let tree = obj(fields.iter().map(|(k, f)| (k.as_str(), to_value(f))).collect());
+            let streamed = object(|w| write_fields(w, &fields));
+            prop_assert_eq!(&streamed, &tree.to_json(), "{:?}", fields);
+            // And the bytes mean the fields: they parse back to the tree,
+            // a non-finite float read as the `null` it is written as.
+            prop_assert_eq!(parse(&streamed), Ok(finite(tree)), "{}", streamed);
+        }
+    }
+
+    #[test]
+    fn integers_at_the_extremes_print_every_digit() {
+        let line = object(|w| {
+            w.int("min", i64::MIN)
+                .int("max", i64::MAX)
+                .uint("umax", u64::MAX)
+                .uint("zero", 0)
+                .int("neg", -10);
+        });
+        assert_eq!(
+            line,
+            r#"{"min":-9223372036854775808,"max":9223372036854775807,"umax":18446744073709551615,"zero":0,"neg":-10}"#
+        );
     }
 
     #[test]

@@ -30,7 +30,7 @@
 
 use venn_core::SpecCategory;
 
-use crate::json::{obj, parse, Value};
+use crate::json::{self, parse, Value};
 
 /// Why a command line was rejected. The code string is part of the wire
 /// protocol (`error.code`); the message is free-form diagnostics.
@@ -128,18 +128,11 @@ impl CmdError {
 
     /// The error as a one-line JSON response.
     pub(crate) fn to_response(&self, vt: u64) -> String {
-        obj(vec![
-            ("vt", Value::Int(vt as i64)),
-            ("ok", Value::Bool(false)),
-            (
-                "error",
-                obj(vec![
-                    ("code", Value::Str(self.code.into())),
-                    ("msg", Value::Str(self.msg.clone())),
-                ]),
-            ),
-        ])
-        .to_json()
+        json::object(|w| {
+            w.uint("vt", vt).bool("ok", false).object("error", |e| {
+                e.str("code", self.code).str("msg", &self.msg);
+            });
+        })
     }
 }
 
@@ -234,25 +227,28 @@ impl Command {
     /// Parses one protocol line. A `"vt"` field is tolerated (journals
     /// carry it) but not interpreted here — the session checks it.
     pub fn parse_line(line: &str) -> Result<Command, CmdError> {
-        let v = parse(line).map_err(CmdError::bad_json)?;
+        Command::from_value(&parse(line).map_err(CmdError::bad_json)?)
+    }
+
+    /// The command a parsed line holds. The session parses each line once
+    /// and reads both the command and its `"vt"` stamp from one [`Value`].
+    pub(crate) fn from_value(v: &Value) -> Result<Command, CmdError> {
         if !matches!(v, Value::Object(_)) {
             return Err(CmdError::bad_json("command must be a JSON object"));
         }
-        let cmd = req_str(&v, "cmd")
-            .map_err(|_| CmdError::unknown_cmd("missing \"cmd\" field"))?
-            .to_string();
-        match cmd.as_str() {
+        let cmd = req_str(v, "cmd").map_err(|_| CmdError::unknown_cmd("missing \"cmd\" field"))?;
+        match cmd {
             "submit" => {
-                let category = req_str(&v, "category").and_then(|name| {
+                let category = req_str(v, "category").and_then(|name| {
                     category_of(name).ok_or_else(|| {
                         CmdError::bad_arg(format!(
                             "unknown category {name:?} (expected general|compute|memory|resource)"
                         ))
                     })
                 })?;
-                let rounds = req_u64(&v, "rounds", false)?;
-                let demand = req_u64(&v, "demand", false)?;
-                let task_ms = req_u64(&v, "task_ms", false)?;
+                let rounds = req_u64(v, "rounds", false)?;
+                let demand = req_u64(v, "demand", false)?;
+                let task_ms = req_u64(v, "task_ms", false)?;
                 if rounds == 0 || rounds > u32::MAX as u64 {
                     return Err(CmdError::bad_arg(format!("rounds {rounds} out of range")));
                 }
@@ -264,7 +260,7 @@ impl Command {
                 }
                 let arrival_ms = match v.get("arrival_ms") {
                     None => None,
-                    Some(_) => Some(req_u64(&v, "arrival_ms", true)?),
+                    Some(_) => Some(req_u64(v, "arrival_ms", true)?),
                 };
                 Ok(Command::Submit {
                     category,
@@ -275,18 +271,18 @@ impl Command {
                 })
             }
             "withdraw" => Ok(Command::Withdraw {
-                job: req_u64(&v, "job", false)? as usize,
+                job: req_u64(v, "job", false)? as usize,
             }),
             "query-job" => Ok(Command::QueryJob {
-                job: req_u64(&v, "job", false)? as usize,
+                job: req_u64(v, "job", false)? as usize,
             }),
             "stats" => Ok(Command::Stats),
             "advance" => {
-                let ms = req_u64(&v, "ms", true)?;
+                let ms = req_u64(v, "ms", true)?;
                 Ok(Command::Advance { ms })
             }
             "subscribe" => {
-                let every_ms = req_u64(&v, "every_ms", false)?;
+                let every_ms = req_u64(v, "every_ms", false)?;
                 if every_ms == 0 {
                     return Err(CmdError::bad_arg("every_ms must be positive"));
                 }
@@ -294,13 +290,13 @@ impl Command {
             }
             "unsubscribe" => Ok(Command::Unsubscribe),
             "checkpoint" => Ok(Command::Checkpoint {
-                path: req_str(&v, "path")?.to_string(),
+                path: req_str(v, "path")?.to_string(),
             }),
             "save-workload" => Ok(Command::SaveWorkload {
-                path: req_str(&v, "path")?.to_string(),
+                path: req_str(v, "path")?.to_string(),
             }),
             "fork" => {
-                let scheduler = req_str(&v, "scheduler")?.to_string();
+                let scheduler = req_str(v, "scheduler")?.to_string();
                 let epsilon = match v.get("epsilon") {
                     None => 0.0,
                     Some(f) => f
@@ -309,11 +305,11 @@ impl Command {
                 };
                 let tiers = match v.get("tiers") {
                     None => 3,
-                    Some(_) => req_u64(&v, "tiers", false)? as usize,
+                    Some(_) => req_u64(v, "tiers", false)? as usize,
                 };
                 let csv = match v.get("csv") {
                     None => None,
-                    Some(_) => Some(req_str(&v, "csv")?.to_string()),
+                    Some(_) => Some(req_str(v, "csv")?.to_string()),
                 };
                 Ok(Command::Fork {
                     scheduler,
@@ -327,77 +323,73 @@ impl Command {
         }
     }
 
-    /// The journal vt-check: the `"vt"` stamp a journal line carries, if
-    /// any. Live input has none; replayed journals always do.
-    pub(crate) fn stamped_vt(line: &str) -> Option<u64> {
-        parse(line).ok()?.get("vt")?.as_u64()
+    /// The `"cmd"` name of this command.
+    fn name(&self) -> &'static str {
+        match self {
+            Command::Submit { .. } => "submit",
+            Command::Withdraw { .. } => "withdraw",
+            Command::QueryJob { .. } => "query-job",
+            Command::Stats => "stats",
+            Command::Advance { .. } => "advance",
+            Command::Subscribe { .. } => "subscribe",
+            Command::Unsubscribe => "unsubscribe",
+            Command::Checkpoint { .. } => "checkpoint",
+            Command::SaveWorkload { .. } => "save-workload",
+            Command::Fork { .. } => "fork",
+            Command::Quit => "quit",
+        }
     }
 
     /// Canonical journal form: `vt` first, then `cmd`, then arguments in
     /// the grammar's order, compact. Re-serializing a parsed journal line
     /// reproduces it exactly.
     pub(crate) fn canonical(&self, vt: u64) -> String {
-        let mut fields: Vec<(&str, Value)> = vec![("vt", Value::Int(vt as i64))];
-        match self {
-            Command::Submit {
-                category,
-                rounds,
-                demand,
-                task_ms,
-                arrival_ms,
-            } => {
-                fields.push(("cmd", Value::Str("submit".into())));
-                fields.push(("category", Value::Str(category_name(*category).into())));
-                fields.push(("rounds", Value::Int(*rounds as i64)));
-                fields.push(("demand", Value::Int(*demand as i64)));
-                fields.push(("task_ms", Value::Int(*task_ms as i64)));
-                if let Some(at) = arrival_ms {
-                    fields.push(("arrival_ms", Value::Int(*at as i64)));
+        json::object(|w| {
+            w.uint("vt", vt).str("cmd", self.name());
+            match self {
+                Command::Submit {
+                    category,
+                    rounds,
+                    demand,
+                    task_ms,
+                    arrival_ms,
+                } => {
+                    w.str("category", category_name(*category))
+                        .uint("rounds", u64::from(*rounds))
+                        .uint("demand", u64::from(*demand))
+                        .uint("task_ms", *task_ms);
+                    if let Some(at) = arrival_ms {
+                        w.uint("arrival_ms", *at);
+                    }
                 }
-            }
-            Command::Withdraw { job } => {
-                fields.push(("cmd", Value::Str("withdraw".into())));
-                fields.push(("job", Value::Int(*job as i64)));
-            }
-            Command::QueryJob { job } => {
-                fields.push(("cmd", Value::Str("query-job".into())));
-                fields.push(("job", Value::Int(*job as i64)));
-            }
-            Command::Stats => fields.push(("cmd", Value::Str("stats".into()))),
-            Command::Advance { ms } => {
-                fields.push(("cmd", Value::Str("advance".into())));
-                fields.push(("ms", Value::Int(*ms as i64)));
-            }
-            Command::Subscribe { every_ms } => {
-                fields.push(("cmd", Value::Str("subscribe".into())));
-                fields.push(("every_ms", Value::Int(*every_ms as i64)));
-            }
-            Command::Unsubscribe => fields.push(("cmd", Value::Str("unsubscribe".into()))),
-            Command::Checkpoint { path } => {
-                fields.push(("cmd", Value::Str("checkpoint".into())));
-                fields.push(("path", Value::Str(path.clone())));
-            }
-            Command::SaveWorkload { path } => {
-                fields.push(("cmd", Value::Str("save-workload".into())));
-                fields.push(("path", Value::Str(path.clone())));
-            }
-            Command::Fork {
-                scheduler,
-                epsilon,
-                tiers,
-                csv,
-            } => {
-                fields.push(("cmd", Value::Str("fork".into())));
-                fields.push(("scheduler", Value::Str(scheduler.clone())));
-                fields.push(("epsilon", Value::Float(*epsilon)));
-                fields.push(("tiers", Value::Int(*tiers as i64)));
-                if let Some(path) = csv {
-                    fields.push(("csv", Value::Str(path.clone())));
+                Command::Withdraw { job } | Command::QueryJob { job } => {
+                    w.uint("job", *job as u64);
                 }
+                Command::Advance { ms } => {
+                    w.uint("ms", *ms);
+                }
+                Command::Subscribe { every_ms } => {
+                    w.uint("every_ms", *every_ms);
+                }
+                Command::Checkpoint { path } | Command::SaveWorkload { path } => {
+                    w.str("path", path);
+                }
+                Command::Fork {
+                    scheduler,
+                    epsilon,
+                    tiers,
+                    csv,
+                } => {
+                    w.str("scheduler", scheduler)
+                        .float("epsilon", *epsilon)
+                        .uint("tiers", *tiers as u64);
+                    if let Some(path) = csv {
+                        w.str("csv", path);
+                    }
+                }
+                Command::Stats | Command::Unsubscribe | Command::Quit => {}
             }
-            Command::Quit => fields.push(("cmd", Value::Str("quit".into()))),
-        }
-        obj(fields).to_json()
+        })
     }
 }
 
@@ -445,8 +437,9 @@ mod tests {
             r#"{"vt":3,"cmd":"save-workload","path":"w.tsv"}"#,
         ];
         for line in lines {
-            let vt = Command::stamped_vt(line).unwrap();
-            let cmd = Command::parse_line(line).unwrap();
+            let v = parse(line).unwrap();
+            let vt = v.get("vt").and_then(Value::as_u64).unwrap();
+            let cmd = Command::from_value(&v).unwrap();
             assert_eq!(cmd.canonical(vt), line);
         }
     }

@@ -32,7 +32,7 @@ use venn_sim::{
 };
 use venn_traces::{io as wio, JobPlan, Workload};
 
-use crate::json::{obj, Value};
+use crate::json::{self, ObjWriter, Value};
 use crate::protocol::{CmdError, Command};
 use crate::wal::{real_fs, SharedFs};
 
@@ -144,7 +144,10 @@ pub struct ServeSession {
 
 impl ServeSession {
     /// Builds a session over a fresh world. The config's horizon bounds
-    /// how far virtual time can ever advance.
+    /// how far virtual time can ever advance. A config
+    /// [`SimConfig::check`] refuses, a workload job
+    /// [`JobPlan::check`] refuses or an unbuildable scheduler spec is an
+    /// error, never a panic.
     pub fn new(config: SimConfig, spec: SchedSpec, workload: &Workload) -> Result<Self, String> {
         Self::with_fs(config, spec, workload, real_fs())
     }
@@ -158,6 +161,8 @@ impl ServeSession {
         workload: &Workload,
         fs: SharedFs,
     ) -> Result<Self, String> {
+        config.check()?;
+        workload.check()?;
         let scheduler = spec.build()?;
         let world = World::new(config, workload, scheduler.name());
         Ok(ServeSession {
@@ -204,13 +209,20 @@ impl ServeSession {
         if self.done {
             return self.reject(CmdError::after_quit());
         }
-        let cmd = match Command::parse_line(trimmed) {
+        // One parse per line: the command and its `vt` stamp both come
+        // from this value.
+        let parsed = match json::parse(trimmed) {
+            Ok(v) => v,
+            Err(e) => return self.reject(CmdError::bad_json(e)),
+        };
+        let cmd = match Command::from_value(&parsed) {
             Ok(cmd) => cmd,
             Err(e) => return self.reject(e),
         };
         // Journal replay self-check: a stamped line must apply at the
-        // same virtual time it was recorded at.
-        if let Some(stamp) = Command::stamped_vt(trimmed) {
+        // same virtual time it was recorded at. Live input has no stamp;
+        // replayed journals always carry one.
+        if let Some(stamp) = parsed.get("vt").and_then(Value::as_u64) {
             if stamp != self.vt() {
                 return self.reject(CmdError {
                     code: "vt-mismatch",
@@ -261,17 +273,18 @@ impl ServeSession {
                 };
                 let arrival = plan.arrival_ms;
                 match self.world.submit_job(plan) {
-                    Ok(job) => Ok(self.ok(vec![
-                        ("job", Value::Int(job as i64)),
-                        ("arrival_ms", Value::Int(arrival as i64)),
-                    ])),
+                    Ok(job) => Ok(self.ok(|w| {
+                        w.uint("job", job as u64).uint("arrival_ms", arrival);
+                    })),
                     Err(msg) if msg.contains("in the past") => Err(CmdError::past_time(msg)),
                     Err(msg) => Err(CmdError::bad_arg(msg)),
                 }
             }
             Command::Withdraw { job } => {
                 if self.world.withdraw_job(*job, &mut *self.scheduler) {
-                    Ok(self.ok(vec![("job", Value::Int(*job as i64))]))
+                    Ok(self.ok(|w| {
+                        w.uint("job", *job as u64);
+                    }))
                 } else {
                     Err(CmdError::unknown_job(format!(
                         "job {job} does not exist or is already terminal"
@@ -280,21 +293,27 @@ impl ServeSession {
             }
             Command::QueryJob { job } => self.query_job(*job),
             Command::Stats => {
-                let frame = self.frame_json();
-                Ok(self.ok(vec![("frame", frame)]))
+                let frame = self.next_frame();
+                Ok(self.ok(|w| {
+                    w.object("frame", |f| frame.write(f));
+                }))
             }
             Command::Advance { ms } => {
                 let events = self.advance(*ms, out);
-                Ok(self.ok(vec![("events", Value::Int(events as i64))]))
+                Ok(self.ok(|w| {
+                    w.uint("events", events);
+                }))
             }
             Command::Subscribe { every_ms } => {
                 self.subscribe_every = Some(*every_ms);
                 self.next_frame_at = self.vt() + *every_ms;
-                Ok(self.ok(vec![("every_ms", Value::Int(*every_ms as i64))]))
+                Ok(self.ok(|w| {
+                    w.uint("every_ms", *every_ms);
+                }))
             }
             Command::Unsubscribe => {
                 self.subscribe_every = None;
-                Ok(self.ok(vec![]))
+                Ok(self.ok(|_| {}))
             }
             Command::Checkpoint { path } => {
                 let bytes = snapshot_world(&self.world, &*self.scheduler)
@@ -308,10 +327,9 @@ impl ServeSession {
                     fs.borrow_mut().write_atomic(path, &bytes)
                 })
                 .map_err(|e| CmdError::io(format!("{path}: {e}")))?;
-                Ok(self.ok(vec![
-                    ("path", Value::Str(path.clone())),
-                    ("bytes", Value::Int(len as i64)),
-                ]))
+                Ok(self.ok(|w| {
+                    w.str("path", path).uint("bytes", len as u64);
+                }))
             }
             Command::SaveWorkload { path } => {
                 let tsv = wio::to_tsv(self.world.workload());
@@ -319,10 +337,10 @@ impl ServeSession {
                     .borrow_mut()
                     .write(path, tsv.as_bytes())
                     .map_err(|e| CmdError::io(format!("{path}: {e}")))?;
-                Ok(self.ok(vec![
-                    ("path", Value::Str(path.clone())),
-                    ("jobs", Value::Int(self.world.workload().jobs.len() as i64)),
-                ]))
+                let jobs = self.world.workload().jobs.len() as u64;
+                Ok(self.ok(|w| {
+                    w.str("path", path).uint("jobs", jobs);
+                }))
             }
             Command::Fork {
                 scheduler,
@@ -333,20 +351,18 @@ impl ServeSession {
             Command::Quit => {
                 self.done = true;
                 out.quit = true;
-                Ok(self.ok(vec![]))
+                Ok(self.ok(|_| {}))
             }
         }
     }
 
     /// `{"vt":...,"ok":true,<extra fields>}` — every acknowledgment's
     /// shape, vt always first.
-    fn ok(&self, extra: Vec<(&str, Value)>) -> String {
-        let mut fields = vec![
-            ("vt", Value::Int(self.vt() as i64)),
-            ("ok", Value::Bool(true)),
-        ];
-        fields.extend(extra);
-        obj(fields).to_json()
+    fn ok(&self, extra: impl FnOnce(&mut ObjWriter<'_>)) -> String {
+        json::object(|w| {
+            w.uint("vt", self.vt()).bool("ok", true);
+            extra(w);
+        })
     }
 
     fn query_job(&self, job: usize) -> Result<String, CmdError> {
@@ -361,22 +377,18 @@ impl ServeSession {
             JobPhase::Running => "running",
             JobPhase::Finished => "finished",
         };
-        let jct = match j.record.jct_ms() {
-            Some(ms) => Value::Int(ms as i64),
-            None => Value::Null,
-        };
-        Ok(self.ok(vec![
-            ("job", Value::Int(job as i64)),
-            ("phase", Value::Str(phase.into())),
-            ("rounds_done", Value::Int(j.rounds_done as i64)),
-            ("rounds", Value::Int(plan.rounds as i64)),
-            ("demand", Value::Int(plan.demand as i64)),
-            ("arrival_ms", Value::Int(plan.arrival_ms as i64)),
-            ("assigned", Value::Int(j.assigned() as i64)),
-            ("responses", Value::Int(j.responses as i64)),
-            ("rounds_aborted", Value::Int(j.record.rounds_aborted as i64)),
-            ("jct_ms", jct),
-        ]))
+        Ok(self.ok(|w| {
+            w.uint("job", job as u64)
+                .str("phase", phase)
+                .uint("rounds_done", u64::from(j.rounds_done))
+                .uint("rounds", u64::from(plan.rounds))
+                .uint("demand", u64::from(plan.demand))
+                .uint("arrival_ms", plan.arrival_ms)
+                .uint("assigned", j.assigned() as u64)
+                .uint("responses", u64::from(j.responses))
+                .uint("rounds_aborted", u64::from(j.record.rounds_aborted))
+                .opt_uint("jct_ms", j.record.jct_ms());
+        }))
     }
 
     /// Advances virtual time by `ms`, emitting subscription frames at
@@ -390,18 +402,19 @@ impl ServeSession {
             }
             let at = self.next_frame_at;
             events += self.world.run_until(at, &mut *self.scheduler, &mut []);
-            let frame = self.frame_json();
-            out.responses.push(obj(vec![("frame", frame)]).to_json());
+            let frame = self.next_frame();
+            out.responses.push(json::object(|w| {
+                w.object("frame", |f| frame.write(f));
+            }));
             self.next_frame_at = at + every;
         }
         events += self.world.run_until(target, &mut *self.scheduler, &mut []);
         events
     }
 
-    /// The current metrics frame as a JSON object, fields in fixed
-    /// order, with the events-per-virtual-second rate over the window
-    /// since the previous frame.
-    fn frame_json(&mut self) -> Value {
+    /// The current metrics frame, with the events-per-virtual-second rate
+    /// over the window since the previous frame.
+    fn next_frame(&mut self) -> Frame {
         let f: MetricsFrame = self.world.metrics_frame();
         let (prev_vt, prev_events) = self.last_frame;
         let rate = if f.vt_ms > prev_vt {
@@ -410,36 +423,7 @@ impl ServeSession {
             0.0
         };
         self.last_frame = (f.vt_ms, f.events);
-        let opt = |v: Option<u64>| match v {
-            Some(ms) => Value::Int(ms as i64),
-            None => Value::Null,
-        };
-        obj(vec![
-            ("vt_ms", Value::Int(f.vt_ms as i64)),
-            ("events", Value::Int(f.events as i64)),
-            ("events_per_vs", Value::Float(rate)),
-            ("assignments", Value::Int(f.assignments as i64)),
-            ("failures", Value::Int(f.failures as i64)),
-            ("aborted_rounds", Value::Int(f.aborted_rounds as i64)),
-            ("jobs", Value::Int(f.jobs as i64)),
-            ("jobs_finished", Value::Int(f.jobs_finished as i64)),
-            ("jobs_running", Value::Int(f.jobs_running as i64)),
-            ("jobs_allocating", Value::Int(f.jobs_allocating as i64)),
-            ("live_devices", Value::Int(f.live_devices as i64)),
-            ("held_devices", Value::Int(f.held_devices as i64)),
-            ("parked_polls", Value::Int(f.parked_polls as i64)),
-            ("queue_len", Value::Int(f.queue_len as i64)),
-            ("jct_p50_ms", opt(f.jct_p50_ms)),
-            ("jct_p90_ms", opt(f.jct_p90_ms)),
-            ("jct_p99_ms", opt(f.jct_p99_ms)),
-            ("env_dropouts", Value::Int(f.env_dropouts as i64)),
-            (
-                "env_forced_offline",
-                Value::Int(f.env_forced_offline as i64),
-            ),
-            ("env_storm_aborts", Value::Int(f.env_storm_aborts as i64)),
-            ("env_retries", Value::Int(f.env_retries as i64)),
-        ])
+        Frame { f, rate }
     }
 
     /// Writes a final checkpoint of the live world into `dir` through
@@ -503,27 +487,18 @@ impl ServeSession {
         } else {
             0.0
         };
-        Ok(self.ok(vec![
-            ("base", arm_summary(&base)),
-            ("alt", arm_summary(&alt)),
-            (
-                "diff",
-                obj(vec![
-                    ("avg_jct_delta_ms", Value::Float(alt_avg - base_avg)),
-                    ("speedup", Value::Float(speedup)),
-                    (
-                        "finished_delta",
-                        Value::Int(
-                            alt.breakdown().finished() as i64 - base.breakdown().finished() as i64,
-                        ),
-                    ),
-                    (
-                        "assignments_delta",
-                        Value::Int(alt.assignments as i64 - base.assignments as i64),
-                    ),
-                ]),
-            ),
-        ]))
+        let finished_delta = alt.breakdown().finished() as i64 - base.breakdown().finished() as i64;
+        let assignments_delta = alt.assignments as i64 - base.assignments as i64;
+        Ok(self.ok(|w| {
+            w.object("base", |o| arm_summary(o, &base))
+                .object("alt", |o| arm_summary(o, &alt))
+                .object("diff", |o| {
+                    o.float("avg_jct_delta_ms", alt_avg - base_avg)
+                        .float("speedup", speedup)
+                        .int("finished_delta", finished_delta)
+                        .int("assignments_delta", assignments_delta);
+                });
+        }))
     }
 }
 
@@ -534,16 +509,49 @@ fn run_to_end(mut world: World, scheduler: &mut dyn Scheduler) -> SimResult {
 }
 
 /// One fork child's summary object.
-fn arm_summary(r: &SimResult) -> Value {
+fn arm_summary(w: &mut ObjWriter<'_>, r: &SimResult) {
     let b = r.breakdown();
-    obj(vec![
-        ("scheduler", Value::Str(r.scheduler_name.clone())),
-        ("finished", Value::Int(b.finished() as i64)),
-        ("unfinished", Value::Int(b.unfinished() as i64)),
-        ("avg_jct_ms", Value::Float(b.avg_jct_ms())),
-        ("assignments", Value::Int(r.assignments as i64)),
-        ("aborted_rounds", Value::Int(r.aborted_rounds as i64)),
-    ])
+    w.str("scheduler", &r.scheduler_name)
+        .uint("finished", b.finished())
+        .uint("unfinished", b.unfinished())
+        .float("avg_jct_ms", b.avg_jct_ms())
+        .uint("assignments", r.assignments)
+        .uint("aborted_rounds", r.aborted_rounds);
+}
+
+/// One metrics frame and its event rate, as the `stats` ack and the
+/// subscription stream carry it.
+struct Frame {
+    f: MetricsFrame,
+    rate: f64,
+}
+
+impl Frame {
+    /// The frame's fields, in fixed order.
+    fn write(&self, w: &mut ObjWriter<'_>) {
+        let f = &self.f;
+        w.uint("vt_ms", f.vt_ms)
+            .uint("events", f.events)
+            .float("events_per_vs", self.rate)
+            .uint("assignments", f.assignments)
+            .uint("failures", f.failures)
+            .uint("aborted_rounds", f.aborted_rounds)
+            .uint("jobs", f.jobs)
+            .uint("jobs_finished", f.jobs_finished)
+            .uint("jobs_running", f.jobs_running)
+            .uint("jobs_allocating", f.jobs_allocating)
+            .uint("live_devices", f.live_devices)
+            .uint("held_devices", f.held_devices)
+            .uint("parked_polls", f.parked_polls)
+            .uint("queue_len", f.queue_len)
+            .opt_uint("jct_p50_ms", f.jct_p50_ms)
+            .opt_uint("jct_p90_ms", f.jct_p90_ms)
+            .opt_uint("jct_p99_ms", f.jct_p99_ms)
+            .uint("env_dropouts", f.env_dropouts)
+            .uint("env_forced_offline", f.env_forced_offline)
+            .uint("env_storm_aborts", f.env_storm_aborts)
+            .uint("env_retries", f.env_retries);
+    }
 }
 
 /// The per-job CSV in exactly `vennsim --csv`'s shape, so a forked
@@ -564,7 +572,53 @@ pub fn result_csv(result: &SimResult) -> String {
 
 #[cfg(test)]
 mod tests {
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use venn_core::faultio::MemFs;
+
     use super::*;
+    use crate::wal::shared_fs;
+
+    fn small_world() -> (SimConfig, Workload) {
+        let config = SimConfig {
+            population: 200,
+            days: 1,
+            ..SimConfig::default()
+        };
+        let mut rng = StdRng::seed_from_u64(7);
+        (config, Workload::default_scenario(3, &mut rng))
+    }
+
+    fn refusal(config: SimConfig, workload: &Workload) -> String {
+        let spec = SchedSpec::named("venn", 7);
+        ServeSession::with_fs(config, spec, workload, shared_fs(MemFs::new()))
+            .err()
+            .expect("the session is refused")
+    }
+
+    #[test]
+    fn a_config_the_kernel_refuses_is_an_error_not_a_panic() {
+        let (config, workload) = small_world();
+        let err = refusal(
+            SimConfig {
+                population: 0,
+                ..config
+            },
+            &workload,
+        );
+        assert_eq!(err, "population must be positive");
+    }
+
+    #[test]
+    fn a_workload_job_the_kernel_cannot_run_is_an_error_naming_it() {
+        let (config, mut workload) = small_world();
+        workload.jobs[2].demand = 0;
+        let err = refusal(config, &workload);
+        assert_eq!(
+            err,
+            "workload job 2: job needs at least one participant per round"
+        );
+    }
 
     #[test]
     fn every_registered_name_builds_the_scheduler_of_that_name() {

@@ -121,6 +121,14 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "workload job 1: job needs at least one participant per round")]
+    fn a_job_the_kernel_cannot_run_panics_at_construction_naming_it() {
+        let mut w = tiny_workload(2, 5, 2);
+        w.jobs[1].demand = 0;
+        World::new(SimConfig::small(), &w, "fifo");
+    }
+
+    #[test]
     fn runs_are_deterministic() {
         let w = tiny_workload(4, 8, 3);
         let a = run_fifo(&w, SimConfig::small());

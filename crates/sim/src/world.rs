@@ -145,10 +145,15 @@ impl World {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is invalid (see [`SimConfig::check`]) or
-    /// its environment is.
+    /// Panics if the configuration is invalid (see [`SimConfig::check`]),
+    /// its environment is, or a workload job breaks a rule of
+    /// [`JobPlan::check`] (the message names the job) — here, at
+    /// construction, not when the job arrives.
     pub fn new(config: SimConfig, workload: &Workload, scheduler_name: &str) -> Self {
         config.validate();
+        if let Err(why) = workload.check() {
+            panic!("{why}");
+        }
         let horizon = config.horizon_ms();
         let mut rng = StdRng::seed_from_u64(config.seed);
         let noise = LogNormal::from_mean_cv(1.0, RESPONSE_NOISE_CV);

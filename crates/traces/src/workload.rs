@@ -184,6 +184,19 @@ impl Workload {
     pub fn total_demand(&self) -> u64 {
         self.jobs.iter().map(|j| j.total_demand()).sum()
     }
+
+    /// Checks every job with [`JobPlan::check`].
+    ///
+    /// # Errors
+    ///
+    /// Names the first job that breaks a rule (by its index) and the rule.
+    pub fn check(&self) -> Result<(), String> {
+        for (i, job) in self.jobs.iter().enumerate() {
+            job.check()
+                .map_err(|why| format!("workload job {i}: {why}"))?;
+        }
+        Ok(())
+    }
 }
 
 fn sample_category<R: Rng + ?Sized>(bias: Option<BiasKind>, rng: &mut R) -> SpecCategory {
