@@ -13,29 +13,20 @@
 //! counters is a hard failure, while `wall_ms` / `events_per_sec` are
 //! timing telemetry and exempt.
 
-use venn_core::VennConfig;
 use venn_env::EnvPreset;
 use venn_traces::WorkloadKind;
 
 use crate::{run_matrix_sequential, Experiment, Matrix, MatrixCell, MatrixRun, SchedKind};
 
-/// The scheduler columns of the baseline, in file order: Table 1 plus the
-/// full-rebuild Venn reference arm.
-pub(crate) fn baseline_kinds() -> Vec<SchedKind> {
-    let mut kinds = SchedKind::TABLE1.to_vec();
-    kinds.push(SchedKind::VennWith(VennConfig::full_rebuild()));
-    kinds
-}
-
-/// Executes the baseline matrix (sequentially — wall times feed the
-/// events/sec telemetry and must not contend for cores) on the chosen
-/// environment arm.
+/// Executes the baseline matrix — the Table 1 schedulers, sequentially
+/// (wall times feed the events/sec telemetry and must not contend for
+/// cores) — on the chosen environment arm.
 pub fn run_baseline(seed: u64, env: EnvPreset) -> (Experiment, Vec<MatrixRun>) {
     let mut exp = Experiment::paper_default(WorkloadKind::Even, None, seed);
     exp.sim.env = env.config();
     let matrix = Matrix::new()
         .fixed("paper_default/even", exp.clone())
-        .kinds(&baseline_kinds())
+        .kinds(&SchedKind::TABLE1)
         .seeds(&[seed]);
     (exp, run_matrix_sequential(&matrix))
 }
@@ -50,7 +41,7 @@ pub fn run_baseline(seed: u64, env: EnvPreset) -> (Experiment, Vec<MatrixRun>) {
 pub fn run_baseline_crashed(seed: u64, env: EnvPreset) -> (Experiment, Vec<MatrixRun>) {
     let mut exp = Experiment::paper_default(WorkloadKind::Even, None, seed);
     exp.sim.env = env.config();
-    let runs = baseline_kinds()
+    let runs = SchedKind::TABLE1
         .into_iter()
         .map(|kind| {
             let start = std::time::Instant::now();
@@ -468,7 +459,7 @@ mod tests {
         let exp = Experiment::smoke(WorkloadKind::Even, 3);
         let matrix = Matrix::new()
             .fixed("paper_default/even", exp.clone())
-            .kinds(&baseline_kinds())
+            .kinds(&SchedKind::TABLE1)
             .seeds(&[3]);
         let runs = run_matrix_sequential(&matrix);
         let json = baseline_json(&exp, &runs, 3, EnvPreset::Off, true);

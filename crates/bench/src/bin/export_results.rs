@@ -4,11 +4,6 @@
 //! machine-readable benchmark baseline (avg JCT, speed-ups, events/sec,
 //! queue pressure) that `check_regression` gates CI against.
 //!
-//! Alongside the Table 1 schedulers, a `venn-full` row runs the
-//! full-rebuild reference arm (`VennConfig::full_rebuild`): identical JCT
-//! results to `venn` by construction (the incremental parity harness),
-//! differing only in `wall_ms`/`events_per_sec`.
-//!
 //! `--env <preset>` turns on a `venn-env` scenario
 //! (`off|flash-crowd|straggler-heavy|mass-dropout|chaos`); the chosen arm
 //! is recorded in the JSON header so baseline files are self-describing.

@@ -1,6 +1,7 @@
-//! `vennsim serve` as a process: wall-clock pacing on stdin while lines
-//! keep arriving, SIGTERM in a paced session, and a TCP session served
-//! by the process's one thread.
+//! `vennsim serve` as a process: typed errors for malformed scripted
+//! stdin, wall-clock pacing on stdin while lines keep arriving, SIGTERM
+//! in a paced session, and a TCP session served by the process's one
+//! thread.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -44,6 +45,39 @@ fn exits_cleanly(serve: &mut Serve, secs: u64) {
 fn vt(line: &str) -> u64 {
     let rest = &line[line.find("\"vt\":").expect("a vt field") + 5..];
     rest[..rest.find(',').unwrap()].parse().unwrap()
+}
+
+/// Scripted stdin answers a line that is not UTF-8 with `bad-json` and
+/// one past the 64 KiB line bound with `line-too-long`, as paced and
+/// TCP input do, and the session goes on.
+#[test]
+fn scripted_stdin_rejects_malformed_lines_and_goes_on() {
+    let mut serve = vennsim(&[]);
+    let mut stdin = serve.0.stdin.take().unwrap();
+    let writer = std::thread::spawn(move || {
+        let mut input = b"\xff\xfe{\"cmd\":\"stats\"}\n".to_vec();
+        input.extend_from_slice(b"{\"cmd\":\"stats\",\"pad\":\"");
+        input.extend_from_slice(&[b'x'; 200_000]);
+        input.extend_from_slice(b"\"}\n{\"cmd\":\"stats\"}\n{\"cmd\":\"quit\"}\n");
+        // A session that dies early closes the pipe; the asserts below
+        // report that, not this write.
+        let _ = stdin.write_all(&input);
+    });
+    let mut stdout = String::new();
+    let mut out = serve.0.stdout.take().unwrap();
+    out.read_to_string(&mut stdout).unwrap();
+    writer.join().unwrap();
+    let expected = [
+        "\"code\":\"bad-json\"",
+        "\"code\":\"line-too-long\"",
+        "\"ok\":true,\"frame\"",
+        "\"ok\":true}",
+    ];
+    assert_eq!(stdout.lines().count(), expected.len(), "{stdout}");
+    for (line, want) in stdout.lines().zip(expected) {
+        assert!(line.contains(want), "{line}");
+    }
+    exits_cleanly(&mut serve, 30);
 }
 
 /// With `stats` every 20 ms, virtual time still advances every tick; a

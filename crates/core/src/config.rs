@@ -16,7 +16,9 @@ pub(crate) const MIN_PROFILE_SAMPLES: usize = 10;
 /// The defaults reproduce the paper's evaluation setup; the toggles exist
 /// for the Fig. 11 ablation (`use_irs` / `use_matching`) and the Fig. 13/14
 /// sweeps (`tiers` / `epsilon`). What no caller varies is a constant:
-/// `REBUILD_INTERVAL_MS` and `MIN_PROFILE_SAMPLES`.
+/// `REBUILD_INTERVAL_MS` and `MIN_PROFILE_SAMPLES`. Job orders and the
+/// IRS plan are always maintained by deltas; debug builds check them
+/// against a from-scratch rebuild at every trigger.
 ///
 /// # Examples
 ///
@@ -49,12 +51,6 @@ pub struct VennConfig {
     pub supply_window_ms: SimTime,
     /// Seed for the rotating random tier pick.
     pub seed: u64,
-    /// Maintain job orders and the IRS plan incrementally (dirty-flag per
-    /// group) instead of recomputing everything at every trigger. Both
-    /// modes produce byte-identical assignment streams — `false` exists as
-    /// the reference arm of the parity harness
-    /// (`tests/venn_incremental_parity.rs`) and for overhead benchmarking.
-    pub incremental: bool,
 }
 
 impl Default for VennConfig {
@@ -67,7 +63,6 @@ impl Default for VennConfig {
             use_matching: true,
             supply_window_ms: DAY_MS,
             seed: 0xC0FFEE,
-            incremental: true,
         }
     }
 }
@@ -93,16 +88,6 @@ impl VennConfig {
     pub fn with_fairness(epsilon: f64) -> Self {
         VennConfig {
             epsilon,
-            ..VennConfig::default()
-        }
-    }
-
-    /// Full Venn with incremental maintenance off: every trigger recomputes
-    /// all job orders and the IRS plan from scratch. The reference arm the
-    /// parity tests compare incremental scheduling against.
-    pub fn full_rebuild() -> Self {
-        VennConfig {
-            incremental: false,
             ..VennConfig::default()
         }
     }
@@ -155,14 +140,6 @@ mod tests {
         assert!(!VennConfig::matching_only().use_irs);
         assert!(VennConfig::matching_only().use_matching);
         assert_eq!(VennConfig::with_fairness(2.0).epsilon, 2.0);
-    }
-
-    #[test]
-    fn full_rebuild_arm_disables_incremental_maintenance() {
-        assert!(VennConfig::default().incremental);
-        let c = VennConfig::full_rebuild();
-        assert!(!c.incremental);
-        c.validate();
     }
 
     #[test]

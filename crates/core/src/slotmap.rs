@@ -198,23 +198,6 @@ impl<T> SlotMap<T> {
         self.get(slot).is_some()
     }
 
-    /// Live entries in slot-index order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (JobSlot, &T)> {
-        self.entries
-            .iter()
-            .enumerate()
-            .filter_map(move |(i, e)| match e {
-                Entry::Occupied(v) => Some((
-                    JobSlot {
-                        index: i as u32,
-                        generation: self.generations[i],
-                    },
-                    v,
-                )),
-                Entry::Vacant(_) => None,
-            })
-    }
-
     /// Live values in slot-index order.
     pub(crate) fn values(&self) -> impl Iterator<Item = &T> {
         self.entries.iter().filter_map(|e| match e {
@@ -408,8 +391,6 @@ mod tests {
         let b = m.insert(2);
         let c = m.insert(3);
         m.remove(b);
-        let got: Vec<(usize, i32)> = m.iter().map(|(s, &v)| (s.index(), v)).collect();
-        assert_eq!(got, vec![(a.index(), 1), (c.index(), 3)]);
         assert_eq!(m.values().copied().collect::<Vec<_>>(), vec![1, 3]);
         assert!(m.contains(a) && !m.contains(b) && m.contains(c));
     }

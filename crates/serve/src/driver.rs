@@ -33,7 +33,7 @@
 
 use std::collections::VecDeque;
 use std::io::ErrorKind::{Interrupted, WouldBlock};
-use std::io::{self, BufRead, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
@@ -105,7 +105,8 @@ const PACE_TICK: Duration = Duration::from_millis(100);
 const READ_CHUNK: usize = 4096;
 
 /// SIGTERM, `poll(2)` and unbuffered stdin without a libc dependency;
-/// off unix, paced and TCP sessions fail at their first wait.
+/// off unix, paced and TCP sessions fail at their first wait and stdin
+/// is read through `Stdin`.
 mod sys {
     use std::io;
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -199,8 +200,8 @@ mod sys {
     }
 
     #[cfg(not(unix))]
-    pub(crate) fn read_stdin(_buf: &mut [u8]) -> io::Result<usize> {
-        Err(io::ErrorKind::Unsupported.into())
+    pub(crate) fn read_stdin(buf: &mut [u8]) -> io::Result<usize> {
+        io::Read::read(&mut io::stdin(), buf)
     }
 }
 
@@ -280,9 +281,10 @@ impl OutQueue {
 
 /// Feeds `lines` through the session, writing every response line to
 /// `out` and every accepted command's canonical form to `journal`.
-/// Returns when the input ends or the session quits. The scripted and
-/// paced drivers bottom out here or in `apply_and_emit`; the TCP
-/// driver routes the same session calls to its clients.
+/// Returns when the input ends or the session quits. `--replay` feeds
+/// a journal through here; the stdin driver bottoms out in
+/// `apply_and_emit`, and the TCP driver routes the same session calls
+/// to its clients.
 pub fn run_lines<I>(
     session: &mut ServeSession,
     lines: I,
@@ -342,10 +344,8 @@ pub fn serve(session: &mut ServeSession, opts: &ServeOpts) -> io::Result<()> {
         serve_multi(session, addr, opts, &mut journal)
     } else {
         let mut out = io::stdout().lock();
-        match opts.rate {
-            None => run_lines(session, io::stdin().lock().lines(), &mut out, &mut journal),
-            Some(rate) => serve_paced(session, rate, opts.max_line_bytes, &mut out, &mut journal),
-        }
+        let pacer = opts.rate.map(Pacer::new);
+        serve_stdin(session, pacer, opts.max_line_bytes, &mut out, &mut journal)
     };
     // Graceful epilogue, even when the loop above returned an error:
     // seal what we have and keep the final checkpoint if possible.
@@ -437,30 +437,42 @@ fn line_too_long(max: usize, vt: u64) -> String {
     CmdError::line_too_long(msg).to_response(vt)
 }
 
-/// The wall-clock paced stdin loop. SIGTERM ends it within one tick.
-fn serve_paced(
+/// The stdin loop: scripted (no `pacer`), blocking in `read` until input
+/// comes, or wall-clock paced, where SIGTERM ends it within one tick.
+/// Both split input through one [`LineScanner`], so a line that is not
+/// UTF-8 or exceeds `max_line` gets the same typed error either way.
+fn serve_stdin(
     session: &mut ServeSession,
-    rate: f64,
+    mut pacer: Option<Pacer>,
     max_line: usize,
     out: &mut dyn Write,
     journal: &mut Option<WalWriter>,
 ) -> io::Result<()> {
-    sys::catch_sigterm();
-    let mut pacer = Pacer::new(rate);
+    if pacer.is_some() {
+        sys::catch_sigterm();
+    }
     let (mut scanner, mut inputs, mut buf) = (LineScanner::default(), Vec::new(), [0; READ_CHUNK]);
     let mut eof = false;
     while !eof && !sys::sigterm() {
-        let mut fds = [PollFd::new(&io::stdin(), POLLIN)];
-        let timeout = pacer.next_tick().saturating_duration_since(Instant::now());
-        sys::wait(&mut fds, timeout)?;
-        if fds[0].ready() {
+        let readable = match &pacer {
+            Some(pacer) => {
+                let mut fds = [PollFd::new(&io::stdin(), POLLIN)];
+                let timeout = pacer.next_tick().saturating_duration_since(Instant::now());
+                sys::wait(&mut fds, timeout)?;
+                fds[0].ready()
+            }
+            None => true,
+        };
+        if readable {
             let n = sys::read_stdin(&mut buf)?;
             eof = n == 0;
             // End of input also ends an unterminated last line.
             let bytes = if eof { &b"\n"[..] } else { &buf[..n] };
             scanner.feed(bytes, max_line, &mut inputs);
         }
-        inputs.extend(pacer.tick(Instant::now()).map(Some));
+        if let Some(pacer) = pacer.as_mut() {
+            inputs.extend(pacer.tick(Instant::now()).map(Some));
+        }
         for input in inputs.drain(..) {
             let Some(line) = input else {
                 writeln!(out, "{}", line_too_long(max_line, session.vt()))?;

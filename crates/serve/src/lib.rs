@@ -24,8 +24,8 @@
 //!   telemetry, checkpointing via the snapshot layer, and answering
 //!   what-if questions by forking the live state under a different
 //!   scheduler arm;
-//! * [`run_lines`] / [`serve`] — the scripted / wall-clock-paced / TCP
-//!   input loops.
+//! * [`run_lines`] / [`serve`] — journal replay over any line source, and
+//!   the scripted / wall-clock-paced stdin and TCP input loops.
 //!
 //! Virtual time is decoupled from real time throughout: scripted
 //! sessions advance only on explicit `advance` commands and are fully

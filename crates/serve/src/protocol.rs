@@ -246,26 +246,24 @@ impl Command {
                         ))
                     })
                 })?;
-                let rounds = req_u64(v, "rounds", false)?;
-                let demand = req_u64(v, "demand", false)?;
+                // Only the wire's `u32` ranges live here; the job rules
+                // (`JobPlan::check`) run when the session submits.
+                let req_u32 = |key| {
+                    let n = req_u64(v, key, false)?;
+                    u32::try_from(n)
+                        .map_err(|_| CmdError::bad_arg(format!("{key} {n} out of range")))
+                };
+                let rounds = req_u32("rounds")?;
+                let demand = req_u32("demand")?;
                 let task_ms = req_u64(v, "task_ms", false)?;
-                if rounds == 0 || rounds > u32::MAX as u64 {
-                    return Err(CmdError::bad_arg(format!("rounds {rounds} out of range")));
-                }
-                if demand == 0 || demand > u32::MAX as u64 {
-                    return Err(CmdError::bad_arg(format!("demand {demand} out of range")));
-                }
-                if task_ms == 0 {
-                    return Err(CmdError::bad_arg("task_ms must be positive"));
-                }
                 let arrival_ms = match v.get("arrival_ms") {
                     None => None,
                     Some(_) => Some(req_u64(v, "arrival_ms", true)?),
                 };
                 Ok(Command::Submit {
                     category,
-                    rounds: rounds as u32,
-                    demand: demand as u32,
+                    rounds,
+                    demand,
                     task_ms,
                     arrival_ms,
                 })
@@ -459,7 +457,7 @@ mod tests {
                 "bad-arg",
             ),
             (
-                r#"{"cmd":"submit","category":"general","rounds":0,"demand":1,"task_ms":1}"#,
+                r#"{"cmd":"submit","category":"general","rounds":4294967296,"demand":1,"task_ms":1}"#,
                 "bad-arg",
             ),
             (r#"{"cmd":"subscribe","every_ms":0}"#, "bad-arg"),

@@ -107,9 +107,8 @@ impl SimObserver for RoundRecorder {
 ///
 /// The assignment stream is the scheduler's complete observable output:
 /// two schedulers that produce equal streams on the same environment are
-/// behaviorally identical. The incremental-vs-full-rebuild parity harness
-/// (`tests/venn_incremental_parity.rs`) compares these streams byte for
-/// byte.
+/// behaviorally identical. The differential suites in `tests/` (gating,
+/// storage modes, crash/resume) compare these streams byte for byte.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct AssignmentLog {
     /// `(now, job_idx, device)` per assignment, in decision order.

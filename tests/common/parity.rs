@@ -13,7 +13,7 @@
 //! - [`assert_run_parity`] is the strict comparison — every
 //!   deterministic field byte for byte, including the event stream and
 //!   `peak_queue_len`. Two arms that claim bit-identity (storage modes,
-//!   incremental scheduling) must pass this.
+//!   crash/resume) must pass this.
 //! - [`CheckInTap`] records the supply observations a scheduler is fed,
 //!   the one thing demand gating promises to replay exactly. An
 //!   `ungated` tap keeps the trait's default `has_open_demand`, so the

@@ -33,8 +33,8 @@ const PRESETS: [EnvPreset; 3] = [
     EnvPreset::MassDropout,
 ];
 
-/// The same small-but-contended experiment the incremental parity
-/// harness uses, with a scenario preset applied.
+/// The same small-but-contended experiment the gating parity suite
+/// uses, with a scenario preset applied.
 fn experiment(seed: u64, env: EnvPreset) -> (SimConfig, Workload) {
     let sim = SimConfig {
         population: 400,

@@ -1,24 +1,23 @@
-//! Incremental Venn scheduling must be observationally identical to the
-//! full-rebuild reference: same assignment stream, same final JCT stats,
-//! for every `SchedKind` across several seeds.
+//! Demand gating must be observationally identical to the un-gated
+//! reference arm: same assignment stream, same final JCT stats, for every
+//! `SchedKind` across several seeds.
 //!
 //! The assignment stream (every `(time, job, device)` decision, in order)
 //! is the scheduler's complete observable output, so equal streams on the
-//! same deterministic environment mean the delta maintenance in
-//! `venn_core::venn` cannot have changed behavior — only cost.
+//! same deterministic environment mean gating cannot have changed
+//! behavior — only cost.
 //!
 //! Built on the shared differential harness in `tests/common/parity.rs`.
 
 mod common;
 
 use common::parity::{
-    assert_outcome_parity, assert_run_parity, contended_workload, every_sched_kind, observe,
-    observe_kind, observe_ungated, SCHED_SEED_SALT,
+    assert_outcome_parity, contended_workload, every_sched_kind, observe, observe_kind,
+    observe_ungated, SCHED_SEED_SALT,
 };
 
 use venn::baselines::BaselineScheduler;
-use venn::bench::SchedKind;
-use venn::core::{JobId, SpecCategory, VennConfig};
+use venn::core::{JobId, SpecCategory};
 use venn::sim::SimConfig;
 use venn::traces::{JobPlan, Workload};
 
@@ -32,54 +31,6 @@ fn experiment(seed: u64) -> SimConfig {
         days: 2,
         seed,
         ..SimConfig::default()
-    }
-}
-
-/// The Venn configuration behind each Venn-flavoured `SchedKind`, if any.
-fn venn_config_of(kind: SchedKind) -> Option<VennConfig> {
-    match kind {
-        SchedKind::Venn => Some(VennConfig::default()),
-        SchedKind::VennWoSched => Some(VennConfig::matching_only()),
-        SchedKind::VennWoMatch => Some(VennConfig::scheduling_only()),
-        SchedKind::VennWith(cfg) => Some(cfg),
-        SchedKind::Random | SchedKind::Fifo | SchedKind::Srsf => None,
-    }
-}
-
-#[test]
-fn incremental_equals_full_rebuild_for_every_sched_kind() {
-    for &seed in &SEEDS {
-        let sim = experiment(seed);
-        let workload = contended_workload(seed);
-        for kind in every_sched_kind() {
-            let (inc, full) = match venn_config_of(kind) {
-                Some(cfg) => {
-                    let sched_seed = sim.seed ^ SCHED_SEED_SALT;
-                    let mut a = venn::core::VennScheduler::new(VennConfig {
-                        incremental: true,
-                        seed: sched_seed,
-                        ..cfg
-                    });
-                    let mut b = venn::core::VennScheduler::new(VennConfig {
-                        incremental: false,
-                        seed: sched_seed,
-                        ..cfg
-                    });
-                    (
-                        observe(sim, &workload, &mut a),
-                        observe(sim, &workload, &mut b),
-                    )
-                }
-                // Baselines have no rebuild machinery: parity degenerates
-                // to determinism across two runs, asserted all the same so
-                // the harness covers every `SchedKind`.
-                None => (
-                    observe_kind(sim, &workload, kind),
-                    observe_kind(sim, &workload, kind),
-                ),
-            };
-            assert_run_parity(&inc, &full, &format!("{kind:?} seed {seed}"));
-        }
     }
 }
 
@@ -135,13 +86,4 @@ fn gating_prunes_idle_repolls_without_changing_outcomes() {
         gated.events,
         ungated.events
     );
-}
-
-#[test]
-fn full_rebuild_kind_reports_suffixed_name() {
-    let sim = experiment(SEEDS[0]);
-    let workload = contended_workload(SEEDS[0]);
-    let mut sched = venn::core::VennScheduler::new(VennConfig::full_rebuild());
-    let run = observe(sim, &workload, &mut sched);
-    assert_eq!(run.result.scheduler_name, "venn-full");
 }
