@@ -27,7 +27,7 @@ use rand::SeedableRng;
 use venn_bench::cli::{self, Cli};
 use venn_core::{FaultFs, RealFs, MINUTE_MS};
 use venn_env::EnvPreset;
-use venn_serve::{result_csv, SchedSpec, ServeOpts, SharedFs, SyncPolicy, WalWriter};
+use venn_serve::{result_csv, shared_fs, SchedSpec, ServeOpts, SharedFs, SyncPolicy};
 use venn_sim::{CheckpointStore, PopMode, SimConfig, SimResult, Simulation, World};
 use venn_traces::{io as wio, BiasKind, JobDemandModel, Workload, WorkloadKind};
 
@@ -225,8 +225,8 @@ impl Args {
 /// must still complete correctly through retries and fallbacks.
 fn make_fs(args: &Args) -> SharedFs {
     match args.fault_inject {
-        Some((seed, prob)) => venn_serve::shared_fs(FaultFs::random(RealFs, seed, prob)),
-        None => venn_serve::real_fs(),
+        Some((seed, prob)) => shared_fs(FaultFs::random(RealFs, seed, prob)),
+        None => shared_fs(RealFs),
     }
 }
 
@@ -239,7 +239,7 @@ fn run_checkpointed(args: &Args, dir: &str, workload: &Workload) -> Result<SimRe
     let config = args.config;
     let fs = make_fs(args);
     let mut fs = fs.borrow_mut();
-    let mut store = CheckpointStore::open(&mut **fs, dir, args.checkpoint_keep.get())
+    let mut store = CheckpointStore::open(&mut *fs, dir, args.checkpoint_keep.get())
         .map_err(|e| e.to_string())?;
     for name in store.clean_stale_tmp().map_err(|e| e.to_string())? {
         eprintln!("removed stale checkpoint tmp {dir}/{name}");
@@ -314,9 +314,8 @@ fn run_forked(args: &Args, path: &str, workload: &Workload) -> Result<SimResult,
 /// `vennsim serve`: the online session. Commands in (stdin, a replay
 /// file, or multi-client TCP), responses out, optional WAL journal.
 fn run_serve(args: &Args, workload: &Workload) -> Result<(), String> {
-    let fs = make_fs(args);
     let mut session =
-        venn_serve::ServeSession::with_fs(args.config, args.spec.clone(), workload, fs.clone())?;
+        venn_serve::ServeSession::with_fs(args.config, args.spec.clone(), workload, make_fs(args))?;
     if let Some(path) = &args.replay {
         // Damage is a warning and the intact prefix replays, never a
         // parse or vt-mismatch failure.
@@ -330,24 +329,8 @@ fn run_serve(args: &Args, workload: &Workload) -> Result<(), String> {
                 recovered.lines.len()
             );
         }
-        let mut journal = match &args.opts.journal {
-            Some(p) => Some(
-                WalWriter::create(fs.clone(), p, args.opts.journal_sync)
-                    .map_err(|e| format!("{p}: {e}"))?,
-            ),
-            None => None,
-        };
-        venn_serve::run_lines(
-            &mut session,
-            recovered.lines.into_iter().map(Ok),
-            &mut std::io::stdout().lock(),
-            &mut journal,
-        )
-        .map_err(|e| e.to_string())?;
-        if let Some(j) = journal.as_mut() {
-            j.seal().map_err(|e| e.to_string())?;
-        }
-        return Ok(());
+        return venn_serve::replay(&mut session, recovered.lines, &args.opts)
+            .map_err(|e| e.to_string());
     }
     venn_serve::serve(&mut session, &args.opts).map_err(|e| e.to_string())
 }

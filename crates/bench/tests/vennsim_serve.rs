@@ -188,3 +188,30 @@ fn a_tcp_session_is_one_thread() {
     assert!(request("{\"cmd\":\"quit\"}").contains("\"ok\":true"));
     exits_cleanly(&mut serve, 30);
 }
+
+/// A replayed journal ends its session as the live one did: with a
+/// final checkpoint, byte-equal to the live session's.
+#[test]
+fn a_replay_writes_the_live_sessions_final_checkpoint() {
+    let dir = format!("{}/vennsim-serve-replay", env!("CARGO_TARGET_TMPDIR"));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let journal = format!("{dir}/journal.wal");
+    let (live, replayed) = (format!("{dir}/live"), format!("{dir}/replay"));
+    let mut serve = vennsim(&["--journal", &journal, "--checkpoint-dir", &live]);
+    let mut stdin = serve.0.stdin.take().unwrap();
+    stdin
+        .write_all(b"{\"cmd\":\"advance\",\"ms\":7200000}\n{\"cmd\":\"quit\"}\n")
+        .unwrap();
+    drop(stdin);
+    exits_cleanly(&mut serve, 60);
+    let mut replay = vennsim(&["--replay", &journal, "--checkpoint-dir", &replayed]);
+    drop(replay.0.stdin.take());
+    exits_cleanly(&mut replay, 60);
+
+    let name = "ckpt-0000000007200000.vsnp";
+    let live = std::fs::read(format!("{live}/{name}")).expect("the live final checkpoint");
+    let replayed =
+        std::fs::read(format!("{replayed}/{name}")).expect("the replay's final checkpoint");
+    assert!(live == replayed, "the replay's final checkpoint differs");
+}

@@ -131,6 +131,28 @@ pub fn checksum(bytes: &[u8]) -> u64 {
     h ^ (h >> 32)
 }
 
+/// The 8-byte header both durable formats open with — VSNP checkpoints
+/// and VWAL journals: `magic`, then `version` as a little-endian `u32`.
+pub fn header(magic: [u8; 4], version: u32) -> [u8; 8] {
+    let mut out = [0; 8];
+    out[..4].copy_from_slice(&magic);
+    out[4..].copy_from_slice(&version.to_le_bytes());
+    out
+}
+
+/// Consumes and checks a [`header`] from `r`: too few bytes are
+/// [`SnapError::Truncated`], another magic is [`SnapError::BadMagic`]
+/// and another version [`SnapError::UnsupportedVersion`], in that order.
+pub fn check_header(r: &mut SnapReader<'_>, magic: [u8; 4], version: u32) -> Result<(), SnapError> {
+    if r.take(4)? != magic {
+        return Err(SnapError::BadMagic);
+    }
+    match r.u32()? {
+        v if v == version => Ok(()),
+        v => Err(SnapError::UnsupportedVersion(v)),
+    }
+}
+
 /// Why a snapshot could not be decoded (or is not available).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SnapError {
@@ -457,8 +479,7 @@ impl<'a> SnapReader<'a> {
 pub fn seal(w: SnapWriter) -> Vec<u8> {
     let mut out = w.buf;
     let (frame, body) = out.split_at_mut(FRAME_LEN);
-    frame[..4].copy_from_slice(&SNAP_MAGIC);
-    frame[4..8].copy_from_slice(&SNAP_FORMAT_VERSION.to_le_bytes());
+    frame[..8].copy_from_slice(&header(SNAP_MAGIC, SNAP_FORMAT_VERSION));
     frame[8..16].copy_from_slice(&(body.len() as u64).to_le_bytes());
     frame[16..].copy_from_slice(&checksum(body).to_le_bytes());
     out.shrink_to_fit();
@@ -470,14 +491,7 @@ pub fn seal(w: SnapWriter) -> Vec<u8> {
 /// interpreted — truncation and bit flips surface here as clean errors.
 pub fn unseal(bytes: &[u8]) -> Result<&[u8], SnapError> {
     let mut r = SnapReader::new(bytes);
-    let magic = r.take(4)?;
-    if magic != SNAP_MAGIC {
-        return Err(SnapError::BadMagic);
-    }
-    let version = r.u32()?;
-    if version != SNAP_FORMAT_VERSION {
-        return Err(SnapError::UnsupportedVersion(version));
-    }
+    check_header(&mut r, SNAP_MAGIC, SNAP_FORMAT_VERSION)?;
     let len = r.u64()? as usize;
     let stored = r.u64()?;
     if r.remaining() != len {

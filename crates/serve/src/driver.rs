@@ -331,6 +331,24 @@ fn apply_and_emit(
 /// [`ServeOpts::check`] rejects are an [`io::ErrorKind::InvalidInput`]
 /// error, before any journal or socket is opened.
 pub fn serve(session: &mut ServeSession, opts: &ServeOpts) -> io::Result<()> {
+    run_session(session, opts, None)
+}
+
+/// Replays recovered journal `lines` through the session to stdout
+/// (`vennsim serve --replay`), and ends the session as [`serve`] does.
+pub fn replay(session: &mut ServeSession, lines: Vec<String>, opts: &ServeOpts) -> io::Result<()> {
+    run_session(session, opts, Some(lines))
+}
+
+/// One session's life: its journal opened per `opts`, its input from
+/// `replay` or the live drivers, then the graceful epilogue — even when
+/// the input loop returned an error: seal what the journal holds and
+/// keep the final checkpoint if possible.
+fn run_session(
+    session: &mut ServeSession,
+    opts: &ServeOpts,
+    replay: Option<Vec<String>>,
+) -> io::Result<()> {
     opts.check()
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
     let mut journal = match &opts.journal {
@@ -340,15 +358,20 @@ pub fn serve(session: &mut ServeSession, opts: &ServeOpts) -> io::Result<()> {
         ),
         None => None,
     };
-    let result = if let Some(addr) = &opts.listen {
-        serve_multi(session, addr, opts, &mut journal)
-    } else {
-        let mut out = io::stdout().lock();
-        let pacer = opts.rate.map(Pacer::new);
-        serve_stdin(session, pacer, opts.max_line_bytes, &mut out, &mut journal)
+    // Stdout is locked by the stdio arms only: the TCP loop writes to
+    // sockets, and an in-process caller's other threads may print.
+    let result = match (replay, &opts.listen) {
+        (Some(lines), _) => {
+            let out = &mut io::stdout().lock();
+            run_lines(session, lines.into_iter().map(Ok), out, &mut journal)
+        }
+        (None, Some(addr)) => serve_multi(session, addr, opts, &mut journal),
+        (None, None) => {
+            let pacer = opts.rate.map(Pacer::new);
+            let out = &mut io::stdout().lock();
+            serve_stdin(session, pacer, opts.max_line_bytes, out, &mut journal)
+        }
     };
-    // Graceful epilogue, even when the loop above returned an error:
-    // seal what we have and keep the final checkpoint if possible.
     if let Some(j) = journal.as_mut() {
         if let Err(e) = j.seal() {
             eprintln!("vennsim serve: journal seal failed: {e}");

@@ -24,8 +24,10 @@
 //!   telemetry, checkpointing via the snapshot layer, and answering
 //!   what-if questions by forking the live state under a different
 //!   scheduler arm;
-//! * [`run_lines`] / [`serve`] — journal replay over any line source, and
-//!   the scripted / wall-clock-paced stdin and TCP input loops.
+//! * [`run_lines`] / [`replay`] / [`serve`] — commands from any line
+//!   source, a recovered journal, and the scripted / wall-clock-paced
+//!   stdin and TCP input loops; the last two end every session the same
+//!   way (journal seal, final checkpoint).
 //!
 //! Virtual time is decoupled from real time throughout: scripted
 //! sessions advance only on explicit `advance` commands and are fully
@@ -38,10 +40,9 @@ mod protocol;
 mod session;
 mod wal;
 
-pub use driver::{run_lines, serve, OutQueue, ServeOpts};
+pub use driver::{replay, run_lines, serve, OutQueue, ServeOpts};
 pub use protocol::{CmdError, Command};
 pub use session::{result_csv, LineOutcome, SchedSpec, ServeSession};
 pub use wal::{
-    real_fs, recover_journal, shared_fs, JournalError, Recovered, SharedFs, SyncPolicy, TornTail,
-    WalWriter,
+    recover_journal, shared_fs, JournalError, Recovered, SharedFs, SyncPolicy, TornTail, WalWriter,
 };

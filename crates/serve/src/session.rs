@@ -19,31 +19,19 @@
 //! `vt` stamp so a replay detects divergence immediately instead of
 //! drifting.
 
-use std::time::Duration;
-
 use venn_baselines::BaselineScheduler;
-use venn_core::faultio::retry_transient;
-use venn_core::{JobId, Scheduler, VennConfig, VennScheduler};
+use venn_core::{JobId, RealFs, Scheduler, VennConfig, VennScheduler};
 use venn_metrics::csv::Csv;
 use venn_metrics::MetricsFrame;
 use venn_sim::{
-    fork_world, resume_world, snapshot_world, CheckpointStore, JobPhase, SimConfig, SimResult,
-    World,
+    fork_world, publish_checkpoint, resume_world, snapshot_world, CheckpointStore, CkptError,
+    JobPhase, SimConfig, SimResult, SubmitError, World,
 };
 use venn_traces::{io as wio, JobPlan, Workload};
 
 use crate::json::{self, ObjWriter, Value};
 use crate::protocol::{CmdError, Command};
-use crate::wal::{real_fs, SharedFs};
-
-/// Write attempts for a `checkpoint` command before the typed `io`
-/// error surfaces (transient ENOSPC/EIO only — hard faults surface
-/// immediately).
-const CKPT_ATTEMPTS: u32 = 4;
-
-/// Initial backoff between checkpoint attempts (doubles each try;
-/// wall-clock only, virtual time is untouched).
-const CKPT_BACKOFF: Duration = Duration::from_millis(5);
+use crate::wal::{shared_fs, SharedFs};
 
 /// How to build a scheduler arm — the one registry from arm name to
 /// scheduler, shared by the live session, its fork children, every
@@ -149,7 +137,7 @@ impl ServeSession {
     /// [`JobPlan::check`] refuses or an unbuildable scheduler spec is an
     /// error, never a panic.
     pub fn new(config: SimConfig, spec: SchedSpec, workload: &Workload) -> Result<Self, String> {
-        Self::with_fs(config, spec, workload, real_fs())
+        Self::with_fs(config, spec, workload, shared_fs(RealFs))
     }
 
     /// Like [`ServeSession::new`], but every durable write the session
@@ -276,8 +264,10 @@ impl ServeSession {
                     Ok(job) => Ok(self.ok(|w| {
                         w.uint("job", job as u64).uint("arrival_ms", arrival);
                     })),
-                    Err(msg) if msg.contains("in the past") => Err(CmdError::past_time(msg)),
-                    Err(msg) => Err(CmdError::bad_arg(msg)),
+                    Err(e @ SubmitError::PastArrival { .. }) => {
+                        Err(CmdError::past_time(e.to_string()))
+                    }
+                    Err(e @ SubmitError::Plan(_)) => Err(CmdError::bad_arg(e.to_string())),
                 }
             }
             Command::Withdraw { job } => {
@@ -316,17 +306,16 @@ impl ServeSession {
                 Ok(self.ok(|_| {}))
             }
             Command::Checkpoint { path } => {
-                let bytes = snapshot_world(&self.world, &*self.scheduler)
-                    .map_err(|e| CmdError::snapshot(e.to_string()))?;
-                let len = bytes.len();
-                // Atomic publish with bounded retry: transient ENOSPC/EIO
-                // on the tmp write are retried with backoff; the rename
-                // only ever exposes a complete file.
-                let fs = self.fs.clone();
-                retry_transient(CKPT_ATTEMPTS, CKPT_BACKOFF, || {
-                    fs.borrow_mut().write_atomic(path, &bytes)
-                })
-                .map_err(|e| CmdError::io(format!("{path}: {e}")))?;
+                let published = publish_checkpoint(
+                    &mut *self.fs.borrow_mut(),
+                    path,
+                    &self.world,
+                    &*self.scheduler,
+                );
+                let len = published.map_err(|e| match e {
+                    CkptError::Snapshot(e) => CmdError::snapshot(e.to_string()),
+                    CkptError::Io(e) => CmdError::io(format!("{path}: {e}")),
+                })?;
                 Ok(self.ok(|w| {
                     w.str("path", path).uint("bytes", len as u64);
                 }))
@@ -433,7 +422,7 @@ impl ServeSession {
         let fs = self.fs.clone();
         let mut guard = fs.borrow_mut();
         let mut store =
-            CheckpointStore::open(&mut **guard, dir, 2).map_err(|e| CmdError::io(e.to_string()))?;
+            CheckpointStore::open(&mut *guard, dir, 2).map_err(|e| CmdError::io(e.to_string()))?;
         store
             .write(&self.world, &*self.scheduler)
             .map_err(|e| CmdError::io(e.to_string()))

@@ -4,8 +4,9 @@
 //! PR 9's journal was unsynced buffered text lines — fine for replaying
 //! a session that ended cleanly, useless after a crash: a torn final
 //! line failed replay with a parse or `vt-mismatch` error. This module
-//! promotes the journal to a real WAL, reusing the `VSNP` codec idioms
-//! from [`venn_core::snapshot`]:
+//! promotes the journal to a real WAL, reusing the `VSNP` codec from
+//! [`venn_core::snapshot`] — the header is the one both formats write
+//! and check ([`header`] / [`check_header`]):
 //!
 //! ```text
 //! header : "VWAL" magic | u32 version (LE)
@@ -30,8 +31,9 @@ use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
 
-use venn_core::faultio::{FioError, RealFs, SimFs};
-use venn_core::snapshot::checksum;
+use venn_core::faultio::{FioError, SimFs};
+use venn_core::snapshot::{check_header, checksum, header};
+use venn_core::{SnapError, SnapReader};
 
 /// Leading magic of a WAL journal (`b"VWAL"`).
 pub(crate) const WAL_MAGIC: [u8; 4] = *b"VWAL";
@@ -54,17 +56,12 @@ const RECORD_HEADER: usize = 12;
 /// the driver — single-threaded interior mutability over the [`SimFs`]
 /// boundary so one fault-injection plan governs every durable write a
 /// serve process performs.
-pub type SharedFs = Rc<RefCell<Box<dyn SimFs>>>;
-
-/// The default backend: the real filesystem.
-pub fn real_fs() -> SharedFs {
-    shared_fs(RealFs)
-}
+pub type SharedFs = Rc<RefCell<dyn SimFs>>;
 
 /// Wraps any [`SimFs`] backend (e.g. a scripted `FaultFs<MemFs>`) as a
 /// [`SharedFs`].
 pub fn shared_fs(fs: impl SimFs + 'static) -> SharedFs {
-    Rc::new(RefCell::new(Box::new(fs)))
+    Rc::new(RefCell::new(fs))
 }
 
 /// When journal appends reach the platter.
@@ -140,6 +137,15 @@ pub struct Recovered {
     pub wal: bool,
 }
 
+/// One record's bytes: `payload`'s length and checksum, then `payload`.
+fn record(payload: &[u8]) -> Vec<u8> {
+    let mut rec = Vec::with_capacity(RECORD_HEADER + payload.len());
+    rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    rec.extend_from_slice(&checksum(payload).to_le_bytes());
+    rec.extend_from_slice(payload);
+    rec
+}
+
 /// The append side: a WAL journal bound to a [`SharedFs`] path.
 pub struct WalWriter {
     fs: SharedFs,
@@ -152,15 +158,10 @@ pub struct WalWriter {
 impl WalWriter {
     /// Creates (truncating) the journal at `path` and writes the header.
     pub fn create(fs: SharedFs, path: &str, policy: SyncPolicy) -> Result<Self, FioError> {
-        let mut header = Vec::with_capacity(8);
-        header.extend_from_slice(&WAL_MAGIC);
-        header.extend_from_slice(&WAL_VERSION.to_le_bytes());
-        {
-            let mut f = fs.borrow_mut();
-            f.write(path, &header)?;
-            if policy == SyncPolicy::Always {
-                f.sync(path)?;
-            }
+        fs.borrow_mut()
+            .write(path, &header(WAL_MAGIC, WAL_VERSION))?;
+        if policy == SyncPolicy::Always {
+            fs.borrow_mut().sync(path)?;
         }
         Ok(WalWriter {
             fs,
@@ -176,13 +177,8 @@ impl WalWriter {
     /// seal marker).
     pub fn append(&mut self, line: &str) -> Result<(), FioError> {
         debug_assert!(!line.is_empty(), "empty journal lines are seal markers");
-        let payload = line.as_bytes();
-        let mut rec = Vec::with_capacity(RECORD_HEADER + payload.len());
-        rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        rec.extend_from_slice(&checksum(payload).to_le_bytes());
-        rec.extend_from_slice(payload);
         let mut f = self.fs.borrow_mut();
-        f.append(&self.path, &rec)?;
+        f.append(&self.path, &record(line.as_bytes()))?;
         match self.policy {
             SyncPolicy::Always => f.sync(&self.path)?,
             SyncPolicy::Batch => {
@@ -203,11 +199,8 @@ impl WalWriter {
         if self.sealed {
             return Ok(());
         }
-        let mut rec = Vec::with_capacity(RECORD_HEADER);
-        rec.extend_from_slice(&0u32.to_le_bytes());
-        rec.extend_from_slice(&checksum(b"").to_le_bytes());
         let mut f = self.fs.borrow_mut();
-        f.append(&self.path, &rec)?;
+        f.append(&self.path, &record(b""))?;
         if self.policy != SyncPolicy::Off {
             f.sync(&self.path)?;
         }
@@ -216,113 +209,76 @@ impl WalWriter {
     }
 }
 
-/// Decodes a WAL journal body (bytes *after* the 8-byte header),
-/// returning the intact record prefix and torn-tail telemetry.
-fn decode_wal_body(body: &[u8], base_offset: usize) -> Recovered {
-    let mut lines = Vec::new();
-    let mut pos = 0usize;
-    let torn = loop {
-        if pos == body.len() {
-            break None; // clean unsealed end (e.g. crash between records)
-        }
-        let off = base_offset + pos;
-        if body.len() - pos < RECORD_HEADER {
-            break Some(TornTail {
-                offset: off,
-                reason: format!(
-                    "{} trailing bytes, record header needs 12",
-                    body.len() - pos
-                ),
-            });
-        }
-        let len = u32::from_le_bytes(body[pos..pos + 4].try_into().unwrap()) as usize;
-        let stored = u64::from_le_bytes(body[pos + 4..pos + 12].try_into().unwrap());
-        if len == 0 {
-            // Seal marker: verify its checksum-of-empty, stop cleanly.
-            if stored == checksum(b"") {
-                return Recovered {
-                    lines,
-                    sealed: true,
-                    torn: None,
-                    wal: true,
-                };
-            }
-            break Some(TornTail {
-                offset: off,
-                reason: "seal record with damaged checksum".into(),
-            });
-        }
-        if len > MAX_RECORD {
-            break Some(TornTail {
-                offset: off,
-                reason: format!("record length {len} exceeds the {MAX_RECORD}-byte bound"),
-            });
-        }
-        if body.len() - pos - RECORD_HEADER < len {
-            break Some(TornTail {
-                offset: off,
-                reason: format!(
-                    "record claims {len} payload bytes, {} remain",
-                    body.len() - pos - RECORD_HEADER
-                ),
-            });
-        }
-        let payload = &body[pos + RECORD_HEADER..pos + RECORD_HEADER + len];
-        if checksum(payload) != stored {
-            break Some(TornTail {
-                offset: off,
-                reason: "record checksum mismatch".into(),
-            });
-        }
-        let Ok(line) = std::str::from_utf8(payload) else {
-            break Some(TornTail {
-                offset: off,
-                reason: "record payload is not UTF-8".into(),
-            });
-        };
-        lines.push(line.to_string());
-        pos += RECORD_HEADER + len;
-    };
-    Recovered {
-        lines,
-        sealed: false,
-        torn,
-        wal: true,
-    }
-}
-
 /// Recovers a WAL journal from its raw bytes. An empty file is an empty
 /// journal; anything not starting with the `VWAL` magic is
 /// [`JournalError::Unrecognized`] and a bad version is
 /// [`JournalError::BadVersion`].
 pub fn recover_journal(bytes: &[u8]) -> Result<Recovered, JournalError> {
-    if bytes.is_empty() {
-        return Ok(Recovered {
-            lines: Vec::new(),
-            sealed: false,
-            torn: None,
-            wal: false,
+    let mut out = Recovered {
+        lines: Vec::new(),
+        sealed: false,
+        torn: None,
+        wal: true,
+    };
+    let mut r = SnapReader::new(bytes);
+    match check_header(&mut r, WAL_MAGIC, WAL_VERSION) {
+        Ok(()) => decode_records(&mut out, bytes, bytes.len() - r.remaining()),
+        _ if bytes.is_empty() => out.wal = false,
+        Err(SnapError::UnsupportedVersion(v)) => return Err(JournalError::BadVersion(v)),
+        // Past a whole magic, only the version word can be cut short.
+        Err(SnapError::Truncated { .. }) if bytes.len() >= WAL_MAGIC.len() => {
+            let reason = "WAL header torn before the version word".to_string();
+            out.torn = Some(TornTail {
+                offset: WAL_MAGIC.len(),
+                reason,
+            });
+        }
+        Err(_) => return Err(JournalError::Unrecognized),
+    }
+    Ok(out)
+}
+
+/// Reads the records of `bytes` from offset `pos` into `out` up to the
+/// first damaged one, which `out.torn` then names; a seal record ends
+/// the walk cleanly and sets `out.sealed`. A clean end without a seal
+/// (e.g. a crash between records) sets neither.
+fn decode_records(out: &mut Recovered, bytes: &[u8], mut pos: usize) {
+    while pos < bytes.len() {
+        let rest = &bytes[pos..];
+        let mut words = SnapReader::new(rest);
+        let reason = match (words.u32(), words.u64()) {
+            (Ok(len), Ok(stored)) => {
+                let (len, payload) = (len as usize, &rest[RECORD_HEADER..]);
+                if len == 0 {
+                    // Seal marker: verify its checksum-of-empty, stop cleanly.
+                    out.sealed = stored == checksum(b"");
+                    if out.sealed {
+                        return;
+                    }
+                    "seal record with damaged checksum".to_string()
+                } else if len > MAX_RECORD {
+                    format!("record length {len} exceeds the {MAX_RECORD}-byte bound")
+                } else if payload.len() < len {
+                    let remain = payload.len();
+                    format!("record claims {len} payload bytes, {remain} remain")
+                } else if checksum(&payload[..len]) != stored {
+                    "record checksum mismatch".to_string()
+                } else if let Ok(line) = std::str::from_utf8(&payload[..len]) {
+                    out.lines.push(line.to_string());
+                    pos += RECORD_HEADER + len;
+                    continue;
+                } else {
+                    "record payload is not UTF-8".to_string()
+                }
+            }
+            _ => format!("{} trailing bytes, record header needs 12", rest.len()),
+        };
+        out.torn = Some(TornTail {
+            offset: pos,
+            reason,
         });
+        return;
     }
-    if bytes.len() < 4 || bytes[..4] != WAL_MAGIC {
-        return Err(JournalError::Unrecognized);
-    }
-    if bytes.len() < 8 {
-        return Ok(Recovered {
-            lines: Vec::new(),
-            sealed: false,
-            torn: Some(TornTail {
-                offset: 4,
-                reason: "WAL header torn before the version word".into(),
-            }),
-            wal: true,
-        });
-    }
-    let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-    if version != WAL_VERSION {
-        return Err(JournalError::BadVersion(version));
-    }
-    Ok(decode_wal_body(&bytes[8..], 8))
 }
 
 #[cfg(test)]

@@ -37,6 +37,24 @@ const WRITE_ATTEMPTS: u32 = 4;
 /// Initial backoff between checkpoint write attempts (doubles each try).
 const WRITE_BACKOFF: Duration = Duration::from_millis(10);
 
+/// Publishes one checkpoint of `world` + `scheduler` at `path`: the
+/// snapshot is written atomically (tmp + fsync + rename), and transient
+/// failures are retried with backoff. Returns the bytes written. Every
+/// checkpoint — a [`CheckpointStore`]'s and a serve session's — is
+/// published here.
+pub fn publish_checkpoint(
+    fs: &mut dyn SimFs,
+    path: &str,
+    world: &World,
+    scheduler: &dyn Scheduler,
+) -> Result<usize, CkptError> {
+    let bytes = snapshot_world(world, scheduler)?;
+    retry_transient(WRITE_ATTEMPTS, WRITE_BACKOFF, || {
+        fs.write_atomic(path, &bytes)
+    })?;
+    Ok(bytes.len())
+}
+
 /// Why a checkpoint operation failed — always typed, never a panic.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CkptError {
@@ -136,15 +154,12 @@ impl<'fs> CheckpointStore<'fs> {
         Ok(out)
     }
 
-    /// Writes one checkpoint of `world` + `scheduler` atomically
-    /// (tmp + fsync + rename), retrying transient failures with backoff,
-    /// then prunes all but the newest `keep`. Returns the published path.
+    /// Writes one checkpoint of `world` + `scheduler` through
+    /// [`publish_checkpoint`], then prunes all but the newest `keep`.
+    /// Returns the published path.
     pub fn write(&mut self, world: &World, scheduler: &dyn Scheduler) -> Result<String, CkptError> {
-        let bytes = snapshot_world(world, scheduler)?;
         let path = format!("{}/ckpt-{:016}.vsnp", self.dir, world.now());
-        retry_transient(WRITE_ATTEMPTS, WRITE_BACKOFF, || {
-            self.fs.write_atomic(&path, &bytes)
-        })?;
+        publish_checkpoint(self.fs, &path, world, scheduler)?;
         self.prune()?;
         Ok(path)
     }

@@ -43,7 +43,7 @@ mod result;
 mod snapshot;
 mod world;
 
-pub use checkpoint::{CheckpointStore, CkptError, ResumeOutcome};
+pub use checkpoint::{publish_checkpoint, CheckpointStore, CkptError, ResumeOutcome};
 pub use config::{ExecMode, PopMode, SimConfig};
 pub use device_pool::DevicePool;
 pub use engine::Simulation;
@@ -54,4 +54,4 @@ pub use parked::ParkedPolls;
 pub use result::{RoundLog, SimResult};
 pub use snapshot::{fork_world, resume_world, snapshot_world};
 pub use venn_core::Scheduler;
-pub use world::World;
+pub use world::{SubmitError, World};

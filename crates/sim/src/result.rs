@@ -115,20 +115,12 @@ impl SimResult {
     }
 
     /// Restores [`encode_progress`](Self::encode_progress)'s
-    /// accumulators. With `check_scheduler`, a snapshot taken under
-    /// another scheduler is [`SnapError::Corrupt`].
-    pub(crate) fn restore_progress(
-        &mut self,
-        r: &mut SnapReader<'_>,
-        check_scheduler: bool,
-    ) -> Result<(), SnapError> {
-        let name = r.str()?;
-        if check_scheduler && name != self.scheduler_name {
-            return Err(SnapError::Corrupt(format!(
-                "snapshot taken under scheduler {name:?}, resuming {:?}",
-                self.scheduler_name
-            )));
-        }
+    /// accumulators. The stored scheduler name is read and dropped: the
+    /// result keeps the restoring world's own, and
+    /// [`Scheduler::load_state`](venn_core::Scheduler::load_state) is what
+    /// refuses a snapshot taken under another scheduler.
+    pub(crate) fn restore_progress(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        r.str()?;
         self.events = r.u64()?;
         self.aborted_rounds = r.u64()?;
         self.assignments = r.u64()?;

@@ -63,34 +63,47 @@ pub fn snapshot_world(world: &World, scheduler: &dyn Scheduler) -> Result<Vec<u8
     Ok(seal(w))
 }
 
+/// The prologue [`resume_world`] and [`fork_world`] share: verifies the
+/// container and the run fingerprint, rebuilds the world with
+/// [`World::new`] under `scheduler_name`, and restores its kernel state.
+/// Returns the world and the reader, left at the scheduler's saved state.
+fn restore<'a>(
+    bytes: &'a [u8],
+    config: SimConfig,
+    workload: &Workload,
+    scheduler_name: &str,
+) -> Result<(World, SnapReader<'a>), SnapError> {
+    let mut r = SnapReader::new(unseal(bytes)?);
+    let stored = r.u64()?;
+    let expected = run_fingerprint(&config, workload);
+    if stored != expected {
+        return Err(SnapError::Corrupt(format!(
+            "snapshot fingerprint {stored:#018x} does not match this \
+             (config, workload) pair {expected:#018x} — resume and fork \
+             must use the run's original parameters"
+        )));
+    }
+    let mut world = World::new(config, workload, scheduler_name);
+    world.restore_state(&mut r)?;
+    Ok((world, r))
+}
+
 /// Rebuilds a world (and overwrites `scheduler`'s state) from a sealed
 /// checkpoint, ready to continue stepping exactly where the checkpointed
 /// run left off.
 ///
 /// `config` and `workload` must be the pair the snapshot was taken
 /// under; `scheduler` must be a fresh instance of the same scheduler
-/// build. Every failure mode — truncation, bit flips, wrong format
-/// version, mismatched run or scheduler — returns a [`SnapError`];
-/// nothing in this path panics.
+/// build, which its [`Scheduler::load_state`] checks. Every failure mode
+/// — truncation, bit flips, wrong format version, mismatched run or
+/// scheduler — returns a [`SnapError`]; nothing in this path panics.
 pub fn resume_world(
     bytes: &[u8],
     config: SimConfig,
     workload: &Workload,
     scheduler: &mut dyn Scheduler,
 ) -> Result<World, SnapError> {
-    let body = unseal(bytes)?;
-    let mut r = SnapReader::new(body);
-    let stored = r.u64()?;
-    let expected = run_fingerprint(&config, workload);
-    if stored != expected {
-        return Err(SnapError::Corrupt(format!(
-            "snapshot fingerprint {stored:#018x} does not match this \
-             (config, workload) pair {expected:#018x} — resume must use \
-             the run's original parameters"
-        )));
-    }
-    let mut world = World::new(config, workload, scheduler.name());
-    world.restore_state(&mut r)?;
+    let (world, mut r) = restore(bytes, config, workload, scheduler.name())?;
     scheduler.load_state(&mut r)?;
     r.finish()?;
     Ok(world)
@@ -120,19 +133,7 @@ pub fn fork_world(
     workload: &Workload,
     scheduler: &mut dyn Scheduler,
 ) -> Result<World, SnapError> {
-    let body = unseal(bytes)?;
-    let mut r = SnapReader::new(body);
-    let stored = r.u64()?;
-    let expected = run_fingerprint(&config, workload);
-    if stored != expected {
-        return Err(SnapError::Corrupt(format!(
-            "snapshot fingerprint {stored:#018x} does not match this \
-             (config, workload) pair {expected:#018x} — a fork changes \
-             the scheduler, never the run's parameters"
-        )));
-    }
-    let mut world = World::new(config, workload, scheduler.name());
-    world.restore_state_impl(&mut r, false)?;
+    let (mut world, _) = restore(bytes, config, workload, scheduler.name())?;
     world.resubmit_open_requests(scheduler);
     Ok(world)
 }

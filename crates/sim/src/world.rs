@@ -18,6 +18,8 @@
 //! `(config, workload, scheduler)` inputs produce byte-identical
 //! [`SimResult`]s, with or without observers attached.
 
+use std::fmt;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -88,6 +90,33 @@ impl SessionStream {
             } else {
                 queue.push(e.start, kind);
             }
+        }
+    }
+}
+
+/// Why [`World::submit_job`] refused a plan.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SubmitError {
+    /// The arrival precedes the current virtual time: the kernel never
+    /// schedules into the past.
+    PastArrival {
+        /// The plan's arrival, ms.
+        arrival_ms: u64,
+        /// The world's virtual time, ms.
+        now_ms: u64,
+    },
+    /// The plan breaks a [`JobPlan::check`] rule, named by the message.
+    Plan(&'static str),
+}
+
+impl fmt::Display for SubmitError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SubmitError::PastArrival { arrival_ms, now_ms } => write!(
+                f,
+                "arrival {arrival_ms} ms is in the past (virtual time is {now_ms} ms)"
+            ),
+            SubmitError::Plan(why) => f.write_str(why),
         }
     }
 }
@@ -431,16 +460,14 @@ impl World {
     /// indistinguishable from a plan known at t=0 with the same arrival.
     ///
     /// The plan's `id` is reassigned to the job's table index. Returns
-    /// that index, or a diagnostic for a plan the kernel cannot honor
-    /// (zero rounds/demand/task cost, or an arrival before the current
-    /// virtual time — the kernel never schedules into the past).
-    pub fn submit_job(&mut self, mut plan: JobPlan) -> Result<usize, String> {
-        plan.check()?;
+    /// that index, or why the kernel cannot honor the plan.
+    pub fn submit_job(&mut self, mut plan: JobPlan) -> Result<usize, SubmitError> {
+        plan.check().map_err(SubmitError::Plan)?;
         if plan.arrival_ms < self.now {
-            return Err(format!(
-                "arrival {} ms is in the past (virtual time is {} ms)",
-                plan.arrival_ms, self.now
-            ));
+            return Err(SubmitError::PastArrival {
+                arrival_ms: plan.arrival_ms,
+                now_ms: self.now,
+            });
         }
         let job_idx = self.jobs.len();
         plan.id = JobId::new(job_idx as u64);
@@ -1024,25 +1051,16 @@ impl World {
     /// [`encode_state`](Self::encode_state).
     ///
     /// Call on a world freshly built by [`World::new`] with the *same*
-    /// `(config, workload, scheduler_name)` as the checkpointed run. The
+    /// `(config, workload)` as the checkpointed run. The
     /// constructor's initial queue contents are discarded wholesale; the
     /// snapshot's pending-event set is authoritative. Returns
     /// [`SnapError::Corrupt`] — never panics — on any internally
     /// inconsistent input that slips past the container checksum.
+    ///
+    /// The world keeps its own scheduler name: a fork restores under
+    /// another scheduler on purpose, and a resume leaves the identity
+    /// check to [`Scheduler::load_state`].
     pub(crate) fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.restore_state_impl(r, true)
-    }
-
-    /// [`restore_state`](Self::restore_state) with the scheduler-name
-    /// check optional: the what-if `fork` path
-    /// ([`crate::snapshot::fork_world`]) deliberately restores a world
-    /// under a *different* scheduler, keeping the fresh world's own
-    /// scheduler name for the child run's report.
-    pub(crate) fn restore_state_impl(
-        &mut self,
-        r: &mut SnapReader<'_>,
-        check_scheduler: bool,
-    ) -> Result<(), SnapError> {
         self.now = r.u64()?;
         self.devices.restore_state(r)?;
 
@@ -1160,7 +1178,7 @@ impl World {
 
         self.rng = StdRng::decode(r)?;
 
-        self.result.restore_progress(r, check_scheduler)
+        self.result.restore_progress(r)
     }
 
     /// Refuses a restored event this world could not dispatch: one dated

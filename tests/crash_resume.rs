@@ -466,23 +466,37 @@ fn crash_before_rename_strands_tmp_and_resume_falls_back() {
 
 /// A snapshot taken under one run identity must not resume another:
 /// different seed, different population, different pop mode, different
-/// scheduler — each is a distinct run and must be refused.
+/// scheduler — each is a distinct run and must be refused. Two arms of
+/// one scheduler struct (`venn-wo-sched` → `venn`) differ only in the
+/// name their `load_state` checks, so that row pins the one identity
+/// check a resume makes.
 #[test]
 fn snapshots_are_pinned_to_their_run_identity() {
     let sim = experiment(12, EnvPreset::Off, PopMode::Eager);
     let workload = contended_workload(sim.seed);
+    let snapshot_under = |kind: SchedKind| {
+        let mut sched = kind.build(sim.seed ^ SCHED_SEED_SALT);
+        let mut world = World::new(sim, &workload, sched.name());
+        for _ in 0..200 {
+            assert!(world.step(&mut *sched, &mut []), "run too short");
+        }
+        snapshot_world(&world, &*sched).expect("snapshot")
+    };
     let kind = SchedKind::Venn;
-    let mut sched = kind.build(sim.seed ^ SCHED_SEED_SALT);
-    let mut world = World::new(sim, &workload, sched.name());
-    for _ in 0..200 {
-        assert!(world.step(&mut *sched, &mut []), "run too short");
-    }
-    let bytes = snapshot_world(&world, &*sched).expect("snapshot");
+    let bytes = snapshot_under(kind);
+    let wo_sched = snapshot_under(SchedKind::VennWoSched);
 
-    let wrong: [(&str, SimConfig, &Workload, SchedKind); 4] = [
-        ("seed", SimConfig { seed: 13, ..sim }, &workload, kind),
+    let wrong: [(&str, &[u8], SimConfig, &Workload, SchedKind); 5] = [
+        (
+            "seed",
+            &bytes,
+            SimConfig { seed: 13, ..sim },
+            &workload,
+            kind,
+        ),
         (
             "population",
+            &bytes,
             SimConfig {
                 population: 401,
                 ..sim
@@ -492,6 +506,7 @@ fn snapshots_are_pinned_to_their_run_identity() {
         ),
         (
             "pop mode",
+            &bytes,
             SimConfig {
                 pop_mode: PopMode::Lazy,
                 ..sim
@@ -499,20 +514,23 @@ fn snapshots_are_pinned_to_their_run_identity() {
             &workload,
             kind,
         ),
-        ("scheduler", sim, &workload, SchedKind::Fifo),
+        ("scheduler", &bytes, sim, &workload, SchedKind::Fifo),
+        ("arm of the same scheduler", &wo_sched, sim, &workload, kind),
     ];
-    for (what, config, w, k) in wrong {
+    for (what, snap, config, w, k) in wrong {
         let mut fresh = k.build(config.seed ^ SCHED_SEED_SALT);
         assert!(
-            resume_world(&bytes, config, w, &mut *fresh).is_err(),
+            resume_world(snap, config, w, &mut *fresh).is_err(),
             "a snapshot must not resume under a different {what}"
         );
     }
 
-    // The positive control: the identity it was taken under resumes.
-    let mut fresh = kind.build(sim.seed ^ SCHED_SEED_SALT);
-    assert!(
-        resume_world(&bytes, sim, &workload, &mut *fresh).is_ok(),
-        "a snapshot must resume under its own run identity"
-    );
+    // The positive controls: the identity each was taken under resumes.
+    for (snap, k) in [(&bytes, kind), (&wo_sched, SchedKind::VennWoSched)] {
+        let mut fresh = k.build(sim.seed ^ SCHED_SEED_SALT);
+        assert!(
+            resume_world(snap, sim, &workload, &mut *fresh).is_ok(),
+            "a snapshot must resume under its own run identity"
+        );
+    }
 }
