@@ -42,7 +42,6 @@ mod device;
 pub mod fairness;
 pub mod faultio;
 mod ids;
-pub mod intern;
 pub mod irs;
 pub mod matching;
 mod request;
@@ -78,3 +77,74 @@ pub const HOUR_MS: SimTime = 60 * 60 * 1000;
 
 /// One simulated minute in milliseconds.
 pub const MINUTE_MS: SimTime = 60 * 1000;
+
+/// Spec interning: a job's [`ResourceSpec`] names its resource-homogeneous
+/// group (paper §4.2), and the group id is the spec's bit in the supply
+/// estimator's registry. `VennScheduler::group_index` looks a spec up there
+/// and registers it on first sight; these tests pin that contract.
+#[cfg(test)]
+mod intern {
+    mod tests {
+        use crate::{ResourceSpec, SupplyEstimator, VennConfig, VennScheduler};
+
+        fn scheduler() -> VennScheduler {
+            VennScheduler::new(VennConfig::default())
+        }
+
+        #[test]
+        fn equal_specs_share_an_id() {
+            let mut s = scheduler();
+            let a = s.group_index(ResourceSpec::new(0.5, 0.0));
+            let b = s.group_index(ResourceSpec::new(0.25, 0.75));
+            let a2 = s.group_index(ResourceSpec::new(0.5, 0.0));
+            assert_eq!(a, a2);
+            assert_ne!(a, b);
+            // Only two specs were registered: the next new one gets bit 2.
+            assert_eq!(s.group_index(ResourceSpec::any()).index(), 2);
+        }
+
+        #[test]
+        fn resolve_inverts_intern() {
+            let mut e = SupplyEstimator::new(1_000);
+            let specs = [
+                ResourceSpec::any(),
+                ResourceSpec::new(0.5, 0.0),
+                ResourceSpec::new(0.0, 0.5),
+            ];
+            for spec in specs {
+                let j = e.register_spec(spec);
+                assert_eq!(e.specs()[j], spec);
+                assert_eq!(e.lookup_spec(spec), Some(j));
+            }
+            assert_eq!(e.specs(), &specs);
+        }
+
+        #[test]
+        fn ids_are_dense_in_first_seen_order() {
+            let mut s = scheduler();
+            let g0 = s.group_index(ResourceSpec::new(0.9, 0.9));
+            let g1 = s.group_index(ResourceSpec::any());
+            assert_eq!(g0.index(), 0);
+            assert_eq!(g1.index(), 1);
+        }
+
+        #[test]
+        fn negative_zero_interns_like_zero() {
+            // ResourceSpec::new normalizes -0.0, so the sign of zero never
+            // splits a group.
+            let mut s = scheduler();
+            let a = s.group_index(ResourceSpec::new(0.5, 0.0));
+            let b = s.group_index(ResourceSpec::new(0.5, -0.0));
+            assert_eq!(a, b);
+            assert_eq!(s.group_index(ResourceSpec::any()).index(), 1);
+        }
+
+        #[test]
+        fn unknown_spec_lookup_is_none() {
+            let mut e = SupplyEstimator::new(1_000);
+            assert_eq!(e.lookup_spec(ResourceSpec::any()), None);
+            e.register_spec(ResourceSpec::new(0.5, 0.0));
+            assert_eq!(e.lookup_spec(ResourceSpec::any()), None);
+        }
+    }
+}

@@ -255,6 +255,11 @@ impl JobIdIndex {
         self.slots[i] = slot;
     }
 
+    /// Every registered slot, in job-id order.
+    pub(crate) fn slots(&self) -> impl Iterator<Item = JobSlot> + '_ {
+        self.slots.iter().copied().filter(|s| !s.is_null())
+    }
+
     /// Unregisters `job` (no-op if absent).
     pub fn clear(&mut self, job: JobId) {
         if let Some(s) = self.slots.get_mut(job.as_u64() as usize) {

@@ -46,8 +46,11 @@ pub(crate) const SNAP_MAGIC: [u8; 4] = *b"VSNP";
 ///
 /// Version 2 stores the supply estimator's ring as 4-byte delta-packed
 /// words (version 1 wrote 8-byte `time << 16 | cell` words). Version 3
-/// checksums the body with XXH64 (versions 1 and 2 used FNV-1a).
-pub(crate) const SNAP_FORMAT_VERSION: u32 = 3;
+/// checksums the body with XXH64 (versions 1 and 2 used FNV-1a). Version
+/// 4 stores the supply index's inputs only (window, ring, specs), not the
+/// cell and slot tables built from them, and the Venn scheduler no longer
+/// writes a second copy of the spec list.
+pub(crate) const SNAP_FORMAT_VERSION: u32 = 4;
 
 /// Bytes of the container frame in front of the body: magic, format
 /// version, body length and checksum.
@@ -742,9 +745,11 @@ mod tests {
     fn version_1_containers_are_refused_before_the_body_is_read() {
         // A version-1 container holds a supply ring of 8-byte words, which
         // the current decoder would read as twice as many 4-byte ones, and
-        // versions 1 and 2 carry an FNV-1a checksum: the frame must stop
-        // both by their version, before the checksum is compared or a
-        // single body byte is interpreted.
+        // versions 1 and 2 carry an FNV-1a checksum; a version-3 supply
+        // section carries the cell and slot tables after the ring, which
+        // the current decoder would read as specs. The frame must stop
+        // all three by their version, before the checksum is compared or
+        // a single body byte is interpreted.
         let mut supply = crate::SupplyEstimator::new(60_000);
         for t in 0..20 {
             supply.record(t * 1_000, &crate::Capacity::new(0.5, 0.5));
@@ -752,7 +757,7 @@ mod tests {
         let mut w = SnapWriter::new();
         supply.encode(&mut w);
         let current = seal(w);
-        for version in [1u32, 2] {
+        for version in [1u32, 2, 3] {
             let mut old = current.clone();
             old[4..8].copy_from_slice(&version.to_le_bytes());
             old[16..24].copy_from_slice(&0u64.to_le_bytes());

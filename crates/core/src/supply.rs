@@ -50,7 +50,9 @@ pub struct RegionSupply {
 /// estimator keeps a *mask index* over specs registered with
 /// [`register_spec`](Self::register_spec): every grid cell is mapped to a
 /// slot for its eligibility mask, and per-slot live counts are maintained
-/// incrementally on [`record`](Self::record)/expiry. Registered queries
+/// incrementally on [`record`](Self::record)/expiry. The registered list
+/// is the one spec registry: spec `j` is mask bit `j` here and job group
+/// `j` in the Venn scheduler. Registered queries
 /// ([`registered_rates`](Self::registered_rates) /
 /// [`registered_regions`](Self::registered_regions)) then cost
 /// O(regions) instead of O(grid × specs) — the delta API the incremental
@@ -102,7 +104,8 @@ pub struct SupplyEstimator {
     /// equals `back`.
     back: SimTime,
     /// Specs registered for the incremental mask index; bit `j` of every
-    /// mask refers to `specs[j]`.
+    /// mask refers to `specs[j]`. The index below is a function of this
+    /// list alone.
     specs: Vec<ResourceSpec>,
     /// Slot of each grid cell's eligibility mask (index into the two
     /// parallel slot vectors below).
@@ -366,6 +369,18 @@ impl SupplyEstimator {
         j
     }
 
+    /// The bit `spec` was registered under, if it was: a linear scan of
+    /// bit-compared thresholds (the same equivalence `ResourceSpec::eq`
+    /// uses), cheaper than hashing at no more than 128 specs.
+    pub fn lookup_spec(&self, spec: ResourceSpec) -> Option<usize> {
+        self.specs.iter().position(|s| *s == spec)
+    }
+
+    /// The registered specs, in bit order.
+    pub fn specs(&self) -> &[ResourceSpec] {
+        &self.specs
+    }
+
     /// Check-in rate of devices satisfying registered spec `j` — the same
     /// number [`rate`](Self::rate) returns for that spec, read from the
     /// mask index in O(regions).
@@ -521,12 +536,12 @@ impl SupplyEstimator {
         out
     }
 
-    /// The eligibility mask of a single device against `specs` (same bit
-    /// layout as [`region_supplies`](Self::region_supplies)).
-    pub(crate) fn mask_of(capacity: &Capacity, specs: &[ResourceSpec]) -> u128 {
-        assert!(specs.len() <= 128, "at most 128 concurrent job groups");
+    /// The eligibility mask of a single device against the registered
+    /// specs (the bit layout of
+    /// [`registered_regions`](Self::registered_regions)).
+    pub(crate) fn mask_of(&self, capacity: &Capacity) -> u128 {
         let mut mask = 0u128;
-        for (j, spec) in specs.iter().enumerate() {
+        for (j, spec) in self.specs.iter().enumerate() {
             if spec.is_eligible(capacity) {
                 mask |= 1 << j;
             }
@@ -535,25 +550,24 @@ impl SupplyEstimator {
     }
 }
 
-/// The snapshot dumps every field verbatim — including the lazily
-/// maintained count table and its freshness flag — so a restored
-/// estimator continues pruning, refreshing, and splitting regions on
-/// exactly the schedule the snapshotted one would have. The ring goes out
-/// as `base`, `back` and its 4-byte words, the bulk of a Venn checkpoint:
-/// written in bulk from the ring's two contiguous halves, and read back
-/// in one pass that converts and checks each word together.
+/// The snapshot stores the estimator's inputs only: the window, the ring
+/// (as `base`, `back` and its 4-byte words, the bulk of a Venn
+/// checkpoint, written in bulk from the ring's two contiguous halves) and
+/// the registered specs. The mask index is a function of the spec list,
+/// so decode rebuilds it by registering the specs in order on an empty
+/// ring, then sets the slot counts from the per-cell tally of the one
+/// pass that reads and checks the ring. The cell-count cache comes back
+/// stale, as every record leaves it. A restored estimator therefore
+/// answers every query as the snapshotted one would.
 ///
-/// Decode refuses, as [`SnapError::Corrupt`], a cell past the filler, a
-/// filler whose step is not `MAX_DT`, steps that overflow or do not lead
-/// from `base` to `back`, slot counts (or fresh cell counts) that
-/// disagree with the ring, and slot masks naming specs that are not
-/// registered — so hostile bytes give an error here, never a panic in a
-/// later query.
+/// Decode refuses, as [`SnapError::Corrupt`], a zero window, a cell past
+/// the filler, a filler whose step is not `MAX_DT`, steps that overflow
+/// or do not lead from `base` to `back`, and more specs than the mask
+/// width — so hostile bytes give an error here, never a panic in
+/// `register_spec` or a later query.
 impl Snapshot for SupplyEstimator {
     fn encode(&self, w: &mut SnapWriter) {
         w.u64(self.window_ms);
-        w.seq(&self.counts, |w, &c| w.u32(c));
-        w.bool(self.counts_fresh);
         w.u64(self.base);
         w.u64(self.back);
         let (front, rest) = self.queue.as_slices();
@@ -561,9 +575,6 @@ impl Snapshot for SupplyEstimator {
         w.u32s(front);
         w.u32s(rest);
         w.seq(&self.specs, |w, s| s.encode(w));
-        w.seq(&self.cell_slot, |w, &s| w.u32(s));
-        w.seq(&self.slot_masks, |w, &m| w.u128(m));
-        w.seq(&self.slot_counts, |w, &c| w.u64(c));
     }
 
     fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
@@ -572,8 +583,6 @@ impl Snapshot for SupplyEstimator {
         if window_ms == 0 {
             return Err(corrupt("window is zero"));
         }
-        let counts = r.seq(|r| r.u32())?;
-        let counts_fresh = r.bool()?;
         let base = r.u64()?;
         let back = r.u64()?;
         let len = r.len_prefix()?;
@@ -599,46 +608,21 @@ impl Snapshot for SupplyEstimator {
             return Err(corrupt("ring steps do not lead from base to back"));
         }
         let specs = r.seq(ResourceSpec::decode)?;
-        let cell_slot = r.seq(|r| r.u32())?;
-        let slot_masks = r.seq(|r| r.u128())?;
-        let slot_counts = r.seq(|r| r.u64())?;
-        if counts.len() != GRID * GRID || cell_slot.len() != GRID * GRID {
-            return Err(corrupt("grid size mismatch"));
-        }
         if specs.len() > 128 {
             return Err(corrupt("spec count exceeds the mask width"));
         }
-        if slot_masks.len() != slot_counts.len() {
-            return Err(corrupt("slot table mismatch"));
+        let mut s = SupplyEstimator::new(window_ms);
+        for spec in specs {
+            s.register_spec(spec);
         }
-        if cell_slot.iter().any(|&s| s as usize >= slot_masks.len()) {
-            return Err(corrupt("cell slot out of range"));
+        for (&n, &slot) in cells.iter().zip(&s.cell_slot) {
+            s.slot_counts[slot as usize] += n;
         }
-        if specs.len() < 128 && slot_masks.iter().any(|&m| m >> specs.len() != 0) {
-            return Err(corrupt("slot mask names an unregistered spec"));
-        }
-        let mut tally = vec![0u64; slot_masks.len()];
-        for (&n, &s) in cells.iter().zip(&cell_slot) {
-            tally[s as usize] += n;
-        }
-        if tally != slot_counts {
-            return Err(corrupt("slot counts disagree with the ring"));
-        }
-        if counts_fresh && counts.iter().zip(&cells).any(|(&c, &n)| c as u64 != n) {
-            return Err(corrupt("fresh cell counts disagree with the ring"));
-        }
-        Ok(SupplyEstimator {
-            window_ms,
-            counts,
-            counts_fresh,
-            queue: queue.into(),
-            base,
-            back,
-            specs,
-            cell_slot,
-            slot_masks,
-            slot_counts,
-        })
+        s.queue = queue.into();
+        s.base = base;
+        s.back = back;
+        s.counts_fresh = false;
+        Ok(s)
     }
 }
 
@@ -712,11 +696,11 @@ mod tests {
 
     #[test]
     fn mask_of_matches_eligibility() {
-        let specs = [ResourceSpec::any(), ResourceSpec::new(0.5, 0.5)];
-        let m = SupplyEstimator::mask_of(&Capacity::new(0.6, 0.6), &specs);
-        assert_eq!(m, 0b11);
-        let m = SupplyEstimator::mask_of(&Capacity::new(0.6, 0.4), &specs);
-        assert_eq!(m, 0b01);
+        let mut s = SupplyEstimator::new(1_000);
+        s.register_spec(ResourceSpec::any());
+        s.register_spec(ResourceSpec::new(0.5, 0.5));
+        assert_eq!(s.mask_of(&Capacity::new(0.6, 0.6)), 0b11);
+        assert_eq!(s.mask_of(&Capacity::new(0.6, 0.4)), 0b01);
     }
 
     #[test]
@@ -918,15 +902,8 @@ mod tests {
         s.base = u64::MAX - 1;
         refused(s, "overflows");
         let mut s = valid();
-        s.slot_counts[0] += 1;
-        refused(s, "slot counts disagree");
-        let mut s = valid();
-        s.refresh_counts();
-        s.counts[0] += 1;
-        refused(s, "fresh cell counts disagree");
-        let mut s = valid();
-        s.slot_masks[0] |= 1 << 5;
-        refused(s, "unregistered spec");
+        s.window_ms = 0;
+        refused(s, "window is zero");
         let mut s = valid();
         s.specs = vec![ResourceSpec::any(); 129];
         refused(s, "mask width");
@@ -955,8 +932,6 @@ mod tests {
 
         let mut reference = SnapWriter::new();
         reference.u64(s.window_ms);
-        reference.seq(&s.counts, |w, &c| w.u32(c));
-        reference.bool(s.counts_fresh);
         reference.u64(s.base);
         reference.u64(s.back);
         reference.len_prefix(s.queue.len());
@@ -964,9 +939,6 @@ mod tests {
             reference.u32(word);
         }
         reference.seq(&s.specs, |w, spec| spec.encode(w));
-        reference.seq(&s.cell_slot, |w, &slot| w.u32(slot));
-        reference.seq(&s.slot_masks, |w, &m| w.u128(m));
-        reference.seq(&s.slot_counts, |w, &c| w.u64(c));
         let mut bulk = SnapWriter::new();
         s.encode(&mut bulk);
         let bytes = bulk.into_bytes();
@@ -980,6 +952,65 @@ mod tests {
         let mut again = SnapWriter::new();
         decoded.encode(&mut again);
         assert_eq!(again.into_bytes(), bytes);
+    }
+
+    #[test]
+    fn a_decoded_estimator_answers_every_query_as_the_live_one() {
+        let specs = four_region_specs();
+        let mut live = SupplyEstimator::new(5 * MAX_DT);
+        live.register_spec(specs[3]);
+        for i in 0..300u64 {
+            let v = (i % 13) as f64 / 13.0;
+            let w = (i % 7) as f64 / 7.0;
+            live.record(i * 3_001 + (i / 100) * 2 * MAX_DT, &Capacity::new(v, w));
+            if i == 150 {
+                live.register_spec(specs[1]);
+            }
+        }
+        live.register_spec(specs[0]);
+        live.register_spec(specs[2]);
+        let encode = |s: &SupplyEstimator| {
+            let mut w = SnapWriter::new();
+            s.encode(&mut w);
+            w.into_bytes()
+        };
+        let bytes = encode(&live);
+        let mut r = SnapReader::new(&bytes);
+        let mut decoded = SupplyEstimator::decode(&mut r).unwrap();
+        r.finish().unwrap();
+        assert_eq!(encode(&decoded), bytes);
+        // The index rebuilt from the specs is the one the live registrations
+        // built around the ring.
+        assert_eq!(decoded.cell_slot, live.cell_slot);
+        assert_eq!(decoded.slot_masks, live.slot_masks);
+        assert_eq!(decoded.slot_counts, live.slot_counts);
+        let order = [specs[3], specs[1], specs[0], specs[2]];
+        for now in [live.back, live.back + MAX_DT, live.back + 4 * MAX_DT] {
+            for s in [&mut live, &mut decoded] {
+                s.record(now, &Capacity::new(0.7, 0.2));
+            }
+            assert_eq!(decoded.window_count(now), live.window_count(now));
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            live.registered_rates(now, &mut a);
+            decoded.registered_rates(now, &mut b);
+            assert_eq!(a, b);
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            live.registered_regions(now, &mut a);
+            decoded.registered_regions(now, &mut b);
+            assert_eq!(a, b);
+            assert_eq!(
+                decoded.region_supplies(now, &order),
+                live.region_supplies(now, &order)
+            );
+            for (j, spec) in order.iter().enumerate() {
+                assert_eq!(decoded.rate(now, spec), live.rate(now, spec));
+                assert_eq!(
+                    decoded.registered_rate(now, j),
+                    live.registered_rate(now, j)
+                );
+            }
+            assert_eq!(encode(&decoded), encode(&live));
+        }
     }
 
     #[test]

@@ -21,9 +21,9 @@
 //! ## Dense data plane
 //!
 //! All of that state is *slot-indexed*, never hash-addressed. A job's
-//! [`ResourceSpec`] is interned into a dense [`GroupId`] at submit time
-//! ([`SpecInterner`]); job state lives in a generation-checked
-//! [`SlotMap`], and `members`/`group_order`/`fifo_order` hold
+//! [`ResourceSpec`] maps to a dense [`GroupId`] at submit time (its bit
+//! in the [`SupplyEstimator`]'s spec registry); job state lives in a
+//! generation-checked [`SlotMap`], and `members`/`group_order`/`fifo_order` hold
 //! [`JobSlot`]s, so every candidate probe in `assign` is one array access.
 //! The external [`JobId`] space crosses into slots through a direct-indexed
 //! [`JobIdIndex`] at the trait boundary, and the IRS plan's owner table is
@@ -44,7 +44,6 @@ use rand::{Rng, SeedableRng};
 
 use crate::config::{MIN_PROFILE_SAMPLES, REBUILD_INTERVAL_MS};
 use crate::fairness::{fair_target_ms, FairnessKnob};
-use crate::intern::SpecInterner;
 use crate::irs::{self, AllocationPlan, GroupSummary, IrsScratch};
 use crate::matching::{decide_tier, TierProfiler, TierRange};
 use crate::slotmap::{JobIdIndex, JobSlot, SlotMap};
@@ -170,8 +169,6 @@ pub struct VennScheduler {
     jobs: SlotMap<JobEntry>,
     /// `JobId` → slot translation at the trait boundary (direct-indexed).
     job_slots: JobIdIndex,
-    /// `ResourceSpec` → dense `GroupId`, fixed at first submission.
-    interner: SpecInterner,
     plan: AllocationPlan,
     /// Active members of each group in insertion order — the stable input
     /// every order rebuild sorts from.
@@ -249,7 +246,6 @@ impl VennScheduler {
             supply: SupplyEstimator::new(config.supply_window_ms),
             jobs: SlotMap::new(),
             job_slots: JobIdIndex::new(),
-            interner: SpecInterner::new(),
             plan: AllocationPlan::default(),
             members: Vec::new(),
             group_order: Vec::new(),
@@ -293,22 +289,21 @@ impl VennScheduler {
         Some(fair_target_ms(m, entry.uncontended_jct_ms))
     }
 
-    /// Interns `spec`, growing the per-group state on first sight.
-    fn group_index(&mut self, spec: ResourceSpec) -> GroupId {
-        let (g, is_new) = self.interner.intern(spec);
-        if is_new {
-            assert!(
-                g.index() < 128,
-                "at most 128 distinct resource specs supported"
-            );
-            let registered = self.supply.register_spec(spec);
-            debug_assert_eq!(registered, g.index(), "supply bit must equal group index");
-            self.members.push(Vec::new());
-            self.group_order.push(Vec::new());
-            self.queue_len.push(0.0);
-            self.dirty.push(false);
-        }
-        g
+    /// The group of `spec` — its bit in the supply estimator's spec
+    /// registry — registering it and growing the per-group state on
+    /// first sight.
+    pub(crate) fn group_index(&mut self, spec: ResourceSpec) -> GroupId {
+        let g = match self.supply.lookup_spec(spec) {
+            Some(g) => g,
+            None => {
+                self.members.push(Vec::new());
+                self.group_order.push(Vec::new());
+                self.queue_len.push(0.0);
+                self.dirty.push(false);
+                self.supply.register_spec(spec)
+            }
+        };
+        GroupId::new(g as u64)
     }
 
     /// Recomputes the allocation plan and all job orders from scratch
@@ -676,7 +671,7 @@ impl Scheduler for VennScheduler {
             self.refresh(now);
         }
         if self.config.use_irs {
-            let mask = SupplyEstimator::mask_of(device.capacity(), self.interner.specs());
+            let mask = self.supply.mask_of(device.capacity());
             if mask == 0 {
                 return None;
             }
@@ -707,7 +702,7 @@ impl Scheduler for VennScheduler {
                 let eligible = self
                     .jobs
                     .get(slot)
-                    .map(|e| self.interner.specs()[e.group.index()].is_eligible(device.capacity()))
+                    .map(|e| self.supply.specs()[e.group.index()].is_eligible(device.capacity()))
                     .unwrap_or(false);
                 if !eligible {
                     continue;
@@ -777,7 +772,6 @@ impl Scheduler for VennScheduler {
         self.supply.encode(w);
         self.jobs.encode(w);
         self.job_slots.encode(w);
-        w.seq(self.interner.specs(), |w, s| s.encode(w));
         self.plan.encode(w);
         w.seq(&self.members, |w, group| {
             w.seq(group, |w, s| s.encode(w));
@@ -809,26 +803,34 @@ impl Scheduler for VennScheduler {
         self.supply = SupplyEstimator::decode(r)?;
         self.jobs = SlotMap::decode(r)?;
         self.job_slots = JobIdIndex::decode(r)?;
-        let specs = r.seq(ResourceSpec::decode)?;
-        // Re-intern in recorded order so every GroupId resolves to the same
-        // spec; the supply estimator's registered bits were restored above.
-        self.interner = SpecInterner::new();
-        for spec in &specs {
-            self.interner.intern(*spec);
-        }
         self.plan = AllocationPlan::decode(r)?;
         self.members = r.seq(|r| r.seq(JobSlot::decode))?;
         self.group_order = r.seq(|r| r.seq(JobSlot::decode))?;
         self.queue_len = r.seq(|r| r.f64())?;
         self.dirty = r.seq(|r| r.bool())?;
-        if self.members.len() != specs.len()
-            || self.group_order.len() != specs.len()
-            || self.queue_len.len() != specs.len()
-            || self.dirty.len() != specs.len()
-        {
-            return Err(SnapError::Corrupt("per-group table size mismatch".into()));
-        }
         self.fifo_order = r.seq(JobSlot::decode)?;
+        // Every group is a registered spec and every slot a live job, so
+        // crafted bytes fail here instead of in a later index.
+        let groups = self.supply.specs().len();
+        let corrupt = |what: &str| Err(SnapError::Corrupt(format!("venn {what}")));
+        if self.members.len() != groups
+            || self.group_order.len() != groups
+            || self.queue_len.len() != groups
+            || self.dirty.len() != groups
+        {
+            return corrupt("per-group table size mismatch");
+        }
+        if self.jobs.values().any(|e| e.group.index() >= groups) {
+            return corrupt("job group is not a registered spec");
+        }
+        let mut slots = (self.members.iter().chain(&self.group_order))
+            .flatten()
+            .chain(&self.fifo_order)
+            .copied()
+            .chain(self.job_slots.slots());
+        if slots.any(|slot| !self.jobs.contains(slot)) {
+            return corrupt("job slot does not resolve");
+        }
         self.active_count = r.usize()?;
         self.last_rebuild = r.u64()?;
         self.rng = StdRng::decode(r)?;
@@ -1161,6 +1163,49 @@ mod tests {
             other.load_state(&mut r),
             Err(SnapError::Corrupt(_))
         ));
+    }
+
+    #[test]
+    fn load_state_refuses_groups_and_slots_that_do_not_resolve() {
+        let tampered = |tamper: &dyn Fn(&mut VennScheduler)| {
+            let mut s = VennScheduler::new(VennConfig::matching_only());
+            s.submit(Request::new(JobId::new(0), ResourceSpec::any(), 2, 2), 0);
+            s.submit(
+                Request::new(JobId::new(1), ResourceSpec::new(0.5, 0.5), 2, 2),
+                0,
+            );
+            tamper(&mut s);
+            let mut w = SnapWriter::new();
+            s.save_state(&mut w).unwrap();
+            let bytes = w.into_bytes();
+            VennScheduler::new(VennConfig::matching_only()).load_state(&mut SnapReader::new(&bytes))
+        };
+        assert!(tampered(&|_| {}).is_ok());
+        let refused = |tamper: &dyn Fn(&mut VennScheduler), why: &str| match tampered(tamper) {
+            Err(SnapError::Corrupt(msg)) => assert!(msg.contains(why), "{msg}"),
+            other => panic!("expected a corrupt `{why}`, got {other:?}"),
+        };
+        let dangling = JobSlot::NULL;
+        refused(
+            &|s| {
+                let slot = s.job_slots.get(JobId::new(1)).unwrap();
+                s.jobs.get_mut(slot).unwrap().group = GroupId::new(2);
+            },
+            "not a registered spec",
+        );
+        refused(&|s| s.members[0].push(dangling), "does not resolve");
+        refused(&|s| s.group_order[1].push(dangling), "does not resolve");
+        refused(&|s| s.fifo_order.push(dangling), "does not resolve");
+        refused(
+            &|s| {
+                s.submit(Request::new(JobId::new(2), ResourceSpec::any(), 1, 1), 1);
+                s.withdraw(JobId::new(2), 1);
+                let slot = s.job_slots.get(JobId::new(2)).unwrap();
+                s.jobs.remove(slot);
+            },
+            "does not resolve",
+        );
+        refused(&|s| s.dirty.push(false), "size mismatch");
     }
 
     /// The batched replay the simulator's demand gating depends on must be

@@ -148,13 +148,24 @@ fn vt(line: &str) -> u64 {
 /// without a name inherits its creator's, so this counts a test's own
 /// thread plus whatever it started and is still running — and not the
 /// harness threads of other tests, which come and go on their own.
+///
+/// A `/proc/self/task` listing taken while other threads exit can come
+/// back truncated, so the listing is repeated until it holds the caller's
+/// own thread (the id `/proc/thread-self` links to).
 fn threads() -> usize {
     let comm = |dir: &std::path::Path| std::fs::read_to_string(dir.join("comm")).ok();
     let me = comm("/proc/thread-self".as_ref());
-    std::fs::read_dir("/proc/self/task")
-        .unwrap()
-        .filter(|task| task.as_ref().is_ok_and(|t| comm(&t.path()) == me))
-        .count()
+    let tid = std::fs::read_link("/proc/thread-self").unwrap();
+    let tid = tid.file_name().unwrap();
+    loop {
+        let tasks: Vec<_> = std::fs::read_dir("/proc/self/task")
+            .unwrap()
+            .filter_map(Result::ok)
+            .collect();
+        if tasks.iter().any(|t| t.file_name() == tid) {
+            return tasks.iter().filter(|t| comm(&t.path()) == me).count();
+        }
+    }
 }
 
 #[test]

@@ -90,7 +90,8 @@ impl SimObserver for EventTrace {
 }
 
 /// Collects every completed round's [`RoundLog`], independent of the
-/// `record_rounds` config flag — the hook the FL experiments consume.
+/// `record_rounds` config flag (the FL experiments read
+/// `SimResult::rounds`, which that flag fills instead).
 #[derive(Debug, Default)]
 pub struct RoundRecorder {
     /// Completed rounds in completion order.

@@ -24,12 +24,10 @@ mod capacity;
 pub mod dist;
 pub mod io;
 mod jobs;
-mod scenario;
 mod stream;
 mod workload;
 
 pub use availability::{AvailabilityModel, Session};
 pub use capacity::{CapacityModel, DeviceProfile};
 pub use jobs::{JobDemandModel, JobPlan};
-pub use scenario::ScenarioPreset;
 pub use workload::{BiasKind, Workload, WorkloadKind};

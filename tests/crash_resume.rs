@@ -28,6 +28,8 @@ use common::parity::{
 
 use venn::bench::SchedKind;
 use venn::core::faultio::{Fault, FaultFs, FaultRule, FioError, FioOp, MemFs, SimFs};
+use venn::core::snapshot::{seal, unseal};
+use venn::core::{SnapError, SnapReader, SnapWriter, Snapshot, SupplyEstimator};
 use venn::env::EnvPreset;
 use venn::sim::{
     resume_world, snapshot_world, CheckpointStore, CkptError, JobPhase, PopMode, SimConfig,
@@ -224,6 +226,49 @@ fn truncated_and_bit_flipped_checkpoints_are_rejected() {
                 "bit flip at byte {pos} bit {bit} must be rejected"
             );
         }
+    }
+}
+
+/// A checksum-valid checkpoint whose Venn state names a job group that is
+/// not a registered spec is refused as corrupt when it is resumed — not
+/// accepted, only to panic at the job's next submission or assignment.
+#[test]
+fn a_resealed_checkpoint_with_an_unregistered_job_group_is_corrupt() {
+    let sim = experiment(55, EnvPreset::Off, PopMode::Lazy);
+    let workload = contended_workload(sim.seed);
+    let kind = SchedKind::Venn;
+    let mut sched = kind.build(sim.seed ^ SCHED_SEED_SALT);
+    let mut world = World::new(sim, &workload, sched.name());
+    for _ in 0..500 {
+        assert!(world.step(&mut *sched, &mut []), "run too short");
+    }
+    let sealed = snapshot_world(&world, &*sched).expect("snapshot");
+    let mut body = unseal(&sealed).expect("a sealed checkpoint").to_vec();
+
+    // The scheduler's state closes the body: its name, the supply
+    // estimator, then the job slot map, whose first entry is job 0's
+    // (tag, job id, group).
+    let mut state = SnapWriter::new();
+    sched.save_state(&mut state).unwrap();
+    let state = state.into_bytes();
+    let mut r = SnapReader::new(&state);
+    assert_eq!(r.str().unwrap(), "venn");
+    SupplyEstimator::decode(&mut r).unwrap();
+    assert!(r.len_prefix().unwrap() > 0, "jobs were submitted");
+    assert_eq!(r.u8().unwrap(), 1, "job 0's entry is occupied");
+    assert_eq!(r.u64().unwrap(), 0, "the first entry is job 0");
+    let group_at = body.len() - r.remaining();
+    body[group_at..group_at + 8].copy_from_slice(&200u64.to_le_bytes());
+
+    let mut w = SnapWriter::new();
+    for &b in &body {
+        w.u8(b);
+    }
+    let resealed = seal(w);
+    let mut fresh = kind.build(sim.seed ^ SCHED_SEED_SALT);
+    match resume_world(&resealed, sim, &workload, &mut *fresh) {
+        Err(SnapError::Corrupt(msg)) => assert!(msg.contains("registered spec"), "{msg}"),
+        other => panic!("expected a corrupt job group, got {:?}", other.err()),
     }
 }
 

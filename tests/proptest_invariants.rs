@@ -2,7 +2,6 @@
 
 use proptest::prelude::*;
 
-use venn::core::intern::SpecInterner;
 use venn::core::irs::{allocate, GroupSummary};
 use venn::core::matching::TierProfiler;
 use venn::core::slotmap::{JobSlot, SlotMap};
@@ -158,38 +157,40 @@ proptest! {
     }
 }
 
-// --- Dense data plane: interner and slot map --------------------------------
+// --- Dense data plane: spec registry and slot map ---------------------------
 
 proptest! {
-    /// Interning is a function of the spec alone — equal specs get equal
-    /// `GroupId`s at any point of an interleaved submit/complete/churn
-    /// stream — and `resolve` inverts `intern` exactly.
+    /// The supply estimator's spec registry is the Venn scheduler's group
+    /// interner: looking a spec up and registering it on a miss gives
+    /// equal specs the same bit at any point of an interleaved
+    /// submit/complete/churn stream, bits are dense in first-seen order,
+    /// and lookup inverts registration.
     #[test]
     fn interner_round_trips_across_churn(
         ops in proptest::collection::vec((0u8..8, 0u8..8, 0u8..2), 1..120),
     ) {
-        let mut interner = SpecInterner::new();
+        let mut registry = SupplyEstimator::with_default_window();
         // Churn rides along: jobs keyed by the same quantized spec space
-        // enter and leave a slot map between intern calls, like the
+        // enter and leave a slot map between registrations, like the
         // scheduler's own submit/complete stream.
         let mut jobs: SlotMap<u32> = SlotMap::new();
         let mut live: Vec<JobSlot> = Vec::new();
-        let mut seen: Vec<(ResourceSpec, venn::core::GroupId)> = Vec::new();
+        let mut seen: Vec<(ResourceSpec, usize)> = Vec::new();
         for (i, &(c, m, leave)) in ops.iter().enumerate() {
             let leave = leave == 1;
             let spec = ResourceSpec::new(c as f64 / 8.0, m as f64 / 8.0);
-            let (g, fresh) = interner.intern(spec);
-            // intern → resolve is the identity.
-            prop_assert_eq!(interner.resolve(g), spec);
+            let found = registry.lookup_spec(spec);
+            let j = found.unwrap_or_else(|| registry.register_spec(spec));
+            // Registration → spec list is the identity.
+            prop_assert_eq!(registry.specs()[j], spec);
             match seen.iter().find(|(s, _)| *s == spec) {
                 Some(&(_, prev)) => {
-                    prop_assert_eq!(prev, g, "same spec must re-intern to the same id");
-                    prop_assert!(!fresh);
+                    prop_assert_eq!(found, Some(prev), "same spec must find its bit again");
                 }
                 None => {
-                    prop_assert!(fresh);
-                    prop_assert_eq!(g.index(), seen.len(), "ids are dense, first-seen order");
-                    seen.push((spec, g));
+                    prop_assert_eq!(found, None);
+                    prop_assert_eq!(j, seen.len(), "bits are dense, first-seen order");
+                    seen.push((spec, j));
                 }
             }
             live.push(jobs.insert(i as u32));
@@ -199,9 +200,10 @@ proptest! {
             }
         }
         // The full mapping survives the churn intact.
-        for (spec, g) in seen {
-            prop_assert_eq!(interner.lookup(spec), Some(g));
-            prop_assert_eq!(interner.resolve(g), spec);
+        prop_assert_eq!(registry.specs().len(), seen.len());
+        for (spec, j) in seen {
+            prop_assert_eq!(registry.lookup_spec(spec), Some(j));
+            prop_assert_eq!(registry.specs()[j], spec);
         }
     }
 

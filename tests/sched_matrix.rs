@@ -124,14 +124,14 @@ fn matrix_scenarios_differ_and_seeds_matter() {
 #[test]
 fn scenario_presets_sweep_through_the_matrix() {
     // The `venn-env` scenario axis composes with the sweep executor:
-    // every (workload × environment) preset runs as a named scenario and
-    // produces a complete, deterministic result.
-    use venn::traces::ScenarioPreset;
+    // every environment preset runs as a named scenario and produces a
+    // complete, deterministic result.
+    use venn::env::EnvPreset;
     let mut matrix = Matrix::new();
-    for p in ScenarioPreset::ALL {
-        matrix = matrix.scenario(p.name, move |seed| {
+    for env in EnvPreset::ALL {
+        matrix = matrix.scenario(env.label(), move |seed| {
             let mut exp = small_experiment(seed);
-            exp.sim.env = p.env.config();
+            exp.sim.env = env.config();
             exp
         });
     }
@@ -139,24 +139,23 @@ fn scenario_presets_sweep_through_the_matrix() {
         .kinds(&[SchedKind::Random, SchedKind::Venn])
         .seeds(&[61]);
     let runs = run_matrix(&matrix);
-    assert_eq!(runs.len(), ScenarioPreset::ALL.len() * 2);
+    assert_eq!(runs.len(), EnvPreset::ALL.len() * 2);
     for r in &runs {
         assert_eq!(r.result.records.len(), 8, "{:?}", r.cell);
-        let preset = ScenarioPreset::by_name(&r.cell.scenario).unwrap();
-        if preset.env == venn::env::EnvPreset::Off {
+        if r.cell.scenario == EnvPreset::Off.label() {
             assert!(r.result.env.is_empty(), "{:?}", r.cell);
         }
     }
     // The off and chaos arms of the same scheduler/seed must differ —
     // the environment axis is live inside the sweep.
-    let venn_of = |name: &str| {
+    let venn_of = |env: EnvPreset| {
         runs.iter()
-            .find(|r| r.cell.scenario == name && r.cell.kind == SchedKind::Venn)
+            .find(|r| r.cell.scenario == env.label() && r.cell.kind == SchedKind::Venn)
             .expect("cell present")
     };
     assert_ne!(
-        venn_of("even/off").result.records,
-        venn_of("even/chaos").result.records,
+        venn_of(EnvPreset::Off).result.records,
+        venn_of(EnvPreset::Chaos).result.records,
         "chaos must perturb outcomes"
     );
 }

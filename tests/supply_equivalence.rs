@@ -16,8 +16,8 @@
 //! Separately, a damaged encoding — truncated, or with one bit flipped —
 //! must decode to an error or to an estimator that encodes back to exactly
 //! the damaged bytes: never a panic, never a silent reinterpretation. The
-//! damage hits every byte of the ring, the header and the slot tables, and
-//! a sample of the two fixed-size grid tables ([`damage_sites`]).
+//! damage hits every byte of the encoding: the window, the ring and the
+//! registered specs.
 
 use std::collections::BTreeMap;
 
@@ -370,9 +370,8 @@ fn long_gaps_bridge_with_fillers_and_expire_them() {
 }
 
 /// An estimator whose encoding exercises every ring field: fillers in the
-/// window, same-millisecond ties, two registered specs, and a cell-count
-/// table that is stale or, with `fresh`, rebuilt.
-fn crafted(fresh: bool) -> SupplyEstimator {
+/// window, same-millisecond ties, and two registered specs.
+fn crafted() -> SupplyEstimator {
     let mut s = SupplyEstimator::new(3 * MAX_DT);
     s.register_spec(ResourceSpec::new(0.5, 0.25));
     s.record(7, &Capacity::new(0.9, 0.1));
@@ -381,42 +380,7 @@ fn crafted(fresh: bool) -> SupplyEstimator {
     s.record(3 * MAX_DT, &Capacity::new(0.1, 0.9));
     s.register_spec(ResourceSpec::any());
     s.record(3 * MAX_DT + 2, &Capacity::new(1.0, 1.0));
-    if fresh {
-        s.rate(3 * MAX_DT + 2, &ResourceSpec::any());
-    }
     s
-}
-
-/// Byte offsets the damage checks hit: every byte outside the two
-/// 4096-entry grid tables (cell counts, then cell slots), and inside them
-/// the first and last entries plus those of every cell with a non-zero
-/// count. The other entries behave like the first and last, and walking
-/// all 32 KiB of them would take minutes in a debug build.
-fn damage_sites(bytes: &[u8]) -> Vec<usize> {
-    const CELLS: usize = GRID * GRID;
-    let mut r = SnapReader::new(bytes);
-    let offset = |r: &SnapReader<'_>| bytes.len() - r.remaining();
-    r.u64().unwrap(); // window
-    r.len_prefix().unwrap();
-    let counts_at = offset(&r);
-    let counts: Vec<u32> = (0..CELLS).map(|_| r.u32().unwrap()).collect();
-    r.bool().unwrap();
-    r.u64().unwrap(); // base
-    r.u64().unwrap(); // back
-    r.seq(|r| r.u32()).unwrap();
-    r.seq(ResourceSpec::decode).unwrap();
-    r.len_prefix().unwrap();
-    let slots_at = offset(&r);
-    let mut entries = vec![0, CELLS - 1];
-    entries.extend((0..CELLS).filter(|&c| counts[c] != 0));
-    (0..bytes.len())
-        .filter(|&i| {
-            [counts_at, slots_at]
-                .iter()
-                .find(|&&at| (at..at + 4 * CELLS).contains(&i))
-                .map_or(true, |&at| entries.contains(&((i - at) / 4)))
-        })
-        .collect()
 }
 
 /// Truncating the encoding at `site` must be refused; flipping any bit
@@ -441,11 +405,9 @@ fn assert_damage_refused_or_canonical(bytes: &[u8], site: usize) {
 
 #[test]
 fn every_truncation_and_bit_flip_of_a_crafted_estimator_is_refused_or_canonical() {
-    for fresh in [false, true] {
-        let bytes = encode(&crafted(fresh));
-        for site in damage_sites(&bytes) {
-            assert_damage_refused_or_canonical(&bytes, site);
-        }
+    let bytes = encode(&crafted());
+    for site in 0..bytes.len() {
+        assert_damage_refused_or_canonical(&bytes, site);
     }
 }
 
@@ -462,9 +424,8 @@ proptest! {
             h.apply(op);
         }
         let bytes = encode(&h.batched);
-        let sites = damage_sites(&bytes);
         for pick in picks {
-            assert_damage_refused_or_canonical(&bytes, sites[pick % sites.len()]);
+            assert_damage_refused_or_canonical(&bytes, pick % bytes.len());
         }
     }
 }
