@@ -30,8 +30,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use venn_core::{
-    DeviceInfo, JobId, JobIdIndex, JobSlot, Request, Scheduler, SimTime, SlotMap, SnapError,
-    SnapReader, SnapWriter, Snapshot,
+    DeviceInfo, JobId, PerJob, Request, Scheduler, SimTime, SnapError, SnapReader, SnapWriter,
+    Snapshot,
 };
 
 /// Scheduling policy of a [`BaselineScheduler`].
@@ -78,11 +78,10 @@ impl Snapshot for Entry {
 /// One engine implementing all three baseline policies.
 ///
 /// Like the Venn scheduler, the request table is part of the dense data
-/// plane: entries live in a generation-checked [`SlotMap`] (freed slots are
-/// reused across withdraw/resubmit churn), the external [`JobId`] space
-/// crosses in through a direct-indexed [`JobIdIndex`], and the per-device
-/// candidate walk works over a persistent active-slot list plus a reusable
-/// sort buffer — no hashing and no allocation per `assign`.
+/// plane: entries live in a [`PerJob`] indexed by the dense [`JobId`]
+/// (a withdrawal vacates the job's cell), and the per-device candidate
+/// walk works over a persistent active-id list plus a reusable sort
+/// buffer — no hashing and no allocation per `assign`.
 ///
 /// Construct via [`BaselineScheduler::random_order`],
 /// [`BaselineScheduler::random_per_device`], [`BaselineScheduler::fifo`], or
@@ -90,13 +89,13 @@ impl Snapshot for Entry {
 #[derive(Debug)]
 pub struct BaselineScheduler {
     policy: Policy,
-    entries: SlotMap<Entry>,
-    job_slots: JobIdIndex,
-    /// Slots with an active request, in no particular order (the candidate
-    /// sort's keys are total, so iteration order never shows).
-    active: Vec<JobSlot>,
+    /// Each job's active request; a withdrawal vacates the job's cell.
+    entries: PerJob<Entry>,
+    /// Ids of the jobs in `entries`, in no particular order (the
+    /// candidate sort's keys are total, so iteration order never shows).
+    active: Vec<u32>,
     /// Reused buffer for the per-device eligible-candidate sort.
-    candidates: Vec<JobSlot>,
+    candidates: Vec<u32>,
     rng: StdRng,
     name: &'static str,
 }
@@ -105,8 +104,7 @@ impl BaselineScheduler {
     fn with_policy(policy: Policy, seed: u64, name: &'static str) -> Self {
         BaselineScheduler {
             policy,
-            entries: SlotMap::new(),
-            job_slots: JobIdIndex::new(),
+            entries: PerJob::new(),
             active: Vec::new(),
             candidates: Vec::new(),
             rng: StdRng::seed_from_u64(seed),
@@ -139,40 +137,41 @@ impl BaselineScheduler {
     /// The policy's winning candidate for `device`, if any.
     ///
     /// Fills the persistent candidate buffer with the eligible active
-    /// slots and orders it by the policy's key. Every key ends in the job
+    /// ids and orders it by the policy's key. Every key ends in the job
     /// id, so the order is total and independent of the active list's
-    /// iteration order (exactly as the old hash-map walk, whose arbitrary
-    /// order the same sort keys normalized).
-    fn best_candidate(&mut self, device: &DeviceInfo) -> Option<JobSlot> {
+    /// iteration order.
+    fn best_candidate(&mut self, device: &DeviceInfo) -> Option<JobId> {
         let entries = &self.entries;
+        let entry = |id: u32| entries.get(id.into()).expect("active job has a request");
         self.candidates.clear();
         self.candidates
-            .extend(self.active.iter().copied().filter(|&slot| {
-                let e = entries.get(slot).expect("active slot is live");
+            .extend(self.active.iter().copied().filter(|&id| {
+                let e = entry(id);
                 e.pending > 0 && e.request.spec.is_eligible(device.capacity())
             }));
         if self.candidates.is_empty() {
             return None;
         }
-        let key_of = |slot: JobSlot| {
-            let e = entries.get(slot).expect("active slot is live");
+        let key_of = |id: u32| {
+            let e = entry(id);
             match self.policy {
                 // Determinism before sampling.
-                Policy::RandomPerDevice => (0, 0, e.request.job),
-                Policy::RandomOrder => (e.lottery, 0, e.request.job),
-                Policy::Fifo => (e.submit_time, 0, e.request.job),
-                Policy::Srsf => (e.request.total_remaining, e.submit_time, e.request.job),
+                Policy::RandomPerDevice => (0, 0, id),
+                Policy::RandomOrder => (e.lottery, 0, id),
+                Policy::Fifo => (e.submit_time, 0, id),
+                Policy::Srsf => (e.request.total_remaining, e.submit_time, id),
             }
         };
-        match self.policy {
+        let winner = match self.policy {
             Policy::RandomPerDevice => {
-                self.candidates.sort_unstable_by_key(|&slot| key_of(slot));
+                self.candidates.sort_unstable_by_key(|&id| key_of(id));
                 let pick = self.rng.gen_range(0..self.candidates.len());
-                Some(self.candidates[pick])
+                self.candidates[pick]
             }
             // The winner is the key minimum — no need to order the rest.
-            _ => self.candidates.iter().copied().min_by_key(|&s| key_of(s)),
-        }
+            _ => *self.candidates.iter().min_by_key(|&&id| key_of(id))?,
+        };
+        Some(winner.into())
     }
 }
 
@@ -189,56 +188,39 @@ impl Scheduler for BaselineScheduler {
             submit_time: now,
             lottery,
         };
-        match self
-            .job_slots
-            .get(request.job)
-            .filter(|&s| self.entries.contains(s))
-        {
-            // Resubmission before withdrawal replaces the request in place.
-            Some(slot) => *self.entries.get_mut(slot).expect("slot is live") = entry,
-            None => {
-                let slot = self.entries.insert(entry);
-                self.job_slots.set(request.job, slot);
-                self.active.push(slot);
-            }
+        // Resubmission before withdrawal replaces the request in place.
+        if self.entries.entry(request.job).replace(entry).is_none() {
+            // `entry` checked the dense-id bound.
+            self.active.push(request.job.as_u64() as u32);
         }
     }
 
     fn withdraw(&mut self, job: JobId, _now: SimTime) {
-        let Some(slot) = self.job_slots.get(job) else {
-            return;
-        };
-        if self.entries.remove(slot).is_some() {
-            self.job_slots.clear(job);
+        if self.entries.remove(job).is_some() {
             let pos = self
                 .active
                 .iter()
-                .position(|&s| s == slot)
-                .expect("live entry was active");
+                .position(|&id| JobId::from(id) == job)
+                .expect("a job with a request is active");
             self.active.swap_remove(pos);
         }
     }
 
     fn add_demand(&mut self, job: JobId, count: u32, _now: SimTime) {
-        let Some(slot) = self.job_slots.get(job) else {
-            return;
-        };
-        if let Some(e) = self.entries.get_mut(slot) {
+        if let Some(e) = self.entries.get_mut(job) {
             e.pending = e.pending.saturating_add(count);
         }
     }
 
     fn assign(&mut self, device: &DeviceInfo, _now: SimTime) -> Option<JobId> {
-        let slot = self.best_candidate(device)?;
-        let e = self.entries.get_mut(slot).expect("candidate exists");
+        let job = self.best_candidate(device)?;
+        let e = self.entries.get_mut(job).expect("candidate has a request");
         e.pending -= 1;
-        Some(e.request.job)
+        Some(job)
     }
 
     fn pending_demand(&self, job: JobId) -> Option<u32> {
-        self.entries
-            .get(self.job_slots.get(job)?)
-            .map(|e| e.pending)
+        self.entries.get(job).map(|e| e.pending)
     }
 
     fn has_open_demand(&self) -> bool {
@@ -252,11 +234,10 @@ impl Scheduler for BaselineScheduler {
     }
 
     fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
-        // Name validates the policy arm on restore.
+        // Name validates the policy arm on restore; the active list is
+        // rebuilt from the entries.
         w.str(self.name);
         self.entries.encode(w);
-        self.job_slots.encode(w);
-        w.seq(&self.active, |w, s| s.encode(w));
         self.rng.encode(w);
         Ok(())
     }
@@ -269,10 +250,10 @@ impl Scheduler for BaselineScheduler {
                 self.name
             )));
         }
-        self.entries = SlotMap::decode(r)?;
-        self.job_slots = JobIdIndex::decode(r)?;
-        self.active = r.seq(JobSlot::decode)?;
+        self.entries = PerJob::decode(r)?;
         self.rng = StdRng::decode(r)?;
+        // Id order; never visible, as every policy key ends in the job id.
+        self.active = self.entries.iter().map(|(id, _)| id).collect();
         self.candidates.clear();
         Ok(())
     }
@@ -385,15 +366,27 @@ mod tests {
         assert_eq!(a.assign(&dev(1), 1), b.assign(&dev(1), 1));
     }
 
+    const EVERY_POLICY: [fn() -> BaselineScheduler; 4] = [
+        || BaselineScheduler::random_order(11),
+        || BaselineScheduler::random_per_device(11),
+        BaselineScheduler::fifo,
+        BaselineScheduler::srsf,
+    ];
+
+    fn restored(s: &BaselineScheduler, build: fn() -> BaselineScheduler) -> BaselineScheduler {
+        let mut w = SnapWriter::new();
+        s.save_state(&mut w).unwrap();
+        let bytes = w.into_bytes();
+        let mut restored = build();
+        let mut r = SnapReader::new(&bytes);
+        restored.load_state(&mut r).unwrap();
+        r.finish().unwrap();
+        restored
+    }
+
     #[test]
     fn snapshot_round_trip_continues_bit_identically() {
-        let builders: [fn() -> BaselineScheduler; 4] = [
-            || BaselineScheduler::random_order(11),
-            || BaselineScheduler::random_per_device(11),
-            BaselineScheduler::fifo,
-            BaselineScheduler::srsf,
-        ];
-        for build in builders {
+        for build in EVERY_POLICY {
             let mut s = build();
             for j in 0..5u64 {
                 s.submit(req(j, 3, 6 + j), j * 10);
@@ -402,14 +395,7 @@ mod tests {
                 s.assign(&dev(i), 100 + i);
             }
             s.withdraw(JobId::new(2), 200);
-
-            let mut w = SnapWriter::new();
-            s.save_state(&mut w).unwrap();
-            let bytes = w.into_bytes();
-            let mut restored = build();
-            let mut r = SnapReader::new(&bytes);
-            restored.load_state(&mut r).unwrap();
-            r.finish().unwrap();
+            let mut restored = restored(&s, build);
 
             for i in 0..30u64 {
                 let t = 300 + i * 5;
@@ -422,6 +408,44 @@ mod tests {
                     restored.submit(req(j.as_u64(), 2, 4), t);
                 }
             }
+        }
+    }
+
+    /// The active list is not stored: a restored scheduler rebuilds it
+    /// from the requests, so vacated ids (the smallest and the largest
+    /// among them) stay vacant, and every job assigns and withdraws
+    /// exactly as in the scheduler the state was saved from.
+    #[test]
+    fn restored_state_with_vacated_ids_matches_the_live_scheduler() {
+        for build in EVERY_POLICY {
+            let mut s = build();
+            for j in 0..6u64 {
+                s.submit(req(j, 2, 4 + j), j);
+            }
+            for j in [0, 3, 5] {
+                s.withdraw(JobId::new(j), 10);
+            }
+            let mut restored = restored(&s, build);
+            for i in 0..8u64 {
+                assert_eq!(
+                    s.assign(&dev(i), 20),
+                    restored.assign(&dev(i), 20),
+                    "device {i}"
+                );
+            }
+            for j in 0..6u64 {
+                let job = JobId::new(j);
+                s.withdraw(job, 30);
+                restored.withdraw(job, 30);
+                assert_eq!(restored.pending_demand(job), None);
+                assert_eq!(restored.has_open_demand(), s.has_open_demand(), "job {j}");
+                assert_eq!(restored.active.len(), s.active.len(), "job {j}");
+            }
+            assert!(!restored.has_open_demand());
+            assert_eq!(restored.assign(&dev(99), 40), None);
+            s.submit(req(3, 1, 1), 50);
+            restored.submit(req(3, 1, 1), 50);
+            assert_eq!(s.assign(&dev(100), 50), restored.assign(&dev(100), 50));
         }
     }
 

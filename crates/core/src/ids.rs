@@ -61,6 +61,13 @@ id_type!(
     "grp-"
 );
 
+/// Schedulers keep job ids as `u32` (see [`PerJob`](crate::PerJob)).
+impl From<u32> for JobId {
+    fn from(raw: u32) -> Self {
+        JobId(u64::from(raw))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

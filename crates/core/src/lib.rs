@@ -44,10 +44,10 @@ pub mod faultio;
 mod ids;
 pub mod irs;
 pub mod matching;
+mod per_job;
 mod request;
 mod resource;
 mod scheduler;
-pub mod slotmap;
 pub mod snapshot;
 pub mod supply;
 mod venn;
@@ -56,10 +56,10 @@ pub use config::VennConfig;
 pub use device::DeviceInfo;
 pub use faultio::{FaultFs, MemFs, RealFs, SimFs};
 pub use ids::{DeviceId, GroupId, JobId};
+pub use per_job::PerJob;
 pub use request::Request;
 pub use resource::{Capacity, CategoryThresholds, ResourceSpec, SpecCategory};
 pub use scheduler::{CheckInRecord, Scheduler};
-pub use slotmap::{JobIdIndex, JobSlot, SlotMap};
 pub use snapshot::{SnapError, SnapReader, SnapWriter, Snapshot};
 pub use supply::SupplyEstimator;
 pub use venn::{MatchingStats, VennScheduler};

@@ -15,7 +15,7 @@
 //! Two traits anchor the subsystem:
 //!
 //! * [`Snapshot`] — value types that round-trip without external
-//!   context (RNG stream positions, slot maps, profilers, plans...).
+//!   context (RNG stream positions, job tables, profilers, plans...).
 //!   Most simulation state is instead *restored by reconstruction*: the
 //!   immutable majority of a world (compiled environment tables, device
 //!   profiles, session traces) is re-derived from `(config, workload,
@@ -49,8 +49,11 @@ pub(crate) const SNAP_MAGIC: [u8; 4] = *b"VSNP";
 /// checksums the body with XXH64 (versions 1 and 2 used FNV-1a). Version
 /// 4 stores the supply index's inputs only (window, ring, specs), not the
 /// cell and slot tables built from them, and the Venn scheduler no longer
-/// writes a second copy of the spec list.
-pub(crate) const SNAP_FORMAT_VERSION: u32 = 4;
+/// writes a second copy of the spec list. Version 5 files scheduler state
+/// by job id: no slot map or id index, `u32` ids in the Venn group lists,
+/// and neither the Venn active count and FIFO order nor the baselines'
+/// active list, which a load derives from the jobs.
+pub(crate) const SNAP_FORMAT_VERSION: u32 = 5;
 
 /// Bytes of the container frame in front of the body: magic, format
 /// version, body length and checksum.
@@ -514,7 +517,7 @@ pub fn unseal(bytes: &[u8]) -> Result<&[u8], SnapError> {
 /// Value types that encode and decode without external context.
 ///
 /// Implemented by the self-contained pieces of scheduler and kernel
-/// state (RNG streams, slot maps, supply rings, profilers, plans).
+/// state (RNG streams, job tables, supply rings, profilers, plans).
 /// State that is cheaper to re-derive from `(config, workload, seed)`
 /// deliberately does *not* implement this — it is reconstructed, not
 /// decoded.
@@ -747,9 +750,11 @@ mod tests {
         // the current decoder would read as twice as many 4-byte ones, and
         // versions 1 and 2 carry an FNV-1a checksum; a version-3 supply
         // section carries the cell and slot tables after the ring, which
-        // the current decoder would read as specs. The frame must stop
-        // all three by their version, before the checksum is compared or
-        // a single body byte is interpreted.
+        // the current decoder would read as specs; a version-4 scheduler
+        // section files jobs in a slot map, which the current decoder
+        // would read as a job table. The frame must stop all four by
+        // their version, before the checksum is compared or a single body
+        // byte is interpreted.
         let mut supply = crate::SupplyEstimator::new(60_000);
         for t in 0..20 {
             supply.record(t * 1_000, &crate::Capacity::new(0.5, 0.5));
@@ -757,7 +762,7 @@ mod tests {
         let mut w = SnapWriter::new();
         supply.encode(&mut w);
         let current = seal(w);
-        for version in [1u32, 2, 3] {
+        for version in [1u32, 2, 3, 4] {
             let mut old = current.clone();
             old[4..8].copy_from_slice(&version.to_le_bytes());
             old[16..24].copy_from_slice(&0u64.to_le_bytes());

@@ -20,16 +20,16 @@
 //!
 //! ## Dense data plane
 //!
-//! All of that state is *slot-indexed*, never hash-addressed. A job's
+//! All of that state is *index-addressed*, never hash-addressed. A job's
 //! [`ResourceSpec`] maps to a dense [`GroupId`] at submit time (its bit
 //! in the [`SupplyEstimator`]'s spec registry); job state lives in a
-//! generation-checked [`SlotMap`], and `members`/`group_order`/`fifo_order` hold
-//! [`JobSlot`]s, so every candidate probe in `assign` is one array access.
-//! The external [`JobId`] space crosses into slots through a direct-indexed
-//! [`JobIdIndex`] at the trait boundary, and the IRS plan's owner table is
-//! a sorted mask table searched by binary search — no `HashMap` anywhere on
-//! the check-in/submit/assign path, and no steady-state allocation (pinned
-//! by the counting-allocator test in `tests/no_alloc_steady_state.rs`).
+//! [`PerJob`] indexed by the dense [`JobId`], and
+//! `members`/`group_order`/`fifo_order` hold `u32` job ids, so every
+//! candidate probe in `assign` is one array access. The IRS plan's owner
+//! table is a sorted mask table searched by binary search — no `HashMap`
+//! anywhere on the check-in/submit/assign path, and no steady-state
+//! allocation (pinned by the counting-allocator test in
+//! `tests/no_alloc_steady_state.rs`).
 //!
 //! The triggers are unchanged from the paper (request arrival, request
 //! completion, and a periodic refresh for supply drift), so the deltas must
@@ -46,11 +46,10 @@ use crate::config::{MIN_PROFILE_SAMPLES, REBUILD_INTERVAL_MS};
 use crate::fairness::{fair_target_ms, FairnessKnob};
 use crate::irs::{self, AllocationPlan, GroupSummary, IrsScratch};
 use crate::matching::{decide_tier, TierProfiler, TierRange};
-use crate::slotmap::{JobIdIndex, JobSlot, SlotMap};
 use crate::snapshot::{SnapError, SnapReader, SnapWriter, Snapshot};
 use crate::supply::RegionSupply;
 use crate::{
-    CheckInRecord, DeviceInfo, GroupId, JobId, Request, ResourceSpec, Scheduler, SimTime,
+    CheckInRecord, DeviceInfo, GroupId, JobId, PerJob, Request, ResourceSpec, Scheduler, SimTime,
     SupplyEstimator, VennConfig,
 };
 
@@ -64,9 +63,6 @@ const MIN_RATE: f64 = 1e-9;
 
 #[derive(Debug)]
 struct JobEntry {
-    /// External identity, carried so slot-addressed walks can answer in
-    /// `JobId` terms without a reverse lookup.
-    job: JobId,
     group: GroupId,
     /// Unassigned demand of the current request.
     pending: u32,
@@ -99,7 +95,6 @@ impl JobEntry {
 
 impl Snapshot for JobEntry {
     fn encode(&self, w: &mut SnapWriter) {
-        w.u64(self.job.as_u64());
         w.u64(self.group.as_u64());
         w.u32(self.pending);
         w.u32(self.demand);
@@ -118,7 +113,6 @@ impl Snapshot for JobEntry {
 
     fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         Ok(JobEntry {
-            job: JobId::new(r.u64()?),
             group: GroupId::new(r.u64()?),
             pending: r.u32()?,
             demand: r.u32()?,
@@ -163,19 +157,17 @@ pub struct VennScheduler {
     config: VennConfig,
     knob: FairnessKnob,
     supply: SupplyEstimator,
-    /// Per-job state, slot-addressed. Entries persist across withdrawals
-    /// (the tier profiler survives resubmission), so a job's slot is
-    /// stable for the scheduler's lifetime.
-    jobs: SlotMap<JobEntry>,
-    /// `JobId` → slot translation at the trait boundary (direct-indexed).
-    job_slots: JobIdIndex,
+    /// Per-job state by job id. Entries persist across withdrawals (the
+    /// tier profiler survives resubmission).
+    jobs: PerJob<JobEntry>,
     plan: AllocationPlan,
     /// Active members of each group in insertion order — the stable input
-    /// every order rebuild sorts from.
-    members: Vec<Vec<JobSlot>>,
+    /// every order rebuild sorts from. The order is not derivable: the
+    /// group's queue length sums floats in it.
+    members: Vec<Vec<u32>>,
     /// Per-group job order (ascending fairness-adjusted remaining demand).
     /// Persistent: `assign` iterates it in place, no per-check-in clone.
-    group_order: Vec<Vec<JobSlot>>,
+    group_order: Vec<Vec<u32>>,
     /// Fairness-adjusted queue length per group, cached from the group's
     /// last order rebuild (valid while the group is clean).
     queue_len: Vec<f64>,
@@ -185,9 +177,10 @@ pub struct VennScheduler {
     dirty: Vec<bool>,
     /// FIFO order over active jobs, used when `use_irs` is off. Maintained
     /// sorted by `(submit_time, id)` by insertion — and only in that
-    /// ablation arm; the IRS arms never touch it.
-    fifo_order: Vec<JobSlot>,
-    /// Number of jobs with an active request (the fairness `M`).
+    /// ablation arm; the IRS arms never touch it. Derived on load.
+    fifo_order: Vec<u32>,
+    /// Number of jobs with an active request (the fairness `M`). Derived
+    /// on load.
     active_count: usize,
     last_rebuild: SimTime,
     rng: StdRng,
@@ -198,7 +191,7 @@ pub struct VennScheduler {
     regions_scratch: Vec<RegionSupply>,
     summaries_scratch: Vec<GroupSummary>,
     irs_scratch: IrsScratch,
-    scored_scratch: Vec<(f64, SimTime, JobId, JobSlot)>,
+    scored_scratch: Vec<(f64, SimTime, u32)>,
 }
 
 /// Counters describing how often tier-based matching engaged — useful for
@@ -244,8 +237,7 @@ impl VennScheduler {
         VennScheduler {
             knob: FairnessKnob::new(config.epsilon),
             supply: SupplyEstimator::new(config.supply_window_ms),
-            jobs: SlotMap::new(),
-            job_slots: JobIdIndex::new(),
+            jobs: PerJob::new(),
             plan: AllocationPlan::default(),
             members: Vec::new(),
             group_order: Vec::new(),
@@ -275,7 +267,7 @@ impl VennScheduler {
     pub(crate) fn active_jobs(&self) -> usize {
         debug_assert_eq!(
             self.active_count,
-            self.jobs.values().filter(|j| j.active).count()
+            self.jobs.iter().filter(|(_, j)| j.active).count()
         );
         self.active_count
     }
@@ -284,7 +276,7 @@ impl VennScheduler {
     ///
     /// Exposed for the Fig. 14 fairness experiments.
     pub fn fair_target_of(&self, job: JobId) -> Option<f64> {
-        let entry = self.jobs.get(self.job_slots.get(job)?)?;
+        let entry = self.jobs.get(job)?;
         let m = self.active_jobs().max(1);
         Some(fair_target_ms(m, entry.uncontended_jct_ms))
     }
@@ -370,7 +362,7 @@ impl VennScheduler {
     fn rebuild_group_order(&mut self, g: usize, m_total: usize) {
         self.queue_len[g] = self.score_group(g, m_total);
         self.group_order[g].clear();
-        self.group_order[g].extend(self.scored_scratch.iter().map(|&(_, _, _, slot)| slot));
+        self.group_order[g].extend(self.scored_scratch.iter().map(|&(_, _, id)| id));
     }
 
     /// Scores `g`'s members into `scored_scratch` in serving order and
@@ -379,8 +371,8 @@ impl VennScheduler {
         self.scored_scratch.clear();
         let mut sum_targets = 0.0;
         let mut sum_usage = 0.0;
-        for &slot in &self.members[g] {
-            let entry = self.jobs.get(slot).expect("group member slot is live");
+        for &id in &self.members[g] {
+            let entry = self.jobs.get(id.into()).expect("group member is a job");
             debug_assert!(entry.active && entry.group.index() == g);
             let target = fair_target_ms(m_total, entry.uncontended_jct_ms);
             // Fairness time-usage t_i: the share of the job's
@@ -397,8 +389,7 @@ impl VennScheduler {
                 .adjusted_demand(entry.remaining_key() as f64, usage, target);
             sum_targets += target;
             sum_usage += usage.max(1.0);
-            self.scored_scratch
-                .push((adjusted, entry.submit_time, entry.job, slot));
+            self.scored_scratch.push((adjusted, entry.submit_time, id));
         }
         // Smallest adjusted remaining demand first (§4.2.1); ties by
         // arrival then id for determinism. The key is total (ids are
@@ -423,16 +414,14 @@ impl VennScheduler {
     fn assert_clean_state_fresh(&mut self, m_total: usize) {
         if !self.config.use_irs {
             let jobs = &self.jobs;
-            let entry = |slot: JobSlot| jobs.get(slot).expect("fifo slot is live");
+            let entry = |id: u32| jobs.get(id.into()).expect("fifo job is known");
+            let key = |id: u32| (entry(id).submit_time, id);
             assert!(
-                self.fifo_order.iter().all(|&slot| entry(slot).active),
+                self.fifo_order.iter().all(|&id| entry(id).active),
                 "fifo_order holds an inactive job"
             );
             assert!(
-                self.fifo_order.windows(2).all(|w| {
-                    let (a, b) = (entry(w[0]), entry(w[1]));
-                    (a.submit_time, a.job) < (b.submit_time, b.job)
-                }),
+                self.fifo_order.windows(2).all(|w| key(w[0]) < key(w[1])),
                 "fifo_order is not strictly sorted by (submit_time, job)"
             );
             assert_eq!(
@@ -455,7 +444,7 @@ impl VennScheduler {
             assert!(
                 self.group_order[g]
                     .iter()
-                    .eq(self.scored_scratch.iter().map(|(_, _, _, slot)| slot)),
+                    .eq(self.scored_scratch.iter().map(|(_, _, id)| id)),
                 "clean group {g}: stale serving order"
             );
         }
@@ -469,8 +458,8 @@ impl VennScheduler {
         }
     }
 
-    fn fifo_remove(&mut self, slot: JobSlot) {
-        if let Some(pos) = self.fifo_order.iter().position(|&s| s == slot) {
+    fn fifo_remove(&mut self, id: u32) {
+        if let Some(pos) = self.fifo_order.iter().position(|&s| s == id) {
             self.fifo_order.remove(pos);
         }
     }
@@ -478,13 +467,13 @@ impl VennScheduler {
     /// Inserts the job at its sorted `(submit_time, id)` position. Callers
     /// must have updated the job's entry (and removed any stale position)
     /// first.
-    fn fifo_insert(&mut self, slot: JobSlot, job: JobId, submit_time: SimTime) {
+    fn fifo_insert(&mut self, id: u32, submit_time: SimTime) {
         let jobs = &self.jobs;
         let pos = self.fifo_order.partition_point(|&s| {
-            let e = jobs.get(s).expect("fifo slot is live");
-            (e.submit_time, e.job) < (submit_time, job)
+            let e = jobs.get(s.into()).expect("fifo job is known");
+            (e.submit_time, s) < (submit_time, id)
         });
-        self.fifo_order.insert(pos, slot);
+        self.fifo_order.insert(pos, id);
     }
 
     /// Offers `device` to `g`'s members in serving order. On success the
@@ -492,26 +481,21 @@ impl VennScheduler {
     /// (pending dropped below the disclosed total remaining).
     fn assign_from_group(&mut self, g: usize, device: &DeviceInfo) -> Option<JobId> {
         for i in 0..self.group_order[g].len() {
-            let slot = self.group_order[g][i];
-            if let Some((job, key_changed)) = Self::try_assign_job(&mut self.jobs, slot, device) {
+            let id = self.group_order[g][i];
+            if let Some(key_changed) = Self::try_assign_job(&mut self.jobs, id, device) {
                 if key_changed {
                     self.dirty[g] = true;
                 }
-                return Some(job);
+                return Some(id.into());
             }
         }
         None
     }
 
-    /// Attempts the assignment; `Some((job, key_changed))` on success,
-    /// where `key_changed` reports whether the job's intra-group sort key
-    /// moved.
-    fn try_assign_job(
-        jobs: &mut SlotMap<JobEntry>,
-        slot: JobSlot,
-        device: &DeviceInfo,
-    ) -> Option<(JobId, bool)> {
-        let entry = jobs.get_mut(slot)?;
+    /// Attempts the assignment; `Some(key_changed)` on success, where
+    /// `key_changed` reports whether the job's intra-group sort key moved.
+    fn try_assign_job(jobs: &mut PerJob<JobEntry>, id: u32, device: &DeviceInfo) -> Option<bool> {
+        let entry = jobs.get_mut(id.into())?;
         if !entry.active || entry.pending == 0 {
             return None;
         }
@@ -524,7 +508,7 @@ impl VennScheduler {
         let key_before = entry.remaining_key();
         entry.pending -= 1;
         entry.profiler.record_participant(device.score());
-        Some((entry.job, entry.remaining_key() != key_before))
+        Some(entry.remaining_key() != key_before)
     }
 }
 
@@ -550,28 +534,24 @@ impl Scheduler for VennScheduler {
             0
         };
 
-        let slot = match self.job_slots.get(request.job) {
-            Some(slot) => slot,
-            None => {
-                let slot = self.jobs.insert(JobEntry {
-                    job: request.job,
-                    group,
-                    pending: 0,
-                    demand: 0,
-                    total_remaining: 0,
-                    active: false,
-                    submit_time: now,
-                    allocs_done: 0,
-                    rounds_est: rounds_est.max(1.0),
-                    uncontended_jct_ms: uncontended,
-                    profiler: TierProfiler::new(),
-                    tier: None,
-                });
-                self.job_slots.set(request.job, slot);
-                slot
-            }
-        };
-        let entry = self.jobs.get_mut(slot).expect("slot just resolved");
+        let entry = self
+            .jobs
+            .entry(request.job)
+            .get_or_insert_with(|| JobEntry {
+                group,
+                pending: 0,
+                demand: 0,
+                total_remaining: 0,
+                active: false,
+                submit_time: now,
+                allocs_done: 0,
+                rounds_est: rounds_est.max(1.0),
+                uncontended_jct_ms: uncontended,
+                profiler: TierProfiler::new(),
+                tier: None,
+            });
+        // `entry` checked the dense-id bound.
+        let id = request.job.as_u64() as u32;
         let was_active = entry.active;
         let old_group = entry.group;
         entry.group = group;
@@ -599,10 +579,10 @@ impl Scheduler for VennScheduler {
         // Delta maintenance: membership, dirty flags, FIFO position.
         if !was_active {
             self.active_count += 1;
-            self.members[group.index()].push(slot);
+            self.members[group.index()].push(id);
         } else if old_group != group {
-            self.members[old_group.index()].retain(|&s| s != slot);
-            self.members[group.index()].push(slot);
+            self.members[old_group.index()].retain(|&s| s != id);
+            self.members[group.index()].push(id);
             self.dirty[old_group.index()] = true;
         }
         self.dirty[group.index()] = true;
@@ -612,8 +592,8 @@ impl Scheduler for VennScheduler {
         }
         if !self.config.use_irs {
             // Only the FIFO ablation arm ever reads `fifo_order`.
-            self.fifo_remove(slot);
-            self.fifo_insert(slot, request.job, now);
+            self.fifo_remove(id);
+            self.fifo_insert(id, now);
         }
 
         self.refresh(now);
@@ -621,25 +601,25 @@ impl Scheduler for VennScheduler {
 
     fn withdraw(&mut self, job: JobId, now: SimTime) {
         let mut deactivated = None;
-        if let Some(slot) = self.job_slots.get(job) {
-            if let Some(entry) = self.jobs.get_mut(slot) {
-                if entry.active {
-                    entry.active = false;
-                    entry.pending = 0;
-                    entry.tier = None;
-                    deactivated = Some((slot, entry.group.index()));
-                }
+        if let Some(entry) = self.jobs.get_mut(job) {
+            if entry.active {
+                entry.active = false;
+                entry.pending = 0;
+                entry.tier = None;
+                deactivated = Some(entry.group.index());
             }
         }
-        if let Some((slot, g)) = deactivated {
+        if let Some(g) = deactivated {
+            // A known job's id fits the table's `u32` range.
+            let id = job.as_u64() as u32;
             self.active_count -= 1;
-            self.members[g].retain(|&s| s != slot);
+            self.members[g].retain(|&s| s != id);
             self.dirty[g] = true;
             if self.knob.is_enabled() {
                 self.mark_all_dirty();
             }
             if !self.config.use_irs {
-                self.fifo_remove(slot);
+                self.fifo_remove(id);
             }
         }
         // Unconditional, matching the paper's completion trigger: even a
@@ -648,10 +628,7 @@ impl Scheduler for VennScheduler {
     }
 
     fn add_demand(&mut self, job: JobId, count: u32, _now: SimTime) {
-        let Some(slot) = self.job_slots.get(job) else {
-            return;
-        };
-        if let Some(entry) = self.jobs.get_mut(slot) {
+        if let Some(entry) = self.jobs.get_mut(job) {
             if entry.active {
                 let key_before = entry.remaining_key();
                 entry.pending = entry.pending.saturating_add(count);
@@ -698,17 +675,17 @@ impl Scheduler for VennScheduler {
             None
         } else {
             for i in 0..self.fifo_order.len() {
-                let slot = self.fifo_order[i];
+                let id = self.fifo_order[i];
                 let eligible = self
                     .jobs
-                    .get(slot)
+                    .get(id.into())
                     .map(|e| self.supply.specs()[e.group.index()].is_eligible(device.capacity()))
                     .unwrap_or(false);
                 if !eligible {
                     continue;
                 }
-                if let Some((job, _)) = Self::try_assign_job(&mut self.jobs, slot, device) {
-                    return Some(job);
+                if Self::try_assign_job(&mut self.jobs, id, device).is_some() {
+                    return Some(id.into());
                 }
             }
             None
@@ -716,19 +693,13 @@ impl Scheduler for VennScheduler {
     }
 
     fn on_response(&mut self, job: JobId, device: &DeviceInfo, response_ms: u64, _now: SimTime) {
-        let Some(slot) = self.job_slots.get(job) else {
-            return;
-        };
-        if let Some(entry) = self.jobs.get_mut(slot) {
+        if let Some(entry) = self.jobs.get_mut(job) {
             entry.profiler.record_response(device.score(), response_ms);
         }
     }
 
     fn on_alloc_complete(&mut self, job: JobId, delay_ms: u64, _now: SimTime) {
-        let Some(slot) = self.job_slots.get(job) else {
-            return;
-        };
-        if let Some(entry) = self.jobs.get_mut(slot) {
+        if let Some(entry) = self.jobs.get_mut(job) {
             entry.profiler.record_sched_delay(delay_ms);
             entry.allocs_done += 1;
             if self.knob.is_enabled() {
@@ -740,10 +711,7 @@ impl Scheduler for VennScheduler {
     }
 
     fn pending_demand(&self, job: JobId) -> Option<u32> {
-        self.jobs
-            .get(self.job_slots.get(job)?)
-            .filter(|e| e.active)
-            .map(|e| e.pending)
+        self.jobs.get(job).filter(|e| e.active).map(|e| e.pending)
     }
 
     fn has_open_demand(&self) -> bool {
@@ -768,21 +736,16 @@ impl Scheduler for VennScheduler {
         // The name doubles as an arm fingerprint: it encodes
         // (use_irs, use_matching), so a snapshot loaded into a
         // differently-ablated scheduler fails cleanly instead of drifting.
+        // The active count and the FIFO order are derived on load.
         w.str(self.name);
         self.supply.encode(w);
         self.jobs.encode(w);
-        self.job_slots.encode(w);
         self.plan.encode(w);
-        w.seq(&self.members, |w, group| {
-            w.seq(group, |w, s| s.encode(w));
-        });
-        w.seq(&self.group_order, |w, group| {
-            w.seq(group, |w, s| s.encode(w));
-        });
+        for lists in [&self.members, &self.group_order] {
+            w.seq(lists, |w, ids| w.seq(ids, |w, &id| w.u32(id)));
+        }
         w.seq(&self.queue_len, |w, &q| w.f64(q));
         w.seq(&self.dirty, |w, &d| w.bool(d));
-        w.seq(&self.fifo_order, |w, s| s.encode(w));
-        w.usize(self.active_count);
         w.u64(self.last_rebuild);
         self.rng.encode(w);
         w.u64(self.stats.considered);
@@ -801,16 +764,23 @@ impl Scheduler for VennScheduler {
             )));
         }
         self.supply = SupplyEstimator::decode(r)?;
-        self.jobs = SlotMap::decode(r)?;
-        self.job_slots = JobIdIndex::decode(r)?;
+        self.jobs = PerJob::decode(r)?;
         self.plan = AllocationPlan::decode(r)?;
-        self.members = r.seq(|r| r.seq(JobSlot::decode))?;
-        self.group_order = r.seq(|r| r.seq(JobSlot::decode))?;
+        self.members = r.seq(|r| r.seq(|r| r.u32()))?;
+        self.group_order = r.seq(|r| r.seq(|r| r.u32()))?;
         self.queue_len = r.seq(|r| r.f64())?;
         self.dirty = r.seq(|r| r.bool())?;
-        self.fifo_order = r.seq(JobSlot::decode)?;
-        // Every group is a registered spec and every slot a live job, so
-        // crafted bytes fail here instead of in a later index.
+        self.last_rebuild = r.u64()?;
+        self.rng = StdRng::decode(r)?;
+        self.stats = MatchingStats {
+            considered: r.u64()?,
+            fired: r.u64()?,
+            not_ready: r.u64()?,
+            cost_ratio_sum: r.f64()?,
+        };
+        // Every group is a registered spec, every ordered id a job, and
+        // the members hold each active job once, in its group, so crafted
+        // bytes fail here instead of in a later index.
         let groups = self.supply.specs().len();
         let corrupt = |what: &str| Err(SnapError::Corrupt(format!("venn {what}")));
         if self.members.len() != groups
@@ -820,26 +790,42 @@ impl Scheduler for VennScheduler {
         {
             return corrupt("per-group table size mismatch");
         }
-        if self.jobs.values().any(|e| e.group.index() >= groups) {
+        if self.jobs.iter().any(|(_, e)| e.group.index() >= groups) {
             return corrupt("job group is not a registered spec");
         }
-        let mut slots = (self.members.iter().chain(&self.group_order))
+        let jobs = &self.jobs;
+        if self
+            .group_order
+            .iter()
             .flatten()
-            .chain(&self.fifo_order)
-            .copied()
-            .chain(self.job_slots.slots());
-        if slots.any(|slot| !self.jobs.contains(slot)) {
-            return corrupt("job slot does not resolve");
+            .any(|&id| jobs.get(id.into()).is_none())
+        {
+            return corrupt("job id does not resolve");
         }
-        self.active_count = r.usize()?;
-        self.last_rebuild = r.u64()?;
-        self.rng = StdRng::decode(r)?;
-        self.stats = MatchingStats {
-            considered: r.u64()?,
-            fired: r.u64()?,
-            not_ready: r.u64()?,
-            cost_ratio_sum: r.f64()?,
-        };
+        let mut active: Vec<(SimTime, u32)> = (jobs.iter())
+            .filter(|(_, e)| e.active)
+            .map(|(id, e)| (e.submit_time, id))
+            .collect();
+        let mut listed = vec![false; jobs.iter().last().map_or(0, |(id, _)| id as usize + 1)];
+        for (g, ids) in self.members.iter().enumerate() {
+            for &id in ids {
+                let member = jobs
+                    .get(id.into())
+                    .is_some_and(|e| e.active && e.group.index() == g);
+                if !member || std::mem::replace(&mut listed[id as usize], true) {
+                    return corrupt("group members are not exactly the active jobs");
+                }
+            }
+        }
+        if self.members.iter().map(Vec::len).sum::<usize>() != active.len() {
+            return corrupt("group members are not exactly the active jobs");
+        }
+        self.active_count = active.len();
+        self.fifo_order.clear();
+        if !self.config.use_irs {
+            active.sort_unstable();
+            self.fifo_order.extend(active.iter().map(|&(_, id)| id));
+        }
         Ok(())
     }
 }
@@ -1185,25 +1171,41 @@ mod tests {
             Err(SnapError::Corrupt(msg)) => assert!(msg.contains(why), "{msg}"),
             other => panic!("expected a corrupt `{why}`, got {other:?}"),
         };
-        let dangling = JobSlot::NULL;
         refused(
-            &|s| {
-                let slot = s.job_slots.get(JobId::new(1)).unwrap();
-                s.jobs.get_mut(slot).unwrap().group = GroupId::new(2);
-            },
+            &|s| s.jobs.get_mut(JobId::new(1)).unwrap().group = GroupId::new(2),
             "not a registered spec",
         );
-        refused(&|s| s.members[0].push(dangling), "does not resolve");
-        refused(&|s| s.group_order[1].push(dangling), "does not resolve");
-        refused(&|s| s.fifo_order.push(dangling), "does not resolve");
+        // Id 99 is beyond the table; id 2 is vacant once job 3 is known.
+        let with_vacant_2 = |s: &mut VennScheduler| {
+            s.submit(Request::new(JobId::new(3), ResourceSpec::any(), 1, 1), 1);
+            s.withdraw(JobId::new(3), 1);
+        };
+        refused(&|s| s.group_order[1].push(99), "does not resolve");
         refused(
             &|s| {
-                s.submit(Request::new(JobId::new(2), ResourceSpec::any(), 1, 1), 1);
-                s.withdraw(JobId::new(2), 1);
-                let slot = s.job_slots.get(JobId::new(2)).unwrap();
-                s.jobs.remove(slot);
+                with_vacant_2(s);
+                s.group_order[0].push(2);
             },
             "does not resolve",
+        );
+        let not_members = "members are not exactly the active jobs";
+        refused(&|s| s.members[0].push(99), not_members);
+        refused(
+            &|s| {
+                with_vacant_2(s);
+                s.members[0].push(2);
+            },
+            not_members,
+        );
+        refused(&|s| s.members[0].push(0), not_members); // listed twice
+        refused(&|s| s.members[1].push(0), not_members); // in the wrong group
+        refused(&|s| s.members[0].clear(), not_members); // active, not listed
+        refused(
+            &|s| {
+                with_vacant_2(s);
+                s.members[0].push(3); // withdrawn
+            },
+            not_members,
         );
         refused(&|s| s.dirty.push(false), "size mismatch");
     }
@@ -1247,6 +1249,38 @@ mod tests {
             w.into_bytes()
         };
         assert_eq!(saved(true), saved(false));
+    }
+
+    /// The active count and the FIFO order are not stored: a restored
+    /// scheduler derives them, so withdrawing every job after a resume
+    /// counts down to zero exactly as the live scheduler does.
+    #[test]
+    fn load_state_derives_the_active_count_and_fifo_order() {
+        for base in [VennConfig::default(), VennConfig::matching_only()] {
+            let mut s = VennScheduler::new(base);
+            for j in 0..5u64 {
+                s.submit(
+                    Request::new(JobId::new(j), ResourceSpec::any(), 2, 2),
+                    10 - j,
+                );
+            }
+            s.withdraw(JobId::new(1), 20);
+            let mut w = SnapWriter::new();
+            s.save_state(&mut w).unwrap();
+            let bytes = w.into_bytes();
+            let mut restored = VennScheduler::new(base);
+            restored.load_state(&mut SnapReader::new(&bytes)).unwrap();
+            assert_eq!(restored.fifo_order, s.fifo_order);
+            assert_eq!(restored.active_jobs(), 4);
+            for j in 0..5u64 {
+                for x in [&mut s, &mut restored] {
+                    x.withdraw(JobId::new(j), 30);
+                }
+                assert_eq!(restored.active_jobs(), s.active_jobs(), "after job {j}");
+            }
+            assert_eq!(restored.active_jobs(), 0);
+            assert!(!restored.has_open_demand());
+        }
     }
 
     #[test]

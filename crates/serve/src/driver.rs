@@ -302,26 +302,46 @@ where
     out.flush()
 }
 
-/// Applies one line and emits its responses/journal entry. Returns
-/// `true` when the session quit. A journal append failure is fatal to
-/// the loop (the WAL is the authority for replay; continuing past a
-/// hole would record a lie) and surfaces as a typed I/O error.
+/// One command, as every driver runs it: applies `line`, appends its
+/// canonical form to the journal, and only then hands each response to
+/// `emit` (with the virtual time), so no client holds an ack for a
+/// command the journal lacks. Returns `true` when the session quit. A
+/// journal append failure is fatal to the loop (the WAL is the
+/// authority for replay; continuing past a hole would record a lie):
+/// `emit` gets the typed `io` error instead of the responses, and the
+/// error is returned.
+fn step(
+    session: &mut ServeSession,
+    journal: &mut Option<WalWriter>,
+    line: &str,
+    mut emit: impl FnMut(&str, u64) -> io::Result<()>,
+) -> io::Result<bool> {
+    let outcome = session.apply_line(line);
+    let vt = session.vt();
+    if let (Some(j), Some(entry)) = (journal.as_mut(), &outcome.journal) {
+        if let Err(e) = j.append(entry) {
+            let err = io::Error::other(format!("journal append: {e}"));
+            emit(&CmdError::io(err.to_string()).to_response(vt), vt)?;
+            eprintln!("vennsim serve: journal append failed ({e}), shutting down");
+            return Err(err);
+        }
+    }
+    for resp in &outcome.responses {
+        emit(resp, vt)?;
+    }
+    Ok(outcome.quit)
+}
+
+/// [`step`] onto one output stream, flushed after the command.
 fn apply_and_emit(
     session: &mut ServeSession,
     line: &str,
     out: &mut dyn Write,
     journal: &mut Option<WalWriter>,
 ) -> io::Result<bool> {
-    let outcome = session.apply_line(line);
-    for resp in &outcome.responses {
-        writeln!(out, "{resp}")?;
-    }
+    let quit = step(session, journal, line, |resp, _| writeln!(out, "{resp}"));
     out.flush()?;
-    if let (Some(j), Some(entry)) = (journal.as_mut(), &outcome.journal) {
-        j.append(entry)
-            .map_err(|e| io::Error::other(format!("journal append: {e}")))?;
-    }
-    Ok(outcome.quit)
+    quit
 }
 
 /// Runs the session against stdin/stdout (or the multi-client TCP loop
@@ -567,10 +587,10 @@ impl Clients<'_> {
         c.flush();
     }
 
-    /// Applies one command, routing metrics frames to every client and
-    /// the rest to the issuer (synthetic commands drop their acks).
-    /// Returns whether the session quit. A journal append failure is
-    /// fatal, as in `apply_and_emit`; the issuer is told first.
+    /// Applies one command through [`step`], routing metrics frames to
+    /// every client and the rest to the issuer (synthetic commands drop
+    /// their acks and a journal failure's error). Returns whether the
+    /// session quit.
     fn command(
         &mut self,
         session: &mut ServeSession,
@@ -578,19 +598,7 @@ impl Clients<'_> {
         issuer: Option<usize>,
         line: &str,
     ) -> io::Result<bool> {
-        let outcome = session.apply_line(line);
-        let vt = session.vt();
-        if let (Some(j), Some(entry)) = (journal.as_mut(), &outcome.journal) {
-            if let Err(e) = j.append(entry) {
-                let err = io::Error::other(format!("journal append: {e}"));
-                if let Some(i) = issuer {
-                    self.push(i, &CmdError::io(err.to_string()).to_response(vt), vt);
-                }
-                eprintln!("vennsim serve: journal append failed ({e}), shutting down");
-                return Err(err);
-            }
-        }
-        for resp in &outcome.responses {
+        step(session, journal, line, |resp, vt| {
             if resp.starts_with("{\"frame\":") {
                 for i in 0..self.list.len() {
                     self.push(i, resp, vt);
@@ -598,8 +606,8 @@ impl Clients<'_> {
             } else if let Some(i) = issuer {
                 self.push(i, resp, vt);
             }
-        }
-        Ok(outcome.quit)
+            Ok(())
+        })
     }
 }
 

@@ -115,7 +115,9 @@ fn save_workload_fault_is_a_typed_io_error() {
 /// An EIO on journal append is fatal to the drive loop — the WAL is the
 /// replay authority; running past a hole would record a lie. The error
 /// is a typed `io::Error`, not a panic, and everything already written
-/// still recovers.
+/// still recovers. A command is journaled before it is acknowledged, so
+/// the failed command's responses never reach the sink: its last line
+/// is the typed `io` error.
 #[test]
 fn journal_append_fault_is_fatal_and_typed() {
     let fs = shared_fs(FaultFs::scripted(
@@ -139,6 +141,29 @@ fn journal_append_fault_is_fatal_and_typed() {
     )
     .expect_err("journal EIO must abort the drive loop");
     assert!(err.to_string().contains("journal append"), "{err}");
+
+    // The sink holds the first command's responses, as a session without
+    // a journal writes them, then only the error.
+    let mut first = Vec::new();
+    let lines = script[..1].iter().map(|l| Ok(l.to_string()));
+    run_lines(
+        &mut session_with(shared_fs(MemFs::new())),
+        lines,
+        &mut first,
+        &mut None,
+    )
+    .unwrap();
+    let sink = String::from_utf8(sink).unwrap();
+    let rest = sink
+        .strip_prefix(std::str::from_utf8(&first).unwrap())
+        .unwrap_or_else(|| panic!("the first command's responses lead the sink: {sink}"));
+    assert_eq!(rest.lines().count(), 1, "only the error follows: {rest}");
+    assert!(
+        rest.contains("\"ok\":false")
+            && rest.contains("\"code\":\"io\"")
+            && rest.contains("journal append"),
+        "the last line is the typed io error: {rest}"
+    );
 
     // The first record survived and recovers cleanly.
     let bytes = fs.borrow_mut().read("journal.wal").unwrap();

@@ -246,8 +246,8 @@ fn a_resealed_checkpoint_with_an_unregistered_job_group_is_corrupt() {
     let mut body = unseal(&sealed).expect("a sealed checkpoint").to_vec();
 
     // The scheduler's state closes the body: its name, the supply
-    // estimator, then the job slot map, whose first entry is job 0's
-    // (tag, job id, group).
+    // estimator, then the job table, whose first cell is job 0's
+    // (presence byte, group).
     let mut state = SnapWriter::new();
     sched.save_state(&mut state).unwrap();
     let state = state.into_bytes();
@@ -255,8 +255,7 @@ fn a_resealed_checkpoint_with_an_unregistered_job_group_is_corrupt() {
     assert_eq!(r.str().unwrap(), "venn");
     SupplyEstimator::decode(&mut r).unwrap();
     assert!(r.len_prefix().unwrap() > 0, "jobs were submitted");
-    assert_eq!(r.u8().unwrap(), 1, "job 0's entry is occupied");
-    assert_eq!(r.u64().unwrap(), 0, "the first entry is job 0");
+    assert_eq!(r.u8().unwrap(), 1, "job 0's cell is occupied");
     let group_at = body.len() - r.remaining();
     body[group_at..group_at + 8].copy_from_slice(&200u64.to_le_bytes());
 

@@ -212,7 +212,7 @@ fn schedulers_do_not_allocate_in_steady_state() {
         })),
         "venn-wo-sched",
     );
-    // Baselines share the slot-map data plane and the persistent
+    // Baselines share the id-indexed data plane and the persistent
     // candidate buffer.
     assert_no_alloc_steady_state(Box::new(BaselineScheduler::random_order(42)), "random");
     assert_no_alloc_steady_state(Box::new(BaselineScheduler::fifo()), "fifo");

@@ -2,9 +2,9 @@
 
 use proptest::prelude::*;
 
+use venn::baselines::BaselineScheduler;
 use venn::core::irs::{allocate, GroupSummary};
 use venn::core::matching::TierProfiler;
-use venn::core::slotmap::{JobSlot, SlotMap};
 use venn::core::supply::RegionSupply;
 use venn::core::{
     Capacity, DeviceId, DeviceInfo, JobId, Request, ResourceSpec, Scheduler, SupplyEstimator,
@@ -157,7 +157,7 @@ proptest! {
     }
 }
 
-// --- Dense data plane: spec registry and slot map ---------------------------
+// --- Dense data plane: spec registry and id-indexed job state -------------
 
 proptest! {
     /// The supply estimator's spec registry is the Venn scheduler's group
@@ -167,17 +167,11 @@ proptest! {
     /// and lookup inverts registration.
     #[test]
     fn interner_round_trips_across_churn(
-        ops in proptest::collection::vec((0u8..8, 0u8..8, 0u8..2), 1..120),
+        ops in proptest::collection::vec((0u8..8, 0u8..8), 1..120),
     ) {
         let mut registry = SupplyEstimator::with_default_window();
-        // Churn rides along: jobs keyed by the same quantized spec space
-        // enter and leave a slot map between registrations, like the
-        // scheduler's own submit/complete stream.
-        let mut jobs: SlotMap<u32> = SlotMap::new();
-        let mut live: Vec<JobSlot> = Vec::new();
         let mut seen: Vec<(ResourceSpec, usize)> = Vec::new();
-        for (i, &(c, m, leave)) in ops.iter().enumerate() {
-            let leave = leave == 1;
+        for &(c, m) in &ops {
             let spec = ResourceSpec::new(c as f64 / 8.0, m as f64 / 8.0);
             let found = registry.lookup_spec(spec);
             let j = found.unwrap_or_else(|| registry.register_spec(spec));
@@ -193,13 +187,8 @@ proptest! {
                     seen.push((spec, j));
                 }
             }
-            live.push(jobs.insert(i as u32));
-            if leave && !live.is_empty() {
-                let victim = live.swap_remove(i % live.len());
-                prop_assert!(jobs.remove(victim).is_some());
-            }
         }
-        // The full mapping survives the churn intact.
+        // The full mapping survives the stream intact.
         prop_assert_eq!(registry.specs().len(), seen.len());
         for (spec, j) in seen {
             prop_assert_eq!(registry.lookup_spec(spec), Some(j));
@@ -207,46 +196,37 @@ proptest! {
         }
     }
 
-    /// Slot-map generation safety: over any insert/remove sequence, live
-    /// handles always resolve to their own value and every handle whose
-    /// entry was removed is rejected forever — even after its slot index
-    /// has been reused.
+    /// Id-indexed job state: over any submit/withdraw stream, in both
+    /// schedulers, every job with an open request reports its own pending
+    /// demand, and a withdrawn job resolves to nothing — also after its
+    /// id, or a neighbouring one, was withdrawn and resubmitted.
     #[test]
-    fn slot_map_rejects_stale_handles(
-        ops in proptest::collection::vec((0u8..2, 0usize..64), 1..200),
+    fn withdrawn_jobs_never_resolve(
+        ops in proptest::collection::vec((0u8..2, 0u64..12, 1u32..5), 1..150),
     ) {
-        let mut map: SlotMap<u64> = SlotMap::new();
-        let mut live: Vec<(JobSlot, u64)> = Vec::new();
-        let mut stale: Vec<JobSlot> = Vec::new();
-        let mut next = 0u64;
-        for &(remove, pick) in &ops {
-            if remove == 1 && !live.is_empty() {
-                let (slot, value) = live.swap_remove(pick % live.len());
-                prop_assert_eq!(map.remove(slot), Some(value));
-                prop_assert_eq!(map.remove(slot), None, "double remove rejected");
-                stale.push(slot);
-            } else {
-                let slot = map.insert(next);
-                // A reused index must carry a fresh generation.
-                prop_assert!(stale.iter().all(|s| *s != slot));
-                live.push((slot, next));
-                next += 1;
+        let mut scheds: [Box<dyn Scheduler>; 2] = [
+            Box::new(BaselineScheduler::fifo()),
+            Box::new(VennScheduler::new(VennConfig::default())),
+        ];
+        let mut model: Vec<Option<u32>> = vec![None; 12];
+        for (t, &(withdraw, job, demand)) in ops.iter().enumerate() {
+            let id = JobId::new(job);
+            for s in &mut scheds {
+                if withdraw == 1 {
+                    s.withdraw(id, t as u64);
+                } else {
+                    let request = Request::new(id, ResourceSpec::any(), demand, demand as u64);
+                    s.submit(request, t as u64);
+                }
             }
-            prop_assert_eq!(map.len(), live.len());
-            for &(slot, value) in &live {
-                prop_assert_eq!(map.get(slot), Some(&value));
-            }
-            for &slot in &stale {
-                prop_assert_eq!(map.get(slot), None, "stale handle resolved");
+            model[job as usize] = (withdraw == 0).then_some(demand);
+            for s in &scheds {
+                for (j, &want) in model.iter().enumerate() {
+                    prop_assert_eq!(s.pending_demand(JobId::new(j as u64)), want, "job {}", j);
+                }
+                prop_assert_eq!(s.has_open_demand(), model.iter().any(Option::is_some));
             }
         }
-        // Storage stays dense: indices never exceed the high-water mark of
-        // simultaneously live entries... which the free list guarantees by
-        // construction; spot-check that live handles cover distinct indices.
-        let mut idx: Vec<usize> = live.iter().map(|(s, _)| s.index()).collect();
-        idx.sort_unstable();
-        idx.dedup();
-        prop_assert_eq!(idx.len(), live.len());
     }
 }
 
