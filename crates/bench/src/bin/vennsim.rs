@@ -19,7 +19,7 @@
 
 use std::num::{NonZeroU64, NonZeroUsize};
 use std::process::ExitCode;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -251,15 +251,17 @@ fn run_checkpointed(args: &Args, dir: &str, workload: &Workload) -> Result<SimRe
                     .build()
                     .expect("the arm was checked at parse time")
             };
+            let started = Instant::now();
             let outcome = store
                 .resume(config, workload, &mut build)
                 .map_err(|e| e.to_string())?;
+            let restore_ms = started.elapsed().as_secs_f64() * 1e3;
             for warning in &outcome.warnings {
                 eprintln!("warning: {warning}");
             }
             match &outcome.run {
                 Some((world, _)) => eprintln!(
-                    "resumed from {dir} (sim time {:.1} h, {} events in)",
+                    "resumed from {dir} (sim time {:.1} h, {} events in, restored in {restore_ms:.1} ms)",
                     world.now() as f64 / 3_600_000.0,
                     world.events_processed()
                 ),

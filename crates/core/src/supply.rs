@@ -586,11 +586,14 @@ impl Snapshot for SupplyEstimator {
         let base = r.u64()?;
         let back = r.u64()?;
         let len = r.len_prefix()?;
-        let words = r.u32s(len)?;
-        let mut queue = Vec::with_capacity(len);
-        let mut time = base;
+        let queue: Vec<u32> = r.u32s(len)?.collect();
+        // One tally pass over the copied ring: cell counts, cell and
+        // filler checks, and the sum of the steps. The prefix sums of the
+        // steps are monotone, so checking `base + steps` once for overflow
+        // refuses exactly the rings a per-step check would.
         let mut cells = vec![0u64; GRID * GRID];
-        for word in words {
+        let mut steps: u128 = 0;
+        for &word in &queue {
             let cell = word & CELL_MASK;
             if cell < FILLER {
                 cells[cell as usize] += 1;
@@ -599,11 +602,10 @@ impl Snapshot for SupplyEstimator {
             } else if dt_of(word) != MAX_DT {
                 return Err(corrupt("ring filler with a partial step"));
             }
-            time = time
-                .checked_add(dt_of(word))
-                .ok_or_else(|| corrupt("ring time overflows"))?;
-            queue.push(word);
+            steps += u128::from(dt_of(word));
         }
+        let time = SimTime::try_from(u128::from(base) + steps)
+            .map_err(|_| corrupt("ring time overflows"))?;
         if time != back {
             return Err(corrupt("ring steps do not lead from base to back"));
         }

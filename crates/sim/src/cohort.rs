@@ -71,26 +71,18 @@ pub(crate) struct CohortSet {
 }
 
 impl CohortSet {
-    /// Builds the stream state for `population` devices: every device's
-    /// cursor advances to its first live (env-clipped, pre-horizon)
-    /// session, filling the per-cohort heaps.
+    /// Builds the stream state for `population` devices with every cursor
+    /// at day 0 and every cohort heap empty: the part a checkpoint does
+    /// not hold. A fresh run then [`prime`](Self::prime)s it; a restore
+    /// overwrites cursors and heaps from the snapshot instead.
     pub(crate) fn new(
         availability: AvailabilityModel,
         seed: u64,
         days: u32,
         horizon: SimTime,
         population: usize,
-        env: Option<&EnvRuntime>,
     ) -> Self {
-        Self::with_cohort_size(
-            availability,
-            seed,
-            days,
-            horizon,
-            population,
-            env,
-            COHORT_SIZE,
-        )
+        Self::with_cohort_size(availability, seed, days, horizon, population, COHORT_SIZE)
     }
 
     /// [`CohortSet::new`] with an explicit cohort size (tests only).
@@ -100,12 +92,11 @@ impl CohortSet {
         days: u32,
         horizon: SimTime,
         population: usize,
-        env: Option<&EnvRuntime>,
         cohort_size: usize,
     ) -> Self {
         assert!(cohort_size > 0, "cohort size must be positive");
         let cohorts = population.div_ceil(cohort_size);
-        let mut set = CohortSet {
+        CohortSet {
             availability,
             seed,
             days,
@@ -114,11 +105,16 @@ impl CohortSet {
             cursors: vec![Cursor::default(); population],
             heaps: (0..cohorts).map(|_| BinaryHeap::new()).collect(),
             scratch: Vec::new(),
-        };
-        for device in 0..population {
-            set.advance(device, env);
         }
-        set
+    }
+
+    /// Advances every device's cursor to its first live (env-clipped,
+    /// pre-horizon) session, filling the per-cohort heaps: a fresh run's
+    /// initial stream state.
+    pub(crate) fn prime(&mut self, env: Option<&EnvRuntime>) {
+        for device in 0..self.cursors.len() {
+            self.advance(device, env);
+        }
     }
 
     /// Number of cohorts.
@@ -229,8 +225,9 @@ impl CohortSet {
         }
     }
 
-    /// Restores cursors and heaps into a freshly constructed set of the
-    /// same population and cohort size.
+    /// Overwrites every cursor and heap from the snapshot. The set must
+    /// have the snapshot's population and cohort size; it need not be
+    /// [`prime`](Self::prime)d, since nothing the prime sets survives.
     pub(crate) fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         let n = r.len_prefix()?;
         if n != self.cursors.len() {
@@ -256,6 +253,7 @@ impl CohortSet {
             let members =
                 cohort * self.cohort_size..population.min((cohort + 1) * self.cohort_size);
             let entries = r.len_prefix()?;
+            heap.reserve(entries.min(members.len()));
             for _ in 0..entries {
                 let start = r.u64()?;
                 let device = r.u32()?;
@@ -272,6 +270,41 @@ impl CohortSet {
         self.scratch.clear();
         Ok(())
     }
+
+    /// Refuses a restored queue whose `CohortWake`s break the wake
+    /// invariant: exactly one wake per non-empty cohort, at its heap's
+    /// earliest start, and none for an empty cohort. A later wake would
+    /// miss a session start and an absent one would strand the cohort.
+    /// `wakes` lists the queued wakes as `(cohort, time)`, every cohort
+    /// already range-checked.
+    pub(crate) fn check_wakes(
+        &self,
+        wakes: impl Iterator<Item = (usize, SimTime)>,
+    ) -> Result<(), SnapError> {
+        let mut armed: Vec<Option<SimTime>> = vec![None; self.heaps.len()];
+        for (cohort, time) in wakes {
+            if let Some(first) = armed[cohort].replace(time) {
+                return Err(SnapError::Corrupt(format!(
+                    "cohort {cohort} has two wakes queued, at {first} and {time} ms"
+                )));
+            }
+        }
+        for (cohort, wake) in armed.into_iter().enumerate() {
+            let why = match (wake, self.next_wake(cohort)) {
+                (Some(w), Some(start)) if w == start => continue,
+                (None, None) => continue,
+                (Some(w), Some(start)) => {
+                    format!("wake at {w} ms, but its earliest session starts at {start} ms")
+                }
+                (None, Some(start)) => {
+                    format!("no wake queued, but a session starts at {start} ms")
+                }
+                (Some(w), None) => format!("wake at {w} ms, but no session pending"),
+            };
+            return Err(SnapError::Corrupt(format!("cohort {cohort} has {why}")));
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -281,6 +314,14 @@ mod tests {
 
     fn model() -> AvailabilityModel {
         AvailabilityModel::default()
+    }
+
+    /// A primed env-off set of `pop` devices over `days` days.
+    fn primed(seed: u64, days: u32, pop: usize, cohort_size: usize) -> CohortSet {
+        let horizon = days as SimTime * DAY_MS;
+        let mut set = CohortSet::with_cohort_size(model(), seed, days, horizon, pop, cohort_size);
+        set.prime(None);
+        set
     }
 
     /// Drains the whole set into a flat, globally-merged session list.
@@ -306,7 +347,7 @@ mod tests {
     fn streams_the_exact_split_trace_in_merge_order() {
         let (days, pop, seed) = (2u32, 300usize, 42u64);
         let horizon = days as SimTime * DAY_MS;
-        let mut set = CohortSet::with_cohort_size(model(), seed, days, horizon, pop, None, 64);
+        let mut set = primed(seed, days, pop, 64);
         let streamed = drain_all(&mut set);
 
         // Reference: regenerate every (device, day) block directly.
@@ -327,9 +368,7 @@ mod tests {
 
     #[test]
     fn one_pending_entry_per_device() {
-        let days = 3u32;
-        let horizon = days as SimTime * DAY_MS;
-        let set = CohortSet::with_cohort_size(model(), 7, days, horizon, 500, None, 128);
+        let set = primed(7, 3, 500, 128);
         let pending: usize = (0..set.cohort_count()).map(|c| set.heaps[c].len()).sum();
         assert!(pending <= 500, "at most one entry per device: {pending}");
         assert!(pending > 300, "most devices have day-0..2 sessions");
@@ -337,9 +376,8 @@ mod tests {
 
     #[test]
     fn pop_due_only_pops_exact_matches() {
-        let days = 2u32;
-        let horizon = days as SimTime * DAY_MS;
-        let mut set = CohortSet::with_cohort_size(model(), 11, days, horizon, 64, None, 64);
+        let horizon = 2 * DAY_MS;
+        let mut set = primed(11, 2, 64, 64);
         let t = set.next_wake(0).expect("some session exists");
         assert!(set.pop_due(0, t.saturating_sub(1)).is_none());
         let (device, end) = set.pop_due(0, t).expect("due at its own wake time");
@@ -371,7 +409,7 @@ mod tests {
     #[test]
     fn restore_rejects_entries_for_devices_outside_their_cohort() {
         let horizon = DAY_MS;
-        let mut set = CohortSet::with_cohort_size(model(), 5, 1, horizon, 10, None, 8);
+        let mut set = CohortSet::with_cohort_size(model(), 5, 1, horizon, 10, 8);
         for (cohort, device) in [(0, 99), (1, 10), (0, 9), (1, 3)] {
             let bytes = state_with_entry(cohort, device);
             let err = set.restore_state(&mut SnapReader::new(&bytes)).unwrap_err();
@@ -390,9 +428,7 @@ mod tests {
 
     #[test]
     fn exhausted_devices_stop_producing() {
-        let days = 1u32;
-        let horizon = days as SimTime * DAY_MS;
-        let mut set = CohortSet::with_cohort_size(model(), 3, days, horizon, 32, None, 32);
+        let mut set = primed(3, 1, 32, 32);
         let n = drain_all(&mut set).len();
         assert!(n > 0);
         assert!(set.next_wake(0).is_none(), "drained set stays drained");

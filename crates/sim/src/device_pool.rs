@@ -591,6 +591,18 @@ impl LazyStore {
 }
 
 #[cfg(test)]
+impl DevicePool {
+    /// `(durable overlay entries, pending retire notes)` on the lazy arm;
+    /// `None` on the dense arms.
+    pub(crate) fn lazy_overlay_len(&self) -> Option<(usize, usize)> {
+        match &self.store {
+            Store::Dense(_) => None,
+            Store::Lazy(l) => Some((l.durable.len(), l.retire_notes.len())),
+        }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use venn_core::Capacity;

@@ -15,10 +15,11 @@
 //!
 //! # What resume means
 //!
-//! [`resume_world`] rebuilds a fresh world with [`World::new`] — which
+//! [`resume_world`] builds a world skeleton (`World::skeleton`) — which
 //! re-derives every immutable or deterministically-recomputable artifact
 //! (device profiles, session streams, compiled environment schedule, job
-//! specs) — then overwrites the mutable state from the snapshot. The
+//! specs) but none of the initial dynamic state [`World::new`] primes —
+//! then sets the mutable state from the snapshot. The
 //! resumed run's remaining event stream, RNG draws, and final
 //! [`SimResult`](crate::SimResult) are byte-identical to the
 //! uninterrupted run's: the checkpoint captures the full `(time, seq)`
@@ -64,9 +65,11 @@ pub fn snapshot_world(world: &World, scheduler: &dyn Scheduler) -> Result<Vec<u8
 }
 
 /// The prologue [`resume_world`] and [`fork_world`] share: verifies the
-/// container and the run fingerprint, rebuilds the world with
-/// [`World::new`] under `scheduler_name`, and restores its kernel state.
-/// Returns the world and the reader, left at the scheduler's saved state.
+/// container and the run fingerprint, builds the world's skeleton under
+/// `scheduler_name` (everything [`World::new`] builds but the initial
+/// queue and cohort streams, which the snapshot holds), and restores its
+/// kernel state. Returns the world and the reader, left at the
+/// scheduler's saved state.
 fn restore<'a>(
     bytes: &'a [u8],
     config: SimConfig,
@@ -83,7 +86,7 @@ fn restore<'a>(
              must use the run's original parameters"
         )));
     }
-    let mut world = World::new(config, workload, scheduler_name);
+    let mut world = World::skeleton(config, workload, scheduler_name);
     world.restore_state(&mut r)?;
     Ok((world, r))
 }
@@ -147,6 +150,7 @@ mod tests {
     use rand::SeedableRng;
     use venn_baselines::BaselineScheduler;
     use venn_core::JobId;
+    use venn_env::EnvPreset;
 
     fn setup() -> (SimConfig, Workload) {
         let mut rng = StdRng::seed_from_u64(7);
@@ -320,6 +324,169 @@ mod tests {
                 "{kind:?} at {time}: got {err:?}"
             );
         }
+    }
+
+    /// Whether some cohort heap of `world` is non-empty.
+    fn has_pending_cohort(world: &World) -> bool {
+        world
+            .cohorts
+            .as_ref()
+            .is_some_and(|c| (0..c.cohort_count()).any(|k| c.next_wake(k).is_some()))
+    }
+
+    /// A `pop_mode` world under `env`, stepped to the first instant whose
+    /// snapshot holds every structure a restore sets: parked polls, a
+    /// non-empty cohort heap (split arms), durable overlay entries and
+    /// retire notes (lazy arm).
+    fn world_holding_every_structure(
+        pop_mode: PopMode,
+        env: EnvPreset,
+    ) -> (SimConfig, Workload, World, BaselineScheduler) {
+        let (mut config, workload) = setup();
+        config.pop_mode = pop_mode;
+        config.env = env.config();
+        let mut sched = BaselineScheduler::fifo();
+        let mut world = World::new(config, &workload, sched.name());
+        let holds_all = |world: &World| {
+            !world.parked.is_empty()
+                && world
+                    .devices
+                    .lazy_overlay_len()
+                    .is_none_or(|(durable, notes)| durable > 0 && notes > 0)
+                && (pop_mode == PopMode::Eager || has_pending_cohort(world))
+        };
+        while !holds_all(&world) {
+            assert!(
+                world.step(&mut sched, &mut []),
+                "{pop_mode:?} {env:?}: no instant holds every structure"
+            );
+        }
+        (config, workload, world, sched)
+    }
+
+    /// Re-encoding a resumed world reproduces its checkpoint byte for
+    /// byte, so the skeleton a restore starts from leaves nothing unset
+    /// that the primed constructor would have set; a fork child holds the
+    /// same kernel state as its parent.
+    #[test]
+    fn a_resume_is_a_fixed_point() {
+        let section = |world: &World| {
+            let mut w = SnapWriter::new();
+            world.encode_state(&mut w);
+            w.into_bytes()
+        };
+        for pop_mode in [PopMode::Eager, PopMode::SplitEager, PopMode::Lazy] {
+            for env in [EnvPreset::Off, EnvPreset::Chaos] {
+                let ctx = format!("{pop_mode:?} {env:?}");
+                let (config, workload, world, sched) = world_holding_every_structure(pop_mode, env);
+                let bytes = snapshot_world(&world, &sched).expect("snapshot");
+                let mut fresh = BaselineScheduler::fifo();
+                let resumed = resume_world(&bytes, config, &workload, &mut fresh)
+                    .unwrap_or_else(|e| panic!("{ctx}: resume: {e}"));
+                assert!(
+                    snapshot_world(&resumed, &fresh).expect("re-snapshot") == bytes,
+                    "{ctx}: a resumed world re-encodes other bytes"
+                );
+                // A cold book of the same arm: the section's result
+                // counters hold the scheduler's name.
+                let mut cold = BaselineScheduler::fifo();
+                let child = fork_world(&bytes, config, &workload, &mut cold)
+                    .unwrap_or_else(|e| panic!("{ctx}: fork: {e}"));
+                assert!(
+                    section(&child) == section(&world),
+                    "{ctx}: a fork child re-encodes another world section"
+                );
+            }
+        }
+    }
+
+    /// A queue that breaks the cohort wake invariant — one wake per
+    /// non-empty cohort, at its earliest start, none for an empty one —
+    /// must not resume: a late wake misses a session start, a missing one
+    /// strands its cohort.
+    #[test]
+    fn resume_rejects_mismatched_cohort_wakes() {
+        let (mut config, workload) = setup();
+        config.pop_mode = PopMode::Lazy;
+        config.days = 1;
+        let mut sched = BaselineScheduler::fifo();
+        let mut world = World::new(config, &workload, sched.name());
+        while world.now() < 600_000 {
+            assert!(world.step(&mut sched, &mut []), "run ended before 600 s");
+        }
+        let resume_with = |world: &mut World, sched: &BaselineScheduler, events: Vec<Event>| {
+            let next_seq = world.queue.next_seq() + 1;
+            let peak_len = world.queue.peak_len();
+            world.queue = EventQueue::restore(&events, next_seq, peak_len);
+            let bytes = snapshot_world(world, sched).expect("snapshot");
+            let mut fresh = BaselineScheduler::fifo();
+            resume_world(&bytes, config, &workload, &mut fresh).unwrap_err()
+        };
+        let pending = world.queue.snapshot_events();
+        let at = pending
+            .iter()
+            .position(|e| matches!(e.kind, EventKind::CohortWake { cohort: 0 }))
+            .expect("cohort 0 has a wake pending");
+        let wake = pending[at];
+        let mut late = pending.clone();
+        late[at].time += 1;
+        late.sort_by_key(|e| (e.time, e.seq));
+        let mut missing = pending.clone();
+        missing.remove(at);
+        let mut twice = pending.clone();
+        twice.push(Event {
+            time: wake.time + 5,
+            seq: world.queue.next_seq(),
+            kind: wake.kind,
+        });
+        twice.sort_by_key(|e| (e.time, e.seq));
+        let cases = [
+            (
+                late,
+                format!(
+                    "cohort 0 has wake at {} ms, but its earliest session starts at {} ms",
+                    wake.time + 1,
+                    wake.time
+                ),
+            ),
+            (
+                missing,
+                format!(
+                    "cohort 0 has no wake queued, but a session starts at {} ms",
+                    wake.time
+                ),
+            ),
+            (twice, "cohort 0 has two wakes queued".to_string()),
+        ];
+        for (events, why) in cases {
+            let err = resume_with(&mut world, &sched, events);
+            assert!(
+                matches!(&err, SnapError::Corrupt(m) if m.contains(&why)),
+                "{why}: got {err:?}"
+            );
+        }
+
+        // Run on until every device's stream is spent; a wake for the
+        // now-empty cohort must not resume either.
+        world.queue = EventQueue::restore(&pending, world.queue.next_seq(), world.queue.peak_len());
+        while has_pending_cohort(&world) {
+            assert!(
+                world.step(&mut sched, &mut []),
+                "run ended with a wake pending"
+            );
+        }
+        let mut stray = world.queue.snapshot_events();
+        stray.push(Event {
+            time: world.now(),
+            seq: world.queue.next_seq(),
+            kind: wake.kind,
+        });
+        stray.sort_by_key(|e| (e.time, e.seq));
+        let err = resume_with(&mut world, &sched, stray);
+        assert!(
+            matches!(&err, SnapError::Corrupt(m) if m.contains("but no session pending")),
+            "got {err:?}"
+        );
     }
 
     #[test]

@@ -154,7 +154,7 @@ pub struct World {
     /// streams, one upcoming session per device, one pending `CohortWake`
     /// per cohort. Boxed and `take()`n during wake handling so the drain
     /// loop can call back into `&mut self` handlers.
-    cohorts: Option<Box<CohortSet>>,
+    pub(crate) cohorts: Option<Box<CohortSet>>,
     /// Future `SessionStart`s fed into the queue one at a time (all
     /// sessions on the eager arm; environment extras on the split arms).
     session_stream: SessionStream,
@@ -170,7 +170,8 @@ pub struct World {
 impl World {
     /// Builds the initial world state: samples the device population,
     /// generates availability sessions, and seeds the queue with session
-    /// starts and job arrivals.
+    /// starts and job arrivals: the skeleton a restore also starts from,
+    /// then the prime that only a fresh run needs.
     ///
     /// # Panics
     ///
@@ -179,6 +180,22 @@ impl World {
     /// [`JobPlan::check`] (the message names the job) — here, at
     /// construction, not when the job arrives.
     pub fn new(config: SimConfig, workload: &Workload, scheduler_name: &str) -> Self {
+        let mut world = Self::skeleton(config, workload, scheduler_name);
+        world.prime();
+        world
+    }
+
+    /// Builds everything a checkpoint does not hold: checks the config
+    /// and workload, compiles the environment, samples the device
+    /// profiles (and, on the eager arm, the whole session trace with its
+    /// reserved seqs), and sets up an unprimed cohort set and a fresh
+    /// job table. The queue holds no event yet. A restore fills in the
+    /// rest from the snapshot; [`World::new`] [`prime`](Self::prime)s it.
+    ///
+    /// # Panics
+    ///
+    /// As [`World::new`].
+    pub(crate) fn skeleton(config: SimConfig, workload: &Workload, scheduler_name: &str) -> Self {
         config.validate();
         if let Err(why) = workload.check() {
             panic!("{why}");
@@ -249,20 +266,13 @@ impl World {
                 // the cohort wheel, `rng` untouched (it only feeds
                 // response noise from here on) — so the two split arms
                 // share one event stream by construction.
-                let set = CohortSet::new(
+                cohorts = Some(Box::new(CohortSet::new(
                     config.availability,
                     config.seed,
                     config.days,
                     horizon,
                     config.population,
-                    env.as_ref(),
-                );
-                for cohort in 0..set.cohort_count() {
-                    if let Some(t) = set.next_wake(cohort) {
-                        queue.push(t, EventKind::CohortWake { cohort });
-                    }
-                }
-                cohorts = Some(Box::new(set));
+                )));
                 if let Some(e) = &env {
                     session_stream.entries = e
                         .extra_sessions()
@@ -290,19 +300,6 @@ impl World {
                 }
             }
         };
-        session_stream.push_next(&mut queue);
-        for (idx, plan) in workload.jobs.iter().enumerate() {
-            if plan.arrival_ms < horizon {
-                queue.push(plan.arrival_ms, EventKind::JobArrival { job_idx: idx });
-            }
-        }
-        if let Some(e) = &env {
-            for (idx, (time, _)) in e.disturbances().iter().enumerate() {
-                if *time <= horizon {
-                    queue.push(*time, EventKind::EnvDisturbance { env_idx: idx });
-                }
-            }
-        }
 
         let env_stats = match &env {
             Some(e) => EnvStats::with_tiers(e.tier_count()),
@@ -327,6 +324,37 @@ impl World {
             now: 0,
             config,
             workload: workload.clone(),
+        }
+    }
+
+    /// Sets a [`skeleton`](Self::skeleton)'s initial dynamic state:
+    /// advances every device to its first session and arms one
+    /// `CohortWake` per non-empty cohort (split arms), then queues the
+    /// first streamed session, every job arrival and every environment
+    /// disturbance — in the push order that fixes their seqs.
+    fn prime(&mut self) {
+        if let Some(cohorts) = &mut self.cohorts {
+            cohorts.prime(self.env.as_ref());
+            for cohort in 0..cohorts.cohort_count() {
+                if let Some(t) = cohorts.next_wake(cohort) {
+                    self.queue.push(t, EventKind::CohortWake { cohort });
+                }
+            }
+        }
+        self.session_stream.push_next(&mut self.queue);
+        for (idx, plan) in self.workload.jobs.iter().enumerate() {
+            if plan.arrival_ms < self.horizon {
+                self.queue
+                    .push(plan.arrival_ms, EventKind::JobArrival { job_idx: idx });
+            }
+        }
+        if let Some(e) = &self.env {
+            for (idx, (time, _)) in e.disturbances().iter().enumerate() {
+                if *time <= self.horizon {
+                    self.queue
+                        .push(*time, EventKind::EnvDisturbance { env_idx: idx });
+                }
+            }
         }
     }
 
@@ -981,8 +1009,9 @@ impl World {
     ///
     /// Immutable state (config, workload, compiled environment schedule,
     /// session stream entries, job specs, noise distribution, horizon) is
-    /// *not* written: [`World::new`] re-derives it deterministically from
-    /// `(config, workload)`, and the container fingerprint pins that the
+    /// *not* written: the world skeleton a restore starts from re-derives
+    /// it deterministically from `(config, workload)` as [`World::new`]
+    /// does, and the container fingerprint pins that the
     /// resuming process passes the same pair. Internal-layout-dependent
     /// structures (the timing wheel) are written in canonical form — the
     /// sorted `(time, seq)` event list — so snapshot bytes do not depend
@@ -1047,13 +1076,14 @@ impl World {
         self.result.encode_progress(w);
     }
 
-    /// Overwrites this world's mutable state from a snapshot written by
+    /// Sets this world's mutable state from a snapshot written by
     /// [`encode_state`](Self::encode_state).
     ///
-    /// Call on a world freshly built by [`World::new`] with the *same*
-    /// `(config, workload)` as the checkpointed run. The
-    /// constructor's initial queue contents are discarded wholesale; the
-    /// snapshot's pending-event set is authoritative. Returns
+    /// Call on a [`skeleton`](Self::skeleton) built with the *same*
+    /// `(config, workload)` as the checkpointed run: the snapshot holds
+    /// every piece of state [`prime`](Self::prime) would set (queue,
+    /// cohort cursors and heaps, stream cursor), so none is generated
+    /// only to be overwritten. Returns
     /// [`SnapError::Corrupt`] — never panics — on any internally
     /// inconsistent input that slips past the container checksum.
     ///
@@ -1151,7 +1181,13 @@ impl World {
 
         let has_cohorts = r.bool()?;
         match (&mut self.cohorts, has_cohorts) {
-            (Some(c), true) => c.restore_state(r)?,
+            (Some(c), true) => {
+                c.restore_state(r)?;
+                c.check_wakes(events.iter().filter_map(|e| match e.kind {
+                    EventKind::CohortWake { cohort } => Some((cohort, e.time)),
+                    _ => None,
+                }))?;
+            }
             (None, false) => {}
             (have, _) => {
                 return Err(SnapError::Corrupt(format!(
