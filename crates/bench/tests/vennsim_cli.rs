@@ -4,9 +4,16 @@
 //! `serve` entry point alike, for an unknown flag on every binary, for
 //! `bench_scale --max-pop` without `--check`, and for a bad artifact name
 //! or seed count of `reproduce`. A workload file the kernel cannot run is
-//! a run-time failure: one `error:` line, exit status 1.
+//! a run-time failure: one `error:` line, exit status 1. Generated
+//! command lines for `vennsim` and `vennsim serve`, each holding at least
+//! one token the parser or a configuration check refuses, meet the same
+//! usage-error contract.
 
-use std::process::{Command, Stdio};
+use std::process::{Child, Command, Stdio};
+use std::time::{Duration, Instant};
+
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 use venn_bench::artifacts::ARTIFACTS;
 
@@ -135,4 +142,186 @@ Optimal (= Venn's order)     9.33
 (paper: Random 12, SRSF 11, optimal 9.3)
 ";
     assert_eq!(String::from_utf8_lossy(&out.stdout), expected);
+}
+
+/// Synopsis flags with values `vennsim` accepts on their own. The Venn
+/// arms only, so a refused `--tiers` or `--epsilon` stays refused;
+/// `--listen` and `--rate` only appear in refused units, so no case can
+/// start a session that waits on a socket.
+const VALID: [(&str, &[&str]); 27] = [
+    ("--scheduler", &["venn", "venn-wo-sched", "venn-wo-match"]),
+    ("--jobs", &["1", "20"]),
+    ("--population", &["200", "3000"]),
+    ("--days", &["1", "3"]),
+    ("--seed", &["0", "42", "18446744073709551615"]),
+    ("--workload", &["even", "small", "large", "low", "high"]),
+    ("--bias", &["general", "compute", "memory", "resource"]),
+    ("--epsilon", &["0", "2.5"]),
+    ("--tiers", &["1", "3"]),
+    ("--async", &[]),
+    ("--overcommit", &["0", "0.3"]),
+    ("--pop", &["eager", "split-eager", "lazy"]),
+    (
+        "--env",
+        &[
+            "off",
+            "flash-crowd",
+            "straggler-heavy",
+            "mass-dropout",
+            "chaos",
+        ],
+    ),
+    ("--load", &["jobs.tsv"]),
+    ("--save", &["out.tsv"]),
+    ("--csv", &[]),
+    ("--checkpoint-every", &["3600000"]),
+    ("--checkpoint-dir", &["ck"]),
+    ("--checkpoint-keep", &["3"]),
+    ("--resume", &[]),
+    ("--fork-from", &["snap.vsnp"]),
+    ("--journal", &["j.wal"]),
+    ("--journal-sync", &["always", "batch", "off"]),
+    ("--replay", &["j.wal"]),
+    ("--frame-queue", &["64"]),
+    ("--idle-timeout", &["30"]),
+    ("--fault-inject", &["7", "7:0.5"]),
+];
+
+/// Values a flag refuses whatever else the command line holds: malformed
+/// and out-of-range numbers, unknown names.
+const REFUSED_VALUES: [(&str, &[&str]); 18] = [
+    ("--scheduler", &["lottery", "venn-disabled", ""]),
+    ("--jobs", &["x", "-1", "1.5", "18446744073709551616"]),
+    ("--population", &["0", "4294967296", "0x10", "-3"]),
+    ("--days", &["0", "", "4294967296", "2.0"]),
+    ("--seed", &["-1", "18446744073709551616", "seven"]),
+    ("--workload", &["medium", "Even"]),
+    ("--bias", &["none"]),
+    ("--epsilon", &["-1", "NaN", "inf", "abc", "1e999"]),
+    ("--tiers", &["0", "3.0", "-2"]),
+    ("--overcommit", &["3", "-0.1", "1", "one"]),
+    ("--pop", &["Eager", "sharded"]),
+    ("--env", &["calm", ""]),
+    ("--checkpoint-every", &["0", "-5", "1h"]),
+    ("--checkpoint-keep", &["0", "many"]),
+    ("--journal-sync", &["never"]),
+    ("--frame-queue", &["0", "-3"]),
+    ("--idle-timeout", &["0", "18446744073709551615", "1.5"]),
+    ("--fault-inject", &["x", "7:x", "7:1.5", ":0.5", "7:-1"]),
+];
+
+/// Arguments `vennsim` does not take at all.
+const UNKNOWN: [&str; 8] = [
+    "--bogus", "--Jobs", "-j", "--jobs=5", "---csv", "--serve", "7", "",
+];
+
+/// Flag combinations refused on both entry points.
+const CONFLICTS: [&[&str]; 3] = [
+    &[
+        "--fork-from",
+        "snap.vsnp",
+        "--resume",
+        "--checkpoint-dir",
+        "ck",
+    ],
+    &["--replay", "j.wal", "--listen", "127.0.0.1:0"],
+    &["--replay", "j.wal", "--rate", "5"],
+];
+
+/// A uniformly drawn element of `items`.
+fn pick<T: Copy>(rng: &mut StdRng, items: &[T]) -> T {
+    items[rng.gen_range(0..items.len())]
+}
+
+/// One generated command line: valid units around one refused unit —
+/// an unknown flag, a flag missing its value, a refused value (after a
+/// valid one of the same flag, for a repeated flag), or a conflict.
+fn fuzz_case(rng: &mut StdRng) -> Vec<String> {
+    let mut refused: Vec<&str> = Vec::new();
+    let mut missing = None;
+    match rng.gen_range(0..5) {
+        0 => refused.push(pick(rng, &UNKNOWN)),
+        1 => {
+            let with_value: Vec<&str> = (VALID.iter())
+                .filter(|(_, values)| !values.is_empty())
+                .map(|(flag, _)| *flag)
+                .collect();
+            missing = Some(pick(rng, &with_value));
+        }
+        2 | 3 => {
+            let (flag, values) = pick(rng, &REFUSED_VALUES);
+            if rng.gen_bool(0.5) {
+                // Repeated: the valid value first, then the refused one.
+                let (_, good) = VALID.iter().find(|(f, _)| *f == flag).unwrap();
+                refused.extend([flag, pick(rng, good)]);
+            }
+            refused.extend([flag, pick(rng, values)]);
+        }
+        _ => refused.extend(pick(rng, &CONFLICTS)),
+    }
+    // Valid units never name a flag the refused unit sets, so none can
+    // override a refused value; the refused unit goes in at a random
+    // unit boundary, and a flag missing its value goes last.
+    let mut units: Vec<Vec<&str>> = Vec::new();
+    for _ in 0..rng.gen_range(0..6) {
+        let (flag, values) = pick(rng, &VALID);
+        if refused.contains(&flag) || missing == Some(flag) {
+            continue;
+        }
+        let mut unit = vec![flag];
+        if !values.is_empty() {
+            unit.push(pick(rng, values));
+        }
+        units.push(unit);
+    }
+    if !refused.is_empty() {
+        let at = rng.gen_range(0..units.len() + 1);
+        units.insert(at, refused);
+    }
+    units.extend(missing.map(|flag| vec![flag]));
+    units.concat().into_iter().map(String::from).collect()
+}
+
+/// Waits for `child`, killing it after `limit`.
+fn wait_with_timeout(mut child: Child, limit: Duration) -> std::process::Output {
+    let deadline = Instant::now() + limit;
+    while child.try_wait().expect("wait").is_none() {
+        if Instant::now() > deadline {
+            child.kill().expect("kill");
+            panic!("timed out after {limit:?}");
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    child.wait_with_output().expect("output")
+}
+
+#[test]
+fn generated_command_lines_with_a_refused_token_are_usage_errors() {
+    // Any run a case started anyway would write under this directory.
+    let dir = std::env::temp_dir().join(format!("vennsim_fuzz_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let mut rng = StdRng::seed_from_u64(0x5EED);
+    for case in 0..200 {
+        let mut args = fuzz_case(&mut rng);
+        if case % 2 == 1 {
+            args.insert(0, "serve".into());
+        }
+        let child = Command::new(env!("CARGO_BIN_EXE_vennsim"))
+            .args(&args)
+            .current_dir(&dir)
+            .stdin(Stdio::null())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("binary runs");
+        let out = wait_with_timeout(child, Duration::from_secs(60));
+        let ctx = format!("case {case}: vennsim {args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{ctx}: {stderr}");
+        assert!(out.stdout.is_empty(), "{ctx}: answered on stdout");
+        assert!(!stderr.contains("panicked"), "{ctx}: {stderr}");
+        let errors = stderr.lines().filter(|l| l.starts_with("error:")).count();
+        assert_eq!(errors, 1, "{ctx}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).expect("temp dir removes");
 }

@@ -172,6 +172,11 @@ impl SupplyEstimator {
         SupplyEstimator::new(DAY_MS)
     }
 
+    /// The sliding window length.
+    pub(crate) fn window_ms(&self) -> SimTime {
+        self.window_ms
+    }
+
     fn cell_of(capacity: &Capacity) -> u32 {
         let clamp = |v: f64| (v * GRID as f64).min((GRID - 1) as f64).max(0.0) as usize;
         (clamp(capacity.cpu()) * GRID + clamp(capacity.mem())) as u32

@@ -12,8 +12,8 @@
 //!   only when a member's sort key actually changed (membership, remaining
 //!   demand crossing the current request's pending count, fairness usage),
 //!   not on every trigger.
-//! * **Persistent candidate index** — `assign` walks the group orders and
-//!   FIFO order in place; no per-check-in clones or allocations.
+//! * **Persistent candidate index** — `assign` walks the group orders in
+//!   place; no per-check-in clones or allocations.
 //! * **O(regions) supply snapshots** — the IRS plan is refreshed from
 //!   [`SupplyEstimator`]'s incremental mask index instead of a full
 //!   capacity-grid walk.
@@ -24,7 +24,7 @@
 //! [`ResourceSpec`] maps to a dense [`GroupId`] at submit time (its bit
 //! in the [`SupplyEstimator`]'s spec registry); job state lives in a
 //! [`PerJob`] indexed by the dense [`JobId`], and
-//! `members`/`group_order`/`fifo_order` hold `u32` job ids, so every
+//! `members`/`group_order` hold `u32` job ids, so every
 //! candidate probe in `assign` is one array access. The IRS plan's owner
 //! table is a sorted mask table searched by binary search — no `HashMap`
 //! anywhere on the check-in/submit/assign path, and no steady-state
@@ -36,8 +36,12 @@
 //! leave exactly the state a from-scratch rebuild at the same trigger would
 //! compute. Debug builds check that at every trigger: before the dirty
 //! groups are rebuilt, every clean group is re-scored and must match its
-//! stored order and queue length bit for bit, and the FIFO order must be
-//! sorted over exactly the active jobs.
+//! stored order and queue length bit for bit.
+//!
+//! The Fig. 11 ablations are settings of this one path: "Venn w/o match"
+//! is `tiers = 1`; "Venn w/o sched" (`use_irs = false`) orders groups by
+//! `(submit_time, id)`, skips the IRS plan, and serves the earliest
+//! assignable head among a device's eligible groups.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -50,7 +54,7 @@ use crate::snapshot::{SnapError, SnapReader, SnapWriter, Snapshot};
 use crate::supply::RegionSupply;
 use crate::{
     CheckInRecord, DeviceInfo, GroupId, JobId, PerJob, Request, ResourceSpec, Scheduler, SimTime,
-    SupplyEstimator, VennConfig,
+    SupplyEstimator, VennConfig, DAY_MS,
 };
 
 /// Fallback per-round response estimate (ms) used for the uncontended-JCT
@@ -90,6 +94,18 @@ impl JobEntry {
     /// rounds), which is what lets most assignments skip re-sorting.
     fn remaining_key(&self) -> u64 {
         self.total_remaining.max(self.pending as u64)
+    }
+
+    /// Whether the job would take `device` now: an active request with
+    /// unassigned demand, and the device's score inside its tier, if any.
+    /// Group eligibility is the caller's check.
+    fn takes(&self, device: &DeviceInfo) -> bool {
+        self.active
+            && self.pending > 0
+            && self.tier.map_or(true, |(lo, hi)| {
+                let s = device.score();
+                !(s < lo || s >= hi)
+            })
     }
 }
 
@@ -133,7 +149,9 @@ impl Snapshot for JobEntry {
 /// Composes the [`irs`] allocation plan (which job group owns each atomic
 /// region of the eligibility diagram, refreshed on every request arrival
 /// and completion) with per-job [tier-based matching](crate::matching) and
-/// the [fairness knob](crate::fairness).
+/// the [fairness knob](crate::fairness). Its [`name`](Scheduler::name)
+/// follows the arm, `(use_irs, tiers > 1)`: `venn`, `venn-wo-match`,
+/// `venn-wo-sched` or `venn-disabled`.
 ///
 /// # Examples
 ///
@@ -165,20 +183,18 @@ pub struct VennScheduler {
     /// every order rebuild sorts from. The order is not derivable: the
     /// group's queue length sums floats in it.
     members: Vec<Vec<u32>>,
-    /// Per-group job order (ascending fairness-adjusted remaining demand).
-    /// Persistent: `assign` iterates it in place, no per-check-in clone.
+    /// Per-group job order: ascending fairness-adjusted remaining demand,
+    /// or arrival on the FIFO arm. Persistent: `assign` iterates it in
+    /// place, no per-check-in clone.
     group_order: Vec<Vec<u32>>,
     /// Fairness-adjusted queue length per group, cached from the group's
-    /// last order rebuild (valid while the group is clean).
+    /// last order rebuild (valid while the group is clean; 0 on the FIFO
+    /// arm, which has no plan to feed).
     queue_len: Vec<f64>,
     /// Dirty flag per group: set when a member's sort key, the membership,
     /// or (with fairness on) its usage sums may have changed since the
     /// group's order was last rebuilt.
     dirty: Vec<bool>,
-    /// FIFO order over active jobs, used when `use_irs` is off. Maintained
-    /// sorted by `(submit_time, id)` by insertion — and only in that
-    /// ablation arm; the IRS arms never touch it. Derived on load.
-    fifo_order: Vec<u32>,
     /// Number of jobs with an active request (the fairness `M`). Derived
     /// on load.
     active_count: usize,
@@ -228,7 +244,7 @@ impl VennScheduler {
     /// Panics if the configuration is invalid (see [`VennConfig::check`]).
     pub fn new(config: VennConfig) -> Self {
         config.validate();
-        let name = match (config.use_irs, config.use_matching) {
+        let name = match (config.use_irs, config.tiers > 1) {
             (true, true) => "venn",
             (true, false) => "venn-wo-match",
             (false, true) => "venn-wo-sched",
@@ -236,14 +252,13 @@ impl VennScheduler {
         };
         VennScheduler {
             knob: FairnessKnob::new(config.epsilon),
-            supply: SupplyEstimator::new(config.supply_window_ms),
+            supply: SupplyEstimator::with_default_window(),
             jobs: PerJob::new(),
             plan: AllocationPlan::default(),
             members: Vec::new(),
             group_order: Vec::new(),
             queue_len: Vec::new(),
             dirty: Vec::new(),
-            fifo_order: Vec::new(),
             active_count: 0,
             last_rebuild: 0,
             rng: StdRng::seed_from_u64(config.seed),
@@ -320,17 +335,14 @@ impl VennScheduler {
         let m_total = self.active_count.max(1);
         #[cfg(debug_assertions)]
         self.assert_clean_state_fresh(m_total);
-        if !self.config.use_irs {
-            // FIFO arm: group orders and the plan are never consulted.
-            for d in &mut self.dirty {
-                *d = false;
-            }
-            return;
-        }
         for g in 0..self.members.len() {
             if std::mem::take(&mut self.dirty[g]) {
                 self.rebuild_group_order(g, m_total);
             }
+        }
+        if !self.config.use_irs {
+            // FIFO arm: the plan is never consulted, so neither is supply.
+            return;
         }
 
         // Refresh the plan against current supply: per-group rates |S_j|
@@ -366,7 +378,9 @@ impl VennScheduler {
     }
 
     /// Scores `g`'s members into `scored_scratch` in serving order and
-    /// returns the group's fairness-adjusted queue length.
+    /// returns the group's fairness-adjusted queue length. The FIFO arm
+    /// scores every member 0, so `(submit_time, id)` is the whole order,
+    /// and its queue length is 0.
     fn score_group(&mut self, g: usize, m_total: usize) -> f64 {
         self.scored_scratch.clear();
         let mut sum_targets = 0.0;
@@ -374,6 +388,10 @@ impl VennScheduler {
         for &id in &self.members[g] {
             let entry = self.jobs.get(id.into()).expect("group member is a job");
             debug_assert!(entry.active && entry.group.index() == g);
+            if !self.config.use_irs {
+                self.scored_scratch.push((0.0, entry.submit_time, id));
+                continue;
+            }
             let target = fair_target_ms(m_total, entry.uncontended_jct_ms);
             // Fairness time-usage t_i: the share of the job's
             // uncontended JCT it has already been served
@@ -400,37 +418,19 @@ impl VennScheduler {
                 .then(a.1.cmp(&b.1))
                 .then(a.2.cmp(&b.2))
         });
+        if !self.config.use_irs {
+            return 0.0;
+        }
         self.knob
             .adjusted_queue_len(self.scored_scratch.len() as f64, sum_targets, sum_usage)
     }
 
     /// Panics unless the delta-maintained state equals what a from-scratch
     /// rebuild at this trigger would compute: every clean group's order and
-    /// queue length (re-scored, compared bit for bit), and on the FIFO arm
-    /// an order strictly sorted by `(submit_time, id)` over exactly the
-    /// active jobs. Compares in place, so it allocates nothing once
-    /// `scored_scratch` is warm.
+    /// queue length, re-scored and compared bit for bit. Compares in
+    /// place, so it allocates nothing once `scored_scratch` is warm.
     #[cfg(debug_assertions)]
     fn assert_clean_state_fresh(&mut self, m_total: usize) {
-        if !self.config.use_irs {
-            let jobs = &self.jobs;
-            let entry = |id: u32| jobs.get(id.into()).expect("fifo job is known");
-            let key = |id: u32| (entry(id).submit_time, id);
-            assert!(
-                self.fifo_order.iter().all(|&id| entry(id).active),
-                "fifo_order holds an inactive job"
-            );
-            assert!(
-                self.fifo_order.windows(2).all(|w| key(w[0]) < key(w[1])),
-                "fifo_order is not strictly sorted by (submit_time, job)"
-            );
-            assert_eq!(
-                self.fifo_order.len(),
-                self.active_count,
-                "fifo_order must hold every active job"
-            );
-            return;
-        }
         for g in 0..self.members.len() {
             if self.dirty[g] {
                 continue;
@@ -458,24 +458,6 @@ impl VennScheduler {
         }
     }
 
-    fn fifo_remove(&mut self, id: u32) {
-        if let Some(pos) = self.fifo_order.iter().position(|&s| s == id) {
-            self.fifo_order.remove(pos);
-        }
-    }
-
-    /// Inserts the job at its sorted `(submit_time, id)` position. Callers
-    /// must have updated the job's entry (and removed any stale position)
-    /// first.
-    fn fifo_insert(&mut self, id: u32, submit_time: SimTime) {
-        let jobs = &self.jobs;
-        let pos = self.fifo_order.partition_point(|&s| {
-            let e = jobs.get(s.into()).expect("fifo job is known");
-            (e.submit_time, s) < (submit_time, id)
-        });
-        self.fifo_order.insert(pos, id);
-    }
-
     /// Offers `device` to `g`'s members in serving order. On success the
     /// group is re-flagged dirty only if the winner's sort key moved
     /// (pending dropped below the disclosed total remaining).
@@ -496,14 +478,8 @@ impl VennScheduler {
     /// `key_changed` reports whether the job's intra-group sort key moved.
     fn try_assign_job(jobs: &mut PerJob<JobEntry>, id: u32, device: &DeviceInfo) -> Option<bool> {
         let entry = jobs.get_mut(id.into())?;
-        if !entry.active || entry.pending == 0 {
+        if !entry.takes(device) {
             return None;
-        }
-        if let Some((lo, hi)) = entry.tier {
-            let s = device.score();
-            if s < lo || s >= hi {
-                return None;
-            }
         }
         let key_before = entry.remaining_key();
         entry.pending -= 1;
@@ -527,7 +503,6 @@ impl Scheduler for VennScheduler {
         let uncontended = rounds_est * (request.demand as f64 / rate + DEFAULT_RESPONSE_EST_MS);
 
         let tiers = self.config.tiers;
-        let use_matching = self.config.use_matching;
         let u = if tiers > 1 {
             self.rng.gen_range(0..tiers)
         } else {
@@ -560,7 +535,7 @@ impl Scheduler for VennScheduler {
         entry.total_remaining = request.total_remaining;
         entry.active = true;
         entry.submit_time = now;
-        entry.tier = if use_matching && tiers > 1 {
+        entry.tier = if tiers > 1 {
             self.stats.considered += 1;
             if entry.profiler.is_ready(MIN_PROFILE_SAMPLES) {
                 self.stats.cost_ratio_sum += entry.profiler.cost_ratio().unwrap_or(0.0);
@@ -576,7 +551,7 @@ impl Scheduler for VennScheduler {
             None
         };
 
-        // Delta maintenance: membership, dirty flags, FIFO position.
+        // Delta maintenance: membership and dirty flags.
         if !was_active {
             self.active_count += 1;
             self.members[group.index()].push(id);
@@ -589,11 +564,6 @@ impl Scheduler for VennScheduler {
         if self.knob.is_enabled() {
             // M and the usage sums feed every group's keys and queue length.
             self.mark_all_dirty();
-        }
-        if !self.config.use_irs {
-            // Only the FIFO ablation arm ever reads `fifo_order`.
-            self.fifo_remove(id);
-            self.fifo_insert(id, now);
         }
 
         self.refresh(now);
@@ -617,9 +587,6 @@ impl Scheduler for VennScheduler {
             self.dirty[g] = true;
             if self.knob.is_enabled() {
                 self.mark_all_dirty();
-            }
-            if !self.config.use_irs {
-                self.fifo_remove(id);
             }
         }
         // Unconditional, matching the paper's completion trigger: even a
@@ -647,11 +614,11 @@ impl Scheduler for VennScheduler {
         if now.saturating_sub(self.last_rebuild) > REBUILD_INTERVAL_MS {
             self.refresh(now);
         }
+        let mask = self.supply.mask_of(device.capacity());
+        if mask == 0 {
+            return None;
+        }
         if self.config.use_irs {
-            let mask = self.supply.mask_of(device.capacity());
-            if mask == 0 {
-                return None;
-            }
             // Owner first, then remaining eligible groups scarcest-first —
             // `offer_order`, walked in place. The owner's bit is re-checked:
             // a stale plan may name a group the device is ineligible for.
@@ -674,21 +641,30 @@ impl Scheduler for VennScheduler {
             }
             None
         } else {
-            for i in 0..self.fifo_order.len() {
-                let id = self.fifo_order[i];
-                let eligible = self
-                    .jobs
-                    .get(id.into())
-                    .map(|e| self.supply.specs()[e.group.index()].is_eligible(device.capacity()))
-                    .unwrap_or(false);
-                if !eligible {
-                    continue;
-                }
-                if Self::try_assign_job(&mut self.jobs, id, device).is_some() {
-                    return Some(id.into());
+            // FIFO arm: the earliest assignable head among the eligible
+            // groups. A group's scan stops at its first taker or at a
+            // job no earlier than the best head so far. No dirty flag is
+            // set: arrival order does not move with pending demand.
+            let mut best: Option<(SimTime, u32)> = None;
+            let mut groups = mask;
+            while groups != 0 {
+                let g = groups.trailing_zeros() as usize;
+                groups &= groups - 1;
+                for &id in &self.group_order[g] {
+                    let entry = self.jobs.get(id.into()).expect("ordered job is known");
+                    let key = (entry.submit_time, id);
+                    if best.is_some_and(|b| key >= b) {
+                        break;
+                    }
+                    if entry.takes(device) {
+                        best = Some(key);
+                        break;
+                    }
                 }
             }
-            None
+            let (_, id) = best?;
+            Self::try_assign_job(&mut self.jobs, id, device);
+            Some(id.into())
         }
     }
 
@@ -734,9 +710,9 @@ impl Scheduler for VennScheduler {
 
     fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
         // The name doubles as an arm fingerprint: it encodes
-        // (use_irs, use_matching), so a snapshot loaded into a
+        // (use_irs, tiers > 1), so a snapshot loaded into a
         // differently-ablated scheduler fails cleanly instead of drifting.
-        // The active count and the FIFO order are derived on load.
+        // The active count is derived on load.
         w.str(self.name);
         self.supply.encode(w);
         self.jobs.encode(w);
@@ -778,11 +754,15 @@ impl Scheduler for VennScheduler {
             not_ready: r.u64()?,
             cost_ratio_sum: r.f64()?,
         };
-        // Every group is a registered spec, every ordered id a job, and
-        // the members hold each active job once, in its group, so crafted
-        // bytes fail here instead of in a later index.
+        // The supply window is the paper's 24 h, every group is a
+        // registered spec, every ordered id a job, and the members hold
+        // each active job once, in its group, so crafted bytes fail here
+        // instead of in a later index.
         let groups = self.supply.specs().len();
         let corrupt = |what: &str| Err(SnapError::Corrupt(format!("venn {what}")));
+        if self.supply.window_ms() != DAY_MS {
+            return corrupt("supply window is not 24 h");
+        }
         if self.members.len() != groups
             || self.group_order.len() != groups
             || self.queue_len.len() != groups
@@ -802,10 +782,7 @@ impl Scheduler for VennScheduler {
         {
             return corrupt("job id does not resolve");
         }
-        let mut active: Vec<(SimTime, u32)> = (jobs.iter())
-            .filter(|(_, e)| e.active)
-            .map(|(id, e)| (e.submit_time, id))
-            .collect();
+        let active = jobs.iter().filter(|(_, e)| e.active).count();
         let mut listed = vec![false; jobs.iter().last().map_or(0, |(id, _)| id as usize + 1)];
         for (g, ids) in self.members.iter().enumerate() {
             for &id in ids {
@@ -817,14 +794,18 @@ impl Scheduler for VennScheduler {
                 }
             }
         }
-        if self.members.iter().map(Vec::len).sum::<usize>() != active.len() {
+        if self.members.iter().map(Vec::len).sum::<usize>() != active {
             return corrupt("group members are not exactly the active jobs");
         }
-        self.active_count = active.len();
-        self.fifo_order.clear();
+        self.active_count = active;
         if !self.config.use_irs {
-            active.sort_unstable();
-            self.fifo_order.extend(active.iter().map(|&(_, id)| id));
+            // The FIFO key is total, so the rebuilt orders equal the live
+            // ones; a checkpoint written before the FIFO arm served from
+            // group orders holds them empty. The dirty flags stay as
+            // stored.
+            for g in 0..groups {
+                self.rebuild_group_order(g, self.active_count.max(1));
+            }
         }
         Ok(())
     }
@@ -836,6 +817,22 @@ mod tests {
 
     fn dev(id: u64, cpu: f64, mem: f64) -> DeviceInfo {
         DeviceInfo::new(DeviceId::new(id), Capacity::new(cpu, mem))
+    }
+
+    /// The "Venn w/o sched" arm: arrival order, tier matching on.
+    fn matching_only() -> VennConfig {
+        VennConfig {
+            use_irs: false,
+            ..VennConfig::default()
+        }
+    }
+
+    /// The "Venn w/o match" arm: IRS, one tier.
+    fn scheduling_only() -> VennConfig {
+        VennConfig {
+            tiers: 1,
+            ..VennConfig::default()
+        }
     }
 
     fn feed_supply(s: &mut VennScheduler, now: SimTime) {
@@ -922,7 +919,7 @@ mod tests {
 
     #[test]
     fn fifo_mode_serves_in_arrival_order() {
-        let mut s = VennScheduler::new(VennConfig::matching_only());
+        let mut s = VennScheduler::new(matching_only());
         s.submit(Request::new(JobId::new(1), ResourceSpec::any(), 10, 10), 0);
         s.submit(Request::new(JobId::new(2), ResourceSpec::any(), 1, 1), 5);
         // FIFO ignores remaining demand: job 1 first.
@@ -950,9 +947,10 @@ mod tests {
 
     #[test]
     fn fairness_promotes_underserved_large_job() {
-        let mut cfg = VennConfig::with_fairness(2.0);
-        cfg.use_matching = false;
-        let mut s = VennScheduler::new(cfg);
+        let mut s = VennScheduler::new(VennConfig {
+            tiers: 1,
+            ..VennConfig::with_fairness(2.0)
+        });
         feed_supply(&mut s, 0);
         // Large job that has received no service vs small job that has
         // already consumed far beyond its fair share.
@@ -975,24 +973,159 @@ mod tests {
     fn name_reflects_ablation() {
         assert_eq!(VennScheduler::new(VennConfig::default()).name(), "venn");
         assert_eq!(
-            VennScheduler::new(VennConfig::scheduling_only()).name(),
+            VennScheduler::new(scheduling_only()).name(),
             "venn-wo-match"
         );
-        assert_eq!(
-            VennScheduler::new(VennConfig::matching_only()).name(),
-            "venn-wo-sched"
-        );
+        assert_eq!(VennScheduler::new(matching_only()).name(), "venn-wo-sched");
+        let disabled = VennConfig {
+            tiers: 1,
+            ..matching_only()
+        };
+        assert_eq!(VennScheduler::new(disabled).name(), "venn-disabled");
     }
 
     #[test]
-    fn fifo_order_repositions_on_resubmission() {
-        let mut s = VennScheduler::new(VennConfig::matching_only());
+    fn fifo_arm_repositions_on_resubmission() {
+        let mut s = VennScheduler::new(matching_only());
         s.submit(Request::new(JobId::new(1), ResourceSpec::any(), 3, 3), 0);
         s.submit(Request::new(JobId::new(2), ResourceSpec::any(), 3, 3), 5);
         s.withdraw(JobId::new(1), 10);
         s.submit(Request::new(JobId::new(1), ResourceSpec::any(), 3, 3), 10);
         // Job 1 re-arrived after job 2: FIFO now serves job 2 first.
         assert_eq!(s.assign(&dev(1, 0.5, 0.5), 11), Some(JobId::new(2)));
+    }
+
+    /// The reference for the FIFO arm: one global scan of the active jobs
+    /// by `(submit_time, id)`, taking the first one whose group the device
+    /// is eligible for, with pending demand and the device inside its tier.
+    fn global_fifo_pick(s: &VennScheduler, device: &DeviceInfo) -> Option<JobId> {
+        let mut active: Vec<(SimTime, u32)> = (s.jobs.iter())
+            .filter(|(_, e)| e.active)
+            .map(|(id, e)| (e.submit_time, id))
+            .collect();
+        active.sort_unstable();
+        let score = device.score();
+        active.into_iter().map(|(_, id)| id).find_map(|id| {
+            let e = s.jobs.get(id.into()).unwrap();
+            let eligible = s.supply.specs()[e.group.index()].is_eligible(device.capacity());
+            let in_tier = e.tier.map_or(true, |(lo, hi)| lo <= score && score < hi);
+            (eligible && e.pending > 0 && in_tier).then_some(id.into())
+        })
+    }
+
+    /// One random churn step at `t`: a submission (a resubmission lands in
+    /// a random group), a withdrawal, returned demand, a response, a
+    /// completed allocation, or — most often — a check-in, whose device
+    /// is returned for the caller to assign.
+    fn churn_step(s: &mut VennScheduler, rng: &mut StdRng, t: SimTime) -> Option<DeviceInfo> {
+        let specs = [
+            ResourceSpec::any(),
+            ResourceSpec::new(0.5, 0.5),
+            ResourceSpec::new(0.5, 0.0),
+            ResourceSpec::new(0.0, 0.7),
+        ];
+        let job = JobId::new(rng.gen_range(0..12));
+        let d = dev(
+            rng.gen_range(0..500),
+            rng.gen_range(0..10) as f64 / 10.0,
+            rng.gen_range(0..10) as f64 / 10.0,
+        );
+        match rng.gen_range(0..100) {
+            0..=5 => {
+                let spec = specs[rng.gen_range(0..specs.len())];
+                let demand: u32 = rng.gen_range(1..6);
+                s.submit(Request::new(job, spec, demand, u64::from(demand) * 4), t);
+            }
+            6..=9 => s.withdraw(job, t),
+            10..=14 => s.add_demand(job, rng.gen_range(1..4), t),
+            // Fast responses from high-score devices and short allocation
+            // delays make tiering pay, so the 3-tier runs restrict jobs.
+            15..=34 => {
+                let ms = 1_000 + ((1.0 - d.score()).max(0.0) * 100_000.0) as u64;
+                s.on_response(job, &d, ms, t);
+            }
+            35..=39 => s.on_alloc_complete(job, rng.gen_range(0..2_000), t),
+            _ => {
+                s.on_check_in(&d, t);
+                return Some(d);
+            }
+        }
+        None
+    }
+
+    /// Every FIFO-arm assignment under random churn is the global scan's
+    /// pick, with and without tiers and fairness.
+    #[test]
+    fn fifo_arm_assigns_the_global_scan_pick() {
+        for (tiers, epsilon) in [(1, 0.0), (1, 2.0), (3, 0.0), (3, 2.0)] {
+            let mut s = VennScheduler::new(VennConfig {
+                tiers,
+                epsilon,
+                ..matching_only()
+            });
+            let mut rng = StdRng::seed_from_u64(tiers as u64 * 31 + epsilon as u64);
+            let (mut t, mut picks): (SimTime, usize) = (0, 0);
+            for step in 0..6_000 {
+                t += rng.gen_range(0..20_000u64);
+                if let Some(d) = churn_step(&mut s, &mut rng, t) {
+                    let want = global_fifo_pick(&s, &d);
+                    picks += usize::from(want.is_some());
+                    assert_eq!(
+                        s.assign(&d, t),
+                        want,
+                        "tiers {tiers} eps {epsilon} step {step}"
+                    );
+                }
+            }
+            assert!(picks > 500, "tiers {tiers} eps {epsilon}: {picks} picks");
+            if tiers > 1 {
+                assert!(
+                    s.stats.fired > 0,
+                    "tiers {tiers} eps {epsilon}: no tier set"
+                );
+            }
+        }
+    }
+
+    /// A FIFO-arm state saved before the arm served from group orders
+    /// holds them empty, with every dirty flag clear. It loads, rebuilds
+    /// the orders the live scheduler holds, and assigns as it does.
+    #[test]
+    fn a_fifo_state_with_empty_group_orders_resumes_like_the_live_one() {
+        let mut s = VennScheduler::new(matching_only());
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut t: SimTime = 0;
+        for _ in 0..2_000 {
+            t += rng.gen_range(0..20_000u64);
+            if let Some(d) = churn_step(&mut s, &mut rng, t) {
+                s.assign(&d, t);
+            }
+        }
+        let groups = s.group_order.len();
+        let orders = std::mem::replace(&mut s.group_order, vec![Vec::new(); groups]);
+        let dirty = std::mem::replace(&mut s.dirty, vec![false; groups]);
+        let mut w = SnapWriter::new();
+        s.save_state(&mut w).unwrap();
+        let bytes = w.into_bytes();
+        (s.group_order, s.dirty) = (orders, dirty);
+        assert!(
+            s.group_order.iter().any(|o| o.len() > 1),
+            "orders to rebuild"
+        );
+
+        let mut restored = VennScheduler::new(matching_only());
+        restored.load_state(&mut SnapReader::new(&bytes)).unwrap();
+        assert_eq!(restored.group_order, s.group_order);
+        let mut rng2 = rng.clone();
+        for step in 0..2_000 {
+            t += rng.gen_range(0..20_000u64);
+            rng2.gen_range(0..20_000u64);
+            let live = churn_step(&mut s, &mut rng, t);
+            let resumed = churn_step(&mut restored, &mut rng2, t);
+            if let (Some(d), Some(_)) = (live, resumed) {
+                assert_eq!(s.assign(&d, t), restored.assign(&d, t), "step {step}");
+            }
+        }
     }
 
     /// Drives churn (submissions, check-ins, assignments, demand returns,
@@ -1061,12 +1194,12 @@ mod tests {
 
     #[test]
     fn incremental_matches_full_rebuild_fifo_arm() {
-        assert_churn_parity(VennConfig::matching_only());
+        assert_churn_parity(matching_only());
     }
 
     #[test]
     fn incremental_matches_full_rebuild_irs_only_arm() {
-        assert_churn_parity(VennConfig::scheduling_only());
+        assert_churn_parity(scheduling_only());
     }
 
     #[test]
@@ -1082,7 +1215,7 @@ mod tests {
         for base in [
             VennConfig::default(),
             VennConfig::with_fairness(2.0),
-            VennConfig::matching_only(),
+            matching_only(),
         ] {
             let mut s = VennScheduler::new(base);
             feed_supply(&mut s, 0);
@@ -1143,7 +1276,7 @@ mod tests {
         let mut w = SnapWriter::new();
         s.save_state(&mut w).unwrap();
         let bytes = w.into_bytes();
-        let mut other = VennScheduler::new(VennConfig::matching_only());
+        let mut other = VennScheduler::new(matching_only());
         let mut r = SnapReader::new(&bytes);
         assert!(matches!(
             other.load_state(&mut r),
@@ -1154,7 +1287,7 @@ mod tests {
     #[test]
     fn load_state_refuses_groups_and_slots_that_do_not_resolve() {
         let tampered = |tamper: &dyn Fn(&mut VennScheduler)| {
-            let mut s = VennScheduler::new(VennConfig::matching_only());
+            let mut s = VennScheduler::new(matching_only());
             s.submit(Request::new(JobId::new(0), ResourceSpec::any(), 2, 2), 0);
             s.submit(
                 Request::new(JobId::new(1), ResourceSpec::new(0.5, 0.5), 2, 2),
@@ -1164,7 +1297,7 @@ mod tests {
             let mut w = SnapWriter::new();
             s.save_state(&mut w).unwrap();
             let bytes = w.into_bytes();
-            VennScheduler::new(VennConfig::matching_only()).load_state(&mut SnapReader::new(&bytes))
+            VennScheduler::new(matching_only()).load_state(&mut SnapReader::new(&bytes))
         };
         assert!(tampered(&|_| {}).is_ok());
         let refused = |tamper: &dyn Fn(&mut VennScheduler), why: &str| match tampered(tamper) {
@@ -1208,19 +1341,21 @@ mod tests {
             not_members,
         );
         refused(&|s| s.dirty.push(false), "size mismatch");
+        // A checkpoint's window no longer replaces the scheduler's own.
+        refused(
+            &|s| s.supply = SupplyEstimator::new(600_000),
+            "supply window is not 24 h",
+        );
     }
 
     /// The batched replay the simulator's demand gating depends on must be
-    /// the per-record calls, bit for bit — across a window long enough to
-    /// expire old supply records, with jobs queued so the state the
-    /// estimator feeds is live.
+    /// the per-record calls, bit for bit — across more than the 24 h
+    /// window, so old supply records expire, with jobs queued so the
+    /// state the estimator feeds is live.
     #[test]
     fn replay_check_ins_leaves_the_state_per_record_calls_leave() {
         let saved = |batched: bool| {
-            let mut s = VennScheduler::new(VennConfig {
-                supply_window_ms: 600_000,
-                ..VennConfig::default()
-            });
+            let mut s = VennScheduler::new(VennConfig::default());
             s.submit(Request::new(JobId::new(1), ResourceSpec::any(), 5, 5), 0);
             s.submit(
                 Request::new(JobId::new(2), ResourceSpec::new(0.5, 0.5), 5, 5),
@@ -1230,7 +1365,7 @@ mod tests {
             s.withdraw(JobId::new(2), 1);
             let batch: Vec<CheckInRecord> = (0..500u64)
                 .map(|i| CheckInRecord {
-                    time: 2 + i * 3_000,
+                    time: 2 + i * 200_000,
                     device: dev(i % 37, ((i * 7) % 10) as f64 / 10.0, (i % 10) as f64 / 10.0),
                 })
                 .collect();
@@ -1251,12 +1386,13 @@ mod tests {
         assert_eq!(saved(true), saved(false));
     }
 
-    /// The active count and the FIFO order are not stored: a restored
-    /// scheduler derives them, so withdrawing every job after a resume
-    /// counts down to zero exactly as the live scheduler does.
+    /// The active count is not stored, and the FIFO arm's group orders
+    /// are rebuilt: a restored scheduler derives them, so withdrawing
+    /// every job after a resume counts down to zero exactly as the live
+    /// scheduler does.
     #[test]
-    fn load_state_derives_the_active_count_and_fifo_order() {
-        for base in [VennConfig::default(), VennConfig::matching_only()] {
+    fn load_state_derives_the_active_count_and_group_orders() {
+        for base in [VennConfig::default(), matching_only()] {
             let mut s = VennScheduler::new(base);
             for j in 0..5u64 {
                 s.submit(
@@ -1270,7 +1406,7 @@ mod tests {
             let bytes = w.into_bytes();
             let mut restored = VennScheduler::new(base);
             restored.load_state(&mut SnapReader::new(&bytes)).unwrap();
-            assert_eq!(restored.fifo_order, s.fifo_order);
+            assert_eq!(restored.group_order, s.group_order);
             assert_eq!(restored.active_jobs(), 4);
             for j in 0..5u64 {
                 for x in [&mut s, &mut restored] {

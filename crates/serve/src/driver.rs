@@ -16,7 +16,9 @@
 //!   client whose socket refuses bytes while its bounded [`OutQueue`] is
 //!   full gets the backlog replaced by one typed `backpressure` error
 //!   and is disconnected — a slow subscriber can never stall the
-//!   session or balloon memory.
+//!   session or balloon memory. Mid-session closes linger (write half
+//!   shut, input discarded until EOF): a close with unread input resets
+//!   the connection and destroys the lines in flight, that error too.
 //!
 //! Paced and TCP sessions run on the calling thread alone, in one
 //! `poll(2)` wait on stdin, or on the listener and every client socket,
@@ -34,7 +36,7 @@
 use std::collections::VecDeque;
 use std::io::ErrorKind::{Interrupted, WouldBlock};
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
 use crate::protocol::CmdError;
@@ -541,6 +543,8 @@ struct Client {
     /// While the client is read: when it idles out. Once its queue is
     /// closed: when its drain gives up.
     deadline: Instant,
+    /// Drained and write half shut: input is discarded until its EOF.
+    lingering: bool,
 }
 
 impl Client {
@@ -636,17 +640,24 @@ fn serve_multi(
             eprintln!("vennsim serve: SIGTERM, shutting down");
             ended = Some(Ok(()));
         }
-        // Close idle clients (all, once over); drop drained or expired ones.
+        // Close idle clients (all, once over). A drained one lingers until
+        // its EOF sets its deadline to now, or goes at once when over.
         let now = Instant::now();
-        for c in clients.list.iter_mut().filter(|c| !c.queue.closing) {
-            if ended.is_some() {
-                c.close("shutdown", now + idle);
-            } else if now >= c.deadline {
-                c.close("idle-timeout", now + idle);
+        for c in clients.list.iter_mut() {
+            if !c.queue.closing {
+                if ended.is_some() {
+                    c.close("shutdown", now + idle);
+                } else if now >= c.deadline {
+                    c.close("idle-timeout", now + idle);
+                }
+            }
+            if c.queue.closing && c.queue.lines.is_empty() && !c.lingering && ended.is_none() {
+                let _ = c.stream.shutdown(Shutdown::Write); // Fails once reset.
+                c.lingering = true;
             }
         }
-        let done = |c: &Client| c.queue.closing && (c.queue.lines.is_empty() || now >= c.deadline);
-        clients.list.retain(|c| !done(c));
+        let over = |c: &Client| now >= c.deadline || c.queue.lines.is_empty() && ended.is_some();
+        clients.list.retain(|c| !(c.queue.closing && over(c)));
         match ended {
             Some(result) if clients.list.is_empty() => return result,
             _ => {}
@@ -657,7 +668,11 @@ fn serve_multi(
         fds.push(PollFd::new(&listener, accept));
         for c in &clients.list {
             wake = wake.min(c.deadline);
-            let read = if c.queue.closing { 0 } else { POLLIN };
+            let read = if c.queue.closing && !c.lingering {
+                0
+            } else {
+                POLLIN
+            };
             let write = if c.queue.lines.is_empty() { 0 } else { POLLOUT };
             fds.push(PollFd::new(&c.stream, read | write));
         }
@@ -675,6 +690,7 @@ fn serve_multi(
                         scanner: LineScanner::default(),
                         queue: OutQueue::new(),
                         deadline: Instant::now() + idle,
+                        lingering: false,
                     });
                     next_id += 1;
                 }
@@ -691,6 +707,14 @@ fn serve_multi(
                 continue;
             }
             c.flush();
+            if c.lingering {
+                match c.stream.read(&mut buf) {
+                    Ok(1..) => {}
+                    Err(e) if matches!(e.kind(), WouldBlock | Interrupted) => {}
+                    Ok(0) | Err(_) => c.deadline = Instant::now(),
+                }
+                continue;
+            }
             if c.queue.closing || ended.is_some() {
                 continue;
             }

@@ -74,22 +74,27 @@ impl SchedSpec {
 
     /// Constructs a fresh scheduler instance of this spec. An unknown
     /// name or a Venn knob [`VennConfig::check`] rejects is an error that
-    /// names the valid values.
+    /// names the valid values. The spec's own knobs are checked before an
+    /// arm sets one, so `venn-wo-match` (one tier) refuses `tiers: 0`
+    /// like every Venn arm.
     pub fn build(&self) -> Result<Box<dyn Scheduler>, String> {
-        let venn = |base: VennConfig| -> Result<Box<dyn Scheduler>, String> {
+        let venn = |arm: fn(VennConfig) -> VennConfig| -> Result<Box<dyn Scheduler>, String> {
             let config = VennConfig {
                 epsilon: self.epsilon,
                 tiers: self.tiers,
                 seed: self.seed,
-                ..base
+                ..VennConfig::default()
             };
             config.check()?;
-            Ok(Box::new(VennScheduler::new(config)))
+            Ok(Box::new(VennScheduler::new(arm(config))))
         };
         match self.name.as_str() {
-            "venn" => venn(VennConfig::default()),
-            "venn-wo-sched" => venn(VennConfig::matching_only()),
-            "venn-wo-match" => venn(VennConfig::scheduling_only()),
+            "venn" => venn(|c| c),
+            "venn-wo-sched" => venn(|c| VennConfig {
+                use_irs: false,
+                ..c
+            }),
+            "venn-wo-match" => venn(|c| VennConfig { tiers: 1, ..c }),
             "random" => Ok(Box::new(BaselineScheduler::random_order(self.seed))),
             "random-per-device" => Ok(Box::new(BaselineScheduler::random_per_device(self.seed))),
             "fifo" => Ok(Box::new(BaselineScheduler::fifo())),

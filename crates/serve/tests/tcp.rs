@@ -335,6 +335,40 @@ fn a_client_that_never_reads_gets_one_backpressure_line_then_eof() {
     server.quit();
 }
 
+/// A tripped client whose last command the server never read still gets
+/// its `backpressure` line, then EOF. The server stops reading a client
+/// once it trips, so that command stays unread; closing a socket with
+/// unread input sends a reset, which would destroy the lines still in
+/// flight. The server's close lingers instead.
+#[test]
+fn a_tripped_client_with_unread_input_still_gets_its_backpressure_line() {
+    let _serial = serial();
+    let server = Server::start(ServeOpts {
+        frame_queue_cap: 4,
+        ..ServeOpts::default()
+    });
+    let mut slow = server.connect();
+    let (_, ack) = slow.request(r#"{"cmd":"subscribe","every_ms":1}"#);
+    assert!(ack.contains("\"ok\":true"), "{ack}");
+    slow.send(r#"{"cmd":"advance","ms":50000}"#);
+    // The first frame shows the server inside the burst, which it routes
+    // without reading or accepting: the next line stays unread, and the
+    // probe joins only after the burst.
+    let first = slow.line().expect("a frame");
+    assert!(first.starts_with("{\"frame\":"), "{first}");
+    slow.send(r#"{"cmd":"stats"}"#);
+    let (frames, ack) = server.connect().request(r#"{"cmd":"stats"}"#);
+    assert!(frames.is_empty(), "the probe joined after the burst");
+    assert_eq!(vt(&ack), 50_000, "{ack}");
+
+    let mut last = first;
+    while let Some(line) = slow.line() {
+        last = line;
+    }
+    assert!(last.contains("\"code\":\"backpressure\""), "{last}");
+    server.quit();
+}
+
 /// Under `--rate`, virtual time advances every tick even while a client
 /// keeps the loop busy.
 #[test]
